@@ -15,10 +15,10 @@ use tapesim_model::specs::paper_table1;
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{run_scheduled_faulty, PolicyKind, SchedConfig};
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::Simulator;
 use tapesim_workload::{
-    replicate_workload, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload, WorkloadSpec,
+    replicate_workload, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload,
+    WorkloadSpec,
 };
 
 #[derive(Serialize)]

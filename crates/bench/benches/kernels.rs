@@ -15,8 +15,7 @@ use tapesim_placement::balance::{zigzag_assign, TapeBin};
 use tapesim_placement::density::density_ranked;
 use tapesim_placement::organ_pipe::organ_pipe_order;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
-use tapesim_sim::seek_order;
-use tapesim_sim::Simulator;
+use tapesim_sim::{seek_order, SeekPolicy, Simulator};
 use tapesim_workload::{ObjectSizeSpec, RequestSampler, RequestSpec, Workload, WorkloadSpec};
 
 fn small_workload() -> Workload {
@@ -142,7 +141,11 @@ fn seek_planning(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("seek_plan_12_extents", |b| {
-        b.iter(|| black_box(seek_order::plan(Bytes::gb(120), &extents)))
+        let mut order = Vec::with_capacity(extents.len());
+        b.iter(|| {
+            seek_order::plan_with(SeekPolicy::Greedy, Bytes::gb(120), &extents, &mut order);
+            black_box(&order);
+        })
     });
 }
 
@@ -188,14 +191,18 @@ fn extension_kernels(c: &mut Criterion) {
         b.iter_batched(
             || Simulator::with_natural_policy(placement.clone(), 4),
             |mut sim| {
-                black_box(tapesim_sim::queue::run_queued(
-                    &mut sim,
-                    &w,
-                    30,
-                    tapesim_sim::queue::ArrivalSpec {
+                let cfg = tapesim_sched::SchedConfig::new(
+                    tapesim_workload::ArrivalSpec {
                         per_hour: 4.0,
                         seed: 2,
                     },
+                    30,
+                );
+                black_box(tapesim_sched::run_scheduled(
+                    &mut sim,
+                    &w,
+                    &tapesim_sched::Fcfs,
+                    &cfg,
                 ))
             },
             BatchSize::SmallInput,

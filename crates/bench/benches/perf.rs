@@ -1,17 +1,10 @@
 //! Hot-path throughput bench: runs the same deterministic scheduling
-//! scenario as `BENCH_sched.json` through every DES engine — the legacy
-//! sequential queue gear, the optimized concurrent scheduler (with and
-//! without span time accounting, so the observability overhead is
-//! measured in the same run), the frozen pre-optimization baseline
-//! (`tapesim_sched::baseline`) and the faulty concurrent gear — and
-//! records events/sec, allocation counts and wall time into
-//! `BENCH_perf.json` at the workspace root.
-//!
-//! Because the optimized and baseline engines are bit-identical on
-//! metrics (pinned by `tapesim-sched`'s regression tests), they process
-//! the *same number of events*, so `speedup_vs_baseline` is a pure
-//! wall-clock ratio measured in one run on one machine — no stale
-//! cross-machine comparison.
+//! scenario as `BENCH_sched.json` through every DES engine — the
+//! sequential FCFS gear, the concurrent scheduler (with and without span
+//! time accounting, so the observability overhead is measured in the
+//! same run) and the faulty concurrent gear — and records events/sec,
+//! allocation counts and wall time into `BENCH_perf.json` at the
+//! workspace root.
 //!
 //! Flags (after `--`):
 //!
@@ -31,14 +24,12 @@ use tapesim_faults::{FaultPlan, FaultSpec};
 use tapesim_model::specs::{paper_table1, paper_table1_with_libraries};
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
-use tapesim_sched::baseline::run_scheduled_baseline;
 use tapesim_sched::{
     run_scheduled, run_scheduled_faulty, run_scheduled_parallel, BatchByTape, Fcfs, ParallelConfig,
     SchedConfig,
 };
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::Simulator;
-use tapesim_workload::{ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
+use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
 
 /// A counting wrapper around the system allocator, active in this bench
 /// binary only. Counts allocation events and requested bytes; frees are
@@ -102,9 +93,6 @@ struct Report {
     rate_per_hour: f64,
     iterations: u32,
     engines: Vec<EngineRow>,
-    /// Optimized concurrent gear over the frozen pre-optimization copy,
-    /// events/sec ratio measured in this same run.
-    speedup_vs_baseline: f64,
     /// Throughput cost of span time accounting: the median of per-round
     /// `sched_obs`/`sched` wall-time ratios, as a percentage (rounds run
     /// the two engines back to back, so each ratio compares like machine
@@ -208,7 +196,7 @@ fn median_ratio_pct(num: &[f64], den: &[f64]) -> f64 {
 /// slow drift of the machine (frequency scaling, thermal state, noisy
 /// neighbours) biases every engine equally instead of penalising
 /// whichever one happened to run last. Cross-engine ratios — the
-/// baseline speedup and the observability overhead — are only
+/// observability overhead and the parallel speedup — are only
 /// trustworthy under this schedule.
 ///
 /// Each iteration rebuilds its simulator via `setup` *outside* the timed
@@ -305,11 +293,6 @@ fn check_regression(current: &Report) {
         None => failures.push("engine 'sched' missing from this run".to_string()),
     }
     for old in &committed.engines {
-        // The frozen baseline engine is the comparison anchor, not a
-        // regression target of its own.
-        if old.engine == "sched_baseline" {
-            continue;
-        }
         let Some(new) = current.engines.iter().find(|r| r.engine == old.engine) else {
             failures.push(format!("engine '{}' missing from this run", old.engine));
             continue;
@@ -353,7 +336,6 @@ fn main() {
         },
         samples,
     );
-    let zero_plan = FaultPlan::zero(&system);
     let fault_plan = FaultPlan::generate(&FaultSpec::moderate(41), &system);
     let no_alternates: BTreeMap<_, _> = BTreeMap::new();
 
@@ -374,11 +356,6 @@ fn main() {
             assert!(budget.sum_error() < 1e-6, "budget must close in the bench");
             (out.metrics.served(), out.metrics.events())
         }),
-        Probe::new("sched_baseline", |sim: Simulator| {
-            let out =
-                run_scheduled_baseline(&sim, &w, &BatchByTape, &cfg, &zero_plan, &no_alternates);
-            (out.metrics.served(), out.metrics.events())
-        }),
         Probe::new("faults", |mut sim: Simulator| {
             let out = run_scheduled_faulty(
                 &mut sim,
@@ -395,22 +372,9 @@ fn main() {
     let sched_rounds = std::mem::take(&mut probes[1].rounds);
     let sched_obs_rounds = std::mem::take(&mut probes[2].rounds);
     drop(probes);
-    let [queued, sched, sched_obs, sched_baseline, faults]: [EngineRow; 5] = rows
+    let [queued, sched, sched_obs, faults]: [EngineRow; 4] = rows
         .try_into()
-        .unwrap_or_else(|_| unreachable!("five probes produce five rows"));
-
-    assert_eq!(
-        (sched.served, sched.events),
-        (sched_baseline.served, sched_baseline.events),
-        "optimized and baseline engines diverged — the speedup ratio is \
-         only meaningful while they are bit-identical"
-    );
-    let speedup = if sched_baseline.events_per_sec > 0.0 {
-        sched.events_per_sec / sched_baseline.events_per_sec
-    } else {
-        0.0
-    };
-    println!("speedup vs frozen baseline (same run): {speedup:.2}x");
+        .unwrap_or_else(|_| unreachable!("four probes produce four rows"));
 
     assert_eq!(
         (sched.served, sched.events),
@@ -509,7 +473,7 @@ fn main() {
         );
     }
 
-    let mut engines = vec![queued, sched, sched_obs, sched_baseline, faults];
+    let mut engines = vec![queued, sched, sched_obs, faults];
     engines.extend(parallel_rows);
     let report = Report {
         bench: "perf".to_string(),
@@ -517,7 +481,6 @@ fn main() {
         rate_per_hour: RATE_PER_HOUR,
         iterations,
         engines,
-        speedup_vs_baseline: speedup,
         obs_overhead_pct,
         parallel_speedup,
         threads_available,

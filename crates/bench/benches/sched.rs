@@ -16,9 +16,8 @@ use tapesim_model::specs::paper_table1;
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig};
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::{SeekPolicy, Simulator};
-use tapesim_workload::{ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
+use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
 
 #[derive(Serialize)]
 struct PolicyRow {

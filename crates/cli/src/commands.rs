@@ -17,8 +17,8 @@ use tapesim_placement::{
     PlacementPolicy, TapeRole,
 };
 use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, AuditMode,
-    ParallelConfig, PolicyKind, SchedConfig,
+    run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig,
+    PolicyKind, SchedConfig,
 };
 use tapesim_serve::{serve_run, supervisor_run, HealthPolicy, ServeConfig, SuperviseConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
@@ -57,15 +57,19 @@ impl From<serde_json::Error> for CommandError {
     }
 }
 
-/// Parses `--audit-mode streaming|batch` (default: streaming).
-fn parse_audit_mode(args: &Args) -> Result<AuditMode, CommandError> {
-    match args.get("audit-mode") {
-        None | Some("streaming") => Ok(AuditMode::Streaming),
-        Some("batch") => Ok(AuditMode::Batch),
-        Some(other) => Err(CommandError(format!(
-            "flag --audit-mode: expected 'streaming' or 'batch', got '{other}'"
-        ))),
+/// Parses the Poisson arrival stream from `--rate` (arrivals per hour,
+/// default 12) and `--seed` (default 0xD15C). A rate that is not a finite
+/// positive number is rejected here rather than left to panic the
+/// arrival process.
+fn arrivals_from(args: &Args) -> Result<ArrivalSpec, CommandError> {
+    let per_hour: f64 = args.get_or("rate", 12.0)?;
+    if !(per_hour.is_finite() && per_hour > 0.0) {
+        return Err(CommandError(format!(
+            "flag --rate: expected a finite positive number of arrivals per hour, got '{per_hour}'"
+        )));
     }
+    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
+    Ok(ArrivalSpec { per_hour, seed })
 }
 
 fn read_workload(path: &str) -> Result<Workload, CommandError> {
@@ -355,6 +359,8 @@ fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
 fn campaign(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
     let check = args.has("check");
+    let spec = arrivals_from(args)?;
+    let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = match args.get("workload") {
         Some(path) => read_workload(path)?,
         None => campaign_workload(),
@@ -362,16 +368,10 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let requests: usize = args.get_or("requests", if smoke { 10_000 } else { 175_000 })?;
-    let rate: f64 = args.get_or("rate", 12.0)?;
-    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let shards: usize = serve_shards(args, system.libraries as usize)?;
     let channel_bound: usize = args.get_or("channel-bound", 256)?;
     let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
-    let spec = ArrivalSpec {
-        per_hour: rate,
-        seed,
-    };
     let plan = FaultPlan::zero(&system);
     let no_alternates: BTreeMap<_, _> = BTreeMap::new();
 
@@ -639,6 +639,8 @@ fn chaos_check(current: &ChaosBench) -> Result<String, CommandError> {
 fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
     let check = args.has("check");
+    let spec = arrivals_from(args)?;
+    let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = match args.get("workload") {
         Some(path) => read_workload(path)?,
         None => campaign_workload(),
@@ -646,8 +648,6 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let requests: usize = args.get_or("requests", if smoke { 6_000 } else { 40_000 })?;
-    let rate: f64 = args.get_or("rate", 12.0)?;
-    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let shards: usize = serve_shards(args, system.libraries as usize)?;
     let channel_bound: usize = args.get_or("channel-bound", 256)?;
     let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
@@ -655,10 +655,6 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     let fault_seed: u64 = args.get_or("fault-seed", 23u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;
     let chaos_seed: u64 = args.get_or("chaos-seed", seed)?;
-    let spec = ArrivalSpec {
-        per_hour: rate,
-        seed,
-    };
     // The fault horizon covers the whole campaign span, and the rates
     // are span-relative (so the *count* of faults per run is stable
     // whatever `--requests` is): at intensity 1 expect ~4 failures per
@@ -1011,6 +1007,8 @@ fn placement_for(scheme: &str, m: u8) -> Box<dyn PlacementPolicy> {
 /// on by default (non-zero exit on any invariant breach).
 pub fn sched(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
+    let spec = arrivals_from(args)?;
+    let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = if smoke {
         smoke_workload()
     } else {
@@ -1019,17 +1017,10 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let samples: usize = args.get_or("samples", if smoke { 30 } else { 100 })?;
-    let rate: f64 = args.get_or("rate", 12.0)?;
-    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let audit = !args.has("no-audit");
-    let audit_mode = parse_audit_mode(args)?;
     let par = parallel_config_from(args)?;
     let seek = seek_policy_from(args)?;
-    let spec = ArrivalSpec {
-        per_hour: rate,
-        seed,
-    };
 
     let schemes = parse_schemes(args)?;
     let policies = parse_policies(args)?;
@@ -1046,7 +1037,6 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
             let cfg = SchedConfig::new(spec, samples)
                 .with_max_batch(max_batch)
                 .with_audit(audit)
-                .with_audit_mode(audit_mode)
                 .with_seek(seek);
             let out =
                 run_scheduled_parallel(&mut sim, &workload, kind.build().as_ref(), &cfg, &par);
@@ -1078,11 +1068,7 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     let mut out = format!(
         "scheduled run: {samples} requests at {rate}/h (seed {seed}), audit {}\n\
          {:<15} {:<6} {:>6} {:>10} {:>12} {:>12} {:>12} {:>7} {:>6}\n",
-        match (audit, audit_mode) {
-            (false, _) => "off",
-            (true, AuditMode::Streaming) => "on (streaming)",
-            (true, AuditMode::Batch) => "on (batch)",
-        },
+        if audit { "on" } else { "off" },
         "scheme",
         "policy",
         "served",
@@ -1130,6 +1116,8 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
     use tapesim_obs::{MetricsRegistry, RunManifest};
 
     let smoke = args.has("smoke");
+    let spec = arrivals_from(args)?;
+    let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = if smoke {
         smoke_workload()
     } else {
@@ -1138,13 +1126,7 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let samples: usize = args.get_or("samples", if smoke { 30 } else { 100 })?;
-    let rate: f64 = args.get_or("rate", 12.0)?;
-    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
-    let spec = ArrivalSpec {
-        per_hour: rate,
-        seed,
-    };
 
     let schemes = parse_schemes(args)?;
     let policies = parse_policies(args)?;
@@ -1285,6 +1267,8 @@ struct FaultRow {
 /// never served twice and never dropped silently.
 pub fn faults(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
+    let spec = arrivals_from(args)?;
+    let rate = spec.per_hour;
     let base = if smoke {
         smoke_workload()
     } else {
@@ -1293,19 +1277,12 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let samples: usize = args.get_or("samples", if smoke { 25 } else { 100 })?;
-    let rate: f64 = args.get_or("rate", 12.0)?;
-    let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let fault_seed: u64 = args.get_or("fault-seed", 41u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;
-    let audit_mode = parse_audit_mode(args)?;
     let par = parallel_config_from(args)?;
     let seek = seek_policy_from(args)?;
     let replicate_gb: u64 = args.get_or("replicate-gb", if smoke { 4096 } else { 0 })?;
-    let spec = ArrivalSpec {
-        per_hour: rate,
-        seed,
-    };
 
     // Start from the calibrated moderate profile, scale it, then let
     // individual rates be pinned explicitly.
@@ -1343,7 +1320,6 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
             let cfg = SchedConfig::new(spec, samples)
                 .with_max_batch(max_batch)
                 .with_audit(true)
-                .with_audit_mode(audit_mode)
                 .with_seek(seek);
             let out = run_scheduled_faulty_parallel(
                 &mut sim,
@@ -1577,7 +1553,6 @@ mod tests {
         "max-batch",
         "libraries",
         "tapes",
-        "audit-mode",
     ];
     const SCHED_BOOLS: &[&str] = &["json", "smoke", "no-audit"];
 
@@ -1627,34 +1602,6 @@ mod tests {
     fn sched_rejects_unknown_policy() {
         let err = sched(&args("--smoke --policy bogus", SCHED_VALUES, SCHED_BOOLS)).unwrap_err();
         assert!(err.0.contains("unknown policy"), "{err}");
-    }
-
-    #[test]
-    fn sched_audit_modes_agree_and_bad_mode_is_rejected() {
-        let streaming = sched(&args(
-            "--smoke --samples 8 --rate 15 --audit-mode streaming --json",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap();
-        let batch = sched(&args(
-            "--smoke --samples 8 --rate 15 --audit-mode batch --json",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap();
-        assert_eq!(streaming, batch, "audit mode must not change results");
-
-        let default = sched(&args("--smoke --samples 8", SCHED_VALUES, SCHED_BOOLS)).unwrap();
-        assert!(default.contains("audit on (streaming)"), "{default}");
-
-        let err = sched(&args(
-            "--smoke --audit-mode bogus",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap_err();
-        assert!(err.0.contains("audit-mode"), "{err}");
     }
 
     const SERVE_VALUES: &[&str] = &[
@@ -1772,7 +1719,6 @@ mod tests {
         "jams-per-hour",
         "spots-per-tape",
         "replicate-gb",
-        "audit-mode",
     ];
     const FAULTS_BOOLS: &[&str] = &["json", "smoke"];
 
@@ -1863,6 +1809,28 @@ mod tests {
     fn faults_rejects_unknown_scheme() {
         let err = faults(&args("--smoke --scheme bogus", FAULTS_VALUES, FAULTS_BOOLS)).unwrap_err();
         assert!(err.0.contains("unknown scheme"), "{err}");
+    }
+
+    /// A zero, negative or NaN `--rate` is a one-line error from every
+    /// command that builds an arrival stream, never a panic.
+    #[test]
+    fn every_arrival_command_rejects_a_non_positive_or_nan_rate() {
+        type Command = fn(&Args) -> Result<String, CommandError>;
+        let commands: [(&str, Command, &[&str], &[&str]); 5] = [
+            ("--smoke", sched, SCHED_VALUES, SCHED_BOOLS),
+            ("--smoke", faults, FAULTS_VALUES, FAULTS_BOOLS),
+            ("--smoke", report, SCHED_VALUES, SCHED_BOOLS),
+            ("--campaign --smoke", serve, SERVE_VALUES, SERVE_BOOLS),
+            ("--chaos --smoke", serve, SERVE_VALUES, &["chaos", "smoke"]),
+        ];
+        for (prefix, command, values, bools) in commands {
+            for rate in ["0", "-1", "nan"] {
+                let line = format!("{prefix} --rate {rate}");
+                let err = command(&args(&line, values, bools)).unwrap_err();
+                assert!(err.0.contains("--rate"), "{line}: {err}");
+                assert!(!err.0.contains('\n'), "{line}: multi-line reason {err}");
+            }
+        }
     }
 
     #[test]

@@ -58,11 +58,13 @@ COMMANDS:
   audit      replay a sampled stream with tracing on and check the DES
              invariants (drive/robot exclusivity, mount pairing, ...)
                -w WORKLOAD -p PLACEMENT --samples N --seed S --m M
-  sched      run the concurrent scheduler over a Poisson arrival stream,
-             sweeping placement schemes x policies, audited by default
+  sched      run the request scheduler over a Poisson arrival stream
+             (fcfs one request at a time; batch and sltf with all drives
+             serving concurrently), sweeping placement schemes x policies,
+             audited by default
                -w WORKLOAD --scheme all|pbp|opp|cpp --policy all|fcfs|batch|sltf
                --rate PER_HOUR --samples N --seed S --m M --max-batch N
-               [--smoke] [--json] [--no-audit] [--audit-mode streaming|batch]
+               [--smoke] [--json] [--no-audit]
                [--seek-policy greedy|exact|approx|auto]
                [--parallel on|off] [--threads N]  (default: TAPESIM_PARALLEL /
                TAPESIM_THREADS; multi-library runs execute one partition per
@@ -74,7 +76,7 @@ COMMANDS:
                --rate PER_HOUR --samples N --seed S --fault-seed S
                --intensity X --mtbf-hours H --jams-per-hour R
                --spots-per-tape R --replicate-gb GB [--smoke] [--json]
-               [--audit-mode streaming|batch] [--parallel on|off] [--threads N]
+               [--parallel on|off] [--threads N]
                [--seek-policy greedy|exact|approx|auto]
   report     explain a run at resource granularity: per-drive/per-arm span
              time budgets (seek/rewind/transfer/load/unload/exchange/idle/
@@ -182,7 +184,6 @@ fn main() {
                 "max-batch",
                 "libraries",
                 "tapes",
-                "audit-mode",
                 "parallel",
                 "threads",
                 "seek-policy",
@@ -210,7 +211,6 @@ fn main() {
                 "jams-per-hour",
                 "spots-per-tape",
                 "replicate-gb",
-                "audit-mode",
                 "parallel",
                 "threads",
                 "seek-policy",

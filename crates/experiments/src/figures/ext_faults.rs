@@ -29,9 +29,8 @@ use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_faults::{FaultPlan, FaultSpec};
 use tapesim_sched::{run_scheduled_faulty, PolicyKind, SchedConfig};
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::Simulator;
-use tapesim_workload::{replicate_workload, ReplicationSpec};
+use tapesim_workload::{replicate_workload, ArrivalSpec, ReplicationSpec};
 
 /// Swept multipliers over [`FaultSpec::moderate`]. 0 is the fault-free
 /// anchor (bit-identical to `ext_sched`'s engine); 4 is a library having

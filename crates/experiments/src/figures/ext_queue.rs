@@ -13,8 +13,9 @@
 use crate::harness::{sweep, Scheme};
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
-use tapesim_sim::queue::{run_queued, ArrivalSpec};
+use tapesim_sched::{run_scheduled, Fcfs, SchedConfig};
 use tapesim_sim::Simulator;
+use tapesim_workload::ArrivalSpec;
 
 /// Swept arrival rates, restores per hour.
 pub fn rates() -> Vec<f64> {
@@ -38,16 +39,16 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
             .place(&workload, &system)
             .expect("placement");
         let mut sim = Simulator::with_natural_policy(placement, base.m);
-        run_queued(
-            &mut sim,
-            &workload,
-            base.samples,
+        let cfg = SchedConfig::new(
             ArrivalSpec {
                 per_hour: rs[i],
                 seed: base.sim_seed,
             },
-        )
-        .avg_sojourn()
+            base.samples,
+        );
+        run_scheduled(&mut sim, &workload, &Fcfs, &cfg)
+            .metrics
+            .avg_sojourn()
     });
 
     let mut result = ExperimentResult::new(

@@ -20,8 +20,8 @@ use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_obs::SpanKind;
 use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig};
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::{SeekPolicy, Simulator};
+use tapesim_workload::ArrivalSpec;
 
 /// Swept arrival rates, restores per hour. Same log sweep as
 /// `ext_sched`: batches deep enough for service order to matter only

@@ -1,24 +1,22 @@
-//! The concurrent scheduled-service engine.
+//! The scheduled-service engine.
 //!
-//! Where the legacy `sim::queue` loop serves one request at a time on a
-//! conceptual single server, [`run_scheduled`] runs the *whole* arrival
-//! stream as one discrete-event simulation: requests arrive while earlier
-//! ones are still streaming, their per-tape jobs join a shared admission
-//! queue, and every drive serves from that queue concurrently. Jobs
-//! targeting the same tape coalesce into a batch — one mount amortised
-//! over every queued job for that tape, ordered within the tape by the
-//! same `seek_order` planner the per-request engine uses.
-//!
-//! Two gears:
+//! [`run_scheduled`] serves a Poisson arrival stream of popularity-drawn
+//! requests under a [`SchedPolicy`]. Two gears:
 //!
 //! * **Sequential** (policies with [`SchedPolicy::sequential`] — FCFS):
-//!   a faithful re-run of the legacy queue loop, same RNG streams, same
-//!   arithmetic, so its metrics reproduce `run_queued` bit for bit. This
-//!   is the regression baseline that anchors the new subsystem to the
-//!   old one.
-//! * **Concurrent** (everything else): the event-driven shared-queue run
-//!   described above, on a clone of the simulator's mount state (the
-//!   simulator itself is left untouched).
+//!   the paper's §6 operating model with queueing added — one request in
+//!   service at a time on a single conceptual server, each served by the
+//!   per-request [`Simulator`], whose mount state persists across
+//!   requests. A request that arrives while another is in service waits.
+//! * **Concurrent** (everything else): the *whole* arrival stream runs
+//!   as one discrete-event simulation. Requests arrive while earlier ones
+//!   are still streaming, their per-tape jobs join a shared admission
+//!   queue, and every drive serves from that queue concurrently. Jobs
+//!   targeting the same tape coalesce into a batch — one mount amortised
+//!   over every queued job for that tape, ordered within the tape by the
+//!   same `seek_order` planner the per-request engine uses. It runs on a
+//!   snapshot of the simulator's mount state (the simulator itself is
+//!   left untouched).
 //!
 //! Physical modelling (rewind, exchange, robot contention, seek plans)
 //! reuses the per-request engine's formulas so both worlds agree on the
@@ -50,13 +48,11 @@
 
 use crate::metrics::{RequestRecord, SchedMetrics};
 use crate::policy::{SchedPolicy, TapeCandidate};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use tapesim_des::audit::{AuditReport, AuditStream, TraceAuditor};
 use tapesim_des::trace::TraceEntry;
-use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, Tracer, World};
+use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, World};
 use tapesim_faults::{FaultClock, FaultPlan};
 use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, DriveId, ObjectId, SystemConfig, TapeId};
@@ -65,23 +61,7 @@ use tapesim_placement::Placement;
 use tapesim_sim::catalog::{tape_jobs, TapeJob};
 use tapesim_sim::seek_order;
 use tapesim_sim::{SeekPolicy, Simulator, SwitchPolicy};
-use tapesim_workload::{ArrivalProcess, ArrivalSpec, RequestStream, Workload};
-
-/// How the engine feeds the trace auditor when auditing is on.
-///
-/// Both modes produce identical [`AuditReport`]s — proven by the
-/// equivalence proptests in `tapesim_des::audit` — so the choice is
-/// purely about memory: streaming never materialises the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditMode {
-    /// Feed each event to an [`AuditStream`] as it is emitted; the full
-    /// trace is never buffered. The default.
-    #[default]
-    Streaming,
-    /// Buffer the whole trace in a [`Tracer`] and audit it at the end of
-    /// the run. Useful when the trace itself is wanted afterwards.
-    Batch,
-}
+use tapesim_workload::{ArrivalSpec, RequestStream, Workload};
 
 /// Configuration of one scheduled run.
 #[derive(Debug, Clone, Copy)]
@@ -92,10 +72,10 @@ pub struct SchedConfig {
     pub samples: usize,
     /// Largest number of jobs one mount may serve (0 = unlimited).
     pub max_batch: usize,
-    /// Whether to record and audit the event trace.
+    /// Whether to audit the event trace: each request's trace in the
+    /// sequential gear, the whole run online through an [`AuditStream`]
+    /// (never buffered) in the concurrent gear.
     pub audit: bool,
-    /// Whether audits consume events online or from a buffered trace.
-    pub audit_mode: AuditMode,
     /// Whether to run the span accountant and attach a
     /// [`TimeBudget`] to the outcome. Off by default; when off the
     /// only cost is one `None` check per emitted trace event.
@@ -115,7 +95,6 @@ impl SchedConfig {
             samples,
             max_batch: 0,
             audit: false,
-            audit_mode: AuditMode::default(),
             obs: false,
             seek: SeekPolicy::Greedy,
         }
@@ -130,12 +109,6 @@ impl SchedConfig {
     /// Enables trace recording and auditing.
     pub fn with_audit(mut self, audit: bool) -> SchedConfig {
         self.audit = audit;
-        self
-    }
-
-    /// Selects how audits consume the event stream (default: streaming).
-    pub fn with_audit_mode(mut self, mode: AuditMode) -> SchedConfig {
-        self.audit_mode = mode;
         self
     }
 
@@ -165,61 +138,20 @@ fn topology_of(system: &SystemConfig) -> Topology {
     }
 }
 
-/// Where the engine's trace events go: nowhere, into a buffered
-/// [`Tracer`] for one batch audit at the end, or straight into an online
-/// [`AuditStream`].
-#[derive(Debug)]
-enum AuditSink {
-    Off,
-    Batch(Tracer),
-    Stream(Box<AuditStream>),
-}
-
-impl AuditSink {
-    fn new(cfg: &SchedConfig, auditor: &TraceAuditor) -> AuditSink {
-        if !cfg.audit {
-            AuditSink::Off
-        } else {
-            match cfg.audit_mode {
-                AuditMode::Batch => AuditSink::Batch(Tracer::enabled()),
-                AuditMode::Streaming => AuditSink::Stream(Box::new(auditor.stream())),
-            }
-        }
-    }
-
-    #[inline]
-    fn emit(&mut self, time: SimTime, event: TraceEvent) {
-        match self {
-            AuditSink::Off => {}
-            AuditSink::Batch(tracer) => tracer.emit(time, event),
-            AuditSink::Stream(stream) => stream.push(&TraceEntry { time, event }),
-        }
-    }
-
-    /// Produces the run's audit reports (empty when auditing is off).
-    fn finish(self, auditor: &TraceAuditor) -> Vec<AuditReport> {
-        match self {
-            AuditSink::Off => Vec::new(),
-            AuditSink::Batch(tracer) => vec![auditor.audit(tracer.entries())],
-            AuditSink::Stream(stream) => vec![stream.finish()],
-        }
-    }
-}
-
 /// The engine's single trace-event tap: every emitted event goes to the
-/// optional span accountant and then to the audit sink. Both consumers
-/// are streaming; neither buffers the trace. With both off, the cost per
-/// event is one `None` check and one `Off` match.
+/// optional span accountant and then to the optional online auditor.
+/// Both consumers are streaming; neither buffers the trace. With both
+/// off, the cost per event is two `None` checks.
 #[derive(Debug)]
 struct Tap {
-    sink: AuditSink,
+    audit: Option<Box<AuditStream>>,
     spans: Option<Box<TimeAccountant>>,
 }
 
 impl Tap {
     fn new(cfg: &SchedConfig, auditor: &TraceAuditor, system: &SystemConfig) -> Tap {
         Tap {
-            sink: AuditSink::new(cfg, auditor),
+            audit: cfg.audit.then(|| Box::new(auditor.stream())),
             spans: cfg
                 .obs
                 .then(|| Box::new(TimeAccountant::new(topology_of(system)))),
@@ -231,18 +163,21 @@ impl Tap {
         if let Some(acc) = self.spans.as_deref_mut() {
             acc.observe(time, &event);
         }
-        self.sink.emit(time, event);
+        if let Some(stream) = self.audit.as_deref_mut() {
+            stream.push(&TraceEntry { time, event });
+        }
     }
 
-    /// Closes both consumers: audit reports from the sink, the time
-    /// budget (booked against makespan `end`) from the accountant.
-    fn finish(
-        self,
-        auditor: &TraceAuditor,
-        end: SimTime,
-    ) -> (Vec<AuditReport>, Option<TimeBudget>) {
+    /// Closes both consumers: the audit report (none when auditing is
+    /// off) and the time budget, booked against makespan `end`.
+    fn finish(self, end: SimTime) -> (Vec<AuditReport>, Option<TimeBudget>) {
         let budget = self.spans.map(|acc| acc.finish(end));
-        (self.sink.finish(auditor), budget)
+        let reports = self
+            .audit
+            .map(|stream| stream.finish())
+            .into_iter()
+            .collect();
+        (reports, budget)
     }
 }
 
@@ -270,10 +205,9 @@ impl SchedOutcome {
 /// Runs `cfg.samples` popularity-drawn requests through the scheduler
 /// under `policy`.
 ///
-/// The request-pick RNG (`seed ^ 0x9A3E`) and arrival stream match the
-/// legacy `sim::queue::run_queued` exactly, so every policy sees the same
-/// demand. Sequential policies mutate `sim`'s mount state like the legacy
-/// loop; concurrent policies run on a clone and leave `sim` untouched.
+/// Every policy sees the same demand, drawn from one [`RequestStream`].
+/// Sequential policies mutate `sim`'s mount state; concurrent policies
+/// run on a snapshot and leave `sim` untouched.
 pub fn run_scheduled(
     sim: &mut Simulator,
     workload: &Workload,
@@ -298,13 +232,11 @@ pub fn run_scheduled(
 ///
 /// With a zero plan the metrics are bit-identical to [`run_scheduled`].
 /// Sequential policies route by what the plan injects: a **media-only**
-/// plan (bad-spots, no drive failures, no jams) re-runs the legacy
-/// single-server fault loop and reproduces `sim::queue::run_queued_faulty`
-/// bit for bit (pinned by the differential tests); any plan with drive
-/// failures or jams routes through the concurrent event gear — the
-/// single-server loop has no drive identities for those faults to act
-/// on. FCFS order is preserved there by `Fcfs::choose` (oldest arrival
-/// first).
+/// plan (bad-spots, no drive failures, no jams) runs the single-server
+/// loop with per-request retry accounting; any plan with drive failures
+/// or jams routes through the concurrent event gear — the single-server
+/// loop has no drive identities for those faults to act on. FCFS order
+/// is preserved there by `Fcfs::choose` (oldest arrival first).
 pub fn run_scheduled_faulty(
     sim: &mut Simulator,
     workload: &Workload,
@@ -324,95 +256,22 @@ pub fn run_scheduled_faulty(
     )
 }
 
-/// The legacy single-server FCFS loop, re-expressed. Arithmetic, RNG
-/// draws and accumulator push order are copied verbatim from
-/// `sim::queue::run_queued` — the bit-for-bit regression baseline.
-pub(crate) fn run_sequential(
-    sim: &mut Simulator,
-    workload: &Workload,
-    cfg: &SchedConfig,
-) -> SchedOutcome {
-    sim.set_seek(cfg.seek);
-    let mut stream = ArrivalProcess::new(cfg.arrivals);
-    let sampler = workload.request_sampler();
-    let mut pick_rng = ChaCha12Rng::seed_from_u64(cfg.arrivals.seed ^ 0x9A3E);
-
-    let mut metrics = SchedMetrics::new(1);
-    let mut reports = Vec::new();
-    let mut acct = new_sequential_accountant(sim, cfg);
-    let mut server_free = 0.0;
-    let mut first_arrival = None;
-    let mut events = 0u64;
-    for _ in 0..cfg.samples {
-        let clock = stream.next_arrival();
-        first_arrival.get_or_insert(clock);
-        let idx = sampler.sample(&mut pick_rng);
-        let request = &workload.requests()[idx];
-
-        let start = clock.max(server_free);
-        let r = if cfg.audit || acct.is_some() {
-            let (r, tracer) = sim.serve_traced(&request.objects);
-            if cfg.audit {
-                reports.push(match cfg.audit_mode {
-                    AuditMode::Batch => TraceAuditor::new().audit(tracer.entries()),
-                    AuditMode::Streaming => {
-                        let mut stream = TraceAuditor::new().stream();
-                        stream.push_all(tracer.entries());
-                        stream.finish()
-                    }
-                });
-            }
-            observe_request_trace(&mut acct, start, &tracer);
-            r
-        } else {
-            sim.serve(&request.objects)
-        };
-        server_free = start + r.response;
-
-        metrics.record_seconds(start - clock, r.response, server_free - clock);
-        metrics.add_mounts(r.n_switches as u64);
-        metrics.add_busy(r.response);
-        events += r.n_events;
-    }
-    metrics.set_horizon(server_free - first_arrival.unwrap_or(0.0));
-    metrics.set_events(events);
-    let budget = acct.map(|acc| acc.finish(SimTime::from_secs(server_free)));
-    SchedOutcome {
-        metrics,
-        reports,
-        budget,
-    }
-}
-
-/// The span accountant for a sequential-gear run, when `cfg.obs` asks
-/// for one.
-fn new_sequential_accountant(sim: &Simulator, cfg: &SchedConfig) -> Option<Box<TimeAccountant>> {
-    cfg.obs
-        .then(|| Box::new(TimeAccountant::new(topology_of(sim.placement().config()))))
-}
-
-/// Stitches one per-request trace (whose local clock restarts at zero)
-/// onto the run axis at `start` and feeds it to the accountant.
-/// Sequential services never overlap, so the shifted windows stay
-/// exclusive per resource.
-fn observe_request_trace(acct: &mut Option<Box<TimeAccountant>>, start: f64, tracer: &Tracer) {
-    if let Some(acc) = acct.as_deref_mut() {
-        let offset = SimTime::from_secs(start);
-        for entry in tracer.entries() {
-            acc.observe_shifted(offset, entry.time, &entry.event);
-        }
-    }
-}
-
-/// The legacy single-server loop under **media-only** faults: arithmetic,
-/// RNG draws, accumulator push order and fault bookkeeping are copied
-/// verbatim from `sim::queue::run_queued_faulty`, so the metric bits and
-/// the lost/retries/failovers counters agree exactly (pinned by the
-/// differential tests). Lost requests are skipped, never served.
+/// The sequential gear: a single-server FCFS loop over the per-request
+/// [`Simulator`] under a **media-only** `plan` (a zero plan is the
+/// fault-free run). A request starts at `max(arrival, previous
+/// completion)`; its response is the simulator's.
 ///
-/// Media-retry penalties are response-time surcharges with no trace
-/// events behind them in this gear, so in an observed run they surface
-/// as server idle time, not `Transfer` — documented in DESIGN §12.
+/// Under a non-zero plan each request's tape jobs are scanned for bad
+/// spots before service. Retries cost capped exponential backoff plus one
+/// reposition-and-reread each, charged as a surcharge on the response. A
+/// job whose demand exceeds the retry budget is redirected to replica
+/// copies from `alternates` (one level: replica reads are assumed clean
+/// here), or the whole request is lost — skipped, never served. A zero
+/// plan skips the scan and serves the drawn objects as they are.
+///
+/// Media-retry penalties have no trace events behind them in this gear,
+/// so in an observed run they surface as server idle time, not
+/// `Transfer` — documented in DESIGN §12.
 pub(crate) fn run_sequential_faulty(
     sim: &mut Simulator,
     workload: &Workload,
@@ -422,106 +281,112 @@ pub(crate) fn run_sequential_faulty(
 ) -> SchedOutcome {
     sim.set_seek(cfg.seek);
     let clock = plan.clock();
-    let mut stream = ArrivalProcess::new(cfg.arrivals);
-    let sampler = workload.request_sampler();
-    let mut pick_rng = ChaCha12Rng::seed_from_u64(cfg.arrivals.seed ^ 0x9A3E);
+    let mut stream = RequestStream::new(cfg.arrivals, workload);
 
     let mut metrics = SchedMetrics::new(1);
     let mut reports = Vec::new();
-    let mut acct = new_sequential_accountant(sim, cfg);
+    let mut acct = cfg
+        .obs
+        .then(|| Box::new(TimeAccountant::new(topology_of(sim.placement().config()))));
     let mut retries = 0u64;
     let mut failovers = 0u64;
     let mut lost_requests = 0u64;
     let mut server_free = 0.0;
     let mut first_arrival = None;
     let mut events = 0u64;
+    let mut final_objects = Vec::new();
     for _ in 0..cfg.samples {
-        let clock_t = stream.next_arrival();
+        let (clock_t, idx) = stream.next_request();
         first_arrival.get_or_insert(clock_t);
-        let idx = sampler.sample(&mut pick_rng);
         let request = &workload.requests()[idx];
 
-        let placement = sim.placement();
-        let syscfg = placement.config();
-        let spec = &syscfg.library.drive;
-        let capacity = syscfg.library.tape.capacity;
-        let budget = clock.max_retries();
-
-        let jobs = tape_jobs(placement, &request.objects);
-        let mut final_objects = Vec::with_capacity(request.objects.len());
         let mut penalty_s = 0.0;
-        let mut lost = false;
-        for job in &jobs {
-            let tape_idx = syscfg.tape_index(job.tape);
-            let mut granted_total = 0u32;
-            let mut extent_retry_s = 0.0;
-            let mut fatal = false;
-            for e in &job.extents {
-                let demand = clock.spot_demand(tape_idx, e.offset, e.end());
-                if demand > 0 {
-                    let granted = demand.min(budget - granted_total);
-                    granted_total += granted;
-                    extent_retry_s += granted as f64
-                        * (spec.position_time(e.end(), e.offset, capacity)
-                            + spec.transfer_time(e.size));
-                    if demand > granted {
-                        fatal = true;
+        let objects: &[ObjectId] = if clock.is_zero() {
+            &request.objects
+        } else {
+            let placement = sim.placement();
+            let syscfg = placement.config();
+            let spec = &syscfg.library.drive;
+            let capacity = syscfg.library.tape.capacity;
+            let budget = clock.max_retries();
+
+            final_objects.clear();
+            let mut lost = false;
+            for job in &tape_jobs(placement, &request.objects) {
+                let tape_idx = syscfg.tape_index(job.tape);
+                let mut granted_total = 0u32;
+                let mut extent_retry_s = 0.0;
+                let mut fatal = false;
+                for e in &job.extents {
+                    let demand = clock.spot_demand(tape_idx, e.offset, e.end());
+                    if demand > 0 {
+                        let granted = demand.min(budget - granted_total);
+                        granted_total += granted;
+                        extent_retry_s += granted as f64
+                            * (spec.position_time(e.end(), e.offset, capacity)
+                                + spec.transfer_time(e.size));
+                        if demand > granted {
+                            fatal = true;
+                        }
                     }
                 }
+                if granted_total > 0 || fatal {
+                    penalty_s += clock.backoff_secs(granted_total) + extent_retry_s;
+                    retries += granted_total as u64;
+                }
+                if !fatal {
+                    final_objects.extend(job.extents.iter().map(|e| e.object));
+                    continue;
+                }
+                // Retries exhausted: redirect every extent to a replica on
+                // a different tape, or lose the whole request.
+                let mut replicas = Vec::with_capacity(job.extents.len());
+                let resolvable = job.extents.iter().all(|e| {
+                    alternates
+                        .get(&e.object)
+                        .and_then(|alts| {
+                            alts.iter()
+                                .copied()
+                                .find(|&o| placement.locate(o).tape != job.tape)
+                        })
+                        .map(|o| replicas.push(o))
+                        .is_some()
+                });
+                if resolvable {
+                    failovers += 1;
+                    final_objects.extend(replicas);
+                } else {
+                    lost = true;
+                    break;
+                }
             }
-            if granted_total > 0 || fatal {
-                penalty_s += clock.backoff_secs(granted_total) + extent_retry_s;
-                retries += granted_total as u64;
-            }
-            if !fatal {
-                final_objects.extend(job.extents.iter().map(|e| e.object));
+            if lost {
+                lost_requests += 1;
                 continue;
             }
-            // Retries exhausted: redirect every extent to a replica on a
-            // different tape, or lose the whole request.
-            let mut replicas = Vec::with_capacity(job.extents.len());
-            let resolvable = job.extents.iter().all(|e| {
-                alternates
-                    .get(&e.object)
-                    .and_then(|alts| {
-                        alts.iter()
-                            .copied()
-                            .find(|&o| placement.locate(o).tape != job.tape)
-                    })
-                    .map(|o| replicas.push(o))
-                    .is_some()
-            });
-            if resolvable {
-                failovers += 1;
-                final_objects.extend(replicas);
-            } else {
-                lost = true;
-                break;
-            }
-        }
-        if lost {
-            lost_requests += 1;
-            continue;
-        }
+            &final_objects
+        };
 
         let start = clock_t.max(server_free);
         let r = if cfg.audit || acct.is_some() {
-            let (r, tracer) = sim.serve_traced(&final_objects);
+            let (r, tracer) = sim.serve_traced(objects);
             if cfg.audit {
-                reports.push(match cfg.audit_mode {
-                    AuditMode::Batch => TraceAuditor::new().audit(tracer.entries()),
-                    AuditMode::Streaming => {
-                        let mut stream = TraceAuditor::new().stream();
-                        stream.push_all(tracer.entries());
-                        stream.finish()
-                    }
-                });
+                reports.push(TraceAuditor::new().audit(tracer.entries()));
             }
-            observe_request_trace(&mut acct, start, &tracer);
+            // Stitch the request's local-clock trace onto the run axis at
+            // its service start; sequential services never overlap, so
+            // the shifted windows stay exclusive per resource.
+            if let Some(acc) = acct.as_deref_mut() {
+                let offset = SimTime::from_secs(start);
+                for entry in tracer.entries() {
+                    acc.observe_shifted(offset, entry.time, &entry.event);
+                }
+            }
             r
         } else {
-            sim.serve(&final_objects)
+            sim.serve(objects)
         };
+        // `x + 0.0` preserves the bits of `x`: a zero plan charges nothing.
         let response = r.response + penalty_s;
         server_free = start + response;
 
@@ -684,8 +549,7 @@ struct SchedSim<'a> {
     /// dispatches instead of allocating per victim scan.
     cands: Vec<TapeCandidate>,
     /// Seek-plan scratch for [`Self::start_batch`]: one buffer reused for
-    /// every job's service order instead of the ~10 vectors per job the
-    /// allocating [`seek_order::plan`] costs.
+    /// every job's service order.
     plan_scratch: Vec<Extent>,
     /// Priority class of the event currently being handled (the
     /// [`ARRIVAL_PRIORITY`] of arrivals, 0 otherwise) — the class half of
@@ -770,9 +634,7 @@ impl SchedSim<'_> {
             let Some(&job) = self.pending[tape_idx].front() else {
                 break;
             };
-            // Reuses the member scratch: under the default greedy policy
-            // `plan_with` yields the exact order `seek_order::plan`
-            // would, without its per-job vectors.
+            // Reuses the member scratch across jobs.
             let mut plan = std::mem::take(&mut self.plan_scratch);
             seek_order::plan_with(
                 self.seek,
@@ -1431,7 +1293,6 @@ impl EngineCheckpoint {
 pub struct ShardEngine<'a> {
     world: SchedSim<'a>,
     sched: Scheduler<Ev>,
-    auditor: TraceAuditor,
     closed: bool,
     rejected: u64,
     watermark: SimTime,
@@ -1571,7 +1432,6 @@ impl<'a> ShardEngine<'a> {
         ShardEngine {
             world,
             sched: Scheduler::new(),
-            auditor,
             closed: false,
             rejected: 0,
             watermark: SimTime::ZERO,
@@ -1711,7 +1571,6 @@ impl<'a> ShardEngine<'a> {
         let ShardEngine {
             mut world,
             mut sched,
-            auditor,
             rejected,
             ..
         } = self;
@@ -1799,7 +1658,7 @@ impl<'a> ShardEngine<'a> {
                 .filter_map(|r| r.first_plan.map(|k| (r.index, k)))
                 .collect(),
         });
-        let (reports, budget) = world.audit.finish(&auditor, end);
+        let (reports, budget) = world.audit.finish(end);
         ShardReport {
             outcome: SchedOutcome {
                 metrics,
@@ -1838,8 +1697,7 @@ pub(crate) fn run_concurrent(
         .map(|r| tape_jobs(placement, &r.objects))
         .collect();
 
-    // Draw the demand stream exactly as the legacy loop does: arrival
-    // time, then request pick, per sample.
+    // The same demand stream the sequential gear draws.
     let mut stream = RequestStream::new(cfg.arrivals, workload);
     let mut engine = ShardEngine::new(sim, policy, cfg, plan, alternates, &job_catalog);
     for _ in 0..cfg.samples {
@@ -1856,7 +1714,6 @@ mod tests {
     use tapesim_model::specs::paper_table1;
     use tapesim_model::Bytes;
     use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
-    use tapesim_sim::queue::run_queued;
     use tapesim_workload::{ObjectSizeSpec, RequestSpec, WorkloadSpec};
 
     fn setup() -> (Simulator, Workload) {
@@ -1977,26 +1834,79 @@ mod tests {
         assert_eq!(EngineCheckpoint::from_arrivals(log), ckpt);
     }
 
+    /// The sequential gear reproduces the retired single-server queue
+    /// loop bit for bit. The constants are that loop's metric bits on
+    /// this fixture, recorded before it was folded into this gear.
     #[test]
     fn fcfs_reproduces_legacy_queue_bit_for_bit() {
         let spec = ArrivalSpec {
             per_hour: 6.0,
             seed: 9,
         };
-        let (mut legacy_sim, w) = setup();
-        let legacy = run_queued(&mut legacy_sim, &w, 25, spec);
-
-        let (mut sim, _) = setup();
+        let (mut sim, w) = setup();
         let out = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 25));
-        assert_eq!(out.metrics.served(), legacy.served());
-        assert_eq!(out.metrics.avg_wait(), legacy.avg_wait());
-        assert_eq!(out.metrics.avg_service(), legacy.avg_service());
-        assert_eq!(out.metrics.avg_sojourn(), legacy.avg_sojourn());
-        assert_eq!(out.metrics.utilisation(), legacy.utilisation());
+        let m = &out.metrics;
+        assert_eq!(m.served(), 25);
+        assert_eq!(m.avg_wait().to_bits(), 0x4078102b7c54c9d1);
+        assert_eq!(m.avg_service().to_bits(), 0x4078b5ca2d0ccbcd);
+        assert_eq!(m.avg_sojourn().to_bits(), 0x408862fad4b0cace);
+        assert_eq!(m.utilisation().to_bits(), 0x3fe832ee47597f46);
         assert!(
-            out.metrics.events() > 0,
+            m.events() > 0,
             "sequential gear must report the per-request engine's summed \
              DES events, not 0"
+        );
+    }
+
+    /// One request a week — the paper's §6 regime: nobody ever waits.
+    #[test]
+    fn sparse_arrivals_never_wait() {
+        let spec = ArrivalSpec {
+            per_hour: 1.0 / 168.0,
+            seed: 1,
+        };
+        let (mut sim, w) = setup();
+        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics;
+        assert_eq!(m.served(), 30);
+        assert!(
+            m.avg_wait() < 1e-9,
+            "wait {} in the sparse regime",
+            m.avg_wait()
+        );
+        assert!((m.avg_sojourn() - m.avg_service()).abs() < 1e-9);
+        assert!(m.utilisation() < 0.1);
+    }
+
+    /// Services take hundreds of seconds; 30 arrivals an hour is one
+    /// every two minutes, so the queue must build.
+    #[test]
+    fn dense_arrivals_queue_up() {
+        let spec = ArrivalSpec {
+            per_hour: 30.0,
+            seed: 1,
+        };
+        let (mut sim, w) = setup();
+        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics;
+        assert!(m.avg_wait() > m.avg_service(), "no queueing at high load");
+        assert!(m.avg_sojourn() > m.avg_wait());
+        assert!(m.utilisation() > 0.8);
+    }
+
+    #[test]
+    fn wait_grows_with_arrival_rate() {
+        let waits: Vec<f64> = [2.0, 6.0, 18.0]
+            .iter()
+            .map(|&per_hour| {
+                let spec = ArrivalSpec { per_hour, seed: 5 };
+                let (mut sim, w) = setup();
+                run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 40))
+                    .metrics
+                    .avg_wait()
+            })
+            .collect();
+        assert!(
+            waits[0] <= waits[1] && waits[1] <= waits[2],
+            "waits not monotone in load: {waits:?}"
         );
     }
 
@@ -2309,56 +2219,6 @@ mod tests {
         }
     }
 
-    /// Streaming (the default) and batch audit modes return identical
-    /// reports — and identical metrics — for both gears and for a faulty
-    /// concurrent run.
-    #[test]
-    fn audit_modes_agree_end_to_end() {
-        use tapesim_faults::FaultSpec;
-        let spec = ArrivalSpec {
-            per_hour: 30.0,
-            seed: 3,
-        };
-        let plans = [
-            FaultPlan::zero(heavy_setup().0.placement().config()),
-            FaultPlan::generate(
-                &FaultSpec::moderate(41),
-                heavy_setup().0.placement().config(),
-            ),
-        ];
-        for kind in crate::policy::PolicyKind::ALL {
-            for plan in &plans {
-                let run = |mode: AuditMode| {
-                    let (mut sim, w) = heavy_setup();
-                    run_scheduled_faulty(
-                        &mut sim,
-                        &w,
-                        kind.build().as_ref(),
-                        &SchedConfig::new(spec, 25)
-                            .with_audit(true)
-                            .with_audit_mode(mode),
-                        plan,
-                        &BTreeMap::new(),
-                    )
-                };
-                let streaming = run(AuditMode::Streaming);
-                let batch = run(AuditMode::Batch);
-                assert_eq!(
-                    streaming.reports,
-                    batch.reports,
-                    "{} reports diverge across audit modes",
-                    kind.label()
-                );
-                assert_eq!(
-                    streaming.metrics.avg_sojourn().to_bits(),
-                    batch.metrics.avg_sojourn().to_bits(),
-                    "{}: audit mode must not perturb the simulation",
-                    kind.label()
-                );
-            }
-        }
-    }
-
     /// With replication-provided alternates, exhausted reads fail over to
     /// the replica instead of becoming losses.
     #[test]
@@ -2560,28 +2420,59 @@ mod tests {
         );
     }
 
-    /// Differential wall (satellite of ISSUE 5): under media-only fault
-    /// plans the sequential FCFS gear reproduces the legacy
-    /// `run_queued_faulty` loop *bit for bit* — metrics and
-    /// lost/retries/failovers counters — across several seeds.
+    /// Under media-only fault plans the sequential FCFS gear reproduces
+    /// the retired single-server fault loop bit for bit — metrics and
+    /// lost/retries/failovers counters — across several fault seeds. The
+    /// constants are that loop's output on this fixture, recorded before
+    /// it was folded into this gear.
     #[test]
     fn media_only_fcfs_matches_legacy_queue_bit_for_bit() {
-        use tapesim_sim::queue::run_queued_faulty;
         let spec = ArrivalSpec {
             per_hour: 10.0,
             seed: 5,
         };
-        for fault_seed in [11u64, 29, 83] {
-            let (mut legacy_sim, w) = setup();
-            let plan = FaultPlan::generate(
-                &media_only_spec(fault_seed),
-                legacy_sim.placement().config(),
-            );
+        // (fault seed, served, [wait, service, sojourn, utilisation] bits,
+        //  [retries, failovers, lost])
+        type Pin = (u64, u64, [u64; 4], [u64; 3]);
+        let pinned: [Pin; 3] = [
+            (
+                11,
+                15,
+                [
+                    0x40a69e25133a2a38,
+                    0x408aebf2b2c11adc,
+                    0x40ad5921bfea70ef,
+                    0x3ff0000000000000,
+                ],
+                [102, 0, 15],
+            ),
+            (
+                29,
+                4,
+                [
+                    0x40521b62f3b796d0,
+                    0x4086464eea9d9443,
+                    0x408889bb4914871e,
+                    0x3fdab98d54fb5d26,
+                ],
+                [107, 0, 26],
+            ),
+            (
+                83,
+                5,
+                [
+                    0x408435c96e4d4a32,
+                    0x4090dda596cba4a0,
+                    0x409af88a4df249b8,
+                    0x3fe33c63069d01ab,
+                ],
+                [115, 0, 25],
+            ),
+        ];
+        for (fault_seed, served, bits, counters) in pinned {
+            let (mut sim, w) = setup();
+            let plan = FaultPlan::generate(&media_only_spec(fault_seed), sim.placement().config());
             assert!(plan.media_only() && !plan.is_zero(), "seed {fault_seed}");
-            let (legacy, stats) =
-                run_queued_faulty(&mut legacy_sim, &w, 30, spec, &plan, &BTreeMap::new());
-
-            let (mut sim, _) = setup();
             let out = run_scheduled_faulty(
                 &mut sim,
                 &w,
@@ -2590,34 +2481,20 @@ mod tests {
                 &plan,
                 &BTreeMap::new(),
             );
-            assert_eq!(out.metrics.served(), legacy.served(), "seed {fault_seed}");
+            let m = &out.metrics;
+            assert_eq!(m.served(), served, "seed {fault_seed}");
+            let got = [
+                m.avg_wait(),
+                m.avg_service(),
+                m.avg_sojourn(),
+                m.utilisation(),
+            ];
+            assert_eq!(got.map(f64::to_bits), bits, "seed {fault_seed}");
             assert_eq!(
-                out.metrics.avg_wait(),
-                legacy.avg_wait(),
+                [m.retries(), m.failovers(), m.lost()],
+                counters,
                 "seed {fault_seed}"
             );
-            assert_eq!(
-                out.metrics.avg_service(),
-                legacy.avg_service(),
-                "seed {fault_seed}"
-            );
-            assert_eq!(
-                out.metrics.avg_sojourn(),
-                legacy.avg_sojourn(),
-                "seed {fault_seed}"
-            );
-            assert_eq!(
-                out.metrics.utilisation(),
-                legacy.utilisation(),
-                "seed {fault_seed}"
-            );
-            assert_eq!(out.metrics.retries(), stats.retries, "seed {fault_seed}");
-            assert_eq!(
-                out.metrics.failovers(),
-                stats.failovers,
-                "seed {fault_seed}"
-            );
-            assert_eq!(out.metrics.lost(), stats.lost, "seed {fault_seed}");
         }
     }
 

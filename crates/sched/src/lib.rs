@@ -16,13 +16,13 @@
 //! * **per-tape batching** — all queued jobs for a tape ride one mount,
 //!   ordered within the tape by the `seek_order` planner;
 //! * a **pluggable [`SchedPolicy`]** deciding which tape a freed drive
-//!   fetches next: [`Fcfs`] (the legacy one-at-a-time loop, kept as a
-//!   bit-for-bit regression baseline), [`BatchByTape`] (coalescing,
+//!   fetches next: [`Fcfs`] (the paper's one-request-at-a-time model on
+//!   a single server, with queueing), [`BatchByTape`] (coalescing,
 //!   longest-waiting tape first) and [`SltfTape`]
 //!   (shortest-locate/service-time-first);
 //! * **per-request metrics with percentiles** ([`SchedMetrics`]) and
-//!   optional trace auditing through `tapesim-des`'s [`TraceAuditor`]
-//!   extended invariants for batched service;
+//!   optional online trace auditing through `tapesim-des`'s
+//!   [`TraceAuditor`] extended invariants for batched service;
 //! * **degraded-mode operation** ([`run_scheduled_faulty`]) under a
 //!   `tapesim-faults` fault plan: drive failures, robot jams and media
 //!   bad-spots with retry, replica failover and availability metrics;
@@ -32,14 +32,13 @@
 //!
 //! [`TraceAuditor`]: tapesim_des::audit::TraceAuditor
 
-pub mod baseline;
 pub mod engine;
 pub mod metrics;
 pub mod parallel;
 pub mod policy;
 
 pub use engine::{
-    run_scheduled, run_scheduled_faulty, AuditMode, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
+    run_scheduled, run_scheduled_faulty, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
     SchedOutcome, ShardEngine, ShardReport,
 };
 pub use metrics::{RequestRecord, SchedMetrics};

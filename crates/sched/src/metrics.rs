@@ -1,11 +1,10 @@
 //! Per-request scheduling metrics with percentiles.
 //!
-//! [`SchedMetrics`] extends the legacy `sim::queue::QueueMetrics` shape
-//! (mean wait/service/sojourn, utilisation, served count) with retained
-//! samples for percentile queries and scheduler-level counters (mounts,
-//! events processed). The FCFS regression baseline requires the Welford
-//! accumulators to be fed in exactly the legacy push order — see
-//! [`SchedMetrics::record_seconds`].
+//! [`SchedMetrics`] keeps mean wait/service/sojourn, utilisation and the
+//! served count, plus retained samples for percentile queries and
+//! scheduler-level counters (mounts, events processed). The pinned FCFS
+//! metric bits depend on the Welford accumulators being fed in one fixed
+//! push order — see [`SchedMetrics::record_seconds`].
 
 use serde::{Deserialize, Serialize};
 use tapesim_des::stats::{Samples, Welford};
@@ -84,8 +83,8 @@ impl SchedMetrics {
     }
 
     /// Records one served request from pre-computed seconds. The push
-    /// order (wait, service, sojourn) matches the legacy queue loop so
-    /// FCFS reproduces its Welford state bit for bit.
+    /// order (wait, service, sojourn) is fixed: the pinned FCFS metric
+    /// bits depend on it.
     pub(crate) fn record_seconds(&mut self, wait: f64, service: f64, sojourn: f64) {
         self.wait.push(wait);
         self.service.push(service);
@@ -250,8 +249,8 @@ impl SchedMetrics {
     }
 
     /// Aggregate drive busy time over the run span, normalised by server
-    /// count: `busy / (horizon × servers)`. With one server this is the
-    /// legacy queue's utilisation expression exactly.
+    /// count: `busy / (horizon × servers)`. With one server (the
+    /// sequential gear) this is plain `busy / horizon`.
     pub fn utilisation(&self) -> f64 {
         if self.horizon <= 0.0 {
             0.0

@@ -52,15 +52,15 @@
 //! The decomposition is sound only when nothing crosses libraries after
 //! arrival. [`run_partitioned`] declines (returns `None`, the caller
 //! falls back to the monolithic gear) when: the system has one library;
-//! the policy is sequential (the FCFS regression baseline mutates the
-//! simulator); span accounting is on (one global `TimeBudget` cannot be
-//! rebuilt from partition budgets); or the run combines a non-zero fault
+//! the policy is sequential (the FCFS gear mutates the simulator); span
+//! accounting is on (one global `TimeBudget` cannot be rebuilt from
+//! partition budgets); or the run combines a non-zero fault
 //! plan with replica alternates — a failover may re-home work to another
 //! library, which would pierce partition isolation.
 
 use crate::engine::{
-    run_concurrent, run_sequential, run_sequential_faulty, OpKey, SchedConfig, SchedOutcome,
-    ShardEngine, ShardReport,
+    run_concurrent, run_sequential_faulty, OpKey, SchedConfig, SchedOutcome, ShardEngine,
+    ShardReport,
 };
 use crate::metrics::{RequestRecord, SchedMetrics};
 use crate::policy::SchedPolicy;
@@ -165,15 +165,8 @@ pub fn run_scheduled_parallel(
     cfg: &SchedConfig,
     par: &ParallelConfig,
 ) -> SchedOutcome {
-    if policy.sequential() {
-        return run_sequential(sim, workload, cfg);
-    }
     let plan = FaultPlan::zero(sim.placement().config());
-    let alternates = BTreeMap::new();
-    match run_partitioned(sim, workload, policy, cfg, &plan, &alternates, par) {
-        Some((outcome, _)) => outcome,
-        None => run_concurrent(sim, workload, policy, cfg, &plan, &alternates),
-    }
+    run_scheduled_faulty_parallel(sim, workload, policy, cfg, &plan, &BTreeMap::new(), par)
 }
 
 /// [`crate::run_scheduled_faulty`] with an explicit parallel
@@ -191,9 +184,7 @@ pub fn run_scheduled_faulty_parallel(
     par: &ParallelConfig,
 ) -> SchedOutcome {
     if policy.sequential() {
-        return if plan.is_zero() {
-            run_sequential(sim, workload, cfg)
-        } else if plan.media_only() {
+        return if plan.media_only() {
             run_sequential_faulty(sim, workload, cfg, plan, alternates)
         } else {
             run_concurrent(sim, workload, policy, cfg, plan, alternates)
@@ -872,7 +863,7 @@ mod tests {
             &ParallelConfig::off()
         )
         .is_none());
-        // Sequential (FCFS baseline) policy.
+        // Sequential (FCFS) policy.
         assert!(run_partitioned(&sim, &w, &Fcfs, &cfg, &plan, &alternates, &on).is_none());
         // Span accounting on: one global budget cannot be partitioned.
         assert!(run_partitioned(
@@ -918,7 +909,7 @@ mod tests {
 
     /// The fallback still *serves* the run: parallel entry + ineligible
     /// shape produces the monolithic answer, not a panic or an empty
-    /// outcome — for every policy, including the sequential baseline.
+    /// outcome — for every policy, including the sequential FCFS gear.
     #[test]
     fn fallback_outcomes_match_the_plain_entry_points() {
         let cfg = SchedConfig::new(spec(13), 12).with_audit(true);

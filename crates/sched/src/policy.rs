@@ -40,9 +40,9 @@ pub trait SchedPolicy: std::fmt::Debug + Send + Sync {
     /// Picks a candidate index from a non-empty slice.
     fn choose(&self, candidates: &[TapeCandidate]) -> Option<usize>;
 
-    /// Whether the scheduler must serve one request at a time on one
-    /// drive, exactly like the legacy `sim::queue` loop. The FCFS
-    /// regression baseline sets this; concurrent policies do not.
+    /// Whether the scheduler must serve one request at a time on a
+    /// single conceptual server (the sequential gear). FCFS sets this;
+    /// concurrent policies do not.
     fn sequential(&self) -> bool {
         false
     }
@@ -60,9 +60,10 @@ fn choose_oldest(candidates: &[TapeCandidate]) -> Option<usize> {
     best.map(|(_, _, i)| i)
 }
 
-/// First-come-first-served, one request at a time: the legacy
-/// single-request queue as a scheduling policy. Reproduces
-/// `sim::queue::run_queued`'s metrics bit for bit.
+/// First-come-first-served, one request at a time: the paper's §6
+/// operating model with a queue in front of it, run by the sequential
+/// gear. Under drive failures or jams it runs on the concurrent gear,
+/// where `choose` keeps oldest-arrival-first order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fcfs;
 

@@ -1,11 +1,12 @@
 //! Property tests for the scheduling subsystem.
 //!
-//! Six families, per the subsystem's contract:
+//! Seven families, per the subsystem's contract:
 //!
 //! 1. **Conservation** — no policy loses or double-serves a request, and
 //!    every audited trace is clean, across random seeds/rates.
-//! 2. **Regression** — `Fcfs` reproduces the legacy single-request queue
-//!    (`sim::queue::run_queued`) metrics exactly (`==` on floats).
+//! 2. **Single server** — `Fcfs` serves one request at a time in arrival
+//!    order: rebuilding each start as `max(arrival, previous finish)`
+//!    accounts for every recorded wait and service second.
 //! 3. **Coalescing** — under deep queues (high arrival rates)
 //!    `BatchByTape` mounts strictly fewer tapes than `Fcfs` on the same
 //!    demand stream. (At shallow depths no dominance holds: shifted
@@ -36,11 +37,10 @@ use tapesim_sched::{
     run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, run_scheduled_parallel,
     BatchByTape, Fcfs, ParallelConfig, PolicyKind, SchedConfig, SchedOutcome,
 };
-use tapesim_sim::queue::run_queued;
 use tapesim_sim::Simulator;
 use tapesim_workload::{
-    replicate_workload, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload,
-    WorkloadSpec,
+    replicate_workload, ArrivalProcess, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec,
+    Workload, WorkloadSpec,
 };
 
 fn setup(workload_seed: u64) -> (Simulator, Workload) {
@@ -195,7 +195,7 @@ proptest! {
     }
 
     #[test]
-    fn fcfs_matches_legacy_queue_exactly(
+    fn fcfs_services_never_overlap(
         seed in 0u64..1_000,
         rate_tenths in 5u32..400,
         samples in 5usize..30,
@@ -204,15 +204,23 @@ proptest! {
             per_hour: rate_tenths as f64 / 10.0,
             seed,
         };
-        let (mut legacy_sim, w) = setup(23);
-        let legacy = run_queued(&mut legacy_sim, &w, samples, spec);
-        let (mut sim, _) = setup(23);
-        let out = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, samples));
-        prop_assert_eq!(out.metrics.served(), legacy.served());
-        prop_assert_eq!(out.metrics.avg_wait(), legacy.avg_wait());
-        prop_assert_eq!(out.metrics.avg_service(), legacy.avg_service());
-        prop_assert_eq!(out.metrics.avg_sojourn(), legacy.avg_sojourn());
-        prop_assert_eq!(out.metrics.utilisation(), legacy.utilisation());
+        let (mut sim, w) = setup(23);
+        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, samples)).metrics;
+        prop_assert_eq!(m.served(), samples as u64);
+        let mut arrivals = ArrivalProcess::new(spec);
+        let (mut prev_finish, mut wait, mut service) = (0.0f64, 0.0, 0.0);
+        for &sojourn in m.sojourn_seconds() {
+            let arrival = arrivals.next_arrival();
+            let finish = arrival + sojourn;
+            let start = arrival.max(prev_finish);
+            prop_assert!(finish > start, "service {} ends before it starts", finish - start);
+            wait += start - arrival;
+            service += finish - start;
+            prev_finish = finish;
+        }
+        let n = samples as f64;
+        prop_assert!((wait / n - m.avg_wait()).abs() < 1e-6, "waits overlap or idle");
+        prop_assert!((service / n - m.avg_service()).abs() < 1e-6, "services overlap");
     }
 
     #[test]
@@ -400,7 +408,7 @@ proptest! {
     /// Family 7 (fault-free): any (seed, rate, samples) × (threads,
     /// window) point produces the monolithic bits through the
     /// partitioned engine, for every policy including the sequential
-    /// baseline (which must route around partitioning entirely).
+    /// FCFS gear (which must route around partitioning entirely).
     #[test]
     fn parallel_run_is_bit_identical_to_sequential(
         seed in 0u64..1_000,

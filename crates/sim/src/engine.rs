@@ -96,8 +96,7 @@ impl<'a> RequestSim<'a> {
     fn start_service(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let spec = &self.cfg.library.drive;
         let capacity = self.cfg.library.tape.capacity;
-        // Scratch-backed planning: the exact order `seek_order::plan`
-        // yields, without its per-job candidate vectors.
+        // Scratch-backed planning: one buffer reused for every job.
         let mut plan = std::mem::take(&mut self.plan_scratch);
         seek_order::plan_with(
             self.seek_policy,

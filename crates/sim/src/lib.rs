@@ -31,7 +31,6 @@ pub mod catalog;
 pub mod engine;
 pub mod metrics;
 pub mod policy;
-pub mod queue;
 pub mod seek_order;
 pub mod simulator;
 

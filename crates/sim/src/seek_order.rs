@@ -12,7 +12,7 @@
 //! [`SeekPolicy`] and call [`plan_with`]; three planners exist, forming the
 //! lattice `exact ≤ greedy` and `exact ≤ approx ≤ 2·exact`:
 //!
-//! * [`SeekPolicy::Greedy`] — [`plan`] / [`plan_into`], the default:
+//! * [`SeekPolicy::Greedy`] — the default:
 //!   evaluates a fixed family of five sweep-shaped candidate orders
 //!   (ascending; above-then-below ascending/descending; nearest-below hop;
 //!   below-descending first). Cheap, and usually within a few percent of
@@ -20,7 +20,7 @@
 //!   (see the `greedy_loses_to_the_dp_on_the_pinned_regime` test: a long
 //!   extent just below the head whose read carries the head upward for
 //!   free defeats all five shapes by >30%).
-//! * [`SeekPolicy::ExactDp`] — [`exact_into`], a polynomial dynamic
+//! * [`SeekPolicy::ExactDp`] — a polynomial dynamic
 //!   program in the spirit of the exact LTSP algorithms. The key
 //!   asymmetry: a read traverses its extent's span *upward for free*
 //!   (seek cost counts only inter-extent travel), while any downward
@@ -38,9 +38,9 @@
 //!   invariant; placement never overlaps extents on one tape — and is
 //!   differentially pinned to the permutation oracle in tests. (With
 //!   overlap the free-ride argument breaks, so on overlapping input
-//!   `exact_into` detects the violated precondition and falls back to
-//!   the greedy sweep.)
-//! * [`SeekPolicy::Approx`] — [`approx_into`], a guaranteed-ratio sweep
+//!   the DP detects the violated precondition and falls back to the
+//!   greedy sweep.)
+//! * [`SeekPolicy::Approx`] — a guaranteed-ratio sweep
 //!   for large batches: the cheaper of the plain ascending sweep and
 //!   below-descending-then-above-ascending. For disjoint extents the
 //!   ascending sweep alone costs `|h − m| + G` (head `h`, lowest offset
@@ -70,15 +70,15 @@ pub const AUTO_EXACT_MAX: usize = 24;
 /// partition eligibility and cross-library behaviour are unaffected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeekPolicy {
-    /// The five-candidate sweep ([`plan_into`]); bit-identical to every
-    /// run recorded before seek policies existed. The default.
+    /// The five-candidate sweep; bit-identical to every run recorded
+    /// before seek policies existed. The default.
     #[default]
     Greedy,
-    /// The interval DP ([`exact_into`]): optimal for disjoint extents,
-    /// greedy fallback on overlapping input.
+    /// The interval DP: optimal for disjoint extents, greedy fallback on
+    /// overlapping input.
     ExactDp,
-    /// The two-candidate sweep ([`approx_into`]) with a proven factor-2
-    /// bound on disjoint extents.
+    /// The two-candidate sweep with a proven factor-2 bound on disjoint
+    /// extents.
     Approx,
     /// [`SeekPolicy::ExactDp`] for batches of at most [`AUTO_EXACT_MAX`]
     /// extents, [`SeekPolicy::Approx`] beyond.
@@ -131,9 +131,9 @@ pub fn seek_distance(head: Bytes, order: &[Extent]) -> u64 {
 }
 
 /// Plans the service order under `policy`, writing it into `out`
-/// (cleared first). The policy entry point the engines call; with
-/// [`SeekPolicy::Greedy`] this is exactly [`plan_into`], preserving every
-/// pre-policy run bit for bit.
+/// (cleared first) and reusing its capacity across calls. The one
+/// planner entry point; extents must all lie on the same tape, and the
+/// result contains each exactly once.
 pub fn plan_with(policy: SeekPolicy, head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
     match policy {
         SeekPolicy::Greedy => plan_into(head, extents, out),
@@ -149,10 +149,11 @@ pub fn plan_with(policy: SeekPolicy, head: Bytes, extents: &[Extent], out: &mut 
     }
 }
 
-/// The cheapest of the sweep-shaped candidate orders (see module docs).
-/// Extents must all lie on the same tape; the result contains each exactly
-/// once.
-pub fn plan(head: Bytes, extents: &[Extent]) -> Vec<Extent> {
+/// The allocating form of the greedy sweep: materialises every candidate
+/// order and keeps the cheapest (see module docs). The reference the
+/// scratch-backed [`plan_into`] is pinned against.
+#[cfg(test)]
+fn plan(head: Bytes, extents: &[Extent]) -> Vec<Extent> {
     if extents.len() <= 1 {
         return extents.to_vec();
     }
@@ -197,17 +198,13 @@ pub fn plan(head: Bytes, extents: &[Extent]) -> Vec<Extent> {
         .unwrap_or_default()
 }
 
-/// Allocation-free [`plan`]: writes the chosen order into `out` (cleared
-/// first), reusing its capacity across calls. Produces exactly the order
-/// [`plan`] returns — same candidate family, same evaluation order, same
-/// first-minimum tie-break — without materialising any candidate: each
-/// sweep shape is walked as an index sequence over one sorted buffer and
-/// only the winner is laid out, by in-place reverse/rotate.
-///
-/// The hot engines call this (via [`plan_with`] under the default
-/// [`SeekPolicy::Greedy`]) with a per-run scratch vector; [`plan`] stays
-/// as the simple allocating form for one-shot callers.
-pub fn plan_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
+/// The greedy sweep: the cheapest of the five sweep-shaped candidate
+/// orders (see module docs), written into `out` (cleared first). No
+/// candidate is materialised: each sweep shape is walked as an index
+/// sequence over one sorted buffer and only the winner is laid out, by
+/// in-place reverse/rotate. Ties keep the first minimum in the candidate
+/// order below.
+fn plan_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
     out.clear();
     out.extend_from_slice(extents);
     if extents.len() <= 1 {
@@ -219,7 +216,7 @@ pub fn plan_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
     let n = out.len();
     if k == 0 {
         // Nothing below the head: every sweep shape degenerates to the
-        // plain ascending order `out` already holds, and `plan`'s
+        // plain ascending order `out` already holds, and the
         // first-minimum tie-break picks exactly that candidate.
         return;
     }
@@ -234,10 +231,10 @@ pub fn plan_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
         }
         travel
     };
-    // The same candidates `plan` builds, in the same evaluation order:
-    // ascending; above-then-below; above-then-below-descending;
-    // nearest-below hop (only when a below part exists); below-descending
-    // first. Strict `<` keeps the first minimum on ties, like `plan`.
+    // The candidates in evaluation order: ascending; above-then-below;
+    // above-then-below-descending; nearest-below hop (only when a below
+    // part exists); below-descending first. Strict `<` keeps the first
+    // minimum on ties.
     let mut best_shape = 0usize;
     let mut best_travel = dist(&mut (0..n));
     let mut consider = |shape: usize, travel: u64| {
@@ -278,7 +275,7 @@ const NO_CHOICE: usize = usize::MAX;
 /// the free-ride structure can fail, so the precondition is checked and
 /// the call falls back to the greedy sweep ([`plan_into`]), keeping the
 /// lattice `exact ≤ greedy` unconditionally true.
-pub fn exact_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
+fn exact_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
     out.clear();
     out.extend_from_slice(extents);
     let n = out.len();
@@ -396,7 +393,7 @@ pub fn exact_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
 /// into `out` (cleared first). For pairwise-disjoint extents the result
 /// is at most twice the optimum — and exactly optimal when the head
 /// starts at or below the lowest extent.
-pub fn approx_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
+fn approx_into(head: Bytes, extents: &[Extent], out: &mut Vec<Extent>) {
     out.clear();
     out.extend_from_slice(extents);
     let n = out.len();
@@ -607,9 +604,9 @@ mod tests {
     }
 
     /// The scratch-backed planner must return exactly what the allocating
-    /// one returns — order, not just cost — across random heads, extent
-    /// layouts (including ties on offset) and a reused scratch buffer, so
-    /// the hot engines can swap it in without any behavioural drift.
+    /// reference returns — order, not just cost — across random heads,
+    /// extent layouts (including ties on offset) and a reused scratch
+    /// buffer.
     #[test]
     fn plan_into_is_order_identical_to_plan() {
         let mut rng = ChaCha12Rng::seed_from_u64(77);

@@ -1,12 +1,11 @@
 //! Poisson arrival processes.
 //!
 //! The single seeded implementation of the exponential inter-arrival
-//! stream shared by every queued/scheduled operating mode: the legacy
-//! FCFS queue (`tapesim-sim`'s `queue` module) and the concurrent
-//! scheduler (`tapesim-sched`) both draw their arrival clocks from
-//! [`ArrivalProcess`], so "the same arrival spec" means *the same arrival
-//! instants* across operating modes — a precondition for bit-for-bit
-//! regression baselines.
+//! stream shared by every queued/scheduled operating mode: both gears of
+//! the scheduler (`tapesim-sched`) and the long-running service
+//! (`tapesim-serve`) draw their arrival clocks from [`ArrivalProcess`],
+//! so "the same arrival spec" means *the same arrival instants* across
+//! operating modes.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;

@@ -15,8 +15,8 @@ use crate::workload::Workload;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// Salt of the request-pick RNG, shared (by value) with the legacy
-/// `sim::queue` loop — part of the cross-crate reproducibility contract.
+/// Salt of the request-pick RNG — part of the cross-crate
+/// reproducibility contract.
 pub const PICK_SEED_SALT: u64 = 0x9A3E;
 
 /// An infinite stream of `(arrival_seconds, request_rank)` pairs: the
@@ -95,23 +95,20 @@ mod tests {
 
     #[test]
     fn matches_separate_draws_bit_for_bit() {
-        // The stream must reproduce the legacy two-stream draw order:
-        // arrival from the arrival process, rank from the pick RNG.
+        // The stream must reproduce the two-stream draw order: arrival
+        // from the arrival process, rank from the pick RNG.
         let spec = ArrivalSpec {
             per_hour: 12.0,
             seed: 77,
         };
         let w = workload();
-        let mut legacy_arrivals = ArrivalProcess::new(spec);
+        let mut arrivals = ArrivalProcess::new(spec);
         let sampler = w.request_sampler();
         let mut pick_rng = ChaCha12Rng::seed_from_u64(spec.seed ^ 0x9A3E);
 
         let mut stream = RequestStream::new(spec, &w);
         for _ in 0..200 {
-            let want = (
-                legacy_arrivals.next_arrival(),
-                sampler.sample(&mut pick_rng),
-            );
+            let want = (arrivals.next_arrival(), sampler.sample(&mut pick_rng));
             let got = stream.next_request();
             assert_eq!(got.0.to_bits(), want.0.to_bits());
             assert_eq!(got.1, want.1);

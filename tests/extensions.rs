@@ -8,10 +8,11 @@ use tapesim_placement::{
     IncrementalPlacer, ObjectProbabilityPlacement, ParallelBatchParams, ParallelBatchPlacement,
     PlacementPolicy,
 };
-use tapesim_sim::queue::{run_queued, ArrivalSpec};
+use tapesim_sched::{run_scheduled, Fcfs, SchedConfig};
 use tapesim_sim::Simulator;
 use tapesim_workload::{
-    stripe_workload, EvolutionSpec, ObjectSizeSpec, RequestSpec, StripeSpec, Workload, WorkloadSpec,
+    stripe_workload, ArrivalSpec, EvolutionSpec, ObjectSizeSpec, RequestSpec, StripeSpec, Workload,
+    WorkloadSpec,
 };
 
 fn workload() -> Workload {
@@ -100,26 +101,13 @@ fn queueing_preserves_service_metrics_and_orders_waits() {
 
     // Mean service time under queueing equals the plain sampled mean for
     // the same seed structure (the queue changes waits, not services).
-    let mut sim = Simulator::with_natural_policy(placement.clone(), 4);
-    let sparse = run_queued(
-        &mut sim,
-        &w,
-        40,
-        ArrivalSpec {
-            per_hour: 0.01,
-            seed: 5,
-        },
-    );
-    let mut sim2 = Simulator::with_natural_policy(placement, 4);
-    let dense = run_queued(
-        &mut sim2,
-        &w,
-        40,
-        ArrivalSpec {
-            per_hour: 20.0,
-            seed: 5,
-        },
-    );
+    let fcfs = |per_hour: f64| {
+        let mut sim = Simulator::with_natural_policy(placement.clone(), 4);
+        let cfg = SchedConfig::new(ArrivalSpec { per_hour, seed: 5 }, 40);
+        run_scheduled(&mut sim, &w, &Fcfs, &cfg).metrics
+    };
+    let sparse = fcfs(0.01);
+    let dense = fcfs(20.0);
     assert!(sparse.avg_wait() < 1e-9);
     assert!(dense.avg_wait() > sparse.avg_wait());
     assert!(dense.avg_sojourn() >= dense.avg_service());

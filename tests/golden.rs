@@ -31,8 +31,8 @@ use tapesim_experiments::Scheme;
 use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
 use tapesim_sched::{run_scheduled, run_scheduled_faulty, BatchByTape, Fcfs, SchedConfig};
 use tapesim_serve::{supervisor_run, ServeConfig, SuperviseConfig};
-use tapesim_sim::queue::ArrivalSpec;
 use tapesim_sim::{SeekPolicy, Simulator};
+use tapesim_workload::ArrivalSpec;
 
 /// The audited shape of one deterministic run.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]

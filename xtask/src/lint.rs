@@ -47,10 +47,11 @@
 //!   `unimplemented!` and no direct slice indexing in any function
 //!   reachable (over the intra-workspace call graph, matched by name —
 //!   a deliberate over-approximation) from the engine entry points
-//!   (`run_queued*`, `run_scheduled*`, the sched/faults `dispatch*`
-//!   loops, the serve crate's `serve_run` and `supervisor_run`, and the
-//!   sim crate's `plan_with` seek-policy dispatcher — the exact-DP and
-//!   approx planners must be panic-free on any input).
+//!   (`run_scheduled*`, the serve crate's `serve_run` and
+//!   `supervisor_run`, the parallel gears' `run_windowed` and
+//!   `run_partitioned`, and the sim crate's `plan_with` seek-policy
+//!   dispatcher — the exact-DP and approx planners must be panic-free on
+//!   any input).
 //!
 //! Findings can be suppressed via `xtask/lint.allow`: one
 //! `RULE path-substring` pair per line, `#` comments allowed. An
@@ -805,9 +806,7 @@ struct Node {
 
 /// Is this fn an engine entry point?
 fn is_root(krate: &str, name: &str) -> bool {
-    name.starts_with("run_queued")
-        || name.starts_with("run_scheduled")
-        || (matches!(krate, "sched" | "faults") && name.starts_with("dispatch"))
+    name.starts_with("run_scheduled")
         || (krate == "serve" && name.starts_with("serve_run"))
         || (krate == "serve" && name.starts_with("supervisor_run"))
         // The parallel gears: the window runner (des) and the
@@ -1610,7 +1609,7 @@ mod tests {
         let fx = Fixture::new();
         fx.write(
             "crates/sim/src/bad.rs",
-            "pub fn run_queued_fx(n: usize) -> u32 {\n\
+            "pub fn run_scheduled_fx(n: usize) -> u32 {\n\
              \x20   step(n)\n\
              }\n\
              fn step(n: usize) -> u32 {\n\
@@ -1623,7 +1622,7 @@ mod tests {
         assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
         assert_eq!(findings[0].line, 6);
         assert!(findings[0].note.contains("panic!"));
-        assert!(findings[0].note.contains("run_queued_fx -> step"));
+        assert!(findings[0].note.contains("run_scheduled_fx -> step"));
         assert_eq!(findings[1].line, 7);
         assert!(findings[1].note.contains("slice indexing"));
     }
@@ -1633,7 +1632,7 @@ mod tests {
         let fx = Fixture::new();
         fx.write(
             "crates/sim/src/ok.rs",
-            "pub fn run_queued_fx(n: usize) -> usize {\n\
+            "pub fn run_scheduled_fx(n: usize) -> usize {\n\
              \x20   n + 1\n\
              }\n\
              fn never_called(xs: &[u32], n: usize) -> u32 {\n\
@@ -1643,7 +1642,7 @@ mod tests {
              mod tests {\n\
              \x20   #[test]\n\
              \x20   fn t() {\n\
-             \x20       assert_eq!(super::run_queued_fx(1), 2);\n\
+             \x20       assert_eq!(super::run_scheduled_fx(1), 2);\n\
              \x20       panic!(\"test-only panic\");\n\
              \x20   }\n\
              }\n",
@@ -1653,10 +1652,10 @@ mod tests {
 
     #[test]
     fn l10_edges_respect_the_crate_dependency_graph() {
-        // `run_queued_fx` (sim) calls `helper()`, and a fn named `helper`
+        // `run_scheduled_fx` (sim) calls `helper()`, and a fn named `helper`
         // with a panic exists in des. Without a manifest declaring
         // sim -> des, the name match must NOT create an edge.
-        let src_sim = "pub fn run_queued_fx() -> u32 {\n    helper()\n}\n";
+        let src_sim = "pub fn run_scheduled_fx() -> u32 {\n    helper()\n}\n";
         let src_des = "pub fn helper() -> u32 {\n    panic!(\"boom\")\n}\n";
 
         let fx = Fixture::new();
@@ -1677,7 +1676,7 @@ mod tests {
         );
         let findings = fx2.scan(&Allowlist::default());
         assert_eq!(rules_of(&findings), vec!["L10"]);
-        assert!(findings[0].note.contains("run_queued_fx -> helper"));
+        assert!(findings[0].note.contains("run_scheduled_fx -> helper"));
     }
 
     #[test]
