@@ -44,7 +44,7 @@ impl Dendrogram {
         // Current tree node representing each DSU root.
         let mut node_of: Vec<usize> = (0..n).collect();
         let mut merges = Vec::new();
-        for (a, b, w) in graph.edges_by_weight_desc() {
+        for &(a, b, w) in graph.edges_by_weight_desc() {
             let (ra, rb) = (uf.find(a.idx()), uf.find(b.idx()));
             if ra == rb {
                 continue;

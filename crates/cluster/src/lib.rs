@@ -16,9 +16,10 @@
 //!   descending edge weights; cheap, and the dendrogram supports both
 //!   threshold cuts and the paper's cluster-size caps by recursive subtree
 //!   splitting.
-//! * [`average_linkage_clusters`] — sparse average linkage, used by the
-//!   ablation experiments to check the scheme is not sensitive to the
-//!   linkage choice.
+//! * [`average_linkage_clusters`] — sparse average linkage, the linkage
+//!   PBP, CPP and online placement cluster with (`Linkage::Average`):
+//!   single linkage chains the paper's overlapping requests into one
+//!   cluster.
 //!
 //! The driver type is [`ClusterParams`]: it derives the absolute threshold
 //! from the workload's request probabilities and enforces the §5.1
@@ -432,16 +433,23 @@ mod proptests {
         }
 
         /// Pair weights are symmetric, non-negative, and bounded by the
-        /// total request mass.
+        /// total request mass; the integer-keyed edge sort is the float
+        /// order (weight descending, then pair ascending).
         #[test]
         fn similarity_bounds(seed in any::<u64>(), n_obj in 4u32..40, n_req in 1usize..15) {
             let w = random_workload(seed, n_obj, n_req);
             let g = CoAccessGraph::from_workload(&w);
             let total: f64 = w.requests().iter().map(|r| r.probability).sum();
-            for (a, b, wgt) in g.edges_by_weight_desc() {
+            let edges = g.edges_by_weight_desc();
+            for &(a, b, wgt) in edges {
+                prop_assert!(a < b);
                 prop_assert!(wgt > 0.0 && wgt <= total + 1e-9);
                 prop_assert!((g.pair_weight(a, b) - wgt).abs() < 1e-12);
                 prop_assert!((g.pair_weight(b, a) - wgt).abs() < 1e-12);
+            }
+            for pair in edges.windows(2) {
+                let (x, y) = (pair[0], pair[1]);
+                prop_assert!(x.2 > y.2 || (x.2 == y.2 && (x.0, x.1) < (y.0, y.1)), "{x:?} {y:?}");
             }
         }
     }

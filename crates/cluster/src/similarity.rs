@@ -10,6 +10,7 @@
 //! pairwise edges of weight ≥ `p`, so any threshold cut at or below `p`
 //! groups them — which is how the paper's tree-traversal extraction behaves.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use tapesim_model::ObjectId;
 use tapesim_workload::{Request, Workload};
@@ -21,11 +22,30 @@ fn pair_key(a: ObjectId, b: ObjectId) -> u64 {
     ((lo as u64) << 32) | hi as u64
 }
 
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order,
+/// so weights and scores compare as one integer with no finiteness check.
+/// For the non-negative weights of a co-access graph this is the raw bit
+/// pattern with the sign bit set, and the order is the numeric one.
+#[inline]
+pub(crate) fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 /// Sparse weighted co-access graph over the object population.
+///
+/// Built once into its weight-descending edge array; the pair map used to
+/// accumulate the weights is dropped at the end of the build.
 #[derive(Debug, Clone)]
 pub struct CoAccessGraph {
     n_objects: usize,
-    weights: HashMap<u64, f64>,
+    /// Every co-accessed pair `(a, b, weight)` with `a < b`, by descending
+    /// weight, ties by ascending `(a, b)`.
+    edges: Vec<(ObjectId, ObjectId, f64)>,
 }
 
 impl CoAccessGraph {
@@ -36,15 +56,25 @@ impl CoAccessGraph {
             .iter()
             .map(|r| r.objects.len() * (r.objects.len().saturating_sub(1)) / 2)
             .sum();
-        let mut weights = HashMap::with_capacity(cap.min(1 << 24));
+        // The default hasher, not `IntHasher`: a multiplicative hash takes
+        // the bucket from low bits that depend on the key's low half only,
+        // i.e. on the larger id alone, so packed pairs would collide.
+        let mut weights: HashMap<u64, f64> = HashMap::with_capacity(cap.min(1 << 24));
         for r in requests {
             for (i, &a) in r.objects.iter().enumerate() {
-                for &b in &r.objects[i + 1..] {
+                // A request listing an object twice adds no self-pair.
+                for &b in r.objects[i + 1..].iter().filter(|&&b| b != a) {
                     *weights.entry(pair_key(a, b)).or_insert(0.0) += r.probability;
                 }
             }
         }
-        CoAccessGraph { n_objects, weights }
+        let mut edges: Vec<(ObjectId, ObjectId, f64)> = weights
+            .into_iter()
+            .map(|(k, w)| (ObjectId((k >> 32) as u32), ObjectId(k as u32), w))
+            .collect();
+        // Pairs are unique, so the unstable sort is deterministic.
+        edges.sort_unstable_by_key(|&(a, b, w)| (Reverse(order_key(w)), a, b));
+        CoAccessGraph { n_objects, edges }
     }
 
     /// Convenience: builds from a [`Workload`].
@@ -59,32 +89,27 @@ impl CoAccessGraph {
 
     /// Number of weighted pairs (graph edges).
     pub fn n_edges(&self) -> usize {
-        self.weights.len()
+        self.edges.len()
     }
 
     /// Similarity of a pair (0 if never co-accessed).
-    pub fn pair_weight(&self, a: ObjectId, b: ObjectId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pair_weight(&self, a: ObjectId, b: ObjectId) -> f64 {
         if a == b {
             return 0.0;
         }
-        self.weights.get(&pair_key(a, b)).copied().unwrap_or(0.0)
+        let key = pair_key(a, b);
+        self.edges
+            .iter()
+            .find(|&&(x, y, _)| pair_key(x, y) == key)
+            .map_or(0.0, |e| e.2)
     }
 
     /// All edges as `(a, b, weight)` with `a < b`, **sorted by descending
-    /// weight** (ties broken by ids) — the order Kruskal consumes.
-    pub fn edges_by_weight_desc(&self) -> Vec<(ObjectId, ObjectId, f64)> {
-        let mut edges: Vec<(ObjectId, ObjectId, f64)> = self
-            .weights
-            .iter()
-            .map(|(&k, &w)| (ObjectId((k >> 32) as u32), ObjectId(k as u32), w))
-            .collect();
-        edges.sort_by(|x, y| {
-            y.2.partial_cmp(&x.2)
-                .expect("weights are finite")
-                .then(x.0.cmp(&y.0))
-                .then(x.1.cmp(&y.1))
-        });
-        edges
+    /// weight** (ties broken by ids) — the order Kruskal and average
+    /// linkage consume.
+    pub fn edges_by_weight_desc(&self) -> &[(ObjectId, ObjectId, f64)] {
+        &self.edges
     }
 }
 
