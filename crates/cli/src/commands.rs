@@ -20,7 +20,9 @@ use tapesim_sched::{
     run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig,
     PolicyKind, SchedConfig,
 };
-use tapesim_serve::{serve_run, supervisor_run, HealthPolicy, ServeConfig, SuperviseConfig};
+use tapesim_serve::{
+    serve_run, supervisor_run, HealthPolicy, ServeConfig, ServeReport, SuperviseConfig,
+};
 use tapesim_sim::{SeekPolicy, Simulator};
 use tapesim_workload::{
     replicate_workload, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload,
@@ -343,6 +345,38 @@ fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
     }
 }
 
+/// Everything wrong with one `serve --campaign` cell: a dirty audit, a
+/// conservation breach, a rejected submission, or any shed request,
+/// restart or shard failure — the campaign injects no chaos and runs no
+/// admission control, so the supervisor has no cause for any of them.
+fn campaign_ledger(cell: &str, report: &ServeReport) -> Vec<String> {
+    let mut dirty: Vec<String> = report
+        .reports
+        .iter()
+        .filter(|r| !r.is_clean())
+        .map(|audit| format!("{cell}: {audit}"))
+        .collect();
+    if !report.is_clean() || report.rejected != 0 || report.shed != 0 || report.restarts != 0 {
+        dirty.push(format!(
+            "{cell}: request ledger not clean ({} submitted, {} served, {} lost, \
+             {} shed, {} rejected, {} restarts)",
+            report.submitted,
+            report.served,
+            report.lost,
+            report.shed,
+            report.rejected,
+            report.restarts
+        ));
+    }
+    for f in &report.failures {
+        dirty.push(format!(
+            "{cell}: shard {} generation {} failed ({:?}) at draw {}",
+            f.shard, f.generation, f.reason, f.at_draw
+        ));
+    }
+    dirty
+}
+
 /// `tapesim serve --campaign` — the closed-loop load harness over the
 /// sharded service ([`tapesim_serve::serve_run`]): ingest a sustained
 /// Poisson request stream, fan it out to per-library scheduler shards,
@@ -354,8 +388,8 @@ fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
 /// `BENCH_serve.json` at the workspace root. `--smoke` runs a reduced
 /// but still multi-shard, still audited campaign and leaves the artifact
 /// untouched; `--check` gates against the committed artifact. Any audit
-/// violation, conservation breach or rejected submission is a non-zero
-/// exit.
+/// violation, conservation breach, rejected submission, shed request,
+/// restart or shard failure is a non-zero exit.
 fn campaign(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
     let check = args.has("check");
@@ -406,20 +440,10 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
             let t = Instant::now();
             let report = serve_run(&sim, &workload, kind, &cfg, &plan, &no_alternates);
             let wall = t.elapsed().as_secs_f64();
-            for audit in report.reports.iter().filter(|r| !r.is_clean()) {
-                dirty.push(format!("{scheme}/{}: {audit}", kind.label()));
-            }
-            if report.submitted != report.served + report.lost || report.rejected != 0 {
-                dirty.push(format!(
-                    "{scheme}/{}: request conservation violated \
-                     ({} submitted, {} served, {} lost, {} rejected)",
-                    kind.label(),
-                    report.submitted,
-                    report.served,
-                    report.lost,
-                    report.rejected
-                ));
-            }
+            dirty.extend(campaign_ledger(
+                &format!("{scheme}/{}", kind.label()),
+                &report,
+            ));
             total += report.submitted;
             effective_shards = report.shards;
             cells.push(ServeCell {
@@ -978,13 +1002,14 @@ fn parallel_config_from(args: &Args) -> Result<ParallelConfig, CommandError> {
     Ok(par)
 }
 
-/// Resolves the `--seek-policy greedy|exact|approx|auto` knob shared by
-/// `simulate`, `serve`, `sched` and `faults`. The flag overrides the
-/// `TAPESIM_SEEK` environment variable; the default is the greedy sweep,
-/// bit-identical to runs recorded before seek policies existed.
+/// Resolves the `--seek-policy greedy|exact|approx|auto` flag shared by
+/// `simulate`, `serve`, `sched` and `faults`. Without the flag the
+/// policy is the greedy sweep, bit-identical to runs recorded before
+/// seek policies existed; a misspelt value is an error, never a silent
+/// fallback.
 fn seek_policy_from(args: &Args) -> Result<SeekPolicy, CommandError> {
     match args.get("seek-policy") {
-        None => Ok(SeekPolicy::from_env()),
+        None => Ok(SeekPolicy::Greedy),
         Some(text) => SeekPolicy::parse(text).ok_or_else(|| {
             CommandError(format!(
                 "flag --seek-policy: expected greedy|exact|approx|auto, got '{text}'"
@@ -1700,6 +1725,52 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.0.contains("unknown scheme"), "{err}");
+    }
+
+    /// A campaign runs no chaos and no admission control, so a single
+    /// shard failure fails the cell even when the ledger balances, and
+    /// the message names the shard, its generation and the reason.
+    #[test]
+    fn serve_campaign_rejects_a_shard_failure() {
+        let mut report = ServeReport {
+            metrics: Default::default(),
+            records: Vec::new(),
+            registry: tapesim_obs::MetricsRegistry::new(),
+            snapshots: Vec::new(),
+            reports: Vec::new(),
+            per_shard: Vec::new(),
+            submitted: 12,
+            served: 12,
+            lost: 0,
+            rejected: 0,
+            shed: 0,
+            restarts: 0,
+            failures: Vec::new(),
+            health_trace: Vec::new(),
+            shards: 2,
+            end: Default::default(),
+        };
+        assert!(campaign_ledger("pbp/batch", &report).is_empty());
+
+        report.failures.push(tapesim_serve::ShardFailure {
+            shard: 1,
+            generation: 0,
+            reason: tapesim_serve::FailureReason::Stalled,
+            at_draw: 7,
+        });
+        let dirty = campaign_ledger("pbp/batch", &report);
+        assert_eq!(dirty.len(), 1, "{dirty:?}");
+        assert!(
+            dirty[0].contains("shard 1 generation 0 failed (Stalled)"),
+            "{dirty:?}"
+        );
+
+        report.restarts = 1;
+        report.served = 11;
+        report.shed = 1;
+        let dirty = campaign_ledger("pbp/batch", &report);
+        assert_eq!(dirty.len(), 2, "a restart and a shed fail the ledger too");
+        assert!(dirty[0].contains("1 shed"), "{dirty:?}");
     }
 
     const FAULTS_VALUES: &[&str] = &[

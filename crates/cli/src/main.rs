@@ -31,8 +31,7 @@ COMMANDS:
                -w WORKLOAD -p PLACEMENT --samples N --seed S --m M [--json]
                [--seek-policy greedy|exact|approx|auto]  (in-tape service
                order: greedy sweep, exact LTSP DP, ratio-2 approx, or
-               auto = exact for small batches; default TAPESIM_SEEK or
-               greedy)
+               auto = exact for small batches; default greedy)
   serve      serve one pre-defined request and show the decomposition
                -w WORKLOAD -p PLACEMENT --request RANK --m M [--trace]
              or, with --campaign, run the long-running sharded service

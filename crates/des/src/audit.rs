@@ -352,399 +352,19 @@ impl TraceAuditor {
         self
     }
 
-    /// Checks `entries` against every invariant and reports all breaches.
+    /// Checks `entries` against every invariant and reports all breaches:
+    /// a [`stream`](Self::stream) fed the whole slice.
     pub fn audit(&self, entries: &[TraceEntry]) -> AuditReport {
-        let mut report = AuditReport {
-            entries: entries.len(),
-            ..AuditReport::default()
-        };
-        let mut mounted: BTreeMap<DriveKey, TapeKey> = BTreeMap::new();
-        let mut pending_exchange: BTreeMap<DriveKey, TapeKey> = BTreeMap::new();
-        // Per job: the tape it was submitted for and the submit timestamp.
-        let mut submitted: BTreeMap<u32, (TapeKey, SimTime)> = BTreeMap::new();
-        // Per job: the completion timestamp.
-        let mut completed: BTreeMap<u32, SimTime> = BTreeMap::new();
-        // Busy intervals, keyed by drive / (library, arm).
-        let mut drive_windows: BTreeMap<DriveKey, Vec<Window>> = BTreeMap::new();
-        let mut arm_windows: BTreeMap<(u16, u32), Vec<Window>> = BTreeMap::new();
-        // Exchange windows per drive (for the failed-drive check; the
-        // arm-keyed map above loses the drive).
-        let mut drive_exchanges: BTreeMap<DriveKey, Vec<Window>> = BTreeMap::new();
-        // Fault bookkeeping.
-        let mut failed_drives: BTreeMap<DriveKey, SimTime> = BTreeMap::new();
-        let mut jam_windows: BTreeMap<u16, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-        let mut fatal_faults: BTreeMap<u32, SimTime> = BTreeMap::new();
-        // Per job: the instant it was terminally resolved (lost or
-        // failed over).
-        let mut resolved: BTreeMap<u32, SimTime> = BTreeMap::new();
-        let mut failover_edges: Vec<(usize, SimTime, u32, u32)> = Vec::new();
-        let mut prev_time = SimTime::ZERO;
-
-        for (index, entry) in entries.iter().enumerate() {
-            let flag = |sink: &mut Vec<Violation>, kind: ViolationKind| {
-                sink.push(Violation {
-                    index,
-                    time: entry.time,
-                    kind,
-                });
-            };
-
-            if entry.time < prev_time {
-                flag(
-                    &mut report.violations,
-                    ViolationKind::TimeWentBackwards {
-                        previous: prev_time,
-                    },
-                );
-            }
-            prev_time = prev_time.max(entry.time);
-
-            match entry.event {
-                TraceEvent::AssumeMounted { drive, tape } => {
-                    if mounted.contains_key(&drive) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::DuplicateAssume { drive },
-                        );
-                    }
-                    mounted.insert(drive, tape);
-                }
-                TraceEvent::JobSubmitted { job, tape } => {
-                    if submitted.insert(job, (tape, entry.time)).is_some() {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::DuplicateSubmit { job },
-                        );
-                    }
-                }
-                TraceEvent::Unmounted { drive, tape } => {
-                    let actual = mounted.remove(&drive);
-                    if actual != Some(tape) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::UnmountMismatch {
-                                drive,
-                                claimed: tape,
-                                actual,
-                            },
-                        );
-                    }
-                }
-                TraceEvent::ExchangeBegun {
-                    drive,
-                    tape,
-                    arm,
-                    start,
-                    finish,
-                } => {
-                    report.exchanges += 1;
-                    if let Some(&held) = mounted.get(&drive) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::ExchangeWhileMounted { drive, held },
-                        );
-                    }
-                    if finish < start {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::NegativeInterval { start, finish },
-                        );
-                    }
-                    pending_exchange.insert(drive, tape);
-                    arm_windows
-                        .entry((drive.library(), arm))
-                        .or_default()
-                        .push((index, start, finish));
-                    drive_exchanges
-                        .entry(drive)
-                        .or_default()
-                        .push((index, start, finish));
-                }
-                TraceEvent::Mounted { drive, tape } => {
-                    let expected = pending_exchange.remove(&drive);
-                    if expected != Some(tape) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::MountWithoutExchange {
-                                drive,
-                                tape,
-                                expected,
-                            },
-                        );
-                    }
-                    mounted.insert(drive, tape);
-                }
-                TraceEvent::Transfer {
-                    drive,
-                    tape,
-                    job,
-                    start,
-                    finish,
-                    ..
-                } => {
-                    report.transfers += 1;
-                    let held = mounted.get(&drive).copied();
-                    if held != Some(tape) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::ReadWithoutMount { drive, tape, held },
-                        );
-                    }
-                    if finish < start {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::NegativeInterval { start, finish },
-                        );
-                    }
-                    let eps = SimTime::from_secs(EPSILON);
-                    match submitted.get(&job) {
-                        None => flag(&mut report.violations, ViolationKind::UnknownJob { job }),
-                        Some(&(sub, _)) if sub != tape => flag(
-                            &mut report.violations,
-                            ViolationKind::WrongTapeForJob {
-                                job,
-                                submitted: sub,
-                                streamed: tape,
-                            },
-                        ),
-                        Some(&(_, at)) if start + eps < at => flag(
-                            &mut report.violations,
-                            ViolationKind::ServedBeforeSubmit {
-                                job,
-                                submitted: at,
-                                start,
-                            },
-                        ),
-                        Some(_) => {}
-                    }
-                    if completed.contains_key(&job) || resolved.contains_key(&job) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::TransferAfterCompletion { job },
-                        );
-                    }
-                    drive_windows
-                        .entry(drive)
-                        .or_default()
-                        .push((index, start, finish));
-                }
-                TraceEvent::JobCompleted { job, .. } => {
-                    let eps = SimTime::from_secs(EPSILON);
-                    match submitted.get(&job) {
-                        None => flag(&mut report.violations, ViolationKind::UnknownJob { job }),
-                        Some(&(_, at)) if entry.time + eps < at => flag(
-                            &mut report.violations,
-                            ViolationKind::ServedBeforeSubmit {
-                                job,
-                                submitted: at,
-                                start: entry.time,
-                            },
-                        ),
-                        Some(_) => {}
-                    }
-                    if completed.insert(job, entry.time).is_some() || resolved.contains_key(&job) {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::CompletedTwice { job },
-                        );
-                    }
-                }
-                TraceEvent::DriveFailed { drive, at } => {
-                    failed_drives.entry(drive).or_insert(at);
-                }
-                TraceEvent::RobotJammed {
-                    library,
-                    start,
-                    finish,
-                } => {
-                    if finish < start {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::NegativeInterval { start, finish },
-                        );
-                    }
-                    jam_windows
-                        .entry(library as u16)
-                        .or_default()
-                        .push((start, finish));
-                }
-                TraceEvent::ReadFaulted {
-                    job,
-                    retries,
-                    fatal,
-                    ..
-                } => {
-                    report.faults += 1;
-                    if !submitted.contains_key(&job) {
-                        flag(&mut report.violations, ViolationKind::UnknownJob { job });
-                    }
-                    if let Some(cap) = self.retry_cap {
-                        if retries > cap {
-                            flag(
-                                &mut report.violations,
-                                ViolationKind::RetriesExceeded { job, retries, cap },
-                            );
-                        }
-                    }
-                    if fatal {
-                        fatal_faults.entry(job).or_insert(entry.time);
-                    }
-                }
-                TraceEvent::JobLost { job } | TraceEvent::FailedOver { job, .. } => {
-                    if let TraceEvent::JobLost { .. } = entry.event {
-                        report.losses += 1;
-                    } else {
-                        report.failovers += 1;
-                    }
-                    if !submitted.contains_key(&job) {
-                        flag(&mut report.violations, ViolationKind::UnknownJob { job });
-                    }
-                    // A terminal resolution needs a fault to blame: a
-                    // fatal read on this job, or a drive failure (jobs
-                    // stranded by dead drives carry no read fault).
-                    if !fatal_faults.contains_key(&job) && failed_drives.is_empty() {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::ResolvedWithoutFault { job },
-                        );
-                    }
-                    if completed.contains_key(&job) || resolved.insert(job, entry.time).is_some() {
-                        flag(
-                            &mut report.violations,
-                            ViolationKind::CompletedTwice { job },
-                        );
-                    }
-                    if let TraceEvent::FailedOver { job, replacement } = entry.event {
-                        failover_edges.push((index, entry.time, job, replacement));
-                    }
-                }
-            }
-        }
-
-        report.jobs = submitted.len();
-
-        // Exclusivity: sort each resource's windows by start and flag any
-        // window that begins before its predecessor ends (minus epsilon).
-        for (drive, windows) in &mut drive_windows {
-            for (index, finish, start) in overlaps(windows) {
-                report.violations.push(Violation {
-                    index,
-                    time: start,
-                    kind: ViolationKind::DriveOverlap {
-                        drive: *drive,
-                        first_finish: finish,
-                        second_start: start,
-                    },
-                });
-            }
-        }
-        for ((library, arm), windows) in &mut arm_windows {
-            for (index, finish, start) in overlaps(windows) {
-                report.violations.push(Violation {
-                    index,
-                    time: start,
-                    kind: ViolationKind::RobotOverlap {
-                        library: *library,
-                        arm: *arm,
-                        first_finish: finish,
-                        second_start: start,
-                    },
-                });
-            }
-        }
-
-        // No service on a failed drive: the failure is noticed after the
-        // fact, so every window of a failed drive is checked here.
-        let eps = SimTime::from_secs(EPSILON);
-        for (&drive, &failed_at) in &failed_drives {
-            let windows = [drive_windows.get(&drive), drive_exchanges.get(&drive)];
-            for &(index, _, finish) in windows.into_iter().flatten().flatten() {
-                if finish > failed_at + eps {
-                    report.violations.push(Violation {
-                        index,
-                        time: finish,
-                        kind: ViolationKind::ServiceOnFailedDrive {
-                            drive,
-                            failed_at,
-                            finish,
-                        },
-                    });
-                }
-            }
-        }
-
-        // No exchange during a robot jam of its library.
-        for (&(library, arm), windows) in &arm_windows {
-            let Some(jams) = jam_windows.get(&library) else {
-                continue;
-            };
-            for &(index, start, finish) in windows.iter() {
-                let overlaps_jam = jams
-                    .iter()
-                    .any(|&(js, jf)| start + eps < jf && js + eps < finish);
-                if overlaps_jam {
-                    report.violations.push(Violation {
-                        index,
-                        time: start,
-                        kind: ViolationKind::ExchangeDuringJam {
-                            library,
-                            arm,
-                            start,
-                        },
-                    });
-                }
-            }
-        }
-
-        // Every fatal fault ends in a loss or a failover.
-        for (&job, &at) in &fatal_faults {
-            if !resolved.contains_key(&job) && !completed.contains_key(&job) {
-                report.violations.push(Violation {
-                    index: entries.len().saturating_sub(1),
-                    time: at,
-                    kind: ViolationKind::UnresolvedFault { job },
-                });
-            }
-        }
-
-        // Every failover's replacement job really exists.
-        for &(index, time, job, replacement) in &failover_edges {
-            if !submitted.contains_key(&replacement) {
-                report.violations.push(Violation {
-                    index,
-                    time,
-                    kind: ViolationKind::FailoverWithoutSubmit { job, replacement },
-                });
-            }
-        }
-
-        // Exactly-once service: whatever was submitted must have completed
-        // or been terminally resolved (lost / failed over).
-        let unserved: Vec<u32> = submitted
-            .keys()
-            .filter(|j| !completed.contains_key(j) && !resolved.contains_key(j))
-            .copied()
-            .collect();
-        if !unserved.is_empty() {
-            report.violations.push(Violation {
-                index: entries.len().saturating_sub(1),
-                time: prev_time,
-                kind: ViolationKind::NeverCompleted { jobs: unserved },
-            });
-        }
-
-        report.violations.sort_by_key(|v| v.index);
-        report
+        let mut s = self.stream();
+        s.push_all(entries);
+        s.finish()
     }
-}
 
-impl TraceAuditor {
     /// Begins a streaming audit: feed entries one at a time with
     /// [`AuditStream::push`] as the simulation emits them, then collect
-    /// the verdict with [`AuditStream::finish`]. Produces exactly the
-    /// report [`TraceAuditor::audit`] would on the same entry sequence
-    /// (the equivalence is pinned by proptest), without the caller ever
-    /// materialising a trace `Vec`.
+    /// the verdict with [`AuditStream::finish`], without the caller ever
+    /// materialising a trace `Vec`. [`audit`](Self::audit) is this
+    /// stream over a slice, so both give the same report.
     pub fn stream(&self) -> AuditStream {
         AuditStream {
             retry_cap: self.retry_cap,
@@ -753,11 +373,11 @@ impl TraceAuditor {
     }
 }
 
-/// An in-flight streaming audit (see [`TraceAuditor::stream`]).
+/// An in-flight streaming audit (see [`TraceAuditor::stream`]): the one
+/// auditor body.
 ///
-/// The batch path buffers every [`TraceEntry`] — event payload included —
-/// and replays the buffer at the end. This consumes entries online and
-/// keeps only the audit state itself: per-entity maps that grow with
+/// It consumes entries online and never keeps an entry or its event
+/// payload, only the audit state itself: per-entity maps that grow with
 /// *active* entities (mounted drives, pending exchanges, per-job
 /// lifecycle facts) plus compact per-resource busy-window triples.
 ///
@@ -1058,9 +678,8 @@ impl AuditStream {
 
     /// Runs the end-of-trace passes (exclusivity, failed-drive forensics,
     /// jam overlap, fault-resolution accounting, exactly-once service)
-    /// and returns the complete report — identical to what
-    /// [`TraceAuditor::audit`] produces on the same entries, end-pass
-    /// order and final index sort included.
+    /// and returns the complete report, violations sorted by entry
+    /// index.
     pub fn finish(mut self) -> AuditReport {
         let mut report = self.report;
         report.entries = self.index;
@@ -2356,6 +1975,7 @@ mod tests {
 mod streaming_proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Decodes one generated 4-tuple into a trace entry. Small id spaces
     /// force collisions (duplicate submits, wrong tapes, double
@@ -2417,12 +2037,14 @@ mod streaming_proptests {
     }
 
     proptest! {
-        /// The streaming auditor returns the exact report — counters,
-        /// violation kinds, indices, timestamps and order — that the
-        /// batch auditor produces on the same entries, for arbitrary
-        /// (including deeply malformed) traces and any retry cap.
+        /// On arbitrary (including deeply malformed) traces and with or
+        /// without a retry cap, the report accounts for every entry:
+        /// each counter equals the number of its event variant (jobs:
+        /// distinct submitted ids), violations come sorted by entry
+        /// index and point into the trace, and the verdict is clean
+        /// exactly when nothing was flagged.
         #[test]
-        fn streaming_audit_is_verdict_identical_to_batch(
+        fn audit_report_accounts_for_every_entry(
             raw in proptest::collection::vec((0u32..12, 0u32..64, 0u32..64, 0u32..256), 0..150),
             cap in 0u32..6,
         ) {
@@ -2431,12 +2053,39 @@ mod streaming_proptests {
                 .iter()
                 .map(|&(v, a, b, c)| decode(v, a, b, c, &mut clock))
                 .collect();
+            let count = |is: fn(&TraceEvent) -> bool| {
+                trace.iter().filter(|e| is(&e.event)).count()
+            };
+            let transfers = count(|e| matches!(e, TraceEvent::Transfer { .. }));
+            let exchanges = count(|e| matches!(e, TraceEvent::ExchangeBegun { .. }));
+            let faults = count(|e| matches!(e, TraceEvent::ReadFaulted { .. }));
+            let losses = count(|e| matches!(e, TraceEvent::JobLost { .. }));
+            let failovers = count(|e| matches!(e, TraceEvent::FailedOver { .. }));
+            let jobs: BTreeSet<u32> = trace
+                .iter()
+                .filter_map(|e| match e.event {
+                    TraceEvent::JobSubmitted { job, .. } => Some(job),
+                    _ => None,
+                })
+                .collect();
             for auditor in [TraceAuditor::new(), TraceAuditor::new().with_retry_cap(cap)] {
-                let batch = auditor.audit(&trace);
-                let mut stream = auditor.stream();
-                stream.push_all(&trace);
-                let streamed = stream.finish();
-                prop_assert_eq!(&streamed, &batch);
+                let report = auditor.audit(&trace);
+                prop_assert_eq!(report.entries, trace.len());
+                prop_assert_eq!(report.jobs, jobs.len());
+                prop_assert_eq!(report.transfers, transfers);
+                prop_assert_eq!(report.exchanges, exchanges);
+                prop_assert_eq!(report.faults, faults);
+                prop_assert_eq!(report.losses, losses);
+                prop_assert_eq!(report.failovers, failovers);
+                prop_assert!(report.violations.is_sorted_by_key(|v| v.index));
+                for v in &report.violations {
+                    prop_assert!(
+                        v.index < trace.len().max(1),
+                        "{v:?} outside a {}-entry trace",
+                        trace.len()
+                    );
+                }
+                prop_assert_eq!(report.is_clean(), report.violations.is_empty());
             }
         }
     }

@@ -19,21 +19,23 @@
 //!   [`tapesim_sched::ShardEngine`] over the shard's slice of the job
 //!   catalog and of the (globally generated, per-shard restricted)
 //!   fault plan;
-//! * a **collector thread** assembling periodic
+//! * **snapshot barriers** assembling periodic
 //!   [`tapesim_obs::RegistrySnapshot`]s: ingestion broadcasts a tick
 //!   every `snapshot_every` submissions, every shard answers with its
-//!   registry state at that tick, and the collector merges each round
-//!   in shard order — so the snapshot *sequence* is deterministic, not
-//!   just the final state;
+//!   registry state at that tick, and the ingestion thread waits for
+//!   the round and merges it in shard order — so the snapshot
+//!   *sequence* is deterministic, not just the final state;
 //! * **clean shutdown**: ingestion closes the shard channels, shards
 //!   drain in-flight work ([`ShardEngine::close`] → `finish`), and the
 //!   main thread joins everything into one [`ServeReport`].
 //!
 //! # Supervision ([`supervisor_run`])
 //!
-//! The supervised runtime layers self-healing on top: a supervisor
-//! owns every shard's submission channel and accepted-submission log,
-//! injects seeded [`tapesim_faults::ChaosPlan`] kills/stalls as
+//! There is one runtime, and it is supervised; [`serve_run`] is
+//! [`supervisor_run`] with an empty chaos plan and no admission
+//! control. The ingestion thread is the supervisor: it owns every
+//! shard's submission channel and accepted-submission log, injects
+//! seeded [`tapesim_faults::ChaosPlan`] kills/stalls as
 //! in-band poison messages, detects death via channel disconnect and
 //! liveness-tick acknowledgements, and restarts dead shards from a
 //! [`tapesim_sched::EngineCheckpoint`] replay after capped-exponential
@@ -48,8 +50,8 @@
 //! run bit for bit (same records, same metric bits), and a multi-shard
 //! run is a pure function of `(seed, shard_count)`: same inputs, same
 //! merged canonical registry, same snapshot sequence, same joined
-//! records. A supervised run with an empty chaos plan is bit-identical
-//! to the unsupervised path, and a chaotic one replays identically
+//! records. A run with an empty chaos plan reproduces pinned registry,
+//! snapshot and record bits, and a chaotic one replays identically
 //! from `(seed, shards, chaos-seed)`. All pinned by tests in this
 //! crate.
 //!

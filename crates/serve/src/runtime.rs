@@ -1,6 +1,11 @@
-//! The actor runtime: ingestion, library shards, collector, shutdown.
+//! The service's configuration, report and shared plumbing: the
+//! sharded [`Topology`], per-shard registry publishing, and the
+//! deterministic join ([`assemble`]) of per-shard books into one
+//! [`ServeReport`].
 //!
-//! See the crate docs for the topology. Everything here is
+//! The one runtime that spawns and drives the shards is
+//! [`crate::supervisor::supervisor_run`]; [`serve_run`] is that runtime
+//! with an empty chaos plan and no admission control. Everything here is
 //! deterministic in *virtual* time: thread interleavings only decide
 //! when work happens on the wall clock, never what the shards compute —
 //! each shard's event loop is a pure function of the submission
@@ -8,22 +13,20 @@
 //! `(workload, seed, shard_count)`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::thread;
 
 use tapesim_des::audit::AuditReport;
 use tapesim_des::SimTime;
-use tapesim_faults::FaultPlan;
+use tapesim_faults::{ChaosPlan, FaultPlan};
 use tapesim_model::ObjectId;
 use tapesim_obs::{MetricsRegistry, RegistrySnapshot};
 use tapesim_sched::{
-    tape_jobs, PolicyKind, RequestRecord, SchedConfig, SchedMetrics, ShardEngine, ShardReport,
-    TapeJob,
+    tape_jobs, PolicyKind, RequestRecord, SchedConfig, SchedMetrics, ShardReport, TapeJob,
 };
 use tapesim_sim::{SeekPolicy, Simulator};
-use tapesim_workload::{ArrivalSpec, RequestStream, Workload};
+use tapesim_workload::{ArrivalSpec, Workload};
 
 use crate::health::Health;
+use crate::supervisor::{supervisor_run, SuperviseConfig};
 
 /// Sojourn histogram bucket upper edges, seconds: 1 min to 32 h in
 /// doublings. Fixed so every shard (and every run) shares one layout —
@@ -212,9 +215,10 @@ pub struct ServeReport {
     pub rejected: u64,
     /// Distinct requests shed under supervision: admission-control
     /// sheds while `Overloaded`, plus requests with a part dropped into
-    /// a dead shard's restart window. Always 0 without a supervisor.
+    /// a dead shard's restart window. Always 0 without chaos or a health
+    /// policy.
     pub shed: u64,
-    /// Shard restarts the supervisor performed (0 without one).
+    /// Shard restarts the supervisor performed (0 on a healthy run).
     pub restarts: u64,
     /// Every shard failure the supervisor detected, in detection order.
     pub failures: Vec<ShardFailure>,
@@ -237,22 +241,6 @@ impl ServeReport {
     }
 }
 
-/// What ingestion sends a shard.
-enum ShardMsg {
-    /// One admitted request part: global id, arrival instant, workload
-    /// rank (index into the shard's filtered catalog).
-    Submit { id: u64, at: SimTime, rank: usize },
-    /// Snapshot barrier `seq`: report your registry to the collector.
-    Tick { seq: u64 },
-}
-
-/// A shard's answer to a tick.
-struct Update {
-    shard: usize,
-    seq: u64,
-    registry: MetricsRegistry,
-}
-
 /// Everything a shard thread hands back at join time.
 pub(crate) struct ShardDone {
     /// Global id of each local submission, in submission order: the
@@ -264,9 +252,9 @@ pub(crate) struct ShardDone {
 }
 
 /// What supervision adds on top of the fault-free books: the shed
-/// ledgers and the failure/restart/health history. `Default` is the
-/// unsupervised (serve_run) case and leaves the assembled report
-/// bit-identical to PR 7's.
+/// ledgers and the failure/restart/health history. A run without chaos
+/// or admission control leaves it at `Default`: nothing shed, failed or
+/// restarted.
 #[derive(Default)]
 pub(crate) struct SupExtra {
     /// Global ids shed at admission (health `Overloaded`): never sent
@@ -349,111 +337,6 @@ pub(crate) fn refresh_registry(
     tally.records = records.len();
 }
 
-/// One library-shard actor: pull messages until ingestion hangs up,
-/// then drain and report.
-#[allow(clippy::too_many_arguments)]
-fn shard_actor(
-    shard: usize,
-    sim: &Simulator,
-    kind: PolicyKind,
-    cfg: &SchedConfig,
-    plan: &FaultPlan,
-    alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
-    catalog: &[Vec<TapeJob>],
-    rx: Receiver<ShardMsg>,
-    tx: Sender<Update>,
-) -> ShardDone {
-    let policy = kind.build();
-    let mut engine = ShardEngine::new(sim, policy.as_ref(), cfg, plan, alternates, catalog);
-    let mut ids: Vec<u64> = Vec::new();
-    let mut reg = MetricsRegistry::new();
-    let handles = Handles::register(&mut reg);
-    let mut tally = Tally::default();
-
-    for msg in rx.iter() {
-        match msg {
-            ShardMsg::Submit { id, at, rank } => {
-                if engine.submit(at, rank) {
-                    ids.push(id);
-                    reg.inc(handles.submitted);
-                }
-                // Advance the shard's virtual clock through this
-                // arrival; the next submission is strictly later, so
-                // this never reorders events.
-                engine.pump(at);
-            }
-            ShardMsg::Tick { seq } => {
-                refresh_registry(
-                    &mut reg,
-                    &handles,
-                    &mut tally,
-                    engine.served_so_far(),
-                    engine.lost_so_far(),
-                    engine.mounts_so_far(),
-                    engine.events_processed(),
-                    engine.outstanding_jobs(),
-                    engine.records(),
-                );
-                // A vanished collector only costs us snapshots, never
-                // correctness; keep serving.
-                if tx
-                    .send(Update {
-                        shard,
-                        seq,
-                        registry: reg.clone(),
-                    })
-                    .is_err()
-                {
-                    continue;
-                }
-            }
-        }
-    }
-
-    // Ingestion hung up: stop admissions, finish in-flight work.
-    engine.close();
-    let report = engine.finish();
-    refresh_registry(
-        &mut reg,
-        &handles,
-        &mut tally,
-        report.records.len() as u64,
-        report.lost.len() as u64,
-        report.outcome.metrics.mounts(),
-        report.outcome.metrics.events(),
-        0,
-        &report.records,
-    );
-    ShardDone {
-        ids,
-        report,
-        registry: reg,
-    }
-}
-
-/// The collector: assemble one merged snapshot per completed tick
-/// round. Shard channels are FIFO and every shard answers every tick in
-/// order, so rounds complete in `seq` order and each round's merge
-/// (ascending shard index, via `BTreeMap`) is deterministic.
-fn collector_loop(rx: Receiver<Update>, nshards: usize) -> Vec<RegistrySnapshot> {
-    let mut pending: BTreeMap<u64, BTreeMap<usize, MetricsRegistry>> = BTreeMap::new();
-    let mut snapshots = Vec::new();
-    for up in rx.iter() {
-        let slot = pending.entry(up.seq).or_default();
-        slot.insert(up.shard, up.registry);
-        if slot.len() == nshards {
-            if let Some(round) = pending.remove(&up.seq) {
-                let mut merged = MetricsRegistry::new();
-                for reg in round.values() {
-                    merged.merge(reg);
-                }
-                snapshots.push(merged.snapshot(up.seq));
-            }
-        }
-    }
-    snapshots
-}
-
 /// One joined request across its fan-out parts.
 struct Join {
     arrival: SimTime,
@@ -466,8 +349,8 @@ struct Join {
 /// The sharded topology `(cfg, plan)` induce over the simulator:
 /// effective shard count, per-shard catalog slices, per-shard
 /// restricted fault plans, and the fan-out of every workload rank.
-/// Shared by [`serve_run`] and the supervisor so the two runtimes
-/// cannot drift.
+/// The supervisor builds it once per run and spawns one shard seat per
+/// shard.
 pub(crate) struct Topology {
     pub(crate) nshards: usize,
     pub(crate) sched_cfg: SchedConfig,
@@ -552,6 +435,12 @@ pub(crate) fn topology(
 /// on the libraries it owns ([`FaultPlan::restrict_to_libraries`]).
 /// `alternates` maps objects to replica copies for failover, exactly as
 /// in [`tapesim_sched::run_scheduled_faulty`].
+///
+/// This is [`supervisor_run`] with an empty [`ChaosPlan`] and the
+/// default [`SuperviseConfig`] (no admission control): nothing is
+/// injected or shed, so a healthy run reports `shed`, `restarts` and
+/// `failures` all zero. A shard that panics or wedges is not unwound
+/// into the caller; it shows up in [`ServeReport::failures`].
 pub fn serve_run(
     sim: &Simulator,
     workload: &Workload,
@@ -560,111 +449,24 @@ pub fn serve_run(
     plan: &FaultPlan,
     alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
 ) -> ServeReport {
-    let topo = topology(sim, workload, cfg, plan);
-    let nshards = topo.nshards;
-    let sched_cfg = &topo.sched_cfg;
-    let shard_catalogs = &topo.shard_catalogs;
-    let fanouts = &topo.fanouts;
-    let shard_plans = &topo.shard_plans;
-
-    let bound = cfg.channel_bound.max(1);
-    let (shard_txs, shard_rxs): (Vec<SyncSender<ShardMsg>>, Vec<Receiver<ShardMsg>>) =
-        (0..nshards).map(|_| sync_channel(bound)).unzip();
-    let (coll_tx, coll_rx) = channel::<Update>();
-
-    let mut submitted = 0u64;
-    let (dones, snapshots) = thread::scope(|scope| {
-        let mut shard_handles = Vec::new();
-        for (shard, ((rx, shard_catalog), shard_plan)) in shard_rxs
-            .into_iter()
-            .zip(shard_catalogs.iter())
-            .zip(shard_plans.iter())
-            .enumerate()
-        {
-            let tx = coll_tx.clone();
-            shard_handles.push(scope.spawn(move || {
-                shard_actor(
-                    shard,
-                    sim,
-                    kind,
-                    sched_cfg,
-                    shard_plan,
-                    alternates,
-                    shard_catalog,
-                    rx,
-                    tx,
-                )
-            }));
-        }
-        // The collector's channel closes when the last shard exits (the
-        // shards hold the only sender clones once this one is dropped).
-        drop(coll_tx);
-        let collector = scope.spawn(move || collector_loop(coll_rx, nshards));
-
-        // Ingestion, on this thread: the canonical demand stream,
-        // fanned out with backpressure. A full shard channel blocks the
-        // send — ingestion slows to the slowest shard instead of
-        // buffering unboundedly or dropping.
-        let mut stream = RequestStream::new(cfg.arrivals, workload);
-        let mut seq = 0u64;
-        for id in 0..cfg.samples as u64 {
-            let (at_secs, rank) = stream.next_request();
-            let at = SimTime::from_secs(at_secs);
-            let targets = fanouts.get(rank).map_or(&[] as &[usize], Vec::as_slice);
-            let mut sent = false;
-            for (s, tx) in shard_txs.iter().enumerate() {
-                if targets.contains(&s) && tx.send(ShardMsg::Submit { id, at, rank }).is_ok() {
-                    sent = true;
-                }
-            }
-            if sent {
-                submitted += 1;
-            }
-            if cfg.snapshot_every > 0 && (id + 1) % cfg.snapshot_every as u64 == 0 {
-                seq += 1;
-                for tx in &shard_txs {
-                    if tx.send(ShardMsg::Tick { seq }).is_err() {
-                        continue;
-                    }
-                }
-            }
-        }
-        // Hang up: every shard drains its queue, finishes in-flight
-        // batches and returns its books.
-        drop(shard_txs);
-
-        let mut dones = Vec::new();
-        for (shard, handle) in shard_handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(done) => dones.push((shard, done)),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        let snapshots = match collector.join() {
-            Ok(snapshots) => snapshots,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (dones, snapshots)
-    });
-
-    assemble(
+    supervisor_run(
         sim,
-        plan,
+        workload,
+        kind,
         cfg,
-        nshards,
-        submitted,
-        dones,
-        snapshots,
-        SupExtra::default(),
+        plan,
+        alternates,
+        &ChaosPlan::zero(cfg.shards.max(1)),
+        &SuperviseConfig::default(),
     )
 }
 
 /// Joins the per-shard books into the final report. Pure and
 /// single-threaded: everything deterministic about the run funnels
 /// through here. `dones` carries explicit shard indices because a
-/// supervised run may lose a shard's books entirely; `extra` is the
-/// supervisor's shed/failure ledger ([`SupExtra::default`] for the
-/// unsupervised path).
+/// shard's books may be lost entirely under chaos; `extra` is the
+/// supervisor's shed/failure ledger ([`SupExtra::default`] when nothing
+/// was shed, failed or restarted).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble(
     sim: &Simulator,

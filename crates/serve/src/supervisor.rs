@@ -1,14 +1,17 @@
-//! The supervision tree over the serve runtime: chaos injection, crash
-//! detection, checkpoint/replay restart, and health-based admission
-//! control.
+//! The serve runtime: ingestion, shard actors, snapshot barriers and
+//! shutdown, supervised — chaos injection, crash detection,
+//! checkpoint/replay restart, and health-based admission control.
+//! [`crate::runtime::serve_run`] is this runtime with an empty chaos
+//! plan and no admission control.
 //!
 //! # Topology
 //!
-//! [`supervisor_run`] replaces `serve_run`'s fire-and-forget spawn with
-//! a *seat* per shard: the supervisor (on the ingestion thread) owns
-//! each seat's submission channel, its accepted-submission **log**, and
-//! its incarnation counter. A shard death never kills the run — the
-//! seat is restarted after a capped-exponential backoff with a
+//! [`supervisor_run`] spawns a *seat* per shard: the supervisor (on the
+//! calling thread, which is also the ingestion stage) owns each seat's
+//! submission channel, its accepted-submission **log**, and its
+//! incarnation counter, and merges the shards' tick acknowledgements at
+//! every snapshot barrier itself. A shard death never kills the run —
+//! the seat is restarted after a capped-exponential backoff with a
 //! [`tapesim_sched::EngineCheckpoint`] rebuilt from the log, and the
 //! new incarnation *replays* the logged prefix before taking new work.
 //!
@@ -40,9 +43,11 @@
 //! a counted [`FailureReason::Unresponsive`] failure with its log shed,
 //! provided its thread eventually observes channel disconnect.
 //!
-//! With an empty `ChaosPlan` and no health policy, the supervised run
-//! is bit-identical to `serve_run` — same merged registry, same
-//! snapshot sequence, same joined records. Pinned by tests.
+//! With an empty `ChaosPlan` and no health policy nothing is injected,
+//! shed or restarted, and the run reproduces the pinned registry,
+//! snapshot, record and metric bits of the former unsupervised runtime
+//! (`serve/tests/supervision.rs`); a single shard reproduces the batch
+//! engine bit for bit (`serve/tests/determinism.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -272,6 +277,9 @@ fn supervised_shard(
                     ids.push(id);
                     reg.inc(handles.submitted);
                 }
+                // Advance the shard's virtual clock through this
+                // arrival; the next submission is strictly later, so
+                // this never reorders events.
                 engine.pump(at);
             }
             SupMsg::Tick { seq } => {
@@ -337,8 +345,8 @@ fn supervised_shard(
     let _delivered = books.send(payload);
 }
 
-/// Runs the service under supervision: like
-/// [`crate::runtime::serve_run`], but with `chaos` injected in-band,
+/// Runs the service under supervision: ingest `cfg.samples` requests,
+/// serve them across per-library shards with `chaos` injected in-band,
 /// dead shards restarted from their submission logs, and (optionally)
 /// health-laddered admission control. See the module docs for the
 /// determinism argument; conservation is
@@ -550,10 +558,9 @@ pub fn supervisor_run(
                         );
                     }
                 }
-                // Merge in ascending shard order — the collector's
-                // arithmetic exactly, so an all-alive barrier is
-                // bit-identical to serve_run's snapshot. Dead seats
-                // contribute their last acknowledged state.
+                // Merge in ascending shard order, so every barrier's
+                // snapshot is deterministic. Dead seats contribute
+                // their last acknowledged state.
                 let mut merged = MetricsRegistry::new();
                 for seat_reg in last_regs.values() {
                     merged.merge(seat_reg);

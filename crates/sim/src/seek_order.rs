@@ -106,17 +106,6 @@ impl SeekPolicy {
             SeekPolicy::Auto => "auto",
         }
     }
-
-    /// The policy named by `TAPESIM_SEEK`, or `Greedy` when the variable
-    /// is unset or unparseable. Consulted by the CLI when no
-    /// `--seek-policy` flag is given; the engines themselves never read
-    /// the environment.
-    pub fn from_env() -> SeekPolicy {
-        std::env::var("TAPESIM_SEEK")
-            .ok()
-            .and_then(|v| SeekPolicy::parse(&v))
-            .unwrap_or_default()
-    }
 }
 
 /// Total inter-extent head travel (bytes) of serving `order` from `head`.
