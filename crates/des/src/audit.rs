@@ -377,16 +377,22 @@ impl TraceAuditor {
 /// auditor body.
 ///
 /// It consumes entries online and never keeps an entry or its event
-/// payload, only the audit state itself: per-entity maps that grow with
-/// *active* entities (mounted drives, pending exchanges, per-job
-/// lifecycle facts) plus compact per-resource busy-window triples.
+/// payload. Per-job facts live in a packed table indexed by job id
+/// (engines number jobs densely from zero): one `(tape, submitted_at)`
+/// slot and one state byte per id. Ids far past the entries seen so far
+/// go to a sparse map instead, so a malformed trace naming `u32::MAX`
+/// costs one map entry, not gigabytes. Each drive's state (mount,
+/// pending exchange, failure instant, busy windows) sits in one map
+/// entry, so an event costs one lookup in a map of a few dozen drives.
 ///
-/// The windows are the irreducible part: drive/robot exclusivity is
-/// defined on *start-sorted adjacent pairs* over the whole run, and a
-/// `DriveFailed` may arrive after the fact with a failure instant in the
-/// past, indicting windows streamed long before. Both checks are
-/// inherently end-of-trace, so the `(index, start, finish)` triples are
-/// retained — but never the entries that produced them.
+/// Drive and robot exclusivity are defined on *start-sorted adjacent
+/// pairs* over the whole run, ties kept in arrival order, and
+/// `DriveFailed` may name an instant in the past and so indict windows
+/// streamed long before. The `(index, start, finish)` window triples are
+/// therefore retained per drive and per arm, never the entries that
+/// produced them, and [`finish`](Self::finish) sorts and sweeps them.
+/// Engines emit each resource's windows in start order, and the stable
+/// sort is linear on sorted input.
 #[derive(Debug, Default)]
 pub struct AuditStream {
     retry_cap: Option<u32>,
@@ -396,15 +402,11 @@ pub struct AuditStream {
     /// Counters and inline violations accumulate here as entries arrive;
     /// [`AuditStream::finish`] appends the end-of-trace passes.
     report: AuditReport,
-    mounted: BTreeMap<DriveKey, TapeKey>,
-    pending_exchange: BTreeMap<DriveKey, TapeKey>,
-    submitted: BTreeMap<u32, (TapeKey, SimTime)>,
-    completed: BTreeMap<u32, SimTime>,
-    resolved: BTreeMap<u32, SimTime>,
-    drive_windows: BTreeMap<DriveKey, Vec<Window>>,
-    arm_windows: BTreeMap<(u16, u32), Vec<Window>>,
-    drive_exchanges: BTreeMap<DriveKey, Vec<Window>>,
-    failed_drives: BTreeMap<DriveKey, SimTime>,
+    jobs: Jobs,
+    drives: BTreeMap<DriveKey, Drive>,
+    /// Exchange windows per `(library, arm)`, in arrival order.
+    arms: BTreeMap<(u16, u32), Vec<Window>>,
+    any_drive_failed: bool,
     jam_windows: BTreeMap<u16, Vec<(SimTime, SimTime)>>,
     fatal_faults: BTreeMap<u32, SimTime>,
     failover_edges: Vec<(usize, SimTime, u32, u32)>,
@@ -422,6 +424,9 @@ impl AuditStream {
                 kind,
             });
         };
+        // Job ids below this bound may grow the dense table.
+        let dense_limit = self.index.saturating_mul(2).saturating_add(DENSE_SLACK);
+        let eps = SimTime::from_secs(EPSILON);
 
         if entry.time < self.prev_time {
             flag(
@@ -435,16 +440,17 @@ impl AuditStream {
 
         match entry.event {
             TraceEvent::AssumeMounted { drive, tape } => {
-                if self.mounted.contains_key(&drive) {
+                let d = self.drives.entry(drive).or_default();
+                if d.mounted.is_some() {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::DuplicateAssume { drive },
                     );
                 }
-                self.mounted.insert(drive, tape);
+                d.mounted = Some(tape);
             }
             TraceEvent::JobSubmitted { job, tape } => {
-                if self.submitted.insert(job, (tape, entry.time)).is_some() {
+                if self.jobs.submit(job, tape, entry.time, dense_limit) {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::DuplicateSubmit { job },
@@ -452,7 +458,7 @@ impl AuditStream {
                 }
             }
             TraceEvent::Unmounted { drive, tape } => {
-                let actual = self.mounted.remove(&drive);
+                let actual = self.drives.entry(drive).or_default().mounted.take();
                 if actual != Some(tape) {
                     flag(
                         &mut self.report.violations,
@@ -472,7 +478,8 @@ impl AuditStream {
                 finish,
             } => {
                 self.report.exchanges += 1;
-                if let Some(&held) = self.mounted.get(&drive) {
+                let d = self.drives.entry(drive).or_default();
+                if let Some(held) = d.mounted {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::ExchangeWhileMounted { drive, held },
@@ -484,18 +491,16 @@ impl AuditStream {
                         ViolationKind::NegativeInterval { start, finish },
                     );
                 }
-                self.pending_exchange.insert(drive, tape);
-                self.arm_windows
+                d.pending_exchange = Some(tape);
+                d.exchanges.push((index, start, finish));
+                self.arms
                     .entry((drive.library(), arm))
-                    .or_default()
-                    .push((index, start, finish));
-                self.drive_exchanges
-                    .entry(drive)
                     .or_default()
                     .push((index, start, finish));
             }
             TraceEvent::Mounted { drive, tape } => {
-                let expected = self.pending_exchange.remove(&drive);
+                let d = self.drives.entry(drive).or_default();
+                let expected = d.pending_exchange.take();
                 if expected != Some(tape) {
                     flag(
                         &mut self.report.violations,
@@ -506,7 +511,7 @@ impl AuditStream {
                         },
                     );
                 }
-                self.mounted.insert(drive, tape);
+                d.mounted = Some(tape);
             }
             TraceEvent::Transfer {
                 drive,
@@ -517,7 +522,8 @@ impl AuditStream {
                 ..
             } => {
                 self.report.transfers += 1;
-                let held = self.mounted.get(&drive).copied();
+                let d = self.drives.entry(drive).or_default();
+                let held = d.mounted;
                 if held != Some(tape) {
                     flag(
                         &mut self.report.violations,
@@ -530,61 +536,57 @@ impl AuditStream {
                         ViolationKind::NegativeInterval { start, finish },
                     );
                 }
-                let eps = SimTime::from_secs(EPSILON);
-                match self.submitted.get(&job) {
-                    None => flag(
+                let (state, sub, at) = self.jobs.get(job);
+                if state & SUBMITTED == 0 {
+                    flag(
                         &mut self.report.violations,
                         ViolationKind::UnknownJob { job },
-                    ),
-                    Some(&(sub, _)) if sub != tape => flag(
+                    );
+                } else if sub != tape {
+                    flag(
                         &mut self.report.violations,
                         ViolationKind::WrongTapeForJob {
                             job,
                             submitted: sub,
                             streamed: tape,
                         },
-                    ),
-                    Some(&(_, at)) if start + eps < at => flag(
+                    );
+                } else if start + eps < at {
+                    flag(
                         &mut self.report.violations,
                         ViolationKind::ServedBeforeSubmit {
                             job,
                             submitted: at,
                             start,
                         },
-                    ),
-                    Some(_) => {}
+                    );
                 }
-                if self.completed.contains_key(&job) || self.resolved.contains_key(&job) {
+                if state & DONE != 0 {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::TransferAfterCompletion { job },
                     );
                 }
-                self.drive_windows
-                    .entry(drive)
-                    .or_default()
-                    .push((index, start, finish));
+                d.transfers.push((index, start, finish));
             }
             TraceEvent::JobCompleted { job, .. } => {
-                let eps = SimTime::from_secs(EPSILON);
-                match self.submitted.get(&job) {
-                    None => flag(
+                let (state, _, at) = self.jobs.close(job, dense_limit);
+                if state & SUBMITTED == 0 {
+                    flag(
                         &mut self.report.violations,
                         ViolationKind::UnknownJob { job },
-                    ),
-                    Some(&(_, at)) if entry.time + eps < at => flag(
+                    );
+                } else if entry.time + eps < at {
+                    flag(
                         &mut self.report.violations,
                         ViolationKind::ServedBeforeSubmit {
                             job,
                             submitted: at,
                             start: entry.time,
                         },
-                    ),
-                    Some(_) => {}
+                    );
                 }
-                if self.completed.insert(job, entry.time).is_some()
-                    || self.resolved.contains_key(&job)
-                {
+                if state & DONE != 0 {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::CompletedTwice { job },
@@ -592,7 +594,12 @@ impl AuditStream {
                 }
             }
             TraceEvent::DriveFailed { drive, at } => {
-                self.failed_drives.entry(drive).or_insert(at);
+                self.drives
+                    .entry(drive)
+                    .or_default()
+                    .failed_at
+                    .get_or_insert(at);
+                self.any_drive_failed = true;
             }
             TraceEvent::RobotJammed {
                 library,
@@ -617,7 +624,7 @@ impl AuditStream {
                 ..
             } => {
                 self.report.faults += 1;
-                if !self.submitted.contains_key(&job) {
+                if self.jobs.get(job).0 & SUBMITTED == 0 {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::UnknownJob { job },
@@ -641,21 +648,20 @@ impl AuditStream {
                 } else {
                     self.report.failovers += 1;
                 }
-                if !self.submitted.contains_key(&job) {
+                let (state, ..) = self.jobs.close(job, dense_limit);
+                if state & SUBMITTED == 0 {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::UnknownJob { job },
                     );
                 }
-                if !self.fatal_faults.contains_key(&job) && self.failed_drives.is_empty() {
+                if !self.any_drive_failed && !self.fatal_faults.contains_key(&job) {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::ResolvedWithoutFault { job },
                     );
                 }
-                if self.completed.contains_key(&job)
-                    || self.resolved.insert(job, entry.time).is_some()
-                {
+                if state & DONE != 0 {
                     flag(
                         &mut self.report.violations,
                         ViolationKind::CompletedTwice { job },
@@ -678,48 +684,62 @@ impl AuditStream {
 
     /// Runs the end-of-trace passes (exclusivity, failed-drive forensics,
     /// jam overlap, fault-resolution accounting, exactly-once service)
-    /// and returns the complete report, violations sorted by entry
-    /// index.
-    pub fn finish(mut self) -> AuditReport {
-        let mut report = self.report;
-        report.entries = self.index;
-        report.jobs = self.submitted.len();
-
-        for (drive, windows) in &mut self.drive_windows {
-            for (index, finish, start) in overlaps(windows) {
-                report.violations.push(Violation {
-                    index,
-                    time: start,
-                    kind: ViolationKind::DriveOverlap {
-                        drive: *drive,
-                        first_finish: finish,
-                        second_start: start,
-                    },
-                });
-            }
-        }
-        for ((library, arm), windows) in &mut self.arm_windows {
-            for (index, finish, start) in overlaps(windows) {
-                report.violations.push(Violation {
-                    index,
-                    time: start,
-                    kind: ViolationKind::RobotOverlap {
-                        library: *library,
-                        arm: *arm,
-                        first_finish: finish,
-                        second_start: start,
-                    },
-                });
-            }
-        }
-
+    /// and returns the complete report, violations sorted by entry index.
+    pub fn finish(self) -> AuditReport {
+        let AuditStream {
+            index: entries,
+            prev_time,
+            mut report,
+            jobs,
+            mut drives,
+            mut arms,
+            jam_windows,
+            fatal_faults,
+            failover_edges,
+            ..
+        } = self;
+        report.entries = entries;
+        report.jobs = jobs.submitted;
+        let last = entries.saturating_sub(1);
         let eps = SimTime::from_secs(EPSILON);
-        for (&drive, &failed_at) in &self.failed_drives {
-            let windows = [
-                self.drive_windows.get(&drive),
-                self.drive_exchanges.get(&drive),
-            ];
-            for &(index, _, finish) in windows.into_iter().flatten().flatten() {
+
+        // Each pass below yields at most one violation per entry index,
+        // so after the final stable sort by index the order of the passes
+        // decides ties: overlaps, failed drives, jams, faults, failovers,
+        // never-completed.
+        for (&drive, d) in &mut drives {
+            for (index, first_finish, second_start) in sweep(&mut d.transfers) {
+                report.violations.push(Violation {
+                    index,
+                    time: second_start,
+                    kind: ViolationKind::DriveOverlap {
+                        drive,
+                        first_finish,
+                        second_start,
+                    },
+                });
+            }
+        }
+        for (&(library, arm), windows) in &mut arms {
+            for (index, first_finish, second_start) in sweep(windows) {
+                report.violations.push(Violation {
+                    index,
+                    time: second_start,
+                    kind: ViolationKind::RobotOverlap {
+                        library,
+                        arm,
+                        first_finish,
+                        second_start,
+                    },
+                });
+            }
+        }
+
+        for (&drive, d) in &drives {
+            let Some(failed_at) = d.failed_at else {
+                continue;
+            };
+            for &(index, _, finish) in d.transfers.iter().chain(&d.exchanges) {
                 if finish > failed_at + eps {
                     report.violations.push(Violation {
                         index,
@@ -734,11 +754,11 @@ impl AuditStream {
             }
         }
 
-        for (&(library, arm), windows) in &self.arm_windows {
-            let Some(jams) = self.jam_windows.get(&library) else {
+        for (&(library, arm), windows) in &arms {
+            let Some(jams) = jam_windows.get(&library) else {
                 continue;
             };
-            for &(index, start, finish) in windows.iter() {
+            for &(index, start, finish) in windows {
                 let overlaps_jam = jams
                     .iter()
                     .any(|&(js, jf)| start + eps < jf && js + eps < finish);
@@ -756,18 +776,18 @@ impl AuditStream {
             }
         }
 
-        for (&job, &at) in &self.fatal_faults {
-            if !self.resolved.contains_key(&job) && !self.completed.contains_key(&job) {
+        for (&job, &at) in &fatal_faults {
+            if jobs.get(job).0 & DONE == 0 {
                 report.violations.push(Violation {
-                    index: self.index.saturating_sub(1),
+                    index: last,
                     time: at,
                     kind: ViolationKind::UnresolvedFault { job },
                 });
             }
         }
 
-        for &(index, time, job, replacement) in &self.failover_edges {
-            if !self.submitted.contains_key(&replacement) {
+        for &(index, time, job, replacement) in &failover_edges {
+            if jobs.get(replacement).0 & SUBMITTED == 0 {
                 report.violations.push(Violation {
                     index,
                     time,
@@ -776,16 +796,11 @@ impl AuditStream {
             }
         }
 
-        let unserved: Vec<u32> = self
-            .submitted
-            .keys()
-            .filter(|j| !self.completed.contains_key(j) && !self.resolved.contains_key(j))
-            .copied()
-            .collect();
+        let unserved = jobs.unserved();
         if !unserved.is_empty() {
             report.violations.push(Violation {
-                index: self.index.saturating_sub(1),
-                time: self.prev_time,
+                index: last,
+                time: prev_time,
                 kind: ViolationKind::NeverCompleted { jobs: unserved },
             });
         }
@@ -801,7 +816,7 @@ type Window = (usize, SimTime, SimTime);
 /// Sorts `windows` by start time and yields `(entry index, previous
 /// finish, this start)` for every pair of consecutive windows that
 /// overlap by more than [`EPSILON`].
-fn overlaps(windows: &mut [Window]) -> Vec<Window> {
+fn sweep(windows: &mut [Window]) -> Vec<Window> {
     windows.sort_by_key(|w| w.1);
     let eps = SimTime::from_secs(EPSILON);
     let mut found = Vec::new();
@@ -811,6 +826,570 @@ fn overlaps(windows: &mut [Window]) -> Vec<Window> {
         }
     }
     found
+}
+
+/// Job ids below twice the entries seen so far plus this slack grow the
+/// dense job table; ids beyond it go to the sparse map.
+const DENSE_SLACK: usize = 1 << 12;
+
+/// Job state bits.
+const SUBMITTED: u8 = 1;
+/// Completed, lost or failed over: every later completion, resolution
+/// or transfer of the job is a violation.
+const DONE: u8 = 1 << 1;
+
+/// `(tape, submitted_at)` of a job, meaningful only once `SUBMITTED`.
+type JobSlot = (TapeKey, SimTime);
+
+const NO_SLOT: JobSlot = (TapeKey(0), SimTime::ZERO);
+
+/// Per-job lifecycle facts: a dense table indexed by job id, 17 bytes
+/// per id, plus a sparse map for ids too far past the table to grow it.
+/// Every sparse id is at least `state.len()`, so ascending dense ids
+/// followed by the sparse map's keys is ascending id order.
+#[derive(Debug, Default)]
+struct Jobs {
+    slots: Vec<JobSlot>,
+    state: Vec<u8>,
+    sparse: BTreeMap<u32, (u8, JobSlot)>,
+    /// Distinct submitted ids.
+    submitted: usize,
+}
+
+impl Jobs {
+    /// The job's state bits and slot (zeroes for an id never seen).
+    fn get(&self, id: u32) -> (u8, TapeKey, SimTime) {
+        let i = id as usize;
+        let (state, (tape, at)) = match (self.state.get(i), self.slots.get(i)) {
+            (Some(&state), Some(&slot)) => (state, slot),
+            _ => self.sparse.get(&id).copied().unwrap_or((0, NO_SLOT)),
+        };
+        (state, tape, at)
+    }
+
+    /// Applies `f` to the job's state bits and slot, first growing the
+    /// dense table to cover `id` when `id < dense_limit`.
+    fn update<R>(
+        &mut self,
+        id: u32,
+        dense_limit: usize,
+        f: impl FnOnce(&mut u8, &mut JobSlot) -> R,
+    ) -> R {
+        let i = id as usize;
+        if i >= self.state.len() && i < dense_limit {
+            self.grow_to(id);
+        }
+        match (self.state.get_mut(i), self.slots.get_mut(i)) {
+            (Some(state), Some(slot)) => f(state, slot),
+            _ => {
+                let (state, slot) = self.sparse.entry(id).or_insert((0, NO_SLOT));
+                f(state, slot)
+            }
+        }
+    }
+
+    /// Records a submission; returns whether `id` was already submitted
+    /// (the new tape and instant replace the old ones either way).
+    fn submit(&mut self, id: u32, tape: TapeKey, at: SimTime, dense_limit: usize) -> bool {
+        let again = self.update(id, dense_limit, |state, slot| {
+            let was = *state;
+            *state |= SUBMITTED;
+            *slot = (tape, at);
+            was & SUBMITTED != 0
+        });
+        if !again {
+            self.submitted += 1;
+        }
+        again
+    }
+
+    /// Marks the job done and returns its state bits and slot from
+    /// before.
+    fn close(&mut self, id: u32, dense_limit: usize) -> (u8, TapeKey, SimTime) {
+        self.update(id, dense_limit, |state, &mut (tape, at)| {
+            let was = *state;
+            *state |= DONE;
+            (was, tape, at)
+        })
+    }
+
+    /// Extends the dense table through `id`, moving in every sparse id
+    /// it now covers.
+    fn grow_to(&mut self, id: u32) {
+        let len = id as usize + 1;
+        self.state.resize(len, 0);
+        self.slots.resize(len, NO_SLOT);
+        if self.sparse.is_empty() {
+            return;
+        }
+        let beyond = match id.checked_add(1) {
+            Some(next) => self.sparse.split_off(&next),
+            None => BTreeMap::new(),
+        };
+        for (k, (state, slot)) in std::mem::replace(&mut self.sparse, beyond) {
+            let i = k as usize;
+            if let (Some(s), Some(j)) = (self.state.get_mut(i), self.slots.get_mut(i)) {
+                *s = state;
+                *j = slot;
+            }
+        }
+    }
+
+    /// Submitted ids neither completed nor resolved, ascending.
+    fn unserved(&self) -> Vec<u32> {
+        let open = |state: u8| state & (SUBMITTED | DONE) == SUBMITTED;
+        let dense = (0u32..)
+            .zip(&self.state)
+            .filter(|&(_, &state)| open(state))
+            .map(|(id, _)| id);
+        let sparse = self
+            .sparse
+            .iter()
+            .filter(|&(_, &(state, _))| open(state))
+            .map(|(&id, _)| id);
+        dense.chain(sparse).collect()
+    }
+}
+
+/// One drive's audit state.
+#[derive(Debug, Default)]
+struct Drive {
+    mounted: Option<TapeKey>,
+    pending_exchange: Option<TapeKey>,
+    /// First failure instant on record.
+    failed_at: Option<SimTime>,
+    /// Transfer windows, in arrival order.
+    transfers: Vec<Window>,
+    /// Exchange windows, in arrival order.
+    exchanges: Vec<Window>,
+}
+
+/// The per-entity `BTreeMap` body the dense kernel replaced, kept as the
+/// differential oracle for [`AuditStream`].
+#[cfg(test)]
+mod reference {
+    use super::{sweep, AuditReport, Violation, ViolationKind, Window, EPSILON};
+    use crate::time::SimTime;
+    use crate::trace::{DriveKey, TapeKey, TraceEntry, TraceEvent};
+    use std::collections::BTreeMap;
+
+    /// Audits `entries` with the reference body.
+    pub(super) fn audit(entries: &[TraceEntry], retry_cap: Option<u32>) -> AuditReport {
+        let mut s = AuditStream {
+            retry_cap,
+            ..AuditStream::default()
+        };
+        s.push_all(entries);
+        s.finish()
+    }
+
+    #[derive(Debug, Default)]
+    struct AuditStream {
+        retry_cap: Option<u32>,
+        /// Index the next pushed entry will get (= entries seen so far).
+        index: usize,
+        prev_time: SimTime,
+        /// Counters and inline violations accumulate here as entries arrive;
+        /// [`AuditStream::finish`] appends the end-of-trace passes.
+        report: AuditReport,
+        mounted: BTreeMap<DriveKey, TapeKey>,
+        pending_exchange: BTreeMap<DriveKey, TapeKey>,
+        submitted: BTreeMap<u32, (TapeKey, SimTime)>,
+        completed: BTreeMap<u32, SimTime>,
+        resolved: BTreeMap<u32, SimTime>,
+        drive_windows: BTreeMap<DriveKey, Vec<Window>>,
+        arm_windows: BTreeMap<(u16, u32), Vec<Window>>,
+        drive_exchanges: BTreeMap<DriveKey, Vec<Window>>,
+        failed_drives: BTreeMap<DriveKey, SimTime>,
+        jam_windows: BTreeMap<u16, Vec<(SimTime, SimTime)>>,
+        fatal_faults: BTreeMap<u32, SimTime>,
+        failover_edges: Vec<(usize, SimTime, u32, u32)>,
+    }
+
+    impl AuditStream {
+        /// Consumes one trace entry, checking every inline invariant.
+        fn push(&mut self, entry: &TraceEntry) {
+            let index = self.index;
+            self.index += 1;
+            let flag = |sink: &mut Vec<Violation>, kind: ViolationKind| {
+                sink.push(Violation {
+                    index,
+                    time: entry.time,
+                    kind,
+                });
+            };
+
+            if entry.time < self.prev_time {
+                flag(
+                    &mut self.report.violations,
+                    ViolationKind::TimeWentBackwards {
+                        previous: self.prev_time,
+                    },
+                );
+            }
+            self.prev_time = self.prev_time.max(entry.time);
+
+            match entry.event {
+                TraceEvent::AssumeMounted { drive, tape } => {
+                    if self.mounted.contains_key(&drive) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::DuplicateAssume { drive },
+                        );
+                    }
+                    self.mounted.insert(drive, tape);
+                }
+                TraceEvent::JobSubmitted { job, tape } => {
+                    if self.submitted.insert(job, (tape, entry.time)).is_some() {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::DuplicateSubmit { job },
+                        );
+                    }
+                }
+                TraceEvent::Unmounted { drive, tape } => {
+                    let actual = self.mounted.remove(&drive);
+                    if actual != Some(tape) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::UnmountMismatch {
+                                drive,
+                                claimed: tape,
+                                actual,
+                            },
+                        );
+                    }
+                }
+                TraceEvent::ExchangeBegun {
+                    drive,
+                    tape,
+                    arm,
+                    start,
+                    finish,
+                } => {
+                    self.report.exchanges += 1;
+                    if let Some(&held) = self.mounted.get(&drive) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::ExchangeWhileMounted { drive, held },
+                        );
+                    }
+                    if finish < start {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::NegativeInterval { start, finish },
+                        );
+                    }
+                    self.pending_exchange.insert(drive, tape);
+                    self.arm_windows
+                        .entry((drive.library(), arm))
+                        .or_default()
+                        .push((index, start, finish));
+                    self.drive_exchanges
+                        .entry(drive)
+                        .or_default()
+                        .push((index, start, finish));
+                }
+                TraceEvent::Mounted { drive, tape } => {
+                    let expected = self.pending_exchange.remove(&drive);
+                    if expected != Some(tape) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::MountWithoutExchange {
+                                drive,
+                                tape,
+                                expected,
+                            },
+                        );
+                    }
+                    self.mounted.insert(drive, tape);
+                }
+                TraceEvent::Transfer {
+                    drive,
+                    tape,
+                    job,
+                    start,
+                    finish,
+                    ..
+                } => {
+                    self.report.transfers += 1;
+                    let held = self.mounted.get(&drive).copied();
+                    if held != Some(tape) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::ReadWithoutMount { drive, tape, held },
+                        );
+                    }
+                    if finish < start {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::NegativeInterval { start, finish },
+                        );
+                    }
+                    let eps = SimTime::from_secs(EPSILON);
+                    match self.submitted.get(&job) {
+                        None => flag(
+                            &mut self.report.violations,
+                            ViolationKind::UnknownJob { job },
+                        ),
+                        Some(&(sub, _)) if sub != tape => flag(
+                            &mut self.report.violations,
+                            ViolationKind::WrongTapeForJob {
+                                job,
+                                submitted: sub,
+                                streamed: tape,
+                            },
+                        ),
+                        Some(&(_, at)) if start + eps < at => flag(
+                            &mut self.report.violations,
+                            ViolationKind::ServedBeforeSubmit {
+                                job,
+                                submitted: at,
+                                start,
+                            },
+                        ),
+                        Some(_) => {}
+                    }
+                    if self.completed.contains_key(&job) || self.resolved.contains_key(&job) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::TransferAfterCompletion { job },
+                        );
+                    }
+                    self.drive_windows
+                        .entry(drive)
+                        .or_default()
+                        .push((index, start, finish));
+                }
+                TraceEvent::JobCompleted { job, .. } => {
+                    let eps = SimTime::from_secs(EPSILON);
+                    match self.submitted.get(&job) {
+                        None => flag(
+                            &mut self.report.violations,
+                            ViolationKind::UnknownJob { job },
+                        ),
+                        Some(&(_, at)) if entry.time + eps < at => flag(
+                            &mut self.report.violations,
+                            ViolationKind::ServedBeforeSubmit {
+                                job,
+                                submitted: at,
+                                start: entry.time,
+                            },
+                        ),
+                        Some(_) => {}
+                    }
+                    if self.completed.insert(job, entry.time).is_some()
+                        || self.resolved.contains_key(&job)
+                    {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::CompletedTwice { job },
+                        );
+                    }
+                }
+                TraceEvent::DriveFailed { drive, at } => {
+                    self.failed_drives.entry(drive).or_insert(at);
+                }
+                TraceEvent::RobotJammed {
+                    library,
+                    start,
+                    finish,
+                } => {
+                    if finish < start {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::NegativeInterval { start, finish },
+                        );
+                    }
+                    self.jam_windows
+                        .entry(library as u16)
+                        .or_default()
+                        .push((start, finish));
+                }
+                TraceEvent::ReadFaulted {
+                    job,
+                    retries,
+                    fatal,
+                    ..
+                } => {
+                    self.report.faults += 1;
+                    if !self.submitted.contains_key(&job) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::UnknownJob { job },
+                        );
+                    }
+                    if let Some(cap) = self.retry_cap {
+                        if retries > cap {
+                            flag(
+                                &mut self.report.violations,
+                                ViolationKind::RetriesExceeded { job, retries, cap },
+                            );
+                        }
+                    }
+                    if fatal {
+                        self.fatal_faults.entry(job).or_insert(entry.time);
+                    }
+                }
+                TraceEvent::JobLost { job } | TraceEvent::FailedOver { job, .. } => {
+                    if let TraceEvent::JobLost { .. } = entry.event {
+                        self.report.losses += 1;
+                    } else {
+                        self.report.failovers += 1;
+                    }
+                    if !self.submitted.contains_key(&job) {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::UnknownJob { job },
+                        );
+                    }
+                    if !self.fatal_faults.contains_key(&job) && self.failed_drives.is_empty() {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::ResolvedWithoutFault { job },
+                        );
+                    }
+                    if self.completed.contains_key(&job)
+                        || self.resolved.insert(job, entry.time).is_some()
+                    {
+                        flag(
+                            &mut self.report.violations,
+                            ViolationKind::CompletedTwice { job },
+                        );
+                    }
+                    if let TraceEvent::FailedOver { job, replacement } = entry.event {
+                        self.failover_edges
+                            .push((index, entry.time, job, replacement));
+                    }
+                }
+            }
+        }
+
+        /// Consumes every entry of `entries` in order.
+        fn push_all(&mut self, entries: &[TraceEntry]) {
+            for entry in entries {
+                self.push(entry);
+            }
+        }
+
+        /// Runs the end-of-trace passes (exclusivity, failed-drive forensics,
+        /// jam overlap, fault-resolution accounting, exactly-once service)
+        /// and returns the complete report, violations sorted by entry
+        /// index.
+        fn finish(mut self) -> AuditReport {
+            let mut report = self.report;
+            report.entries = self.index;
+            report.jobs = self.submitted.len();
+
+            for (drive, windows) in &mut self.drive_windows {
+                for (index, finish, start) in sweep(windows) {
+                    report.violations.push(Violation {
+                        index,
+                        time: start,
+                        kind: ViolationKind::DriveOverlap {
+                            drive: *drive,
+                            first_finish: finish,
+                            second_start: start,
+                        },
+                    });
+                }
+            }
+            for ((library, arm), windows) in &mut self.arm_windows {
+                for (index, finish, start) in sweep(windows) {
+                    report.violations.push(Violation {
+                        index,
+                        time: start,
+                        kind: ViolationKind::RobotOverlap {
+                            library: *library,
+                            arm: *arm,
+                            first_finish: finish,
+                            second_start: start,
+                        },
+                    });
+                }
+            }
+
+            let eps = SimTime::from_secs(EPSILON);
+            for (&drive, &failed_at) in &self.failed_drives {
+                let windows = [
+                    self.drive_windows.get(&drive),
+                    self.drive_exchanges.get(&drive),
+                ];
+                for &(index, _, finish) in windows.into_iter().flatten().flatten() {
+                    if finish > failed_at + eps {
+                        report.violations.push(Violation {
+                            index,
+                            time: finish,
+                            kind: ViolationKind::ServiceOnFailedDrive {
+                                drive,
+                                failed_at,
+                                finish,
+                            },
+                        });
+                    }
+                }
+            }
+
+            for (&(library, arm), windows) in &self.arm_windows {
+                let Some(jams) = self.jam_windows.get(&library) else {
+                    continue;
+                };
+                for &(index, start, finish) in windows.iter() {
+                    let overlaps_jam = jams
+                        .iter()
+                        .any(|&(js, jf)| start + eps < jf && js + eps < finish);
+                    if overlaps_jam {
+                        report.violations.push(Violation {
+                            index,
+                            time: start,
+                            kind: ViolationKind::ExchangeDuringJam {
+                                library,
+                                arm,
+                                start,
+                            },
+                        });
+                    }
+                }
+            }
+
+            for (&job, &at) in &self.fatal_faults {
+                if !self.resolved.contains_key(&job) && !self.completed.contains_key(&job) {
+                    report.violations.push(Violation {
+                        index: self.index.saturating_sub(1),
+                        time: at,
+                        kind: ViolationKind::UnresolvedFault { job },
+                    });
+                }
+            }
+
+            for &(index, time, job, replacement) in &self.failover_edges {
+                if !self.submitted.contains_key(&replacement) {
+                    report.violations.push(Violation {
+                        index,
+                        time,
+                        kind: ViolationKind::FailoverWithoutSubmit { job, replacement },
+                    });
+                }
+            }
+
+            let unserved: Vec<u32> = self
+                .submitted
+                .keys()
+                .filter(|j| !self.completed.contains_key(j) && !self.resolved.contains_key(j))
+                .copied()
+                .collect();
+            if !unserved.is_empty() {
+                report.violations.push(Violation {
+                    index: self.index.saturating_sub(1),
+                    time: self.prev_time,
+                    kind: ViolationKind::NeverCompleted { jobs: unserved },
+                });
+            }
+
+            report.violations.sort_by_key(|v| v.index);
+            report
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1980,12 +2559,14 @@ mod streaming_proptests {
     /// Decodes one generated 4-tuple into a trace entry. Small id spaces
     /// force collisions (duplicate submits, wrong tapes, double
     /// completions); the clock mostly advances but can step back; window
-    /// endpoints can precede submissions or their own starts.
+    /// endpoints can precede submissions or their own starts, and a
+    /// drive's or arm's windows often arrive out of start order. `a / 64`
+    /// picks the job-id space (see [`job_id`]).
     fn decode(v: u32, a: u32, b: u32, c: u32, clock: &mut f64) -> TraceEntry {
         *clock = (*clock + (c % 8) as f64 * 0.25 - 0.25).max(0.0);
         let drive = DriveKey(a % 3);
         let tape = TapeKey(u64::from(b) % 4);
-        let job = (a / 3) % 6;
+        let job = job_id(a / 64, (a / 3) % 6);
         let start = SimTime::from_secs((*clock + ((c / 8) % 4) as f64 * 0.5 - 0.5).max(0.0));
         let finish = SimTime::from_secs((*clock + ((c / 32) % 4) as f64 * 0.75 - 0.25).max(0.0));
         let event = match v {
@@ -2027,13 +2608,39 @@ mod streaming_proptests {
             10 => TraceEvent::JobLost { job },
             _ => TraceEvent::FailedOver {
                 job,
-                replacement: (b / 4) % 8,
+                replacement: job_id(a / 64, (b / 4) % 8),
             },
         };
         TraceEntry {
             time: SimTime::from_secs(*clock),
             event,
         }
+    }
+
+    /// The `k`-th id of id space `space`: small dense ids (spaces 0 and
+    /// 1), ids straddling the dense job table's growth bound, which start
+    /// sparse and later move into the table (space 2), and ids near
+    /// `u32::MAX`, which stay sparse (space 3).
+    fn job_id(space: u32, k: u32) -> u32 {
+        match space {
+            0 | 1 => k,
+            2 => DENSE_SLACK as u32 - 100 + 40 * k,
+            _ => u32::MAX - k,
+        }
+    }
+
+    /// Generated traces: 0–149 entries drawn by [`decode`], with `a` in
+    /// `0..a_max`. `a_max = 64` keeps every job id in the small space 0,
+    /// where collisions are most frequent; 256 reaches all four spaces.
+    fn traces(a_max: u32) -> impl Strategy<Value = Vec<TraceEntry>> {
+        proptest::collection::vec((0u32..12, 0u32..a_max, 0u32..64, 0u32..256), 0..150).prop_map(
+            |raw| {
+                let mut clock = 0.0;
+                raw.iter()
+                    .map(|&(v, a, b, c)| decode(v, a, b, c, &mut clock))
+                    .collect()
+            },
+        )
     }
 
     proptest! {
@@ -2044,15 +2651,7 @@ mod streaming_proptests {
         /// index and point into the trace, and the verdict is clean
         /// exactly when nothing was flagged.
         #[test]
-        fn audit_report_accounts_for_every_entry(
-            raw in proptest::collection::vec((0u32..12, 0u32..64, 0u32..64, 0u32..256), 0..150),
-            cap in 0u32..6,
-        ) {
-            let mut clock = 0.0;
-            let trace: Vec<TraceEntry> = raw
-                .iter()
-                .map(|&(v, a, b, c)| decode(v, a, b, c, &mut clock))
-                .collect();
+        fn audit_report_accounts_for_every_entry(trace in traces(64), cap in 0u32..6) {
             let count = |is: fn(&TraceEvent) -> bool| {
                 trace.iter().filter(|e| is(&e.event)).count()
             };
@@ -2088,5 +2687,126 @@ mod streaming_proptests {
                 prop_assert_eq!(report.is_clean(), report.violations.is_empty());
             }
         }
+    }
+
+    proptest! {
+        // The kernel costs microseconds per case; 2,048 cases cover the
+        // sparse id spaces and the growth bound many times over.
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The dense kernel and the reference `BTreeMap` body give equal
+        /// reports, every violation included, with and without a retry
+        /// cap: on sparse and huge job ids and on windows that arrive out
+        /// of start order as much as on well-formed traces.
+        #[test]
+        fn dense_kernel_matches_reference(trace in traces(256), cap in 0u32..6) {
+            for retry_cap in [None, Some(cap)] {
+                let auditor = match retry_cap {
+                    Some(cap) => TraceAuditor::new().with_retry_cap(cap),
+                    None => TraceAuditor::new(),
+                };
+                prop_assert_eq!(auditor.audit(&trace), reference::audit(&trace, retry_cap));
+            }
+        }
+    }
+
+    fn at(secs: f64, event: TraceEvent) -> TraceEntry {
+        TraceEntry {
+            time: SimTime::from_secs(secs),
+            event,
+        }
+    }
+
+    /// An id first seen far past the dense table lives in the sparse map
+    /// until the table grows over it; its state moves along, and
+    /// `NeverCompleted` still lists ids in ascending order.
+    #[test]
+    fn sparse_job_ids_move_into_the_dense_table() {
+        let far = DENSE_SLACK as u32 + 50;
+        let mut trace = vec![
+            at(
+                0.0,
+                TraceEvent::JobSubmitted {
+                    job: far,
+                    tape: TapeKey(1),
+                },
+            ),
+            at(
+                0.0,
+                TraceEvent::JobCompleted {
+                    job: far,
+                    drive: DriveKey(0),
+                },
+            ),
+            at(
+                0.0,
+                TraceEvent::JobSubmitted {
+                    job: u32::MAX,
+                    tape: TapeKey(1),
+                },
+            ),
+        ];
+        let mut stream = TraceAuditor::new().stream();
+        stream.push_all(&trace);
+        assert!(stream.jobs.sparse.contains_key(&far));
+        // Enough entries for the growth bound to pass `far`.
+        for job in 0..40 {
+            trace.push(at(
+                1.0,
+                TraceEvent::JobSubmitted {
+                    job,
+                    tape: TapeKey(1),
+                },
+            ));
+        }
+        trace.push(at(
+            1.0,
+            TraceEvent::JobSubmitted {
+                job: far + 1,
+                tape: TapeKey(1),
+            },
+        ));
+        trace.push(at(
+            1.0,
+            TraceEvent::JobCompleted {
+                job: far,
+                drive: DriveKey(0),
+            },
+        ));
+        let mut stream = TraceAuditor::new().stream();
+        stream.push_all(&trace);
+        assert!(!stream.jobs.sparse.contains_key(&far));
+        assert!(stream.jobs.sparse.contains_key(&u32::MAX));
+        let report = stream.finish();
+        assert_eq!(report, reference::audit(&trace, None));
+        assert_eq!(report.jobs, 43);
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| matches!(v.kind, ViolationKind::CompletedTwice { job } if job == far)));
+        let never = report.violations.iter().find_map(|v| match &v.kind {
+            ViolationKind::NeverCompleted { jobs } => Some(jobs.clone()),
+            _ => None,
+        });
+        let mut expected: Vec<u32> = (0..40).collect();
+        expected.extend([far + 1, u32::MAX]);
+        assert_eq!(never, Some(expected));
+    }
+
+    /// The generator reaches the sparse half of the job table, so the
+    /// differential above covers it.
+    #[test]
+    fn generated_traces_reach_the_sparse_job_map() {
+        let mut rng = proptest::test_runner::TestRng::for_case(file!(), line!(), 0);
+        let mut sparse = 0;
+        for _ in 0..200 {
+            let trace = traces(256).generate(&mut rng);
+            let mut stream = TraceAuditor::new().stream();
+            stream.push_all(&trace);
+            if !stream.jobs.sparse.is_empty() {
+                sparse += 1;
+            }
+        }
+        assert!(sparse >= 10, "{sparse} traces with sparse job ids");
     }
 }

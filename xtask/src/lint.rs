@@ -959,171 +959,6 @@ fn l10_findings(models: &[FileModel], deps: &CrateDeps) -> Vec<Finding> {
 }
 
 #[cfg(test)]
-mod legacy {
-    //! The pre-AST brace-counting masks, kept verbatim for the
-    //! differential test below: the AST-derived masks must mark every
-    //! line these marked (superset-or-equal) on the live workspace, or
-    //! the rewrite silently un-guarded code the old lint guarded.
-
-    /// Marks lines inside loop bodies by brace matching.
-    pub fn loop_line_mask(content: &str) -> Vec<bool> {
-        let lines: Vec<&str> = content.lines().collect();
-        let mut mask = vec![false; lines.len()];
-        let mut depth: i64 = 0;
-        // Close depths of currently-open loop bodies (innermost last).
-        let mut regions: Vec<i64> = Vec::new();
-        let mut pending_loop = false;
-        for (i, raw) in lines.iter().enumerate() {
-            let code = code_portion(raw);
-            if !regions.is_empty() {
-                mask[i] = true;
-            }
-            let trimmed = code.trim_start();
-            let starts_loop = trimmed.starts_with("for ")
-                || trimmed.starts_with("while ")
-                || trimmed == "loop"
-                || trimmed.starts_with("loop ")
-                || trimmed.starts_with("loop{");
-            if starts_loop {
-                mask[i] = true;
-                pending_loop = true;
-            }
-            let before = depth;
-            depth += brace_delta(&code);
-            if pending_loop {
-                if depth > before {
-                    regions.push(before);
-                    pending_loop = false;
-                } else if code.contains('{') {
-                    // One-liner body (`for x in xs { f() }`): opened and
-                    // closed on this line, which is already masked.
-                    pending_loop = false;
-                }
-            }
-            while regions.last().is_some_and(|&close| depth <= close) {
-                regions.pop();
-            }
-        }
-        mask
-    }
-
-    /// Marks lines inside `#[cfg(test)]`-guarded items by brace matching.
-    pub fn test_line_mask(content: &str) -> Vec<bool> {
-        let lines: Vec<&str> = content.lines().collect();
-        let mut mask = vec![false; lines.len()];
-        let mut depth: i64 = 0;
-        // Depth at which a test region closes (region is active while
-        // depth > entry depth after the region's opening brace).
-        let mut region_close_depth: Option<i64> = None;
-        let mut pending_cfg_test = false;
-        for (i, raw) in lines.iter().enumerate() {
-            let code = code_portion(raw);
-            let trimmed = code.trim();
-            if region_close_depth.is_none() && trimmed.starts_with("#[cfg(test)]") {
-                pending_cfg_test = true;
-                mask[i] = true;
-                depth += brace_delta(&code);
-                continue;
-            }
-            let before = depth;
-            depth += brace_delta(&code);
-            if let Some(close) = region_close_depth {
-                mask[i] = true;
-                if depth <= close {
-                    region_close_depth = None;
-                }
-            } else if pending_cfg_test {
-                mask[i] = true;
-                // Attributes / doc lines between the cfg and the item keep
-                // the pending flag; the first line that opens a brace
-                // starts the region.
-                if depth > before {
-                    region_close_depth = Some(before);
-                    pending_cfg_test = false;
-                } else if trimmed.ends_with(';') {
-                    // `#[cfg(test)] use ...;` — single-item guard, no region.
-                    pending_cfg_test = false;
-                }
-            }
-        }
-        mask
-    }
-
-    /// Net `{`/`}` balance of a line, ignoring braces in strings, chars
-    /// and comments.
-    fn brace_delta(code: &str) -> i64 {
-        let mut delta = 0i64;
-        let mut chars = code.chars().peekable();
-        let mut in_str = false;
-        while let Some(c) = chars.next() {
-            if in_str {
-                match c {
-                    '\\' => {
-                        chars.next();
-                    }
-                    '"' => in_str = false,
-                    _ => {}
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                // Character literal like '{' — skip its body conservatively.
-                '\'' => {
-                    if let Some(&n) = chars.peek() {
-                        if n == '\\' {
-                            chars.next();
-                            chars.next();
-                            chars.next();
-                        } else if chars.clone().nth(1) == Some('\'') {
-                            chars.next();
-                            chars.next();
-                        }
-                        // Otherwise it's a lifetime; leave the stream alone.
-                    }
-                }
-                '{' => delta += 1,
-                '}' => delta -= 1,
-                _ => {}
-            }
-        }
-        delta
-    }
-
-    /// The line with `//` comments and string-literal contents removed,
-    /// so pattern matching never fires on prose or literals.
-    fn code_portion(line: &str) -> String {
-        let mut out = String::with_capacity(line.len());
-        let mut chars = line.chars().peekable();
-        let mut in_str = false;
-        while let Some(c) = chars.next() {
-            if in_str {
-                match c {
-                    '\\' => {
-                        chars.next();
-                    }
-                    '"' => {
-                        in_str = false;
-                        out.push('"');
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            match c {
-                '"' => {
-                    in_str = true;
-                    out.push('"');
-                }
-                '/' if chars.peek() == Some(&'/') => break,
-                _ => out.push(c),
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -1766,102 +1601,6 @@ mod tests {
         // The reverse direction is not a dependency edge.
         assert!(!dep_edge_ok(&deps, "sim", "sched"));
         assert!(!dep_edge_ok(&deps, "des", "cli"));
-    }
-
-    #[test]
-    fn legacy_loop_mask_handles_nesting_and_one_liners() {
-        let src = "fn a() {\n\
-                   \x20   let x = 1;\n\
-                   \x20   for i in 0..x { f(i) }\n\
-                   \x20   let y = 2;\n\
-                   \x20   while y > 0 {\n\
-                   \x20       loop {\n\
-                   \x20           g();\n\
-                   \x20       }\n\
-                   \x20   }\n\
-                   \x20   h();\n\
-                   }\n";
-        let mask = legacy::loop_line_mask(src);
-        assert_eq!(
-            mask,
-            vec![false, false, true, false, true, true, true, true, true, false, false]
-        );
-    }
-
-    #[test]
-    fn legacy_test_mask_tracks_nested_braces() {
-        let src = "fn a() { if x { y() } }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   \x20   fn helper() { z() }\n\
-                   }\n\
-                   fn b() {}\n";
-        let mask = legacy::test_line_mask(src);
-        assert_eq!(mask, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn ast_masks_are_superset_of_legacy_masks_on_the_live_workspace() {
-        // The rewrite's safety argument: every line the old
-        // brace-counting masks guarded, the AST masks guard too. (The
-        // reverse need not hold — the AST masks are strictly better on
-        // multi-line headers and wrapped items.)
-        let root = workspace_root();
-        let models = build_models(&root).expect("workspace parses");
-        assert!(!models.is_empty());
-        for m in &models {
-            let content = fs::read_to_string(root.join(&m.rel)).unwrap();
-            let legacy_test = legacy::test_line_mask(&content);
-            let legacy_loop = legacy::loop_line_mask(&content);
-            // Lines where no token *starts* are blank, comment-only, or
-            // the interior of a multi-line string literal. The legacy
-            // scanner worked line-by-line and could not carry string
-            // state across lines, so it mis-reads string prose like
-            // `for failover, ...` as a loop header — the exact class of
-            // bug that motivated the rewrite. Such lines carry no code,
-            // so no rule can fire on them either way; exempt them.
-            let mut has_token = vec![false; m.tf.n_lines + 1];
-            for t in &m.tf.tokens {
-                has_token[t.line] = true;
-            }
-            // Also exempt continuation lines of multi-line string
-            // literals: such a line *begins* inside the string, so the
-            // legacy per-line scanner mis-lexes it from its first
-            // character and its verdict is meaningless. A string's
-            // continuation lines run from the line after it opens
-            // through (at most) the line where the next token starts.
-            for (k, t) in m.tf.tokens.iter().enumerate() {
-                if !matches!(t.tok, Tok::Str) {
-                    continue;
-                }
-                let next_line = m.tf.tokens.get(k + 1).map_or(t.line, |n| n.line);
-                for l in t.line + 1..=next_line {
-                    if let Some(slot) = has_token.get_mut(l) {
-                        *slot = false;
-                    }
-                }
-            }
-            for (i, (&lt, &ll)) in legacy_test.iter().zip(&legacy_loop).enumerate() {
-                let line = i + 1;
-                if !has_token.get(line).copied().unwrap_or(false) {
-                    continue;
-                }
-                if lt {
-                    assert!(
-                        m.line_in_test(line),
-                        "{}:{line}: legacy test mask marks this line, AST mask does not",
-                        m.rel
-                    );
-                }
-                if ll {
-                    assert!(
-                        m.line_in_loop(line),
-                        "{}:{line}: legacy loop mask marks this line, AST mask does not",
-                        m.rel
-                    );
-                }
-            }
-        }
     }
 
     #[test]
