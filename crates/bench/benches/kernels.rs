@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tapesim_cluster::{average_linkage_clusters, CoAccessGraph, Dendrogram};
+use tapesim_cluster::{average_linkage_clusters, ClusterParams, CoAccessGraph};
 use tapesim_des::{EventQueue, SimTime};
 use tapesim_model::specs::paper_table1;
 use tapesim_model::tape::Extent;
@@ -71,16 +71,9 @@ fn clustering(c: &mut Criterion) {
         b.iter(|| black_box(CoAccessGraph::from_workload(&w)))
     });
     let g = CoAccessGraph::from_workload(&w);
-    let min_p = w
-        .requests()
-        .iter()
-        .map(|r| r.probability)
-        .fold(f64::INFINITY, f64::min);
+    let threshold = ClusterParams::default().absolute_threshold(&w);
     c.bench_function("average_linkage", |b| {
-        b.iter(|| black_box(average_linkage_clusters(&g, min_p * 0.5)))
-    });
-    c.bench_function("single_linkage_dendrogram", |b| {
-        b.iter(|| black_box(Dendrogram::single_linkage(&g)))
+        b.iter(|| black_box(average_linkage_clusters(&g, threshold)))
     });
 }
 

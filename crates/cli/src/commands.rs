@@ -188,7 +188,7 @@ pub fn simulate(args: &Args) -> Result<String, CommandError> {
 
 /// `tapesim serve` — serve one specific pre-defined request, or, with
 /// `--campaign`, run the long-running sharded service under a sustained
-/// load campaign (see [`campaign`]).
+/// load campaign (see `campaign`).
 pub fn serve(args: &Args) -> Result<String, CommandError> {
     if args.has("chaos") {
         return chaos_campaign(args);

@@ -419,7 +419,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterParams, Linkage};
+    use crate::ClusterParams;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
@@ -463,16 +463,11 @@ mod tests {
     fn average_linkage_resists_chaining() {
         // A strong pair {0,1} and a strong pair {2,3} bridged by one weak
         // edge (1,2). Average linkage dilutes the bridge:
-        // score({0,1},{2,3}) = 0.3/4 = 0.075 < threshold, while single
-        // linkage at 0.25 would chain everything.
+        // score({0,1},{2,3}) = 0.3/4 = 0.075 < threshold.
         let g = graph(4, &[(0.9, &[0, 1]), (0.9, &[2, 3]), (0.3, &[1, 2])]);
         let cs = average_linkage_clusters(&g, 0.25);
         assert!(cs.contains(&vec![ObjectId(0), ObjectId(1)]));
         assert!(cs.contains(&vec![ObjectId(2), ObjectId(3)]));
-
-        let d = crate::Dendrogram::single_linkage(&g);
-        let sl = d.cut(0.25);
-        assert_eq!(sl.len(), 1, "single linkage chains the same graph");
     }
 
     #[test]
@@ -605,11 +600,7 @@ mod tests {
             ..WorkloadSpec::default()
         }
         .generate();
-        let set = ClusterParams {
-            linkage: Linkage::Average,
-            ..ClusterParams::default()
-        }
-        .cluster(&w);
+        let set = ClusterParams::default().cluster(&w);
         let bytes: Vec<u8> = set
             .membership()
             .iter()

@@ -5,76 +5,40 @@
 //! The similarity between objects is "the probability they will be accessed
 //! together": the weight of a pair `(O_i, O_j)` is the sum of probabilities
 //! of all requests containing both. Following the paper's reference to
-//! Johnson's 1967 hierarchical scheme, we build an agglomerative hierarchy
-//! over this sparse similarity graph and cut it at a preset probability
+//! Johnson's 1967 hierarchical scheme, we agglomerate this sparse similarity
+//! graph by [`average_linkage_clusters`] down to a preset probability
 //! threshold; objects with a high chance of being accessed together land in
-//! the same cluster.
-//!
-//! Two linkages are provided:
-//!
-//! * [`Dendrogram::single_linkage`] — exact single-linkage via Kruskal over
-//!   descending edge weights; cheap, and the dendrogram supports both
-//!   threshold cuts and the paper's cluster-size caps by recursive subtree
-//!   splitting.
-//! * [`average_linkage_clusters`] — sparse average linkage, the linkage
-//!   PBP, CPP and online placement cluster with (`Linkage::Average`):
-//!   single linkage chains the paper's overlapping requests into one
-//!   cluster.
+//! the same cluster. Average linkage dilutes a one-object bridge between two
+//! requests by `1/(|A|·|B|)`, so the paper's overlapping requests stay apart
+//! instead of chaining into one workload-sized cluster.
 //!
 //! The driver type is [`ClusterParams`]: it derives the absolute threshold
-//! from the workload's request probabilities and enforces the §5.1
-//! size-cap rule (clusters should not exceed the tape-batch width).
+//! from the workload's request probabilities ([`THRESHOLD_FRACTION`]) and
+//! enforces the §5.1 size-cap rule (clusters should not exceed the
+//! tape-batch width) as a byte cap.
 
 pub mod average;
-pub mod dendrogram;
 pub mod similarity;
-pub mod unionfind;
 
 pub use average::average_linkage_clusters;
-pub use dendrogram::Dendrogram;
 pub use similarity::CoAccessGraph;
-pub use unionfind::UnionFind;
 
 use serde::{Deserialize, Serialize};
 use tapesim_model::{Bytes, ObjectId};
 use tapesim_workload::Workload;
 
-/// Linkage criterion for the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Linkage {
-    /// Maximum pairwise similarity (Kruskal/MST); the default.
-    #[default]
-    Single,
-    /// Mean pairwise similarity between clusters.
-    Average,
-}
+/// The cut threshold as a fraction of the *smallest* request probability.
+/// At `0.5`, every request's object set merges (its internal pair weights
+/// are at least one request probability) and only chance co-occurrence
+/// across requests chains clusters together.
+pub const THRESHOLD_FRACTION: f64 = 0.5;
 
 /// Clustering parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ClusterParams {
-    /// The cut threshold as a fraction of the *smallest* request
-    /// probability. At the default `0.5`, every request's object set merges
-    /// (its internal pair weights are at least one request probability) and
-    /// only chance co-occurrence across requests chains clusters together.
-    pub threshold_fraction: f64,
-    /// Linkage criterion.
-    pub linkage: Linkage,
-    /// Upper bound on the number of objects per cluster, if any
-    /// (§5.1: close to `n×(d−m)` or `n×m` for maximum parallelism).
-    pub max_objects: Option<usize>,
-    /// Upper bound on a cluster's total bytes, if any (a batch's capacity).
+    /// Upper bound on a cluster's total bytes, if any (§5.1: a batch's
+    /// capacity).
     pub max_bytes: Option<Bytes>,
-}
-
-impl Default for ClusterParams {
-    fn default() -> Self {
-        ClusterParams {
-            threshold_fraction: 0.5,
-            linkage: Linkage::Single,
-            max_objects: None,
-            max_bytes: None,
-        }
-    }
 }
 
 impl ClusterParams {
@@ -86,69 +50,44 @@ impl ClusterParams {
             .map(|r| r.probability)
             .fold(f64::INFINITY, f64::min);
         if min_p.is_finite() {
-            min_p * self.threshold_fraction
+            min_p * THRESHOLD_FRACTION
         } else {
             0.0
         }
     }
 
-    /// Clusters `workload` under these parameters.
+    /// Clusters `workload`: average linkage at the absolute threshold, then
+    /// the byte cap, if any.
     pub fn cluster(&self, workload: &Workload) -> ClusterSet {
         let graph = CoAccessGraph::from_workload(workload);
-        let threshold = self.absolute_threshold(workload);
-        let mut clusters = match self.linkage {
-            Linkage::Single => {
-                let dendro = Dendrogram::single_linkage(&graph);
-                match (self.max_objects, self.max_bytes) {
-                    (None, None) => dendro.cut(threshold),
-                    _ => dendro.cut_with_caps(
-                        threshold,
-                        self.max_objects.unwrap_or(usize::MAX),
-                        self.max_bytes.unwrap_or(Bytes(u64::MAX)),
-                        &|o| workload.size_of(o),
-                    ),
-                }
-            }
-            Linkage::Average => {
-                let flat = average_linkage_clusters(&graph, threshold);
-                match (self.max_objects, self.max_bytes) {
-                    (None, None) => flat,
-                    _ => split_flat_to_caps(
-                        flat,
-                        self.max_objects.unwrap_or(usize::MAX),
-                        self.max_bytes.unwrap_or(Bytes(u64::MAX)),
-                        &|o| workload.size_of(o),
-                    ),
-                }
+        let flat = average_linkage_clusters(&graph, self.absolute_threshold(workload));
+        let clusters = match self.max_bytes {
+            None => flat,
+            Some(cap) => {
+                let mut split = split_flat_to_caps(flat, cap, workload);
+                // Deterministic presentation order: by smallest member id.
+                split.sort_by_key(|c| c[0]);
+                split
             }
         };
-        // Deterministic presentation order: by smallest member id.
-        for c in &mut clusters {
-            c.sort_unstable();
-        }
-        clusters.sort_by_key(|c| c[0]);
         ClusterSet::new(clusters, workload.objects().len())
     }
 }
 
-/// Splits flat clusters that exceed the caps by greedy chunking in member
-/// order (used for average linkage, which has no subtree structure to
-/// follow).
+/// Splits clusters whose total bytes exceed `max_bytes` by greedy chunking
+/// in member order. An object larger than the cap stays a singleton.
 fn split_flat_to_caps(
     clusters: Vec<Vec<ObjectId>>,
-    max_objects: usize,
     max_bytes: Bytes,
-    size_of: &dyn Fn(ObjectId) -> Bytes,
+    workload: &Workload,
 ) -> Vec<Vec<ObjectId>> {
     let mut out = Vec::with_capacity(clusters.len());
     for cluster in clusters {
         let mut current: Vec<ObjectId> = Vec::new();
         let mut current_bytes = Bytes::ZERO;
         for o in cluster {
-            let s = size_of(o);
-            let over = current.len() + 1 > max_objects
-                || (!current.is_empty() && current_bytes + s > max_bytes);
-            if over {
+            let s = workload.size_of(o);
+            if !current.is_empty() && current_bytes + s > max_bytes {
                 out.push(std::mem::take(&mut current));
                 current_bytes = Bytes::ZERO;
             }
@@ -208,11 +147,6 @@ impl ClusterSet {
         self.n_objects
     }
 
-    /// Number of clusters with at least two members.
-    pub fn n_nontrivial(&self) -> usize {
-        self.clusters.iter().filter(|c| c.len() > 1).count()
-    }
-
     /// Map from object to its cluster index.
     pub fn membership(&self) -> Vec<usize> {
         let mut m = vec![usize::MAX; self.n_objects];
@@ -222,6 +156,59 @@ impl ClusterSet {
             }
         }
         m
+    }
+}
+
+/// The §5.1 size rules the single-linkage dendrogram cut used to enforce,
+/// kept under their original names: the byte cap and the oversized-object
+/// singleton rule now hold on the flat average-linkage path.
+#[cfg(test)]
+mod dendrogram {
+    mod tests {
+        use crate::ClusterParams;
+        use tapesim_model::{Bytes, ObjectId};
+        use tapesim_workload::{ObjectRecord, Request, Workload};
+
+        /// One request over `n` objects of `size` each, and a byte cap.
+        fn capped(n: u32, size: Bytes, cap: Bytes) -> (Workload, Vec<Vec<ObjectId>>) {
+            let objects = (0..n)
+                .map(|i| ObjectRecord {
+                    id: ObjectId(i),
+                    size,
+                })
+                .collect();
+            let requests = vec![Request {
+                rank: 0,
+                probability: 0.9,
+                objects: (0..n).map(ObjectId).collect(),
+            }];
+            let w = Workload::new(objects, requests);
+            let params = ClusterParams {
+                max_bytes: Some(cap),
+            };
+            let clusters = params.cluster(&w).clusters().to_vec();
+            (w, clusters)
+        }
+
+        #[test]
+        fn byte_cap_splits() {
+            let (_, capped) = capped(3, Bytes::gb(1), Bytes::gb(2));
+            for c in &capped {
+                assert!(c.len() <= 2);
+            }
+            let total: usize = capped.iter().map(|c| c.len()).sum();
+            assert_eq!(total, 3);
+        }
+
+        #[test]
+        fn oversize_single_leaf_stays_singleton() {
+            let (w, capped) = capped(2, Bytes::gb(5), Bytes::gb(1));
+            assert_eq!(capped.len(), 2, "each oversized leaf alone");
+            for c in &capped {
+                assert_eq!(c.len(), 1);
+                assert_eq!(w.size_of(c[0]), Bytes::gb(5));
+            }
+        }
     }
 }
 
@@ -269,20 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_object_chains_clusters_under_single_linkage() {
+    fn shared_object_requests_cluster_apart() {
+        // The requests share object 2; average linkage dilutes that bridge,
+        // so the first request keeps it and the second stays a pair.
         let w = toy_workload(6, &[(&[0, 1, 2], 0.5), (&[2, 3, 4], 0.5)]);
         let set = ClusterParams::default().cluster(&w);
-        let big = set.clusters().iter().find(|c| c.len() == 5).unwrap();
-        assert_eq!(
-            *big,
-            vec![
-                ObjectId(0),
-                ObjectId(1),
-                ObjectId(2),
-                ObjectId(3),
-                ObjectId(4)
-            ]
-        );
+        let ids = |c: &[u32]| c.iter().map(|&o| ObjectId(o)).collect::<Vec<_>>();
+        assert_eq!(set.clusters(), [ids(&[0, 1, 2]), ids(&[3, 4]), ids(&[5])]);
     }
 
     #[test]
@@ -290,28 +270,12 @@ mod tests {
         // Pair (0,1) co-occurs in both requests (weight 1.0); the rest only
         // in one.
         let w = toy_workload(5, &[(&[0, 1, 2], 0.5), (&[0, 1, 3], 0.5)]);
-        let params = ClusterParams {
-            threshold_fraction: 1.5, // 0.75 absolute: above any single request
-            ..ClusterParams::default()
-        };
-        let set = params.cluster(&w);
-        let nontrivial: Vec<_> = set.clusters().iter().filter(|c| c.len() > 1).collect();
+        let graph = CoAccessGraph::from_workload(&w);
+        // 0.75 absolute: above any single request.
+        let clusters = average_linkage_clusters(&graph, 0.75);
+        let nontrivial: Vec<_> = clusters.iter().filter(|c| c.len() > 1).collect();
         assert_eq!(nontrivial.len(), 1);
         assert_eq!(*nontrivial[0], vec![ObjectId(0), ObjectId(1)]);
-    }
-
-    #[test]
-    fn object_caps_split_clusters() {
-        let w = toy_workload(8, &[(&[0, 1, 2, 3, 4, 5], 1.0)]);
-        let params = ClusterParams {
-            max_objects: Some(2),
-            ..ClusterParams::default()
-        };
-        let set = params.cluster(&w);
-        for c in set.clusters() {
-            assert!(c.len() <= 2, "cap violated: {c:?}");
-        }
-        assert_eq!(set.n_objects(), 8);
     }
 
     #[test]
@@ -319,25 +283,12 @@ mod tests {
         let w = toy_workload(6, &[(&[0, 1, 2, 3], 1.0)]);
         let params = ClusterParams {
             max_bytes: Some(Bytes::gb(2)),
-            ..ClusterParams::default()
         };
         let set = params.cluster(&w);
         for c in set.clusters() {
             let total: Bytes = c.iter().map(|&o| w.size_of(o)).sum();
             assert!(total <= Bytes::gb(2), "byte cap violated: {c:?}");
         }
-    }
-
-    #[test]
-    fn average_linkage_agrees_on_disjoint_requests() {
-        let w = toy_workload(10, &[(&[0, 1, 2], 0.6), (&[5, 6], 0.4)]);
-        let single = ClusterParams::default().cluster(&w);
-        let avg = ClusterParams {
-            linkage: Linkage::Average,
-            ..ClusterParams::default()
-        }
-        .cluster(&w);
-        assert_eq!(single, avg);
     }
 
     #[test]
@@ -398,29 +349,26 @@ mod proptests {
     }
 
     proptest! {
-        /// Both linkages always yield a valid partition, with and without
-        /// caps, over random overlapping workloads.
+        /// Clustering always yields a valid partition, with and without a
+        /// byte cap, over random overlapping workloads; a capped cluster
+        /// over the cap is one object larger than the cap on its own.
         #[test]
         fn clustering_always_partitions(
             seed in any::<u64>(),
             n_obj in 5u32..60,
             n_req in 1usize..20,
-            linkage_avg in any::<bool>(),
-            cap in proptest::option::of(1usize..6),
+            cap_gb in proptest::option::of(1u64..12),
         ) {
             let w = random_workload(seed, n_obj, n_req);
-            let params = ClusterParams {
-                linkage: if linkage_avg { Linkage::Average } else { Linkage::Single },
-                max_objects: cap,
-                ..ClusterParams::default()
-            };
+            let params = ClusterParams { max_bytes: cap_gb.map(Bytes::gb) };
             // `cluster` panics internally (via ClusterSet::new) if the
-            // result is not a partition; also check the caps.
+            // result is not a partition; also check the cap.
             let set = params.cluster(&w);
             prop_assert_eq!(set.n_objects(), n_obj as usize);
-            if let Some(cap) = cap {
+            if let Some(cap) = params.max_bytes {
                 for c in set.clusters() {
-                    prop_assert!(c.len() <= cap, "cap {cap} violated: {c:?}");
+                    let bytes: Bytes = c.iter().map(|&o| w.size_of(o)).sum();
+                    prop_assert!(c.len() == 1 || bytes <= cap, "cap {cap} violated: {c:?}");
                 }
             }
             // Membership round-trips.

@@ -66,6 +66,14 @@ pub enum PlacementError {
         /// Tapes available.
         available: usize,
     },
+    /// Parallel batch placement's switch-drive count `m` is outside
+    /// `1 ..= d−1` for `d` drives per library.
+    SwitchDrives {
+        /// Requested switch drives per library.
+        m: u8,
+        /// Drives per library.
+        d: u8,
+    },
 }
 
 impl std::fmt::Display for PlacementError {
@@ -84,6 +92,9 @@ impl std::fmt::Display for PlacementError {
             PlacementError::Unplaced(n) => write!(f, "{n} objects left unplaced"),
             PlacementError::OutOfTapes { needed, available } => {
                 write!(f, "workload needs {needed} tapes, system has {available}")
+            }
+            PlacementError::SwitchDrives { m, d } => {
+                write!(f, "m must satisfy 1 <= m <= d-1 (got m={m}, d={d})")
             }
         }
     }

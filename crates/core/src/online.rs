@@ -19,10 +19,9 @@
 
 use crate::density::density_ranked;
 use crate::layout::{Placement, PlacementBuilder, PlacementError, TapeRole};
-use crate::schemes::parallel_batch::ParallelBatchPlacement;
+use crate::schemes::parallel_batch::{narrow_batch_membership, ParallelBatchPlacement};
 use crate::ParallelBatchParams;
 use crate::PlacementPolicy;
-use tapesim_cluster::ClusterParams;
 use tapesim_model::{Bytes, ObjectId, SystemConfig, TapeId};
 use tapesim_workload::Workload;
 
@@ -108,17 +107,7 @@ impl IncrementalPlacer {
         // Cluster the epoch's requests and keep runs of *new* objects
         // together (old cluster members are immovable anyway).
         let membership: Vec<usize> = if self.params.use_clusters && !new_ranked.is_empty() {
-            let m = self.params.m;
-            let d = self.config.library.drives;
-            let narrow = (d - m).min(m).max(1) as u64 * self.config.libraries as u64;
-            ClusterParams {
-                threshold_fraction: self.params.threshold_fraction,
-                max_bytes: Some(Bytes(capacity.get() * narrow).scale(self.params.k_utilization)),
-                linkage: tapesim_cluster::Linkage::Average,
-                ..ClusterParams::default()
-            }
-            .cluster(workload)
-            .membership()
+            narrow_batch_membership(workload, &self.config, &self.params)
         } else {
             (0..workload.objects().len()).collect()
         };

@@ -25,18 +25,16 @@ use tapesim_workload::Workload;
 /// Configuration of the cluster-probability baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterProbabilityPlacement {
-    /// Tape capacity utilisation coefficient `k` (< 1).
+    /// Tape capacity utilisation coefficient `k` (< 1). Clusters are cut
+    /// at [`tapesim_cluster::THRESHOLD_FRACTION`] of the smallest request
+    /// probability.
     pub k_utilization: f64,
-    /// Clustering threshold as a fraction of the smallest request
-    /// probability (see [`ClusterParams::threshold_fraction`]).
-    pub threshold_fraction: f64,
 }
 
 impl Default for ClusterProbabilityPlacement {
     fn default() -> Self {
         ClusterProbabilityPlacement {
             k_utilization: 0.95,
-            threshold_fraction: 0.5,
         }
     }
 }
@@ -61,10 +59,7 @@ impl PlacementPolicy for ClusterProbabilityPlacement {
         // into one mega-cluster (the paper's workload shares objects across
         // requests aggressively).
         let params = ClusterParams {
-            threshold_fraction: self.threshold_fraction,
             max_bytes: Some(soft_cap),
-            linkage: tapesim_cluster::Linkage::Average,
-            ..ClusterParams::default()
         };
         let clusters = params.cluster(workload);
 

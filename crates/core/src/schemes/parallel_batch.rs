@@ -62,9 +62,6 @@ pub struct ParallelBatchParams {
     pub k_utilization: f64,
     /// Clusters smaller than this stay on a single tape (§5.3 step 5).
     pub min_split_bytes: Bytes,
-    /// Clustering threshold as a fraction of the smallest request
-    /// probability.
-    pub threshold_fraction: f64,
     /// Whether to use co-access clusters at all (ablation; `false` reduces
     /// steps 4–5 to per-object operation).
     pub use_clusters: bool,
@@ -81,7 +78,6 @@ impl Default for ParallelBatchParams {
             m: 4,
             k_utilization: 0.95,
             min_split_bytes: Bytes::gb(8),
-            threshold_fraction: 0.5,
             use_clusters: true,
             alignment: Alignment::OrganPipe,
             balancing: Balancing::ZigZag,
@@ -95,6 +91,26 @@ impl ParallelBatchParams {
         self.m = m;
         self
     }
+}
+
+/// Each object's co-access cluster (§5.1), clusters byte-capped to the
+/// narrower batch so any cluster can be co-batched whole; average linkage
+/// keeps overlapping requests from chaining into one workload-sized
+/// mega-cluster. (No object-count cap: the Figure 3 zig-zag spreads a
+/// large cluster over the whole batch width anyway.)
+pub(crate) fn narrow_batch_membership(
+    workload: &Workload,
+    config: &SystemConfig,
+    params: &ParallelBatchParams,
+) -> Vec<usize> {
+    let (d, m) = (config.library.drives, params.m);
+    let narrow_width = (d - m).min(m).max(1) as u64 * config.libraries as u64;
+    let cap = Bytes(config.library.tape.capacity.get() * narrow_width).scale(params.k_utilization);
+    ClusterParams {
+        max_bytes: Some(cap),
+    }
+    .cluster(workload)
+    .membership()
 }
 
 /// The paper's proposed scheme.
@@ -173,10 +189,9 @@ impl PlacementPolicy for ParallelBatchPlacement {
     ) -> Result<Placement, PlacementError> {
         let d = config.library.drives;
         let m = self.params.m;
-        assert!(
-            m >= 1 && m < d,
-            "m must satisfy 1 <= m <= d-1 (got m={m}, d={d})"
-        );
+        if m < 1 || m >= d {
+            return Err(PlacementError::SwitchDrives { m, d });
+        }
         let n = config.libraries as u64;
         let ct = config.library.tape.capacity;
         let k = self.params.k_utilization;
@@ -184,20 +199,8 @@ impl PlacementPolicy for ParallelBatchPlacement {
         // §5.3 steps 1–2: density ranking.
         let ranked = density_ranked(workload);
 
-        // §5.1: clusters byte-capped to the narrower batch so any cluster
-        // can be co-batched whole; average linkage keeps overlapping
-        // requests from chaining into one workload-sized mega-cluster.
-        // (No object-count cap: the Figure 3 zig-zag spreads a large
-        // cluster over the whole batch width anyway.)
-        let narrow_width = (d - m).min(m).max(1) as u64 * n;
         let membership: Vec<usize> = if self.params.use_clusters {
-            let params = ClusterParams {
-                threshold_fraction: self.params.threshold_fraction,
-                max_bytes: Some(Bytes(ct.get() * narrow_width).scale(k)),
-                linkage: tapesim_cluster::Linkage::Average,
-                ..ClusterParams::default()
-            };
-            params.cluster(workload).membership()
+            narrow_batch_membership(workload, config, &self.params)
         } else {
             (0..workload.objects().len()).collect()
         };
@@ -439,11 +442,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "m must satisfy")]
     fn rejects_m_equal_d() {
         let cfg = paper_table1();
         let w = workload(1, 10, 0);
-        let _ = ParallelBatchPlacement::with_m(8).place(&w, &cfg);
+        for m in [0, 8, 9] {
+            let err = ParallelBatchPlacement::with_m(m)
+                .place(&w, &cfg)
+                .unwrap_err();
+            assert_eq!(err, PlacementError::SwitchDrives { m, d: 8 });
+        }
     }
 
     #[test]

@@ -448,7 +448,7 @@ struct ReqState {
 
 /// Where in the monolithic event order an order-sensitive operation
 /// (busy-time delta, first-plan) happened: the event's timestamp, its
-/// priority class ([`ARRIVAL_PRIORITY`] for arrivals, 0 otherwise) and
+/// priority class (`ARRIVAL_PRIORITY` for arrivals, 0 otherwise) and
 /// the library whose dispatch performed it. Within one `(time, class)`
 /// tie the monolithic engine visits libraries in ascending order, so
 /// comparing keys lexicographically reproduces its operation order
@@ -1284,7 +1284,7 @@ impl EngineCheckpoint {
 ///
 /// Feeding the same `(arrival, request)` sequence produces bit-identical
 /// results no matter how submissions interleave with pumping: arrivals
-/// occupy their own event-priority class (see [`ARRIVAL_PRIORITY`]), and
+/// occupy their own event-priority class (see `ARRIVAL_PRIORITY`), and
 /// [`ShardEngine::pump`]'s watermark never runs past the last submitted
 /// arrival instant, so a later submission can never land behind the
 /// clock. `submit → pump(at) → submit → …` therefore replays

@@ -4,7 +4,7 @@
 //! served count, plus retained samples for percentile queries and
 //! scheduler-level counters (mounts, events processed). The pinned FCFS
 //! metric bits depend on the Welford accumulators being fed in one fixed
-//! push order — see [`SchedMetrics::record_seconds`].
+//! push order — see `SchedMetrics::record_seconds`.
 
 use serde::{Deserialize, Serialize};
 use tapesim_des::stats::{Samples, Welford};

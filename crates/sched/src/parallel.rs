@@ -50,7 +50,7 @@
 //! # Eligibility
 //!
 //! The decomposition is sound only when nothing crosses libraries after
-//! arrival. [`run_partitioned`] declines (returns `None`, the caller
+//! arrival. `run_partitioned` declines (returns `None`, the caller
 //! falls back to the monolithic gear) when: the system has one library;
 //! the policy is sequential (the FCFS gear mutates the simulator); span
 //! accounting is on (one global `TimeBudget` cannot be rebuilt from
@@ -88,7 +88,7 @@ pub struct ParallelConfig {
     /// Worker threads (0 = one per available CPU, clamped to the
     /// partition count either way).
     pub threads: usize,
-    /// Arrivals delivered per window round (0 = [`DEFAULT_WINDOW`]).
+    /// Arrivals delivered per window round (0 = `DEFAULT_WINDOW`, 64).
     pub window: usize,
 }
 

@@ -1,6 +1,6 @@
 //! The service's configuration, report and shared plumbing: the
-//! sharded [`Topology`], per-shard registry publishing, and the
-//! deterministic join ([`assemble`]) of per-shard books into one
+//! sharded `Topology`, per-shard registry publishing, and the
+//! deterministic join (`assemble`) of per-shard books into one
 //! [`ServeReport`].
 //!
 //! The one runtime that spawns and drives the shards is

@@ -51,7 +51,7 @@
 //! * [`SeekPolicy::Auto`] — exact DP up to [`AUTO_EXACT_MAX`] extents,
 //!   the ratio-bounded sweep beyond.
 //!
-//! The brute-force permutation oracle ([`oracle::optimal_order`]) is the
+//! The brute-force permutation oracle (`oracle::optimal_order`) is the
 //! differential wall the DP is tested against: compiled only under
 //! `cfg(test)` or the `oracle` feature, it pins `ExactDp` to the true
 //! optimum on every randomized disjoint case.
