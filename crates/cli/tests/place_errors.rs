@@ -1,5 +1,6 @@
-//! `tapesim place` rejects a switch-drive count outside `1 ..= d−1` with a
-//! one-line error and exit code 1, never a panic.
+//! `tapesim place` rejects a switch-drive count outside `1 ..= d−1` and a
+//! malformed workload file with a one-line error and exit code 1, never a
+//! panic, and places an empty workload under every scheme.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -57,4 +58,57 @@ fn out_of_range_m_is_a_one_line_error() {
     assert!(ok.status.success(), "{ok:?}");
     let _ = std::fs::remove_file(&w);
     let _ = std::fs::remove_file(&p);
+}
+
+/// Writes `json` as a workload file and places it under `scheme`.
+fn place_json(name: &str, json: &str, scheme: &str) -> Output {
+    let w = tmp(&format!("{name}.json"));
+    let p = tmp(&format!("{name}-{scheme}-p.json"));
+    std::fs::write(&w, json).expect("workload file written");
+    let out = tapesim(&[
+        "place",
+        "-w",
+        w.to_str().unwrap(),
+        "--scheme",
+        scheme,
+        "-o",
+        p.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(&w);
+    let _ = std::fs::remove_file(&p);
+    out
+}
+
+#[test]
+fn malformed_workloads_are_one_line_errors() {
+    let cases = [
+        (
+            "dangling",
+            r#"{"objects":[{"id":0,"size":1000},{"id":1,"size":1000}],
+                "requests":[{"rank":0,"probability":1.0,"objects":[0,7]}]}"#,
+            "error: json error: request 0 references unknown object O7",
+        ),
+        (
+            "non-dense",
+            r#"{"objects":[{"id":0,"size":1000},{"id":7,"size":1000}],
+                "requests":[{"rank":0,"probability":1.0,"objects":[0]}]}"#,
+            "error: json error: object ids must be dense: position 1 holds O7",
+        ),
+    ];
+    for (name, json, expected) in cases {
+        for scheme in ["pbp", "opp", "cpp"] {
+            let out = place_json(name, json, scheme);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {scheme}: {stderr}");
+            assert_eq!(stderr.trim_end(), expected, "{name} {scheme}");
+        }
+    }
+}
+
+#[test]
+fn empty_workload_places_under_every_scheme() {
+    for scheme in ["pbp", "opp", "cpp"] {
+        let out = place_json("empty", r#"{"objects":[],"requests":[]}"#, scheme);
+        assert!(out.status.success(), "{scheme}: {out:?}");
+    }
 }

@@ -1,37 +1,26 @@
 //! # tapesim-cluster
 //!
-//! Object clustering by co-access relationship (§5.1 of the paper).
+//! Byte-capped co-access clusters (§5.1 of the paper).
 //!
 //! The similarity between objects is "the probability they will be accessed
-//! together": the weight of a pair `(O_i, O_j)` is the sum of probabilities
-//! of all requests containing both. Following the paper's reference to
-//! Johnson's 1967 hierarchical scheme, we agglomerate this sparse similarity
-//! graph by [`average_linkage_clusters`] down to a preset probability
-//! threshold; objects with a high chance of being accessed together land in
-//! the same cluster. Average linkage dilutes a one-object bridge between two
-//! requests by `1/(|A|·|B|)`, so the paper's overlapping requests stay apart
-//! instead of chaining into one workload-sized cluster.
+//! together", a property of the workload: the weight of a pair
+//! `(O_i, O_j)` is the sum of probabilities of all requests containing
+//! both. The workload crate owns that graph and its flat average-linkage
+//! partition ([`Workload::co_access_clusters`], re-exported here with
+//! [`CoAccessGraph`], [`average_linkage_clusters`] and
+//! [`THRESHOLD_FRACTION`]), computed once per workload value.
 //!
-//! The driver type is [`ClusterParams`]: it derives the absolute threshold
-//! from the workload's request probabilities ([`THRESHOLD_FRACTION`]) and
-//! enforces the §5.1 size-cap rule (clusters should not exceed the
-//! tape-batch width) as a byte cap.
+//! What differs between the clustering placements is the §5.1 size rule:
+//! a cluster should not exceed the tape-batch width. [`ClusterParams`]
+//! applies it as a byte cap to the shared partition, so parallel batch,
+//! cluster probability and online placement on one workload cluster it
+//! once between them.
 
-pub mod average;
-pub mod similarity;
-
-pub use average::average_linkage_clusters;
-pub use similarity::CoAccessGraph;
+pub use tapesim_workload::{average_linkage_clusters, CoAccessGraph, THRESHOLD_FRACTION};
 
 use serde::{Deserialize, Serialize};
 use tapesim_model::{Bytes, ObjectId};
 use tapesim_workload::Workload;
-
-/// The cut threshold as a fraction of the *smallest* request probability.
-/// At `0.5`, every request's object set merges (its internal pair weights
-/// are at least one request probability) and only chance co-occurrence
-/// across requests chains clusters together.
-pub const THRESHOLD_FRACTION: f64 = 0.5;
 
 /// Clustering parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -42,27 +31,18 @@ pub struct ClusterParams {
 }
 
 impl ClusterParams {
-    /// Absolute cut threshold for `workload`.
+    /// Absolute cut threshold for `workload`
+    /// ([`Workload::co_access_threshold`]).
     pub fn absolute_threshold(&self, workload: &Workload) -> f64 {
-        let min_p = workload
-            .requests()
-            .iter()
-            .map(|r| r.probability)
-            .fold(f64::INFINITY, f64::min);
-        if min_p.is_finite() {
-            min_p * THRESHOLD_FRACTION
-        } else {
-            0.0
-        }
+        workload.co_access_threshold()
     }
 
-    /// Clusters `workload`: average linkage at the absolute threshold, then
-    /// the byte cap, if any.
+    /// Clusters `workload`: its shared co-access partition, then the byte
+    /// cap, if any.
     pub fn cluster(&self, workload: &Workload) -> ClusterSet {
-        let graph = CoAccessGraph::from_workload(workload);
-        let flat = average_linkage_clusters(&graph, self.absolute_threshold(workload));
+        let flat = workload.co_access_clusters();
         let clusters = match self.max_bytes {
-            None => flat,
+            None => flat.to_vec(),
             Some(cap) => {
                 let mut split = split_flat_to_caps(flat, cap, workload);
                 // Deterministic presentation order: by smallest member id.
@@ -77,7 +57,7 @@ impl ClusterParams {
 /// Splits clusters whose total bytes exceed `max_bytes` by greedy chunking
 /// in member order. An object larger than the cap stays a singleton.
 fn split_flat_to_caps(
-    clusters: Vec<Vec<ObjectId>>,
+    clusters: &[Vec<ObjectId>],
     max_bytes: Bytes,
     workload: &Workload,
 ) -> Vec<Vec<ObjectId>> {
@@ -85,7 +65,7 @@ fn split_flat_to_caps(
     for cluster in clusters {
         let mut current: Vec<ObjectId> = Vec::new();
         let mut current_bytes = Bytes::ZERO;
-        for o in cluster {
+        for &o in cluster {
             let s = workload.size_of(o);
             if !current.is_empty() && current_bytes + s > max_bytes {
                 out.push(std::mem::take(&mut current));
@@ -292,6 +272,29 @@ mod tests {
     }
 
     #[test]
+    fn capped_calls_share_one_partition() {
+        let w = toy_workload(8, &[(&[0, 1, 2, 3, 4, 5], 0.7), (&[6, 7], 0.3)]);
+        let narrow = ClusterParams {
+            max_bytes: Some(Bytes::gb(2)),
+        }
+        .cluster(&w);
+        let shared = w.co_access_clusters().as_ptr();
+        let wide = ClusterParams {
+            max_bytes: Some(Bytes::gb(4)),
+        }
+        .cluster(&w);
+        assert!(std::ptr::eq(shared, w.co_access_clusters().as_ptr()));
+        assert_ne!(narrow, wide);
+        // Each capped cluster lies inside one cluster of the partition.
+        let flat = ClusterParams::default().cluster(&w).membership();
+        for set in [&narrow, &wide] {
+            for c in set.clusters() {
+                assert!(c.iter().all(|o| flat[o.idx()] == flat[c[0].idx()]), "{c:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "two clusters")]
     fn cluster_set_rejects_overlap() {
         let _ = ClusterSet::new(vec![vec![ObjectId(0)], vec![ObjectId(0)]], 1);
@@ -377,27 +380,6 @@ mod proptests {
                 for o in c {
                     prop_assert_eq!(m[o.idx()], i);
                 }
-            }
-        }
-
-        /// Pair weights are symmetric, non-negative, and bounded by the
-        /// total request mass; the integer-keyed edge sort is the float
-        /// order (weight descending, then pair ascending).
-        #[test]
-        fn similarity_bounds(seed in any::<u64>(), n_obj in 4u32..40, n_req in 1usize..15) {
-            let w = random_workload(seed, n_obj, n_req);
-            let g = CoAccessGraph::from_workload(&w);
-            let total: f64 = w.requests().iter().map(|r| r.probability).sum();
-            let edges = g.edges_by_weight_desc();
-            for &(a, b, wgt) in edges {
-                prop_assert!(a < b);
-                prop_assert!(wgt > 0.0 && wgt <= total + 1e-9);
-                prop_assert!((g.pair_weight(a, b) - wgt).abs() < 1e-12);
-                prop_assert!((g.pair_weight(b, a) - wgt).abs() < 1e-12);
-            }
-            for pair in edges.windows(2) {
-                let (x, y) = (pair[0], pair[1]);
-                prop_assert!(x.2 > y.2 || (x.2 == y.2 && (x.0, x.1) < (y.0, y.1)), "{x:?} {y:?}");
             }
         }
     }

@@ -65,7 +65,7 @@ impl PlacementPolicy for ClusterProbabilityPlacement {
 
         // Rank objects once; index by id for cluster accounting.
         let ranked = density_ranked(workload);
-        let mut by_id = vec![ranked[0]; ranked.len()];
+        let mut by_id = ranked.clone();
         for r in &ranked {
             by_id[r.id.idx()] = *r;
         }
@@ -209,6 +209,16 @@ mod tests {
             .unwrap();
         p.verify_against(&w).unwrap();
         assert!(p.n_used_tapes() >= 1);
+    }
+
+    #[test]
+    fn empty_workload_places_nothing() {
+        let w = Workload::new(vec![], vec![]);
+        let p = ClusterProbabilityPlacement::default()
+            .place(&w, &paper_table1())
+            .unwrap();
+        p.verify_against(&w).unwrap();
+        assert_eq!(p.n_used_tapes(), 0);
     }
 
     #[test]

@@ -23,8 +23,13 @@ pub fn round_robin_tapes(config: &SystemConfig) -> Vec<TapeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement,
+        PlacementPolicy,
+    };
     use tapesim_model::specs::paper_table1;
     use tapesim_model::LibraryId;
+    use tapesim_workload::{RequestSpec, Workload, WorkloadSpec};
 
     #[test]
     fn round_robin_interleaves_libraries() {
@@ -38,5 +43,40 @@ mod tests {
         // Every tape appears exactly once.
         let set: std::collections::HashSet<_> = tapes.iter().collect();
         assert_eq!(set.len(), 240);
+    }
+
+    /// The three schemes placed in sequence on one workload, sharing its
+    /// co-access partition, lay out exactly what each lays out on a fresh
+    /// copy that clusters from scratch.
+    #[test]
+    fn schemes_sharing_one_workload_match_fresh_copies() {
+        let shared = WorkloadSpec {
+            objects: 6_000,
+            requests: RequestSpec {
+                count: 60,
+                ..RequestSpec::default()
+            },
+            ..WorkloadSpec::default()
+        }
+        .generate();
+        let cfg = paper_table1();
+        let schemes: [&dyn PlacementPolicy; 3] = [
+            &ParallelBatchPlacement::default(),
+            &ObjectProbabilityPlacement::default(),
+            &ClusterProbabilityPlacement::default(),
+        ];
+        for scheme in schemes {
+            let on_shared = scheme.place(&shared, &cfg).unwrap();
+            let fresh = Workload::new(shared.objects().to_vec(), shared.requests().to_vec());
+            let on_fresh = scheme.place(&fresh, &cfg).unwrap();
+            // `Debug` prints every float in round-trip form, so equal text
+            // is equal bits.
+            assert_eq!(
+                format!("{on_shared:?}"),
+                format!("{on_fresh:?}"),
+                "{}",
+                scheme.name()
+            );
+        }
     }
 }

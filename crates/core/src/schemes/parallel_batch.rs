@@ -93,11 +93,12 @@ impl ParallelBatchParams {
     }
 }
 
-/// Each object's co-access cluster (§5.1), clusters byte-capped to the
-/// narrower batch so any cluster can be co-batched whole; average linkage
-/// keeps overlapping requests from chaining into one workload-sized
-/// mega-cluster. (No object-count cap: the Figure 3 zig-zag spreads a
-/// large cluster over the whole batch width anyway.)
+/// Each object's co-access cluster (§5.1): the workload's shared
+/// partition, byte-capped to the narrower batch so any cluster can be
+/// co-batched whole; average linkage keeps overlapping requests from
+/// chaining into one workload-sized mega-cluster. (No object-count cap:
+/// the Figure 3 zig-zag spreads a large cluster over the whole batch
+/// width anyway.)
 pub(crate) fn narrow_batch_membership(
     workload: &Workload,
     config: &SystemConfig,

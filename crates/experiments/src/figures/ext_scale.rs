@@ -7,9 +7,9 @@
 //! `parallel batch > object probability > cluster probability` (by
 //! effective bandwidth) holds at every point.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{scheme_bandwidths, sweep};
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 
 /// One scale variation.
 #[derive(Debug, Clone, Copy)]
@@ -88,16 +88,14 @@ fn apply(base: &ExperimentSettings, v: &Variant) -> ExperimentSettings {
 /// Runs the experiment. x indexes the variant.
 pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let vs = variants();
-    let points: Vec<(Scheme, usize)> = Scheme::ALL
+    // One workload per variant, shared by the three schemes.
+    let settings: Vec<ExperimentSettings> = vs.iter().map(|v| apply(base, v)).collect();
+    let workloads = sweep(settings.clone(), ExperimentSettings::generate_workload);
+    let points: Vec<_> = settings
         .iter()
-        .flat_map(|&s| (0..vs.len()).map(move |i| (s, i)))
+        .zip(&workloads)
+        .map(|(&s, w)| (s, s.system(), w))
         .collect();
-    let values = sweep(points, |&(scheme, i)| {
-        let settings = apply(base, &vs[i]);
-        let system = settings.system();
-        let workload = settings.generate_workload();
-        evaluate(&settings, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "ext_scale",
@@ -106,9 +104,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         (0..vs.len()).map(|i| i as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * vs.len()..(i + 1) * vs.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
     for (i, v) in vs.iter().enumerate() {
         result.push_note(format!("variant {i}: {}", v.name));

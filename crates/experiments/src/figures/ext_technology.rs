@@ -10,9 +10,9 @@
 //! Libraries get 240 cartridge cells so the fixed ≈51 TB workload fits
 //! even the 100 GB LTO-1 cartridges (see EXPERIMENTS.md).
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::scheme_bandwidths;
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 use tapesim_model::specs::lto_generations;
 
 /// Runs the experiment. x indexes the LTO generation (1-based).
@@ -23,16 +23,13 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     // for comparability.
     let sized = base.with_tapes_per_library(base.tapes_per_library.max(720));
 
-    let points: Vec<(Scheme, usize)> = Scheme::ALL
+    // The workload does not depend on the generation: one serves every
+    // point.
+    let workload = sized.generate_workload();
+    let points: Vec<_> = generations
         .iter()
-        .flat_map(|&s| (0..generations.len()).map(move |g| (s, g)))
+        .map(|&(_, drive, tape)| (sized, sized.system_with(drive, tape), &workload))
         .collect();
-    let values = sweep(points, |&(scheme, g)| {
-        let (_, drive, tape) = generations[g];
-        let system = sized.system_with(drive, tape);
-        let workload = sized.generate_workload();
-        evaluate(&sized, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "ext_technology",
@@ -41,9 +38,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         (1..=generations.len()).map(|g| g as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * generations.len()..(i + 1) * generations.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
     for (name, drive, tape) in &generations {
         result.push_note(format!(

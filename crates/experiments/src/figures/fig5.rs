@@ -27,14 +27,15 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let ms = ms(base);
     let system = base.system();
 
-    let points: Vec<(f64, u8)> = alphas
-        .iter()
-        .flat_map(|&a| ms.iter().map(move |&m| (a, m)))
+    // One workload per α, shared by every `m`: the points of one curve
+    // place the same workload, so they share its co-access partition.
+    let workloads = sweep(alphas.clone(), |&a| base.with_alpha(a).generate_workload());
+    let points: Vec<(usize, u8)> = (0..alphas.len())
+        .flat_map(|i| ms.iter().map(move |&m| (i, m)))
         .collect();
-    let values = sweep(points, |&(alpha, m)| {
-        let settings = base.with_alpha(alpha).with_m(m);
-        let workload = settings.generate_workload();
-        evaluate(&settings, &system, &workload, Scheme::ParallelBatch).avg_bandwidth_mbs()
+    let values = sweep(points, |&(i, m)| {
+        let settings = base.with_alpha(alphas[i]).with_m(m);
+        evaluate(&settings, &system, &workloads[i], Scheme::ParallelBatch).avg_bandwidth_mbs()
     });
 
     let mut result = ExperimentResult::new(

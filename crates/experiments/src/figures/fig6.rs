@@ -6,9 +6,9 @@
 //! parallel batch placement wins everywhere. The paper runs this at an
 //! average request size of ≈213 GB and then fixes α = 0.3.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{scheme_bandwidths, sweep};
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 
 /// The swept α values.
 pub fn alphas() -> Vec<f64> {
@@ -21,16 +21,14 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
 
     // One workload per α (same objects and request memberships — only the
-    // popularity weights change; see tapesim-workload's stream splitting).
-    let points: Vec<(Scheme, f64)> = Scheme::ALL
+    // popularity weights change; see tapesim-workload's stream splitting),
+    // shared by the three schemes.
+    let workloads = sweep(alphas.clone(), |&a| base.with_alpha(a).generate_workload());
+    let points: Vec<_> = alphas
         .iter()
-        .flat_map(|&s| alphas.iter().map(move |&a| (s, a)))
+        .zip(&workloads)
+        .map(|(&a, w)| (base.with_alpha(a), system, w))
         .collect();
-    let values = sweep(points, |&(scheme, alpha)| {
-        let settings = base.with_alpha(alpha);
-        let workload = settings.generate_workload();
-        evaluate(&settings, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "fig6",
@@ -39,14 +37,14 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         alphas.clone(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * alphas.len()..(i + 1) * alphas.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
-    let w = base.generate_workload();
+    // α leaves object sizes and request memberships alone, so every
+    // workload has the base workload's average request size.
     result.push_note(format!(
         "average request size {:.0} GB; {} samples per point; m = {}",
-        w.avg_request_bytes().as_gb(),
+        workloads[0].avg_request_bytes().as_gb(),
         base.samples,
         base.m
     ));

@@ -13,9 +13,9 @@
 //! the transfer share of the response: the paper reports ≈62% for cluster
 //! probability (serial transfer) vs ≈19% for parallel batch.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{evaluate, scheme_bandwidths, sweep, Scheme};
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 use tapesim_model::Bytes;
 
 /// Swept average request sizes (GB).
@@ -26,16 +26,20 @@ pub fn request_sizes_gb() -> Vec<u64> {
 /// Runs the sweep plus the extreme all-mounted case.
 pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let sizes = request_sizes_gb();
+    // One workload per size, shared by the three schemes.
+    let workloads = sweep(sizes.clone(), |&gb| {
+        base.workload
+            .with_target_request_size(Bytes::gb(gb))
+            .generate()
+    });
     // Size the cartridge-cell count to the *largest* sweep point: scaling
     // object sizes up scales total bytes with them, and the cell count has
     // no performance effect beyond providing capacity (drives and robots
     // are untouched).
     let mut base = *base;
     {
-        let largest = base
-            .workload
-            .with_target_request_size(Bytes::gb(*sizes.last().expect("non-empty sweep")));
-        let total = largest.generate().total_bytes().get() as f64;
+        let largest = workloads.last().expect("non-empty sweep");
+        let total = largest.total_bytes().get() as f64;
         let ct = base.system().library.tape.capacity.get() as f64;
         let cells_needed = (total / (ct * 0.85)).ceil() as u16;
         let per_library = cells_needed / base.libraries.max(1) + 8;
@@ -43,16 +47,15 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     }
     let system = base.system();
 
-    let points: Vec<(Scheme, u64)> = Scheme::ALL
+    let points: Vec<_> = sizes
         .iter()
-        .flat_map(|&s| sizes.iter().map(move |&gb| (s, gb)))
+        .zip(&workloads)
+        .map(|(&gb, w)| {
+            let mut settings = base;
+            settings.workload = settings.workload.with_target_request_size(Bytes::gb(gb));
+            (settings, system, w)
+        })
         .collect();
-    let values = sweep(points, |&(scheme, gb)| {
-        let mut settings = base;
-        settings.workload = settings.workload.with_target_request_size(Bytes::gb(gb));
-        let workload = settings.generate_workload();
-        evaluate(&settings, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "fig7",
@@ -61,9 +64,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         sizes.iter().map(|&g| g as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * sizes.len()..(i + 1) * sizes.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
 
     // Extreme case: everything fits the n×d startup-mounted tapes.

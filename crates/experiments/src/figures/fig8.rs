@@ -12,9 +12,9 @@
 //! single-library point stores 57 TB of objects). Drives and robots per
 //! library — the quantities that determine performance — are unchanged.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::scheme_bandwidths;
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 use tapesim_model::Bytes;
 
 /// Swept library counts.
@@ -32,16 +32,16 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         .tapes_per_library
         .max(crate::figures::cells_needed(&sized, 1));
 
-    let points: Vec<(Scheme, u16)> = Scheme::ALL
+    // The workload does not depend on the library count: one serves every
+    // point.
+    let workload = sized.generate_workload();
+    let points: Vec<_> = ns
         .iter()
-        .flat_map(|&s| ns.iter().map(move |&n| (s, n)))
+        .map(|&n| {
+            let settings = sized.with_libraries(n);
+            (settings, settings.system(), &workload)
+        })
         .collect();
-    let values = sweep(points, |&(scheme, n)| {
-        let settings = sized.with_libraries(n);
-        let system = settings.system();
-        let workload = settings.generate_workload();
-        evaluate(&settings, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "fig8",
@@ -50,9 +50,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         ns.iter().map(|&n| n as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * ns.len()..(i + 1) * ns.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
     result.push_note(format!(
         "average request ≈240 GB; {} cartridge cells per library (see EXPERIMENTS.md); {} samples",

@@ -4,7 +4,7 @@
 use crate::settings::ExperimentSettings;
 use rayon::prelude::*;
 use std::path::Path;
-use tapesim_analysis::{ascii_chart, ExperimentResult, Table};
+use tapesim_analysis::{ascii_chart, ExperimentResult, Series, Table};
 use tapesim_model::SystemConfig;
 use tapesim_placement::{
     ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchParams,
@@ -103,6 +103,30 @@ where
     points.par_iter().map(&f).collect()
 }
 
+/// Average bandwidth of every scheme at every sweep point, one [`Series`]
+/// per scheme in [`Scheme::ALL`] order. Point `i` is the settings, system
+/// and workload of x-index `i`. The two clustering schemes share the
+/// workload's co-access partition; the sweep runs point-major, so one
+/// worker usually runs a point's schemes and the other rarely waits for
+/// the partition.
+pub fn scheme_bandwidths(points: &[(ExperimentSettings, SystemConfig, &Workload)]) -> Vec<Series> {
+    let runs: Vec<(usize, Scheme)> = (0..points.len())
+        .flat_map(|i| Scheme::ALL.map(|s| (i, s)))
+        .collect();
+    let values = sweep(runs, |&(i, scheme)| {
+        let (settings, system, workload) = &points[i];
+        evaluate(settings, system, workload, scheme).avg_bandwidth_mbs()
+    });
+    Scheme::ALL
+        .iter()
+        .enumerate()
+        .map(|(s, scheme)| {
+            let ys = values.iter().skip(s).step_by(Scheme::ALL.len()).copied();
+            Series::new(scheme.label(), ys.collect())
+        })
+        .collect()
+}
+
 /// Writes a result to `<dir>/<id>.json` and `<dir>/<id>.md`, and returns
 /// the human-readable report (table + chart) that binaries print.
 pub fn render_and_save(result: &ExperimentResult, dir: &Path) -> std::io::Result<String> {
@@ -137,7 +161,6 @@ pub fn results_dir() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tapesim_analysis::Series;
     use tapesim_model::Bytes;
     use tapesim_workload::{ObjectSizeSpec, RequestSpec, WorkloadSpec};
 

@@ -6,15 +6,26 @@
 //!
 //! * per-object access probability `P(O_i) = Σ_{R ∋ O_i} P(R)` (§5.3 step 1),
 //! * per-object probability **density** `P(O_i)/size(O_i)` (§5.3 step 2),
-//! * average request size in bytes (the x-axis of Figures 6–9).
+//! * average request size in bytes (the x-axis of Figures 6–9),
+//! * the flat co-access partition (§5.1) every clustering placement
+//!   starts from, computed once per workload value.
 
+use crate::average::average_linkage_clusters;
 use crate::object::{ObjectRecord, ObjectSizeSpec};
 use crate::request::{Request, RequestSpec};
 use crate::sampler::RequestSampler;
+use crate::similarity::CoAccessGraph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 use tapesim_model::{Bytes, ObjectId};
+
+/// The co-access cut threshold as a fraction of the *smallest* request
+/// probability. At `0.5`, every request's object set merges (its internal
+/// pair weights are at least one request probability) and only chance
+/// co-occurrence across requests chains clusters together.
+pub const THRESHOLD_FRACTION: f64 = 0.5;
 
 /// Generation parameters for a complete workload.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,10 +97,92 @@ impl WorkloadSpec {
 }
 
 /// A generated workload: object population plus pre-defined request set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Workload {
     objects: Vec<ObjectRecord>,
     requests: Vec<Request>,
+    /// Memo of [`Workload::co_access_clusters`], filled by its first call.
+    /// It is a function of `objects` and `requests` alone, and those never
+    /// change: the fields are private and no method takes `&mut self`. So
+    /// a clone may share the memo through the `Arc`, and equality and the
+    /// serialized form ignore it.
+    partition: Arc<OnceLock<Vec<Vec<ObjectId>>>>,
+}
+
+/// Why a set of parts is not a workload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WorkloadError {
+    /// Object ids must be dense: the object at `position` has id `id`.
+    NonDenseId {
+        /// Index of the offending object in the population.
+        position: usize,
+        /// Its id.
+        id: ObjectId,
+    },
+    /// A request names an object outside the population.
+    UnknownObject {
+        /// The request's rank.
+        request: u32,
+        /// The missing object.
+        object: ObjectId,
+    },
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadError::NonDenseId { position, id } => {
+                write!(
+                    f,
+                    "object ids must be dense: position {position} holds {id}"
+                )
+            }
+            WorkloadError::UnknownObject { request, object } => {
+                write!(f, "request {request} references unknown object {object}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
+impl PartialEq for Workload {
+    fn eq(&self, other: &Workload) -> bool {
+        self.objects == other.objects && self.requests == other.requests
+    }
+}
+
+impl std::fmt::Debug for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workload")
+            .field("objects", &self.objects)
+            .field("requests", &self.requests)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Serialize for Workload {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            (String::from("objects"), self.objects.to_value()),
+            (String::from("requests"), self.requests.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Workload {
+    /// Reads the parts and validates them with [`Workload::try_new`].
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", "Workload"))?;
+        let field = |name| {
+            serde::value::field(fields, name).ok_or_else(|| serde::Error::missing(name, "Workload"))
+        };
+        let objects = Deserialize::from_value(field("objects")?)?;
+        let requests = Deserialize::from_value(field("requests")?)?;
+        Workload::try_new(objects, requests).map_err(|e| serde::Error(e.to_string()))
+    }
 }
 
 impl Workload {
@@ -98,21 +191,37 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if ids are not dense `0..objects.len()` or a request
-    /// references a missing object.
+    /// references a missing object; [`Workload::try_new`] returns those
+    /// as errors instead.
     pub fn new(objects: Vec<ObjectRecord>, requests: Vec<Request>) -> Workload {
-        for (i, o) in objects.iter().enumerate() {
-            assert_eq!(o.id.idx(), i, "object ids must be dense");
+        // Panic with the error's message rather than its `Debug` form.
+        Workload::try_new(objects, requests)
+            .map_err(|e| e.to_string())
+            .expect("invalid workload")
+    }
+
+    /// Assembles a workload from parts, rejecting ids that are not dense
+    /// `0..objects.len()` and requests that reference a missing object.
+    pub fn try_new(
+        objects: Vec<ObjectRecord>,
+        requests: Vec<Request>,
+    ) -> Result<Workload, WorkloadError> {
+        if let Some((position, o)) = objects.iter().enumerate().find(|(i, o)| o.id.idx() != *i) {
+            return Err(WorkloadError::NonDenseId { position, id: o.id });
         }
         for r in &requests {
-            for o in &r.objects {
-                assert!(
-                    o.idx() < objects.len(),
-                    "request {} references unknown object {o}",
-                    r.rank
-                );
+            if let Some(&object) = r.objects.iter().find(|o| o.idx() >= objects.len()) {
+                return Err(WorkloadError::UnknownObject {
+                    request: r.rank,
+                    object,
+                });
             }
         }
-        Workload { objects, requests }
+        Ok(Workload {
+            objects,
+            requests,
+            partition: Arc::default(),
+        })
     }
 
     /// The object population.
@@ -163,6 +272,35 @@ impl Workload {
             }
         }
         p
+    }
+
+    /// The absolute co-access cut threshold: [`THRESHOLD_FRACTION`] of the
+    /// smallest request probability (0 with no requests).
+    pub fn co_access_threshold(&self) -> f64 {
+        let min_p = self
+            .requests
+            .iter()
+            .map(|r| r.probability)
+            .fold(f64::INFINITY, f64::min);
+        if min_p.is_finite() {
+            min_p * THRESHOLD_FRACTION
+        } else {
+            0.0
+        }
+    }
+
+    /// The flat co-access partition (§5.1): [`average_linkage_clusters`]
+    /// of the [`CoAccessGraph`] at [`Workload::co_access_threshold`]. Every
+    /// object is in exactly one cluster; clusters are ordered by smallest
+    /// member, members ascending.
+    ///
+    /// The first call computes it, dropping the graph after linkage; later
+    /// calls, on this value or a clone of it, return the same slice.
+    pub fn co_access_clusters(&self) -> &[Vec<ObjectId>] {
+        self.partition.get_or_init(|| {
+            let graph = CoAccessGraph::from_workload(self);
+            average_linkage_clusters(&graph, self.co_access_threshold())
+        })
     }
 
     /// A sampler over the pre-defined requests weighted by popularity.
@@ -255,6 +393,63 @@ mod tests {
         let json = serde_json::to_string(&w).unwrap();
         let back: Workload = serde_json::from_str(&json).unwrap();
         assert_eq!(w, back);
+    }
+
+    #[test]
+    fn clone_and_json_round_trip_share_the_partition() {
+        let w = small_spec().generate();
+        let clone = w.clone();
+        let json = serde_json::to_string(&w).unwrap();
+        let back: Workload = serde_json::from_str(&json).unwrap();
+        assert_eq!(w, clone);
+        assert_eq!(w, back);
+        assert_eq!(w.co_access_clusters(), back.co_access_clusters());
+        // The clone shares the memo the original just filled.
+        assert!(std::ptr::eq(
+            w.co_access_clusters(),
+            clone.co_access_clusters()
+        ));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn try_new_and_json_reject_malformed_parts() {
+        let object = |i| ObjectRecord {
+            id: ObjectId(i),
+            size: Bytes::mb(1),
+        };
+        let request = |o| Request {
+            rank: 2,
+            probability: 1.0,
+            objects: vec![ObjectId(0), ObjectId(o)],
+        };
+        assert_eq!(
+            Workload::try_new(vec![object(0), object(7)], vec![]),
+            Err(WorkloadError::NonDenseId {
+                position: 1,
+                id: ObjectId(7)
+            })
+        );
+        assert_eq!(
+            Workload::try_new(vec![object(0)], vec![request(3)]),
+            Err(WorkloadError::UnknownObject {
+                request: 2,
+                object: ObjectId(3)
+            })
+        );
+        let empty = Workload::try_new(vec![], vec![]).unwrap();
+        assert!(empty.co_access_clusters().is_empty());
+
+        let valid = Workload::new(vec![object(0), object(1)], vec![request(1)]);
+        let json = serde_json::to_string(&valid).unwrap();
+        let dangling = json.replace("\"objects\":[0,1]", "\"objects\":[0,9]");
+        assert_ne!(dangling, json);
+        let err = serde_json::from_str::<Workload>(&dangling).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("request 2 references unknown object"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -49,9 +49,10 @@
 //!   a deliberate over-approximation) from the engine entry points
 //!   (`run_scheduled*`, the serve crate's `serve_run` and
 //!   `supervisor_run`, the parallel gears' `run_windowed` and
-//!   `run_partitioned`, and the sim crate's `plan_with` seek-policy
+//!   `run_partitioned`, the sim crate's `plan_with` seek-policy
 //!   dispatcher — the exact-DP and approx planners must be panic-free on
-//!   any input).
+//!   any input — and `Workload::try_new`, which validates every workload
+//!   file).
 //!
 //! Findings can be suppressed via `xtask/lint.allow`: one
 //! `RULE path-substring` pair per line, `#` comments allowed. An
@@ -819,6 +820,9 @@ fn is_root(krate: &str, name: &str) -> bool {
         // exact LTSP DP, ratio-2 approx) hangs off this entry, so the
         // DP's state/replay machinery is lint-forced to stay index-free.
         || (krate == "sim" && name.starts_with("plan_with"))
+        // The workload validation boundary: deserialising a workload file
+        // runs it on untrusted input, so it must reject, never panic.
+        || (krate == "workload" && name == "try_new")
 }
 
 /// Builds the graph, BFS-marks reachability from the engine roots, and
@@ -1540,6 +1544,28 @@ mod tests {
         assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
         assert!(findings[0].note.contains("run_windowed -> step"));
         assert!(findings[1].note.contains("run_partitioned"));
+    }
+
+    #[test]
+    fn l10_treats_workload_validation_as_a_root() {
+        // `try_new` validates deserialised workloads: indexing or a panic
+        // reachable from it is flagged, in the workload crate only.
+        let src = "pub fn try_new(ids: &[u32], n: usize) -> Result<u32, String> {\n\
+                   \x20   if n > ids.len() { panic!(\"short\") }\n\
+                   \x20   Ok(ids[n])\n\
+                   }\n";
+        let fx = Fixture::new();
+        fx.write("crates/workload/src/workload.rs", src);
+        let findings = fx.scan(&Allowlist::default());
+        assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
+        assert_eq!(findings[0].line, 2);
+        assert!(findings[0].note.contains("reachable: try_new"));
+        assert_eq!(findings[1].line, 3);
+        assert!(findings[1].note.contains("slice indexing"));
+
+        let other = Fixture::new();
+        other.write("crates/sim/src/ok.rs", src);
+        assert!(other.scan(&Allowlist::default()).is_empty());
     }
 
     #[test]
