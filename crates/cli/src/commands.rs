@@ -14,7 +14,7 @@ use tapesim_model::specs::{lto3_drive, lto3_tape, stk_l80_library};
 use tapesim_model::{Bytes, SystemConfig};
 use tapesim_placement::{
     ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement, Placement,
-    PlacementPolicy, TapeRole,
+    PlacementError, PlacementPolicy, TapeRole,
 };
 use tapesim_sched::{
     run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig,
@@ -82,6 +82,21 @@ fn read_workload(path: &str) -> Result<Workload, CommandError> {
 fn read_placement(path: &str) -> Result<Placement, CommandError> {
     let json = std::fs::read_to_string(Path::new(path))?;
     Ok(serde_json::from_str(&json)?)
+}
+
+/// The simulator for a placement read from a file, under its natural
+/// switch policy. A placement with pinned tapes runs the batch policy,
+/// whose `--m` switch drives must satisfy `1 <= m <= d-1`; anything else
+/// is rejected with the `PlacementError::SwitchDrives` text `place` uses.
+fn natural_simulator(placement: Placement, args: &Args) -> Result<Simulator, CommandError> {
+    let m: u8 = args.get_or("m", 4)?;
+    let d = placement.config().library.drives;
+    if !placement.pinned_tapes().is_empty() && !(1..d).contains(&m) {
+        return Err(CommandError(
+            PlacementError::SwitchDrives { m, d }.to_string(),
+        ));
+    }
+    Ok(Simulator::with_natural_policy(placement, m))
 }
 
 fn system_from(args: &Args) -> Result<SystemConfig, CommandError> {
@@ -159,10 +174,9 @@ pub fn simulate(args: &Args) -> Result<String, CommandError> {
     placement
         .verify_against(&workload)
         .map_err(|e| CommandError(format!("placement does not match workload: {e}")))?;
-    let m: u8 = args.get_or("m", 4)?;
     let samples: usize = args.get_or("samples", 200)?;
     let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
-    let mut sim = Simulator::with_natural_policy(placement, m).with_seek(seek_policy_from(args)?);
+    let mut sim = natural_simulator(placement, args)?.with_seek(seek_policy_from(args)?);
     let run = sim.run_sampled(&workload, samples, seed);
     if args.has("json") {
         return Ok(serde_json::to_string_pretty(&run)?);
@@ -206,8 +220,7 @@ pub fn serve(args: &Args) -> Result<String, CommandError> {
         .requests()
         .get(rank)
         .ok_or_else(|| CommandError(format!("no request with rank {rank}")))?;
-    let m: u8 = args.get_or("m", 4)?;
-    let mut sim = Simulator::with_natural_policy(placement, m).with_seek(seek_policy_from(args)?);
+    let mut sim = natural_simulator(placement, args)?.with_seek(seek_policy_from(args)?);
     let (metrics, tracer) = sim.serve_traced(&request.objects);
     let timeline = if args.has("trace") {
         format!("\ntimeline:\n{tracer}")
@@ -873,10 +886,9 @@ pub fn audit(args: &Args) -> Result<String, CommandError> {
     placement
         .verify_against(&workload)
         .map_err(|e| CommandError(format!("placement does not match workload: {e}")))?;
-    let m: u8 = args.get_or("m", 4)?;
     let samples: usize = args.get_or("samples", 200)?;
     let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
-    let mut sim = Simulator::with_natural_policy(placement, m);
+    let mut sim = natural_simulator(placement, args)?;
     let (run, reports) = sim.run_sampled_audited(&workload, samples, seed);
 
     let entries: usize = reports.iter().map(|r| r.entries).sum();

@@ -1,6 +1,8 @@
 //! `tapesim place` rejects a switch-drive count outside `1 ..= d−1` and a
 //! malformed workload file with a one-line error and exit code 1, never a
-//! panic, and places an empty workload under every scheme.
+//! panic, and places an empty workload under every scheme. `simulate`,
+//! `serve` and `audit` reject the same `--m` on a placement with pinned
+//! tapes, where the batch switch policy uses it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -58,6 +60,66 @@ fn out_of_range_m_is_a_one_line_error() {
     assert!(ok.status.success(), "{ok:?}");
     let _ = std::fs::remove_file(&w);
     let _ = std::fs::remove_file(&p);
+}
+
+#[test]
+fn commands_reading_a_placement_reject_out_of_range_m() {
+    let w = tmp("m-w.json");
+    let pbp = tmp("m-pbp.json");
+    let opp = tmp("m-opp.json");
+    let (w_arg, pbp_arg, opp_arg) = (
+        w.to_str().unwrap(),
+        pbp.to_str().unwrap(),
+        opp.to_str().unwrap(),
+    );
+    let gen = tapesim(&[
+        "generate",
+        "--objects",
+        "300",
+        "--requests",
+        "5",
+        "--min-objects",
+        "5",
+        "--max-objects",
+        "10",
+        "-o",
+        w_arg,
+    ]);
+    assert!(gen.status.success(), "{gen:?}");
+    for (scheme, out) in [("pbp", pbp_arg), ("opp", opp_arg)] {
+        let placed = tapesim(&["place", "-w", w_arg, "--scheme", scheme, "-o", out]);
+        assert!(placed.status.success(), "{placed:?}");
+    }
+
+    let run = |cmd: &str, placement: &str, m: &str| {
+        let mut args = vec![cmd, "-w", w_arg, "-p", placement, "--m", m];
+        if cmd != "serve" {
+            args.extend(["--samples", "3"]);
+        }
+        tapesim(&args)
+    };
+    for cmd in ["simulate", "serve", "audit"] {
+        // PBP pins tapes, so the batch policy runs with m of the d = 8
+        // drives per library switching.
+        for m in ["0", "8", "9"] {
+            let out = run(cmd, pbp_arg, m);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} --m {m}: {stderr}");
+            assert_eq!(
+                stderr.trim_end(),
+                format!("error: m must satisfy 1 <= m <= d-1 (got m={m}, d=8)"),
+                "{cmd} --m {m}"
+            );
+        }
+        let ok = run(cmd, pbp_arg, "7");
+        assert!(ok.status.success(), "{cmd} --m 7: {ok:?}");
+        // OPP pins nothing: every drive switches and `--m` is unused.
+        let unused = run(cmd, opp_arg, "0");
+        assert!(unused.status.success(), "{cmd} opp --m 0: {unused:?}");
+    }
+    for f in [&w, &pbp, &opp] {
+        let _ = std::fs::remove_file(f);
+    }
 }
 
 /// Writes `json` as a workload file and places it under `scheme`.

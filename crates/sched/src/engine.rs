@@ -58,7 +58,7 @@ use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, DriveId, ObjectId, SystemConfig, TapeId};
 use tapesim_obs::{TimeAccountant, TimeBudget, Topology};
 use tapesim_placement::Placement;
-use tapesim_sim::catalog::{tape_jobs, TapeJob};
+use tapesim_sim::catalog::{tape_jobs, RequestCatalog, TapeJob};
 use tapesim_sim::seek_order;
 use tapesim_sim::{SeekPolicy, Simulator, SwitchPolicy};
 use tapesim_workload::{ArrivalSpec, RequestStream, Workload};
@@ -269,6 +269,9 @@ pub fn run_scheduled_faulty(
 /// here), or the whole request is lost — skipped, never served. A zero
 /// plan skips the scan and serves the drawn objects as they are.
 ///
+/// Each drawn rank is grouped into tape jobs once per run (a
+/// [`RequestCatalog`]); only a request that failed over is regrouped.
+///
 /// Media-retry penalties have no trace events behind them in this gear,
 /// so in an observed run they surface as server idle time, not
 /// `Transfer` — documented in DESIGN §12.
@@ -294,16 +297,16 @@ pub(crate) fn run_sequential_faulty(
     let mut server_free = 0.0;
     let mut first_arrival = None;
     let mut events = 0u64;
+    let mut catalog = RequestCatalog::new(workload);
     let mut final_objects = Vec::new();
     for _ in 0..cfg.samples {
         let (clock_t, idx) = stream.next_request();
         first_arrival.get_or_insert(clock_t);
-        let request = &workload.requests()[idx];
+        let mut jobs = catalog.jobs(sim.placement(), idx);
+        let regrouped;
 
         let mut penalty_s = 0.0;
-        let objects: &[ObjectId] = if clock.is_zero() {
-            &request.objects
-        } else {
+        if !clock.is_zero() {
             let placement = sim.placement();
             let syscfg = placement.config();
             let spec = &syscfg.library.drive;
@@ -311,8 +314,9 @@ pub(crate) fn run_sequential_faulty(
             let budget = clock.max_retries();
 
             final_objects.clear();
+            let mut failed_over = false;
             let mut lost = false;
-            for job in &tape_jobs(placement, &request.objects) {
+            for job in jobs {
                 let tape_idx = syscfg.tape_index(job.tape);
                 let mut granted_total = 0u32;
                 let mut extent_retry_s = 0.0;
@@ -354,6 +358,7 @@ pub(crate) fn run_sequential_faulty(
                 });
                 if resolvable {
                     failovers += 1;
+                    failed_over = true;
                     final_objects.extend(replicas);
                 } else {
                     lost = true;
@@ -364,12 +369,17 @@ pub(crate) fn run_sequential_faulty(
                 lost_requests += 1;
                 continue;
             }
-            &final_objects
-        };
+            // Without a failover the surviving objects are the request's
+            // own, whose grouping the catalog already holds.
+            if failed_over {
+                regrouped = tape_jobs(placement, &final_objects);
+                jobs = &regrouped;
+            }
+        }
 
         let start = clock_t.max(server_free);
         let r = if cfg.audit || acct.is_some() {
-            let (r, tracer) = sim.serve_traced(objects);
+            let (r, tracer) = sim.serve_jobs(jobs, true);
             if cfg.audit {
                 reports.push(TraceAuditor::new().audit(tracer.entries()));
             }
@@ -384,7 +394,7 @@ pub(crate) fn run_sequential_faulty(
             }
             r
         } else {
-            sim.serve(objects)
+            sim.serve_jobs(jobs, false).0
         };
         // `x + 0.0` preserves the bits of `x`: a zero plan charges nothing.
         let response = r.response + penalty_s;
@@ -2219,16 +2229,19 @@ mod tests {
         }
     }
 
-    /// With replication-provided alternates, exhausted reads fail over to
-    /// the replica instead of becoming losses.
-    #[test]
-    fn exhausted_reads_fail_over_to_replicas() {
+    /// The [`heavy_setup`] workload with 4 TB of replicas, placed by PBP,
+    /// its replica alternates, and a media-only plan with
+    /// `bad_spots_per_tape`.
+    fn replicated_setup(
+        bad_spots_per_tape: f64,
+    ) -> (
+        Simulator,
+        Workload,
+        BTreeMap<ObjectId, Vec<ObjectId>>,
+        FaultPlan,
+    ) {
         use tapesim_faults::FaultSpec;
         use tapesim_workload::{replicate_workload, ReplicationSpec};
-        let spec = ArrivalSpec {
-            per_hour: 30.0,
-            seed: 3,
-        };
         let w = WorkloadSpec {
             objects: 4_000,
             sizes: ObjectSizeSpec::default().calibrated(Bytes::gb(8)),
@@ -2254,16 +2267,28 @@ mod tests {
         let p = ParallelBatchPlacement::with_m(4)
             .place(&replicated, &cfg)
             .unwrap();
-        let mut sim = Simulator::with_natural_policy(p, 4);
-        // Heavy media faults so retry budgets actually run dry.
+        let sim = Simulator::with_natural_policy(p, 4);
         let fspec = FaultSpec {
-            bad_spots_per_tape: 40.0,
+            bad_spots_per_tape,
             drive_mtbf_hours: 0.0,
             jams_per_hour: 0.0,
             ..FaultSpec::moderate(7)
         };
         let plan = FaultPlan::generate(&fspec, sim.placement().config());
         assert!(plan.n_spots() > 0);
+        (sim, replicated, alternates, plan)
+    }
+
+    /// With replication-provided alternates, exhausted reads fail over to
+    /// the replica instead of becoming losses.
+    #[test]
+    fn exhausted_reads_fail_over_to_replicas() {
+        let spec = ArrivalSpec {
+            per_hour: 30.0,
+            seed: 3,
+        };
+        // Heavy media faults so retry budgets actually run dry.
+        let (mut sim, replicated, alternates, plan) = replicated_setup(40.0);
         let out = run_scheduled_faulty(
             &mut sim,
             &replicated,
@@ -2282,6 +2307,52 @@ mod tests {
             out.metrics.retries(),
             out.metrics.lost()
         );
+    }
+
+    /// The FCFS sequential gear serves each arrival from the run's
+    /// request catalog and regroups only a request that failed over.
+    /// The constants are the gear's output on this fixture when it
+    /// regrouped every arrival.
+    #[test]
+    fn fcfs_failover_regroups_bit_for_bit() {
+        let spec = ArrivalSpec {
+            per_hour: 30.0,
+            seed: 3,
+        };
+        let (mut sim, w, alternates, plan) = replicated_setup(6.0);
+        assert!(
+            plan.media_only(),
+            "media-only plans run the sequential gear"
+        );
+        let out = run_scheduled_faulty(
+            &mut sim,
+            &w,
+            &Fcfs,
+            &SchedConfig::new(spec, 40).with_audit(true),
+            &plan,
+            &alternates,
+        );
+        assert!(out.is_clean(), "{:?}", out.reports.first());
+        let m = &out.metrics;
+        let got = [
+            m.avg_wait(),
+            m.avg_service(),
+            m.avg_sojourn(),
+            m.utilisation(),
+        ]
+        .map(f64::to_bits);
+        let counters = [m.served(), m.retries(), m.failovers(), m.lost()];
+        assert_eq!(
+            got,
+            [
+                0x40bd80f958ed46ab,
+                0x40a23ce6ae222df3,
+                0x40c34fb657ff2ed2,
+                0x3fefc7e150baa1f5
+            ]
+        );
+        assert_eq!(counters, [9, 177, 2, 31]);
+        assert_eq!(m.mounts(), 61);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, ObjectId, TapeId};
 use tapesim_placement::Placement;
+use tapesim_workload::{Request, Workload};
 
 /// The work one tape owes a request: which extents to read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +73,35 @@ pub fn tape_jobs(placement: &Placement, objects: &[ObjectId]) -> Vec<TapeJob> {
     }));
     jobs.sort_by(|a, b| b.bytes().cmp(&a.bytes()).then(a.tape.cmp(&b.tape)));
     jobs
+}
+
+/// A request's tape jobs by rank, each grouped by [`tape_jobs`] the first
+/// time its rank is asked for and borrowed on every later ask.
+///
+/// One catalog serves one run over one placement: it holds no placement,
+/// so every [`RequestCatalog::jobs`] call must pass the same one. A run
+/// that draws fewer requests than the workload defines groups only the
+/// ranks it draws.
+pub struct RequestCatalog<'w> {
+    requests: &'w [Request],
+    jobs: Vec<Option<Vec<TapeJob>>>,
+}
+
+impl<'w> RequestCatalog<'w> {
+    /// An empty catalog over `workload`'s pre-defined requests.
+    pub fn new(workload: &'w Workload) -> RequestCatalog<'w> {
+        let requests = workload.requests();
+        RequestCatalog {
+            requests,
+            jobs: vec![None; requests.len()],
+        }
+    }
+
+    /// The tape jobs of request `rank` on `placement`.
+    pub fn jobs(&mut self, placement: &Placement, rank: usize) -> &[TapeJob] {
+        let objects = &self.requests[rank].objects;
+        self.jobs[rank].get_or_insert_with(|| tape_jobs(placement, objects))
+    }
 }
 
 #[cfg(test)]

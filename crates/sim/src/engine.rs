@@ -64,8 +64,9 @@ struct RequestSim<'a> {
     policy: &'a SwitchPolicy,
     state: &'a mut MountState,
     robots: Vec<Resource>,
-    /// All jobs; `pending` holds indices not yet assigned to a drive.
-    jobs: Vec<TapeJob>,
+    /// All jobs, borrowed from the caller; `pending` holds
+    /// indices not yet assigned to a drive.
+    jobs: &'a [TapeJob],
     pending: Vec<Vec<usize>>, // per library, front = next to dispatch
     busy: Vec<bool>,
     /// Job index a drive is streaming or switching for, for trace events.
@@ -261,7 +262,7 @@ pub fn serve_request(
     placement: &Placement,
     policy: &SwitchPolicy,
     state: &mut MountState,
-    jobs: Vec<TapeJob>,
+    jobs: &[TapeJob],
 ) -> RequestMetrics {
     serve_request_traced(cfg, placement, policy, state, jobs, false).0
 }
@@ -274,7 +275,7 @@ pub fn serve_request_traced(
     placement: &Placement,
     policy: &SwitchPolicy,
     state: &mut MountState,
-    jobs: Vec<TapeJob>,
+    jobs: &[TapeJob],
     trace: bool,
 ) -> (RequestMetrics, Tracer) {
     serve_request_seek(
@@ -297,7 +298,7 @@ pub fn serve_request_seek(
     placement: &Placement,
     policy: &SwitchPolicy,
     state: &mut MountState,
-    jobs: Vec<TapeJob>,
+    jobs: &[TapeJob],
     trace: bool,
     seek_policy: SeekPolicy,
 ) -> (RequestMetrics, Tracer) {
@@ -347,7 +348,7 @@ pub fn serve_request_seek(
             );
         }
     }
-    for (job, j) in sim.jobs.iter().enumerate() {
+    for (job, j) in jobs.iter().enumerate() {
         sim.tracer.emit(
             SimTime::ZERO,
             TraceEvent::JobSubmitted {
@@ -447,7 +448,7 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         // All three tapes are among the initial mounts; heads at 0, each
         // object is the first extent on its tape → zero seek, 100 s each in
         // parallel.
@@ -470,7 +471,7 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(1)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         // Contiguous extents read back to back: 200 s, no seek gap.
         assert!((m.response - 2.0 * XFER_8GB).abs() < 1e-9);
         assert!((m.seek - 0.0).abs() < 1e-9);
@@ -486,7 +487,7 @@ mod tests {
         // Mount nothing: every drive empty.
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         let jobs = tape_jobs(&p, &[ObjectId(0)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         // Empty-drive switch: inject (7.6) + load (19) then 100 s transfer.
         let expected = 7.6 + 19.0 + XFER_8GB;
         assert!((m.response - expected).abs() < 1e-9, "got {}", m.response);
@@ -543,13 +544,19 @@ mod tests {
             &p,
             &policy,
             &mut state,
-            tape_jobs(&p, &[ObjectId(0), ObjectId(2)]),
+            &tape_jobs(&p, &[ObjectId(0), ObjectId(2)]),
         );
         assert!(state.mounted.iter().all(|m| m.is_some()));
 
         // Request 2 needs T1: both drives occupied, the victim is the
         // least popular mounted tape (T2, head at 8 GB).
-        let m = serve_request(&cfg, &p, &policy, &mut state, tape_jobs(&p, &[ObjectId(1)]));
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &tape_jobs(&p, &[ObjectId(1)]),
+        );
         let rewind = 8.0 / 400.0 * 98.0; // 1.96 s
         let exchange = 19.0 + 7.6 + 7.6 + 19.0; // unload+eject+inject+load
         assert!(
@@ -570,7 +577,7 @@ mod tests {
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         // Objects 0 (L0:T0) and 2 (L0:T1): two switches in the SAME library.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         // Robot does two 26.6 s inject+load blocks back to back; the second
         // drive starts its 100 s transfer at 53.2 s.
         let expected = 2.0 * 26.6 + XFER_8GB;
@@ -588,7 +595,7 @@ mod tests {
         // Objects 0 (L0:T0) and 2 (L0:T1): both switches in library 0, but
         // two arms carry them concurrently.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         assert!(
             (m.response - (26.6 + XFER_8GB)).abs() < 1e-9,
             "dual-arm response {}",
@@ -604,7 +611,7 @@ mod tests {
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         // Objects 0 (L0) and 3 (L1): one switch in each library.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         assert!(
             (m.response - (26.6 + XFER_8GB)).abs() < 1e-9,
             "got {}",
@@ -620,7 +627,7 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(1), ObjectId(2), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, jobs);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
         assert!((m.switch + m.seek + m.transfer - m.response).abs() < 1e-9);
         assert_eq!(m.n_tapes, 3);
         assert_eq!(m.bytes, Bytes::gb(32));
@@ -631,7 +638,7 @@ mod tests {
         let (cfg, p, _w) = setup();
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
-        let m = serve_request(&cfg, &p, &policy, &mut state, vec![]);
+        let m = serve_request(&cfg, &p, &policy, &mut state, &[]);
         assert_eq!(m.response, 0.0);
         assert_eq!(m.bytes, Bytes::ZERO);
     }

@@ -7,7 +7,7 @@
 //! loop: draw requests from the pre-defined set according to their Zipf
 //! popularity and average the metrics (the paper draws 200).
 
-use crate::catalog::tape_jobs;
+use crate::catalog::{tape_jobs, RequestCatalog, TapeJob};
 use crate::engine::{serve_request_seek, MountState};
 use crate::metrics::{RequestMetrics, RunMetrics};
 use crate::policy::SwitchPolicy;
@@ -90,37 +90,42 @@ impl Simulator {
     /// Serves one request for `objects`; mount state persists to the next
     /// call.
     pub fn serve(&mut self, objects: &[ObjectId]) -> RequestMetrics {
-        let jobs = tape_jobs(&self.placement, objects);
-        serve_request_seek(
-            &self.config,
-            &self.placement,
-            &self.policy,
-            &mut self.state,
-            jobs,
-            false,
-            self.seek,
-        )
-        .0
+        self.serve_jobs(&tape_jobs(&self.placement, objects), false)
+            .0
     }
 
     /// Serves one request and returns the event timeline alongside the
     /// metrics (mounts, exchanges, streams, completions — the
     /// `tapesim serve --trace` view).
     pub fn serve_traced(&mut self, objects: &[ObjectId]) -> (RequestMetrics, tapesim_des::Tracer) {
-        let jobs = tape_jobs(&self.placement, objects);
+        self.serve_jobs(&tape_jobs(&self.placement, objects), true)
+    }
+
+    /// Serves one request already grouped into tape jobs ([`tape_jobs`]
+    /// or a [`RequestCatalog`] over this simulator's placement), with the
+    /// event timeline when `trace` is set.
+    pub fn serve_jobs(
+        &mut self,
+        jobs: &[TapeJob],
+        trace: bool,
+    ) -> (RequestMetrics, tapesim_des::Tracer) {
         serve_request_seek(
             &self.config,
             &self.placement,
             &self.policy,
             &mut self.state,
             jobs,
-            true,
+            trace,
             self.seek,
         )
     }
 
     /// Serves `samples` requests drawn from `workload`'s pre-defined set by
     /// popularity (deterministic for a given `seed`) and aggregates.
+    ///
+    /// The sampled runs group each drawn request into tape jobs once per
+    /// call (a [`RequestCatalog`]) and serve later draws of the same rank
+    /// from it.
     pub fn run_sampled(&mut self, workload: &Workload, samples: usize, seed: u64) -> RunMetrics {
         let mut run = RunMetrics::new();
         for metrics in self.run_sampled_detailed(workload, samples, seed) {
@@ -142,12 +147,13 @@ impl Simulator {
     ) -> (RunMetrics, Vec<tapesim_des::AuditReport>) {
         let sampler = workload.request_sampler();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut catalog = RequestCatalog::new(workload);
         let auditor = tapesim_des::TraceAuditor::new();
         let mut run = RunMetrics::new();
         let mut reports = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let idx = sampler.sample(&mut rng);
-            let (metrics, tracer) = self.serve_traced(&workload.requests()[idx].objects);
+            let jobs = catalog.jobs(&self.placement, sampler.sample(&mut rng));
+            let (metrics, tracer) = self.serve_jobs(jobs, true);
             run.push(&metrics);
             reports.push(auditor.audit(tracer.entries()));
         }
@@ -165,10 +171,11 @@ impl Simulator {
     ) -> Vec<RequestMetrics> {
         let sampler = workload.request_sampler();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut catalog = RequestCatalog::new(workload);
         (0..samples)
             .map(|_| {
-                let idx = sampler.sample(&mut rng);
-                self.serve(&workload.requests()[idx].objects)
+                let jobs = catalog.jobs(&self.placement, sampler.sample(&mut rng));
+                self.serve_jobs(jobs, false).0
             })
             .collect()
     }
@@ -200,6 +207,147 @@ mod tests {
             seed: 7,
         }
         .generate()
+    }
+
+    /// A mid-size paper-shaped workload: 80 request templates, so a run
+    /// of a few hundred samples both repeats ranks and leaves some undrawn.
+    fn mid_workload() -> Workload {
+        WorkloadSpec {
+            objects: 6_000,
+            sizes: ObjectSizeSpec::default().calibrated(Bytes::gb(2)),
+            requests: RequestSpec {
+                count: 80,
+                min_objects: 20,
+                max_objects: 40,
+                count_shape: 1.0,
+                alpha: 0.3,
+            },
+            seed: 19,
+        }
+        .generate()
+    }
+
+    fn schemes() -> Vec<(&'static str, Box<dyn PlacementPolicy>)> {
+        vec![
+            ("pbp", Box::new(ParallelBatchPlacement::with_m(4))),
+            ("opp", Box::new(ObjectProbabilityPlacement::default())),
+            ("cpp", Box::new(ClusterProbabilityPlacement::default())),
+        ]
+    }
+
+    const SEEKS: [SeekPolicy; 4] = [
+        SeekPolicy::Greedy,
+        SeekPolicy::ExactDp,
+        SeekPolicy::Approx,
+        SeekPolicy::Auto,
+    ];
+
+    /// Every field of `m` as raw bits, so a comparison is bit for bit.
+    fn bits(m: &RequestMetrics) -> [u64; 9] {
+        [
+            m.response.to_bits(),
+            m.seek.to_bits(),
+            m.transfer.to_bits(),
+            m.switch.to_bits(),
+            m.bytes.get(),
+            m.n_tapes as u64,
+            m.n_switches as u64,
+            m.robot_wait.to_bits(),
+            m.n_events,
+        ]
+    }
+
+    /// The reference for the sampled runs: the same draws, each grouped
+    /// afresh and served through [`Simulator::serve_traced`].
+    fn serve_each(
+        sim: &mut Simulator,
+        w: &Workload,
+        samples: usize,
+        seed: u64,
+    ) -> Vec<(RequestMetrics, tapesim_des::Tracer)> {
+        let sampler = w.request_sampler();
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| sim.serve_traced(&w.requests()[sampler.sample(&mut rng)].objects))
+            .collect()
+    }
+
+    #[test]
+    fn sampled_runs_match_a_per_sample_serve_loop_bit_for_bit() {
+        let cfg = paper_table1();
+        let w = mid_workload();
+        let (samples, seed) = (200, 41);
+        for (name, scheme) in schemes() {
+            let placement = scheme.place(&w, &cfg).unwrap();
+            for seek in SEEKS {
+                let fresh = || Simulator::with_natural_policy(placement.clone(), 4).with_seek(seek);
+                let mut reference = fresh();
+                let expected = serve_each(&mut reference, &w, samples, seed);
+
+                let mut sim = fresh();
+                let detailed = sim.run_sampled_detailed(&w, samples, seed);
+                assert_eq!(detailed.len(), samples);
+                for (i, (got, (want, _))) in detailed.iter().zip(&expected).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{name} {seek:?} sample {i}");
+                }
+                assert_eq!(sim.state(), reference.state(), "{name} {seek:?}");
+
+                let mut audited = fresh();
+                let (run, reports) = audited.run_sampled_audited(&w, samples, seed);
+                let auditor = tapesim_des::TraceAuditor::new();
+                let want_reports: Vec<_> = expected
+                    .iter()
+                    .map(|(_, tracer)| auditor.audit(tracer.entries()))
+                    .collect();
+                assert_eq!(reports, want_reports, "{name} {seek:?}");
+                let mut want_run = RunMetrics::new();
+                expected.iter().for_each(|(m, _)| want_run.push(m));
+                for (got, want) in [
+                    (run.avg_response(), want_run.avg_response()),
+                    (run.avg_bandwidth_mbs(), want_run.avg_bandwidth_mbs()),
+                    (run.avg_switches(), want_run.avg_switches()),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name} {seek:?}");
+                }
+                assert_eq!(run.count(), samples as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_listing_an_object_twice_is_served_once_from_the_catalog() {
+        let cfg = paper_table1();
+        let w = mid_workload();
+        // Every request lists its first and last objects a second time.
+        let doubled = Workload::new(
+            w.objects().to_vec(),
+            w.requests()
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    let (first, last) = (r.objects[0], r.objects[r.objects.len() - 1]);
+                    r.objects.insert(1, last);
+                    r.objects.push(first);
+                    r
+                })
+                .collect(),
+        );
+        let (samples, seed) = (150, 8);
+        for (name, scheme) in schemes() {
+            let placement = scheme.place(&w, &cfg).unwrap();
+            let fresh = || Simulator::with_natural_policy(placement.clone(), 4);
+            let expected = serve_each(&mut fresh(), &doubled, samples, seed);
+            let got = fresh().run_sampled_detailed(&doubled, samples, seed);
+            for (i, (got, (want, _))) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(bits(got), bits(want), "{name} sample {i}");
+            }
+            // Duplicates are read once: the doubled stream costs exactly
+            // what the plain one does.
+            let plain = fresh().run_sampled_detailed(&w, samples, seed);
+            for (i, (d, p)) in got.iter().zip(&plain).enumerate() {
+                assert_eq!(bits(d), bits(p), "{name} sample {i}");
+            }
+        }
     }
 
     #[test]

@@ -290,12 +290,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run of unescaped bytes up to the next
+                    // quote or backslash. Both are ASCII, so the run ends
+                    // on a char boundary, and each byte is validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::new("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| Error::new("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
                 None => return Err(Error::new("unterminated string")),
             }
@@ -375,6 +381,57 @@ mod tests {
         assert!(s.contains('\n'));
         let back: Vec<(u32, u32)> = from_str(&s).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// Parses `s` as one JSON value.
+    fn parse(s: &str) -> Value {
+        let mut p = Parser {
+            bytes: s.as_bytes(),
+            pos: 0,
+        };
+        p.parse_value().unwrap()
+    }
+
+    #[test]
+    fn multibyte_characters_round_trip_in_keys_and_values() {
+        // 2-, 3- and 4-byte UTF-8 scalars, alone, mixed with escapes, and
+        // as the last character before the closing quote.
+        let texts = [
+            "é",
+            "€",
+            "𝄞",
+            "aé€𝄞z",
+            "line\nbreak é\t€ \"𝄞\"",
+            "\\é",
+            "x\"€",
+            "tail 𝄞",
+            "é€𝄞é€𝄞",
+        ];
+        for t in texts {
+            let v = Value::Object(vec![
+                (t.to_string(), Value::Str(t.to_string())),
+                (format!("{t}-2"), Value::Array(vec![Value::Str(t.into())])),
+            ]);
+            let mut s = String::new();
+            write_value(&v, None, 0, &mut s).unwrap();
+            assert_eq!(parse(&s), v, "{t:?} via {s}");
+        }
+    }
+
+    #[test]
+    fn escapes_decode_next_to_multibyte_runs() {
+        assert_eq!(parse(r#""é\u00e9\n€\"𝄞""#), Value::Str("éé\n€\"𝄞".into()));
+        let key = parse(r#"{"k€𝄞":"𝄞"}"#);
+        assert_eq!(
+            key,
+            Value::Object(vec![("k€𝄞".into(), Value::Str("𝄞".into()))])
+        );
+    }
+
+    #[test]
+    fn unterminated_multibyte_string_is_an_error() {
+        assert!(from_str::<String>("\"é€").is_err());
+        assert!(from_str::<String>("\"𝄞\\").is_err());
     }
 
     #[test]
