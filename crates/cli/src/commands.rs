@@ -79,6 +79,19 @@ fn read_workload(path: &str) -> Result<Workload, CommandError> {
     Ok(serde_json::from_str(&json)?)
 }
 
+/// Reads a workload for a command that draws requests from it: with no
+/// requests there is nothing to draw, so it is rejected here rather than
+/// left to panic the sampler.
+fn read_sampled_workload(path: &str) -> Result<Workload, CommandError> {
+    let workload = read_workload(path)?;
+    if workload.requests().is_empty() {
+        return Err(CommandError(String::from(
+            "workload has no requests to sample",
+        )));
+    }
+    Ok(workload)
+}
+
 fn read_placement(path: &str) -> Result<Placement, CommandError> {
     let json = std::fs::read_to_string(Path::new(path))?;
     Ok(serde_json::from_str(&json)?)
@@ -169,7 +182,7 @@ pub fn place(args: &Args) -> Result<String, CommandError> {
 
 /// `tapesim simulate` — serve a sampled request stream.
 pub fn simulate(args: &Args) -> Result<String, CommandError> {
-    let workload = read_workload(args.require("workload")?)?;
+    let workload = read_sampled_workload(args.require("workload")?)?;
     let placement = read_placement(args.require("placement")?)?;
     placement
         .verify_against(&workload)
@@ -409,7 +422,7 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
     let spec = arrivals_from(args)?;
     let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = match args.get("workload") {
-        Some(path) => read_workload(path)?,
+        Some(path) => read_sampled_workload(path)?,
         None => campaign_workload(),
     };
     let system = system_from(args)?;
@@ -679,7 +692,7 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     let spec = arrivals_from(args)?;
     let (rate, seed) = (spec.per_hour, spec.seed);
     let workload = match args.get("workload") {
-        Some(path) => read_workload(path)?,
+        Some(path) => read_sampled_workload(path)?,
         None => campaign_workload(),
     };
     let system = system_from(args)?;
@@ -881,7 +894,7 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
 /// scheduler's own bookkeeping. Fails (non-zero exit) if any request's
 /// transcript breaches an invariant.
 pub fn audit(args: &Args) -> Result<String, CommandError> {
-    let workload = read_workload(args.require("workload")?)?;
+    let workload = read_sampled_workload(args.require("workload")?)?;
     let placement = read_placement(args.require("placement")?)?;
     placement
         .verify_against(&workload)
@@ -1049,7 +1062,7 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     let workload = if smoke {
         smoke_workload()
     } else {
-        read_workload(args.require("workload")?)?
+        read_sampled_workload(args.require("workload")?)?
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
@@ -1158,7 +1171,7 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
     let workload = if smoke {
         smoke_workload()
     } else {
-        read_workload(args.require("workload")?)?
+        read_sampled_workload(args.require("workload")?)?
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
@@ -1309,7 +1322,7 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
     let base = if smoke {
         smoke_workload()
     } else {
-        read_workload(args.require("workload")?)?
+        read_sampled_workload(args.require("workload")?)?
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;

@@ -2,7 +2,9 @@
 //! malformed workload file with a one-line error and exit code 1, never a
 //! panic, and places an empty workload under every scheme. `simulate`,
 //! `serve` and `audit` reject the same `--m` on a placement with pinned
-//! tapes, where the batch switch policy uses it.
+//! tapes, where the batch switch policy uses it. Request probabilities
+//! nothing can be sampled from are malformed too, and every command that
+//! draws requests rejects a workload with none.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -141,6 +143,40 @@ fn place_json(name: &str, json: &str, scheme: &str) -> Output {
     out
 }
 
+/// A three-object workload whose requests `0, 1, …` carry the given
+/// probabilities, written as JSON numbers.
+fn probabilities(list: &str) -> String {
+    let requests: Vec<String> = list
+        .split(", ")
+        .enumerate()
+        .map(|(rank, p)| format!(r#"{{"rank":{rank},"probability":{p},"objects":[{rank}]}}"#))
+        .collect();
+    format!(
+        r#"{{"objects":[{{"id":0,"size":1000}},{{"id":1,"size":1000}},{{"id":2,"size":1000}}],
+            "requests":[{}]}}"#,
+        requests.join(",")
+    )
+}
+
+/// Runs `simulate` over `json` as the workload, against a valid placement
+/// of a valid three-object workload.
+fn simulate_json(name: &str, json: &str) -> Output {
+    let valid = tmp(&format!("{name}-valid.json"));
+    let placement = tmp(&format!("{name}-valid-p.json"));
+    let w = tmp(&format!("{name}-sim.json"));
+    std::fs::write(&valid, probabilities("1")).expect("workload file written");
+    std::fs::write(&w, json).expect("workload file written");
+    let (valid_arg, p_arg) = (valid.to_str().unwrap(), placement.to_str().unwrap());
+    let placed = tapesim(&["place", "-w", valid_arg, "-o", p_arg]);
+    assert!(placed.status.success(), "{placed:?}");
+    let w_arg = w.to_str().unwrap();
+    let out = tapesim(&["simulate", "-w", w_arg, "-p", p_arg, "--samples", "5"]);
+    for f in [&valid, &placement, &w] {
+        let _ = std::fs::remove_file(f);
+    }
+    out
+}
+
 #[test]
 fn malformed_workloads_are_one_line_errors() {
     let cases = [
@@ -156,8 +192,30 @@ fn malformed_workloads_are_one_line_errors() {
                 "requests":[{"rank":0,"probability":1.0,"objects":[0]}]}"#,
             "error: json error: object ids must be dense: position 1 holds O7",
         ),
+        (
+            "negative-probability",
+            &probabilities("-0.5, 1.5"),
+            "error: json error: request 0 has probability -0.5: \
+             expected a finite number >= 0",
+        ),
+        (
+            "infinite-probability",
+            &probabilities("1e999"),
+            "error: json error: request 0 has probability inf: \
+             expected a finite number >= 0",
+        ),
+        (
+            "zero-mass",
+            &probabilities("0, 0"),
+            "error: json error: request probabilities sum to 0: \
+             expected a positive finite total",
+        ),
     ];
     for (name, json, expected) in cases {
+        let out = simulate_json(name, json);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name} simulate: {stderr}");
+        assert_eq!(stderr.trim_end(), expected, "{name} simulate");
         for scheme in ["pbp", "opp", "cpp"] {
             let out = place_json(name, json, scheme);
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -172,5 +230,39 @@ fn empty_workload_places_under_every_scheme() {
     for scheme in ["pbp", "opp", "cpp"] {
         let out = place_json("empty", r#"{"objects":[],"requests":[]}"#, scheme);
         assert!(out.status.success(), "{scheme}: {out:?}");
+    }
+}
+
+#[test]
+fn commands_drawing_requests_reject_a_workload_without_any() {
+    let empty = r#"{"objects":[{"id":0,"size":1000}],"requests":[]}"#;
+    let expected = "error: workload has no requests to sample";
+    let out = simulate_json("no-requests", empty);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "simulate: {stderr}");
+    assert_eq!(stderr.trim_end(), expected, "simulate");
+
+    let w = tmp("no-requests.json");
+    let p = tmp("no-requests-p.json");
+    let (w_arg, p_arg) = (w.to_str().unwrap(), p.to_str().unwrap());
+    std::fs::write(&w, empty).expect("workload file written");
+    let placed = tapesim(&["place", "-w", w_arg, "-o", p_arg]);
+    assert!(placed.status.success(), "{placed:?}");
+    let runs: [&[&str]; 6] = [
+        &["audit", "-w", w_arg, "-p", p_arg, "--samples", "5"],
+        &["sched", "-w", w_arg, "--samples", "5"],
+        &["faults", "-w", w_arg, "--samples", "5"],
+        &["report", "-w", w_arg, "--samples", "5"],
+        &["serve", "--campaign", "--smoke", "-w", w_arg],
+        &["serve", "--chaos", "--smoke", "-w", w_arg],
+    ];
+    for args in runs {
+        let out = tapesim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), expected, "{args:?}");
+    }
+    for f in [&w, &p] {
+        let _ = std::fs::remove_file(f);
     }
 }

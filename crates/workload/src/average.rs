@@ -14,35 +14,37 @@
 //! ## Implementation
 //!
 //! Per live cluster: a sparse adjacency map of cross-cluster weight sums
-//! (fast integer hashing, reserved to the vertex degree); merging is
-//! smaller-into-larger. Merge candidates are popped greatest first by
-//! `(score, smaller pair)` from two sources:
+//! (fast integer hashing, reserved to the vertex degree), its size in a
+//! dense array and its members as a linked list; merging is
+//! smaller-into-larger. The kernel is the "generic" lazy best-neighbour
+//! scheme of Müllner (*Modern hierarchical, agglomerative clustering
+//! algorithms*, arXiv:1109.2378): a max-heap holds one live entry per
+//! cluster, keyed by that cluster's *bound*, a candidate
+//! `(score, smaller pair)` at or above the threshold.
 //!
-//! * the graph's own weight-descending edge array, read through a cursor.
-//!   It is already in candidate order, so the initial edges never enter a
-//!   heap, and a pair with an absorbed side is skipped with an `Option`
-//!   check;
-//! * a lazy max-heap holding only the candidates merges create: a fresh
-//!   one for each pair whose weight sum changed (the dropped side's
-//!   neighbours), and a revalidated one for each stale pop.
+//! * A popped entry whose bound is still its cluster's bound is rescanned
+//!   for the cluster's exact best candidate. It merges iff the exact best
+//!   equals the bound; otherwise the exact best becomes the bound and is
+//!   re-pushed (or the cluster leaves the heap if nothing qualifies).
+//! * A merge folds the dropped side's adjacency into the kept side with
+//!   the same float operations as one heap holding every candidate, then
+//!   rescans the kept cluster.
 //!
-//! A popped candidate merges iff its score is still the pair's live
-//! score; otherwise the live score is re-pushed if it still reaches the
-//! threshold. A pair's score rises only when its sum changes, which
-//! pushes a fresh candidate, so every live pair above the threshold
-//! keeps a candidate at or above its live key and each merge is the
-//! greatest live pair. The merge sequence, every pair's float fold order
-//! and the partition are therefore those of one heap holding every
-//! candidate (the `reference` kernel in the tests). Candidates compare
-//! as two integers: the score's total-order bits, then the bit-inverted
+//! Every live pair at or above the threshold stays *covered*: the bound
+//! of at least one of its sides is at or above it. A rescan covers all of
+//! a cluster's pairs. A merge changes the sum only of pairs with the kept
+//! cluster as a side, and that cluster is rescanned; every other pair
+//! keeps its sum and only loses score as a side grows. So the greatest
+//! heap entry is at or above every live pair, a popped bound that is
+//! exact is the greatest live pair, and the merge sequence, every pair's
+//! float fold order and the partition are those of one heap holding every
+//! candidate (the `reference` kernel in the tests). Candidates compare as
+//! two integers: the score's total-order bits, then the bit-inverted
 //! packed `(a, b)`.
 //!
 //! On the paper-scale graph (2.2 M edges, 30 000 vertices, 9 120
-//! clusters) the initial edges cost no heap operation, the 2.15 M of them
-//! whose pair lost a side first cost one check each, and the heap peaks
-//! at 0.71 M candidates. In traced `paper-figure` runs (seed 7, 2-CPU
-//! host) `cluster.linkage_s` is 1.78–1.90 s, against 3.46–3.84 s for
-//! the reference kernel, whose heap holds every edge.
+//! clusters) the 20 880 merges take 99 695 pops and 3.56 M folds: most of
+//! the cost is the folds and rescans, not the heap.
 
 use crate::similarity::{order_key, CoAccessGraph};
 use std::collections::BinaryHeap;
@@ -83,7 +85,7 @@ pub type IntMap<V> = HashMap<usize, V, BuildHasherDefault<IntHasher>>;
 /// A merge candidate of clusters `a < b`, greatest first: the higher
 /// score, then the smaller pair (`pair` is the packed `(a, b)`, bit
 /// inverted).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Candidate {
     score: u64,
     pair: u64,
@@ -107,10 +109,18 @@ impl Candidate {
     }
 }
 
-struct Cluster {
-    members: Vec<ObjectId>,
-    /// Sum of cross-pair weights to each other live cluster.
-    adj: IntMap<f64>,
+/// End of a member list.
+const NIL: u32 = u32::MAX;
+
+/// The best candidate of cluster `c` at or above `threshold`, if any.
+fn best(c: usize, adj: &IntMap<f64>, size: &[u32], threshold: f64) -> Option<Candidate> {
+    let len = size[c] as f64;
+    adj.iter()
+        .filter_map(|(&other, &sum)| {
+            let score = sum / (len * size[other] as f64);
+            (score >= threshold).then(|| Candidate::new(score, c, other))
+        })
+        .max()
 }
 
 /// Flat average-linkage clusters of `graph` at similarity `threshold`.
@@ -118,118 +128,83 @@ struct Cluster {
 /// Returns a partition of all objects (singletons included), clusters
 /// ordered by smallest member, members ascending.
 pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
-    let edges = graph.edges_by_weight_desc();
-    let mut degree = vec![0usize; graph.n_objects()];
-    for &(a, b, _) in edges {
-        degree[a.idx()] += 1;
-        degree[b.idx()] += 1;
-    }
-    let mut adj: Vec<IntMap<f64>> = degree
-        .into_iter()
-        .map(|d| IntMap::with_capacity_and_hasher(d, Default::default()))
-        .collect();
-    for &(a, b, w) in edges {
-        adj[a.idx()].insert(b.idx(), w);
-        adj[b.idx()].insert(a.idx(), w);
-    }
-    let mut clusters: Vec<Option<Cluster>> = adj
-        .into_iter()
-        .enumerate()
-        .map(|(i, adj)| {
-            Some(Cluster {
-                members: vec![ObjectId(i as u32)],
-                adj,
-            })
+    let n = graph.n_objects();
+    let mut adj: Vec<IntMap<f64>> = (0..n)
+        .map(|i| {
+            let row = graph.neighbours(ObjectId(i as u32));
+            let mut map = IntMap::with_capacity_and_hasher(row.len(), Default::default());
+            map.extend(row.map(|(b, w)| (b.idx(), w)));
+            map
         })
         .collect();
+    // Cluster sizes (0 once absorbed) and member lists: `next` links a
+    // cluster's objects from its id, `last` is the list's tail.
+    let mut size = vec![1u32; n];
+    let mut next = vec![NIL; n];
+    let mut last: Vec<u32> = (0..n as u32).collect();
 
-    // The initial candidates: every edge at or above the threshold, in
-    // candidate order already.
-    let mut stream = &edges[..edges.partition_point(|e| e.2 >= threshold)];
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-    loop {
-        // A pair with an absorbed side is a no-op whenever it pops.
-        while let [(a, b, _), rest @ ..] = stream {
-            if clusters[a.idx()].is_some() && clusters[b.idx()].is_some() {
-                break;
-            }
-            stream = rest;
+    let mut bound: Vec<Option<Candidate>> =
+        (0..n).map(|c| best(c, &adj[c], &size, threshold)).collect();
+    let mut heap: BinaryHeap<(Candidate, u32)> = bound
+        .iter()
+        .enumerate()
+        .filter_map(|(c, b)| Some(((*b)?, c as u32)))
+        .collect();
+
+    while let Some((cand, owner)) = heap.pop() {
+        let owner = owner as usize;
+        // An entry is live iff it holds its cluster's bound; absorbed
+        // clusters have none.
+        if bound[owner] != Some(cand) {
+            continue;
         }
-        let cand = match stream.split_first() {
-            Some((&(a, b, w), rest)) => {
-                let head = Candidate::new(w, a.idx(), b.idx());
-                if heap.peek().is_some_and(|top| *top > head) {
-                    heap.pop()
-                } else {
-                    stream = rest;
-                    Some(head)
-                }
-            }
-            None => heap.pop(),
-        };
-        let Some(cand) = cand else { break };
-
-        let (a, b) = (cand.a(), cand.b());
-        let (Some(ca), Some(cb)) = (&clusters[a], &clusters[b]) else {
-            continue; // one side already absorbed
-        };
-        // A candidate merges iff its score is the pair's live score; two
-        // singletons still hold their initial edge weight. Otherwise it is
-        // stale: re-push the live score if it still qualifies.
-        if ca.members.len() > 1 || cb.members.len() > 1 {
-            let Some(&sum) = ca.adj.get(&b) else {
-                continue; // live candidates are adjacent
-            };
-            let score = sum / (ca.members.len() as f64 * cb.members.len() as f64);
-            if order_key(score) != cand.score {
-                if score >= threshold {
-                    heap.push(Candidate::new(score, a, b));
-                }
-                continue;
-            }
+        let exact = best(owner, &adj[owner], &size, threshold);
+        bound[owner] = exact;
+        let Some(exact) = exact else { continue };
+        if exact != cand {
+            heap.push((exact, owner as u32));
+            continue;
         }
 
         // Merge the smaller cluster into the larger one.
-        let (keep, drop) = if ca.members.len() >= cb.members.len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let (Some(mut kept), Some(dropped)) = (clusters[keep].take(), clusters[drop].take()) else {
-            continue; // both checked live above
-        };
-        kept.members.extend(dropped.members);
-        kept.adj.remove(&drop);
-        let kept_len = kept.members.len();
+        let (a, b) = (cand.a(), cand.b());
+        let (keep, drop) = if size[a] >= size[b] { (a, b) } else { (b, a) };
+        let dropped = std::mem::take(&mut adj[drop]);
+        let mut kept = std::mem::take(&mut adj[keep]);
+        kept.remove(&drop);
+        size[keep] += size[drop];
+        size[drop] = 0;
+        bound[drop] = None;
+        next[last[keep] as usize] = drop as u32;
+        last[keep] = last[drop];
 
-        // Fold the dropped side's adjacency into the kept side and push
-        // fresh candidates for exactly the pairs whose sum changed. Pairs
-        // adjacent only to `keep` are revalidated lazily at pop time.
-        for (&other, &w) in &dropped.adj {
+        // Fold the dropped side's adjacency into the kept side. Every pair
+        // whose sum changes has `keep` as a side, and `keep` is rescanned
+        // below; every other pair only loses score as a side grows.
+        for (&other, &w) in &dropped {
             if other == keep {
                 continue;
             }
-            let sum = kept.adj.entry(other).or_insert(0.0);
-            *sum += w;
-            let sum = *sum;
-            let Some(oc) = &mut clusters[other] else {
-                continue; // adjacency holds live clusters only
-            };
-            let from_drop = oc.adj.remove(&drop).unwrap_or(0.0);
-            *oc.adj.entry(keep).or_insert(0.0) += from_drop;
-            let score = sum / (kept_len as f64 * oc.members.len() as f64);
-            if score >= threshold {
-                heap.push(Candidate::new(score, keep, other));
-            }
+            *kept.entry(other).or_insert(0.0) += w;
+            let from_drop = adj[other].remove(&drop).unwrap_or(0.0);
+            *adj[other].entry(keep).or_insert(0.0) += from_drop;
         }
-        clusters[keep] = Some(kept);
+        bound[keep] = best(keep, &kept, &size, threshold);
+        if let Some(b) = bound[keep] {
+            heap.push((b, keep as u32));
+        }
+        adj[keep] = kept;
     }
 
-    let mut out: Vec<Vec<ObjectId>> = clusters
-        .into_iter()
-        .flatten()
+    let mut out: Vec<Vec<ObjectId>> = (0..n)
+        .filter(|&c| size[c] > 0)
         .map(|c| {
-            let mut m = c.members;
+            let mut m = Vec::with_capacity(size[c] as usize);
+            let mut o = c as u32;
+            while o != NIL {
+                m.push(ObjectId(o));
+                o = next[o as usize];
+            }
             m.sort_unstable();
             m
         })
@@ -238,8 +213,8 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
     out
 }
 
-/// The single-heap kernel the edge stream replaced, kept as the parity
-/// reference for [`average_linkage_clusters`].
+/// The single-heap kernel, kept as the parity reference for
+/// [`average_linkage_clusters`].
 #[cfg(test)]
 mod reference {
     use super::IntMap;
@@ -289,6 +264,19 @@ mod reference {
         version: u32,
     }
 
+    /// Every edge once, as `(a, b, weight)` with `a < b`, in row order.
+    pub(super) fn edges(graph: &CoAccessGraph) -> Vec<(ObjectId, ObjectId, f64)> {
+        (0..graph.n_objects() as u32)
+            .map(ObjectId)
+            .flat_map(|a| {
+                graph
+                    .neighbours(a)
+                    .filter(move |&(b, _)| a < b)
+                    .map(move |(b, w)| (a, b, w))
+            })
+            .collect()
+    }
+
     /// The kernel of record: every candidate, the initial edges included,
     /// goes through one lazy max-heap with per-cluster version stamps, over
     /// edges sorted by the float comparator.
@@ -307,7 +295,7 @@ mod reference {
             })
             .collect();
 
-        let mut edges = graph.edges_by_weight_desc().to_vec();
+        let mut edges = edges(graph);
         edges.sort_by(|x, y| {
             y.2.partial_cmp(&x.2)
                 .expect("weights are finite")
@@ -555,9 +543,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// The streamed kernel returns exactly the reference partition,
+        /// The best-neighbour kernel returns exactly the reference partition,
         /// under tied (uniform) and Zipf-like probabilities, at thresholds
         /// across the weight range: an edge weight, or a half, third or
         /// quarter of one, which average scores hit exactly.
@@ -574,7 +562,7 @@ mod tests {
             let alpha = if uniform { 0.0 } else { alpha };
             let reqs = random_requests(seed, n_obj, n_req, alpha);
             let g = CoAccessGraph::from_requests(n_obj as usize, &reqs);
-            let edges = g.edges_by_weight_desc();
+            let edges = reference::edges(&g);
             let at = (pick * edges.len() as f64) as usize;
             let threshold = edges.get(at).map_or(0.5, |e| e.2) / div as f64;
             prop_assert_eq!(
@@ -584,10 +572,23 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian cluster index of each object.
+    fn membership_fingerprint(n_objects: usize, clusters: &[Vec<ObjectId>]) -> u64 {
+        let mut membership = vec![0u64; n_objects];
+        for (i, c) in clusters.iter().enumerate() {
+            for o in c {
+                membership[o.idx()] = i as u64;
+            }
+        }
+        let bytes: Vec<u8> = membership.iter().flat_map(|m| m.to_le_bytes()).collect();
+        tapesim_obs::fnv1a64(&bytes)
+    }
+
     /// A §6-shaped workload at a fifth of the paper's scale (each object
     /// in ~1.25 requests, as in the paper) pins the partition: cluster
     /// count and FNV-1a of the membership map, as the single-heap kernel
-    /// returned them before the edge stream replaced it.
+    /// returned them before the edge stream and then the best-neighbour
+    /// kernel replaced it.
     #[test]
     fn mid_size_partition_fingerprint() {
         let w = WorkloadSpec {
@@ -600,17 +601,35 @@ mod tests {
         }
         .generate();
         let clusters = w.co_access_clusters();
-        let mut membership = vec![0u64; w.objects().len()];
-        for (i, c) in clusters.iter().enumerate() {
-            for o in c {
-                membership[o.idx()] = i as u64;
-            }
-        }
-        let bytes: Vec<u8> = membership.iter().flat_map(|m| m.to_le_bytes()).collect();
-        let fingerprint = (clusters.len(), tapesim_obs::fnv1a64(&bytes));
+        let fingerprint = (
+            clusters.len(),
+            membership_fingerprint(w.objects().len(), clusters),
+        );
         assert_eq!(
             fingerprint,
             (1869, 0xd91a_33be_d517_5976),
+            "{fingerprint:x?}"
+        );
+    }
+
+    /// The paper's §6 workload itself (`WorkloadSpec::default()`: 30 000
+    /// objects, 300 requests, 2.2 M edges) pins the full-scale partition:
+    /// cluster count, largest cluster and the membership fingerprint, as
+    /// the edge-stream kernel returned them before the best-neighbour
+    /// kernel replaced it.
+    #[test]
+    fn paper_scale_partition_fingerprint() {
+        let w = WorkloadSpec::default().generate();
+        let clusters = w.co_access_clusters();
+        let largest = clusters.iter().map(Vec::len).max();
+        let fingerprint = (
+            clusters.len(),
+            largest,
+            membership_fingerprint(w.objects().len(), clusters),
+        );
+        assert_eq!(
+            fingerprint,
+            (9120, Some(146), 0xe9f5_9cd9_093b_3bb8),
             "{fingerprint:x?}"
         );
     }

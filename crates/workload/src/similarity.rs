@@ -9,18 +9,23 @@
 //! set of objects co-requested with total probability `p` is connected by
 //! pairwise edges of weight ≥ `p`, so any threshold cut at or below `p`
 //! groups them — which is how the paper's tree-traversal extraction behaves.
+//!
+//! ## Layout and build
+//!
+//! The graph is a symmetric CSR adjacency: per object an offset into one
+//! neighbour-id array and one weight array, each row ascending by
+//! neighbour id, every pair stored in both endpoint rows. It is built row
+//! by row with no pair map and no sort over the edges: for object `a`,
+//! walk `a`'s requests in request order (a request listing `a` twice is
+//! walked twice) and add `p_r` for every other object `b` of the request
+//! into a dense accumulator. Each pair so receives the same addends in
+//! the same order as a per-request pair-map accumulation — `m_a·m_b`
+//! copies of `p_r` per request when the request lists the objects `m_a`
+//! and `m_b` times, requests in order — and both endpoint rows hold the
+//! same sum bit for bit.
 
 use crate::{Request, Workload};
-use std::cmp::Reverse;
-use std::collections::HashMap;
 use tapesim_model::ObjectId;
-
-/// Packs an unordered object pair into a map key (smaller id in high bits).
-#[inline]
-fn pair_key(a: ObjectId, b: ObjectId) -> u64 {
-    let (lo, hi) = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    ((lo as u64) << 32) | hi as u64
-}
 
 /// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order,
 /// so weights and scores compare as one integer with no finiteness check.
@@ -36,45 +41,92 @@ pub(crate) fn order_key(x: f64) -> u64 {
     }
 }
 
-/// Sparse weighted co-access graph over the object population.
-///
-/// Built once into its weight-descending edge array; the pair map used to
-/// accumulate the weights is dropped at the end of the build.
+/// Sparse weighted co-access graph over the object population, as a
+/// symmetric CSR adjacency.
 #[derive(Debug, Clone)]
 pub struct CoAccessGraph {
-    n_objects: usize,
-    /// Every co-accessed pair `(a, b, weight)` with `a < b`, by descending
-    /// weight, ties by ascending `(a, b)`.
-    edges: Vec<(ObjectId, ObjectId, f64)>,
+    /// Row `a` is `neighbours[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+    /// Neighbour ids, ascending within each row.
+    neighbours: Vec<u32>,
+    /// The pair weight of each `neighbours` entry.
+    weights: Vec<f64>,
 }
 
 impl CoAccessGraph {
     /// Builds the graph from a request set over `n_objects` objects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request names an object outside `0..n_objects`
+    /// ([`Workload::try_new`] rejects such workloads).
     pub fn from_requests(n_objects: usize, requests: &[Request]) -> CoAccessGraph {
-        // Rough capacity guess: Σ C(k,2) over requests, saturating.
-        let cap: usize = requests
-            .iter()
-            .map(|r| r.objects.len() * (r.objects.len().saturating_sub(1)) / 2)
-            .sum();
-        // The default hasher, not `IntHasher`: a multiplicative hash takes
-        // the bucket from low bits that depend on the key's low half only,
-        // i.e. on the larger id alone, so packed pairs would collide.
-        let mut weights: HashMap<u64, f64> = HashMap::with_capacity(cap.min(1 << 24));
-        for r in requests {
-            for (i, &a) in r.objects.iter().enumerate() {
-                // A request listing an object twice adds no self-pair.
-                for &b in r.objects[i + 1..].iter().filter(|&&b| b != a) {
-                    *weights.entry(pair_key(a, b)).or_insert(0.0) += r.probability;
-                }
+        // Object → requests listing it, one entry per listing, in request
+        // order: a CSR index of its own.
+        let mut request_offsets = vec![0usize; n_objects + 1];
+        for o in requests.iter().flat_map(|r| &r.objects) {
+            request_offsets[o.idx() + 1] += 1;
+        }
+        for i in 0..n_objects {
+            request_offsets[i + 1] += request_offsets[i];
+        }
+        let mut fill = request_offsets[..n_objects].to_vec();
+        let mut listed = vec![0u32; request_offsets[n_objects]];
+        for (r, req) in requests.iter().enumerate() {
+            for o in &req.objects {
+                listed[fill[o.idx()]] = r as u32;
+                fill[o.idx()] += 1;
             }
         }
-        let mut edges: Vec<(ObjectId, ObjectId, f64)> = weights
-            .into_iter()
-            .map(|(k, w)| (ObjectId((k >> 32) as u32), ObjectId(k as u32), w))
-            .collect();
-        // Pairs are unique, so the unstable sort is deterministic.
-        edges.sort_unstable_by_key(|&(a, b, w)| (Reverse(order_key(w)), a, b));
-        CoAccessGraph { n_objects, edges }
+
+        let mut offsets = Vec::with_capacity(n_objects + 1);
+        offsets.push(0);
+        // Each ordered position pair of a request adds at most one row
+        // entry, and no row holds more than the other objects. Reserving
+        // up front avoids regrowth copies, and untouched capacity of a
+        // large reservation is not resident.
+        let cap = requests
+            .iter()
+            .map(|r| {
+                r.objects
+                    .len()
+                    .saturating_mul(r.objects.len().saturating_sub(1))
+            })
+            .fold(0usize, usize::saturating_add)
+            .min(n_objects.saturating_mul(n_objects.saturating_sub(1)));
+        let mut neighbours = Vec::with_capacity(cap);
+        let mut weights = Vec::with_capacity(cap);
+        let mut acc = vec![0.0f64; n_objects];
+        let mut seen = vec![false; n_objects];
+        let mut touched: Vec<u32> = Vec::new();
+        for a in 0..n_objects {
+            for &r in &listed[request_offsets[a]..request_offsets[a + 1]] {
+                let req = &requests[r as usize];
+                // A request listing an object twice adds no self-pair.
+                for b in req.objects.iter().map(|b| b.idx()).filter(|&b| b != a) {
+                    if !seen[b] {
+                        seen[b] = true;
+                        touched.push(b as u32);
+                    }
+                    acc[b] += req.probability;
+                }
+            }
+            touched.sort_unstable();
+            neighbours.extend_from_slice(&touched);
+            for &b in &touched {
+                let b = b as usize;
+                weights.push(acc[b]);
+                acc[b] = 0.0;
+                seen[b] = false;
+            }
+            touched.clear();
+            offsets.push(neighbours.len());
+        }
+        CoAccessGraph {
+            offsets,
+            neighbours,
+            weights,
+        }
     }
 
     /// Convenience: builds from a [`Workload`].
@@ -84,38 +136,48 @@ impl CoAccessGraph {
 
     /// Number of objects (graph vertices).
     pub fn n_objects(&self) -> usize {
-        self.n_objects
+        self.offsets.len() - 1
     }
 
-    /// Number of weighted pairs (graph edges).
+    /// Number of distinct weighted pairs (graph edges); each is stored in
+    /// both endpoint rows.
     pub fn n_edges(&self) -> usize {
-        self.edges.len()
+        self.neighbours.len() / 2
+    }
+
+    /// The neighbours of `object` with their pair weights, ascending by
+    /// neighbour id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `object` is outside the graph.
+    pub(crate) fn neighbours(
+        &self,
+        object: ObjectId,
+    ) -> impl ExactSizeIterator<Item = (ObjectId, f64)> + '_ {
+        let row = self.offsets[object.idx()]..self.offsets[object.idx() + 1];
+        self.neighbours[row.clone()]
+            .iter()
+            .zip(&self.weights[row])
+            .map(|(&b, &w)| (ObjectId(b), w))
     }
 
     /// Similarity of a pair (0 if never co-accessed).
     #[cfg(test)]
     pub(crate) fn pair_weight(&self, a: ObjectId, b: ObjectId) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        let key = pair_key(a, b);
-        self.edges
-            .iter()
-            .find(|&&(x, y, _)| pair_key(x, y) == key)
-            .map_or(0.0, |e| e.2)
-    }
-
-    /// All edges as `(a, b, weight)` with `a < b`, **sorted by descending
-    /// weight** (ties broken by ids) — the order Kruskal and average
-    /// linkage consume.
-    pub fn edges_by_weight_desc(&self) -> &[(ObjectId, ObjectId, f64)] {
-        &self.edges
+        self.neighbours(a)
+            .find(|&(o, _)| o == b)
+            .map_or(0.0, |e| e.1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
+    use std::collections::BTreeMap;
 
     fn req(rank: u32, p: f64, objs: &[u32]) -> Request {
         Request {
@@ -123,6 +185,10 @@ mod tests {
             probability: p,
             objects: objs.iter().map(|&o| ObjectId(o)).collect(),
         }
+    }
+
+    fn row(g: &CoAccessGraph, a: u32) -> Vec<(u32, f64)> {
+        g.neighbours(ObjectId(a)).map(|(b, w)| (b.0, w)).collect()
     }
 
     #[test]
@@ -154,27 +220,95 @@ mod tests {
     }
 
     #[test]
-    fn edges_sorted_descending_deterministically() {
+    fn rows_ascend_by_neighbour_id() {
         let reqs = vec![
-            req(0, 0.4, &[0, 1]),
+            req(0, 0.4, &[3, 0, 1]),
             req(1, 0.4, &[2, 3]),
             req(2, 0.2, &[0, 2]),
         ];
         let g = CoAccessGraph::from_requests(4, &reqs);
-        let edges = g.edges_by_weight_desc();
-        assert_eq!(edges.len(), 3);
-        // Two ties at 0.4 break by smaller first id.
-        assert_eq!(edges[0].0, ObjectId(0));
-        assert_eq!(edges[0].1, ObjectId(1));
-        assert_eq!(edges[1].0, ObjectId(2));
-        assert_eq!(edges[1].1, ObjectId(3));
-        assert!((edges[2].2 - 0.2).abs() < 1e-12);
+        assert_eq!(row(&g, 0), [(1, 0.4), (2, 0.2), (3, 0.4)]);
+        assert_eq!(row(&g, 3), [(0, 0.4), (1, 0.4), (2, 0.4)]);
+        assert_eq!(g.n_edges(), 5);
+    }
+
+    #[test]
+    fn an_object_listed_twice_counts_each_listing() {
+        // Object 1 twice: the pair (0,1) receives p twice, as a
+        // per-request pair map over positions i < j does.
+        let g = CoAccessGraph::from_requests(3, &[req(0, 0.25, &[0, 1, 1])]);
+        assert_eq!(row(&g, 0), [(1, 0.5)]);
+        assert_eq!(row(&g, 1), [(0, 0.5)]);
+        assert!(row(&g, 2).is_empty());
+        assert_eq!(g.n_edges(), 1);
     }
 
     #[test]
     fn empty_requests_give_empty_graph() {
         let g = CoAccessGraph::from_requests(10, &[]);
         assert_eq!(g.n_edges(), 0);
-        assert!(g.edges_by_weight_desc().is_empty());
+        assert!((0..10).all(|a| row(&g, a).is_empty()));
+    }
+
+    /// The per-request pair-map accumulation the CSR build replaced:
+    /// every position pair `i < j` of distinct objects adds `p_r`,
+    /// requests in order.
+    fn pair_map(requests: &[Request]) -> BTreeMap<(u32, u32), f64> {
+        let mut weights = BTreeMap::new();
+        for r in requests {
+            for (i, &a) in r.objects.iter().enumerate() {
+                for &b in r.objects[i + 1..].iter().filter(|&&b| b != a) {
+                    let key = (a.0.min(b.0), a.0.max(b.0));
+                    *weights.entry(key).or_insert(0.0) += r.probability;
+                }
+            }
+        }
+        weights
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// CSR rows hold exactly the pair map's weights, bit for bit, in
+        /// both endpoint rows, ascending; `n_edges` is the distinct-pair
+        /// count. Probabilities tie when `uniform`; requests may list an
+        /// object more than once and in any order.
+        #[test]
+        fn rows_match_a_per_request_pair_map(
+            seed in any::<u64>(),
+            n_obj in 1u32..40,
+            n_req in 0usize..20,
+            uniform in any::<bool>(),
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let requests: Vec<Request> = (0..n_req)
+                .map(|rank| Request {
+                    rank: rank as u32,
+                    probability: if uniform { 0.1 } else { rng.gen_range(0.0..1.0) },
+                    objects: (0..rng.gen_range(0..12))
+                        .map(|_| ObjectId(rng.gen_range(0..n_obj)))
+                        .collect(),
+                })
+                .collect();
+            let g = CoAccessGraph::from_requests(n_obj as usize, &requests);
+            let expected = pair_map(&requests);
+            prop_assert_eq!(g.n_edges(), expected.len());
+            let mut from_rows = BTreeMap::new();
+            for a in 0..n_obj {
+                let row = row(&g, a);
+                prop_assert!(row.windows(2).all(|x| x[0].0 < x[1].0), "{:?}", row);
+                for (b, w) in row {
+                    prop_assert!(a != b);
+                    let key = (a.min(b), a.max(b));
+                    if let Some(other) = from_rows.insert(key, w) {
+                        prop_assert_eq!(other.to_bits(), w.to_bits(), "asymmetric {:?}", key);
+                    }
+                }
+            }
+            prop_assert_eq!(from_rows.len(), expected.len());
+            for (key, w) in &expected {
+                prop_assert_eq!(from_rows.get(key).map(|x| x.to_bits()), Some(w.to_bits()), "{:?}", key);
+            }
+        }
     }
 }

@@ -110,7 +110,7 @@ pub struct Workload {
 }
 
 /// Why a set of parts is not a workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadError {
     /// Object ids must be dense: the object at `position` has id `id`.
     NonDenseId {
@@ -126,6 +126,19 @@ pub enum WorkloadError {
         /// The missing object.
         object: ObjectId,
     },
+    /// A request probability is negative, NaN or infinite.
+    BadProbability {
+        /// The request's rank.
+        request: u32,
+        /// Its probability.
+        probability: f64,
+    },
+    /// A non-empty request set whose probabilities do not sum to a
+    /// positive finite total: nothing could be sampled from it.
+    ProbabilityMass {
+        /// The sum of the request probabilities.
+        total: f64,
+    },
 }
 
 impl std::fmt::Display for WorkloadError {
@@ -140,6 +153,18 @@ impl std::fmt::Display for WorkloadError {
             WorkloadError::UnknownObject { request, object } => {
                 write!(f, "request {request} references unknown object {object}")
             }
+            WorkloadError::BadProbability {
+                request,
+                probability,
+            } => write!(
+                f,
+                "request {request} has probability {probability}: \
+                 expected a finite number >= 0"
+            ),
+            WorkloadError::ProbabilityMass { total } => write!(
+                f,
+                "request probabilities sum to {total}: expected a positive finite total"
+            ),
         }
     }
 }
@@ -190,9 +215,8 @@ impl Workload {
     ///
     /// # Panics
     ///
-    /// Panics if ids are not dense `0..objects.len()` or a request
-    /// references a missing object; [`Workload::try_new`] returns those
-    /// as errors instead.
+    /// Panics on any part [`Workload::try_new`] rejects; that returns
+    /// the reason as an error instead.
     pub fn new(objects: Vec<ObjectRecord>, requests: Vec<Request>) -> Workload {
         // Panic with the error's message rather than its `Debug` form.
         Workload::try_new(objects, requests)
@@ -201,7 +225,10 @@ impl Workload {
     }
 
     /// Assembles a workload from parts, rejecting ids that are not dense
-    /// `0..objects.len()` and requests that reference a missing object.
+    /// `0..objects.len()`, requests that reference a missing object, a
+    /// probability that is negative, NaN or infinite, and a non-empty
+    /// request set whose probabilities do not sum to a positive finite
+    /// total.
     pub fn try_new(
         objects: Vec<ObjectRecord>,
         requests: Vec<Request>,
@@ -216,6 +243,17 @@ impl Workload {
                     object,
                 });
             }
+            if !(r.probability.is_finite() && r.probability >= 0.0) {
+                return Err(WorkloadError::BadProbability {
+                    request: r.rank,
+                    probability: r.probability,
+                });
+            }
+        }
+        let total: f64 = requests.iter().map(|r| r.probability).sum();
+        let sampleable = total.is_finite() && total > 0.0;
+        if !requests.is_empty() && !sampleable {
+            return Err(WorkloadError::ProbabilityMass { total });
         }
         Ok(Workload {
             objects,
@@ -304,6 +342,10 @@ impl Workload {
     }
 
     /// A sampler over the pre-defined requests weighted by popularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload has no requests.
     pub fn request_sampler(&self) -> RequestSampler {
         let weights: Vec<f64> = self.requests.iter().map(|r| r.probability).collect();
         RequestSampler::new(&weights)
@@ -450,6 +492,60 @@ mod tests {
                 .contains("request 2 references unknown object"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn try_new_rejects_unsampleable_probabilities() {
+        let objects = || {
+            (0..3)
+                .map(|i| ObjectRecord {
+                    id: ObjectId(i),
+                    size: Bytes::mb(1),
+                })
+                .collect::<Vec<_>>()
+        };
+        let requests = |ps: &[f64]| {
+            ps.iter()
+                .enumerate()
+                .map(|(rank, &probability)| Request {
+                    rank: rank as u32,
+                    probability,
+                    objects: vec![ObjectId(rank as u32)],
+                })
+                .collect::<Vec<_>>()
+        };
+        let bad = |request, probability| {
+            Err(WorkloadError::BadProbability {
+                request,
+                probability,
+            })
+        };
+        assert_eq!(
+            Workload::try_new(objects(), requests(&[-0.5, 1.5])),
+            bad(0, -0.5)
+        );
+        assert_eq!(
+            Workload::try_new(objects(), requests(&[0.5, f64::INFINITY])),
+            bad(1, f64::INFINITY)
+        );
+        let nan = Workload::try_new(objects(), requests(&[f64::NAN]));
+        assert!(
+            matches!(nan, Err(WorkloadError::BadProbability { request: 0, probability }) if probability.is_nan()),
+            "{nan:?}"
+        );
+        assert_eq!(
+            Workload::try_new(objects(), requests(&[0.0, 0.0])),
+            Err(WorkloadError::ProbabilityMass { total: 0.0 })
+        );
+        assert_eq!(
+            Workload::try_new(objects(), requests(&[f64::MAX, f64::MAX])),
+            Err(WorkloadError::ProbabilityMass {
+                total: f64::INFINITY
+            })
+        );
+        // A zero probability beside a positive one samples fine.
+        let w = Workload::try_new(objects(), requests(&[0.0, 0.25])).unwrap();
+        assert_eq!(w.request_sampler().len(), 2);
     }
 
     #[test]
