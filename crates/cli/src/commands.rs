@@ -63,6 +63,18 @@ impl From<serde_json::Error> for CommandError {
 /// default 12) and `--seed` (default 0xD15C). A rate that is not a finite
 /// positive number is rejected here rather than left to panic the
 /// arrival process.
+/// A request-count flag, which must be at least 1: a run of no requests
+/// has no latency percentiles or rates to report.
+fn request_count(args: &Args, name: &str, default: usize) -> Result<usize, CommandError> {
+    let n: usize = args.get_or(name, default)?;
+    if n == 0 {
+        return Err(CommandError(format!(
+            "flag --{name}: expected at least 1 request, got 0"
+        )));
+    }
+    Ok(n)
+}
+
 fn arrivals_from(args: &Args) -> Result<ArrivalSpec, CommandError> {
     let per_hour: f64 = args.get_or("rate", 12.0)?;
     if !(per_hour.is_finite() && per_hour > 0.0) {
@@ -187,7 +199,7 @@ pub fn simulate(args: &Args) -> Result<String, CommandError> {
     placement
         .verify_against(&workload)
         .map_err(|e| CommandError(format!("placement does not match workload: {e}")))?;
-    let samples: usize = args.get_or("samples", 200)?;
+    let samples = request_count(args, "samples", 200)?;
     let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let mut sim = natural_simulator(placement, args)?.with_seek(seek_policy_from(args)?);
     let run = sim.run_sampled(&workload, samples, seed);
@@ -427,7 +439,7 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let requests: usize = args.get_or("requests", if smoke { 10_000 } else { 175_000 })?;
+    let requests = request_count(args, "requests", if smoke { 10_000 } else { 175_000 })?;
     let shards: usize = serve_shards(args, system.libraries as usize)?;
     let channel_bound: usize = args.get_or("channel-bound", 256)?;
     let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
@@ -697,7 +709,7 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let requests: usize = args.get_or("requests", if smoke { 6_000 } else { 40_000 })?;
+    let requests = request_count(args, "requests", if smoke { 6_000 } else { 40_000 })?;
     let shards: usize = serve_shards(args, system.libraries as usize)?;
     let channel_bound: usize = args.get_or("channel-bound", 256)?;
     let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
@@ -899,7 +911,7 @@ pub fn audit(args: &Args) -> Result<String, CommandError> {
     placement
         .verify_against(&workload)
         .map_err(|e| CommandError(format!("placement does not match workload: {e}")))?;
-    let samples: usize = args.get_or("samples", 200)?;
+    let samples = request_count(args, "samples", 200)?;
     let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let mut sim = natural_simulator(placement, args)?;
     let (run, reports) = sim.run_sampled_audited(&workload, samples, seed);
@@ -1066,7 +1078,7 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let samples: usize = args.get_or("samples", if smoke { 30 } else { 100 })?;
+    let samples = request_count(args, "samples", if smoke { 30 } else { 100 })?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let audit = !args.has("no-audit");
     let par = parallel_config_from(args)?;
@@ -1175,7 +1187,7 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let samples: usize = args.get_or("samples", if smoke { 30 } else { 100 })?;
+    let samples = request_count(args, "samples", if smoke { 30 } else { 100 })?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
 
     let schemes = parse_schemes(args)?;
@@ -1326,7 +1338,7 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
     };
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let samples: usize = args.get_or("samples", if smoke { 25 } else { 100 })?;
+    let samples = request_count(args, "samples", if smoke { 25 } else { 100 })?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let fault_seed: u64 = args.get_or("fault-seed", 41u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;

@@ -8,8 +8,8 @@
 //! about tapes, drives or robots. The engine provides
 //!
 //! * [`SimTime`] — a total-ordered, finite simulation clock value,
-//! * [`EventQueue`] — a stable priority queue of timestamped events with
-//!   cancellation support,
+//! * [`EventQueue`] — a stable priority queue of timestamped events, one
+//!   flat heap with each entry's ordering key inline,
 //! * [`Scheduler`] / [`World`] — the execution model: a world handles one
 //!   event at a time and may schedule further events,
 //! * [`Resource`] — a calendar-based FCFS server (used for robot arms),
@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use audit::{AuditReport, AuditStream, TraceAuditor, Violation, ViolationKind};
 pub use parallel::{run_windowed, window_barriers, WindowPartition, WindowTrace};
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use resource::Resource;
 pub use scheduler::{RunOutcome, Scheduler, World};
 pub use time::SimTime;

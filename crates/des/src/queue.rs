@@ -4,55 +4,64 @@
 //! priority values, then insertion order. The sequence number makes the queue
 //! *stable*, which is what makes whole simulations reproducible.
 //!
-//! Storage is a pooled slab plus an index-based binary heap: entries live in
-//! `slots`, freed slots are recycled through a free list, and the heap orders
-//! slot indices rather than owning the entries. Steady-state operation —
-//! push/pop churn below the high-water mark — performs no allocations at all;
-//! the slab and heap vectors only grow when the live count sets a new record.
-//!
-//! Events can be cancelled through the [`EventHandle`] returned at insertion;
-//! cancellation is O(1) (the slot is tombstoned) and tombstones are dropped
-//! lazily when they reach the front of the heap.
+//! Storage is one flat binary heap whose entries carry their ordering key
+//! inline: the time as its `f64::total_cmp` integer key
+//! (`SimTime::order_key`), the priority and the sequence number. A
+//! comparison is three integer compares on the entries themselves, with no
+//! indirection. The heap vector only grows when the pending count sets a new
+//! record, so steady-state push/pop churn performs no allocations.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Priority of an event at equal timestamps. Lower fires first.
 pub type Priority = i32;
 
-/// Handle identifying a scheduled event, usable for cancellation.
-///
-/// The handle pairs the slab slot with the entry's unique sequence number, so
-/// a handle to a fired (or cancelled) event can never alias a later entry that
-/// recycled the same slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    slot: u32,
+/// One queued event with its `(time, priority, seq)` key inline.
+struct Entry<E> {
+    time: i64,
     seq: u64,
-}
-
-/// One slab slot. `event` is `None` only while the slot sits on the free
-/// list; a cancelled-but-not-yet-popped entry keeps its event until the
-/// tombstone surfaces at the heap top.
-struct Slot<E> {
-    time: SimTime,
     priority: Priority,
-    seq: u64,
-    cancelled: bool,
-    event: Option<E>,
+    event: E,
 }
 
-/// A stable, cancellable priority queue of events.
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (i64, Priority, u64) {
+        (self.time, self.priority, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+// Reversed: `BinaryHeap` pops its greatest entry, the queue its least key.
+// `seq` is unique, so no two queued entries compare equal and pop order is
+// fully determined by the keys, independent of heap layout history.
+impl<E> Ord for Entry<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+/// A stable priority queue of events.
 pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    /// Recycled slot indices, reused before the slab grows.
-    free: Vec<u32>,
-    /// Min-heap of slot indices, ordered by `(time, priority, seq)`.
-    heap: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Live (non-cancelled) entry count.
-    live: usize,
-    /// High-water mark of the live queue length, for diagnostics.
+    /// High-water mark of the queue length, for diagnostics.
     max_len: usize,
 }
 
@@ -69,26 +78,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with room for `capacity` pending events before
-    /// any of its vectors reallocate.
+    /// it reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            heap: Vec::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            live: 0,
             max_len: 0,
         }
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// High-water mark of [`EventQueue::len`] over the queue's lifetime.
@@ -98,191 +104,44 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events while keeping the allocated capacity.
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
         self.heap.clear();
-        self.live = 0;
     }
 
     /// Schedules `event` at `time` with default priority 0.
-    pub fn push(&mut self, time: SimTime, event: E) -> EventHandle {
-        self.push_with_priority(time, 0, event)
+    pub fn push(&mut self, time: SimTime, event: E) {
+        self.push_with_priority(time, 0, event);
     }
 
     /// Schedules `event` at `time`; lower `priority` fires first among
     /// same-time events.
-    pub fn push_with_priority(
-        &mut self,
-        time: SimTime,
-        priority: Priority,
-        event: E,
-    ) -> EventHandle {
+    pub fn push_with_priority(&mut self, time: SimTime, priority: Priority, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let recycled = self.free.pop();
-        let slot = match recycled.and_then(|idx| self.slots.get_mut(idx as usize).map(|s| (idx, s)))
-        {
-            Some((idx, s)) => {
-                s.time = time;
-                s.priority = priority;
-                s.seq = seq;
-                s.cancelled = false;
-                s.event = Some(event);
-                idx
-            }
-            None => {
-                // u32 slot indices: 4 billion concurrently-live events
-                // would exhaust memory long before this saturates.
-                let idx = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
-                self.slots.push(Slot {
-                    time,
-                    priority,
-                    seq,
-                    cancelled: false,
-                    event: Some(event),
-                });
-                idx
-            }
-        };
-        self.heap.push(slot);
-        self.sift_up(self.heap.len() - 1);
-        self.live += 1;
-        self.max_len = self.max_len.max(self.live);
-        EventHandle { slot, seq }
+        self.heap.push(Entry {
+            time: time.order_key(),
+            priority,
+            seq,
+            event,
+        });
+        self.max_len = self.max_len.max(self.heap.len());
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending. Cancelling an event
-    /// that already fired (or was already cancelled) returns `false`.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let Some(slot) = self.slots.get_mut(handle.slot as usize) else {
-            return false;
-        };
-        // The seq check rejects stale handles whose slot was recycled, and
-        // the event check rejects handles to freed (fired) slots.
-        if slot.seq != handle.seq || slot.cancelled || slot.event.is_none() {
-            return false;
-        }
-        slot.cancelled = true;
-        self.live -= 1;
-        true
-    }
-
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let top = *self.heap.first()?;
-            self.pop_top();
-            // Heap entries always point at occupied slots; a miss here
-            // (corrupt index, already-freed slot) is skipped rather than
-            // surfaced as a bogus event.
-            let Some(slot) = self.slots.get_mut(top as usize) else {
-                continue;
-            };
-            let Some(event) = slot.event.take() else {
-                continue;
-            };
-            let cancelled = slot.cancelled;
-            let time = slot.time;
-            self.free.push(top);
-            if cancelled {
-                continue;
-            }
-            self.live -= 1;
-            return Some((time, event));
-        }
+        self.heap
+            .pop()
+            .map(|e| (SimTime::from_order_key(e.time), e.event))
     }
 
-    /// Time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Prune cancelled entries off the top so peek is accurate.
-        loop {
-            let top = *self.heap.first()?;
-            let Some(slot) = self.slots.get_mut(top as usize) else {
-                self.pop_top();
-                continue;
-            };
-            if slot.cancelled {
-                slot.event = None;
-                self.pop_top();
-                self.free.push(top);
-                continue;
-            }
-            return Some(slot.time);
-        }
-    }
-
-    /// Compares two slab slots by the queue's total order.
-    ///
-    /// `(time, priority, seq)` with `seq` unique makes this a *total* order:
-    /// no two queued entries ever compare equal, so pop order is fully
-    /// determined by the keys and independent of heap layout history.
-    #[inline]
-    fn less(&self, a: u32, b: u32) -> bool {
-        let (Some(sa), Some(sb)) = (self.slots.get(a as usize), self.slots.get(b as usize)) else {
-            // Unreachable (the heap only carries minted slots); index
-            // order is still a total order, keeping the heap consistent.
-            return a < b;
-        };
-        match sa.time.cmp(&sb.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => match sa.priority.cmp(&sb.priority) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => sa.seq < sb.seq,
-            },
-        }
-    }
-
-    /// Removes the heap's root index, restoring the heap property.
-    fn pop_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let (Some(&child_slot), Some(&parent_slot)) = (self.heap.get(i), self.heap.get(parent))
-            else {
-                return;
-            };
-            if self.less(child_slot, parent_slot) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let Some(&root_slot) = self.heap.get(i) else {
-                return;
-            };
-            let mut smallest = i;
-            let mut smallest_slot = root_slot;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if let Some(&child_slot) = self.heap.get(child) {
-                    if self.less(child_slot, smallest_slot) {
-                        smallest = child;
-                        smallest_slot = child_slot;
-                    }
-                }
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+    /// Removes and returns the earliest event if it is stamped at or
+    /// before `horizon`: one heap operation per event for bounded runs.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let top = self
+            .heap
+            .peek_mut()
+            .filter(|e| e.time <= horizon.order_key())?;
+        let e = PeekMut::pop(top);
+        Some((SimTime::from_order_key(e.time), e.event))
     }
 }
 
@@ -292,6 +151,12 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// `-0.0`, which [`SimTime::from_secs`] normalises away but float
+    /// arithmetic on times can still produce.
+    fn neg_zero() -> SimTime {
+        SimTime::from_order_key(-1)
     }
 
     #[test]
@@ -318,28 +183,57 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
+    fn negative_zero_pops_before_positive_zero() {
+        // IEEE total order puts -0.0 below +0.0, even against a better
+        // priority and an earlier insertion.
         let mut q = EventQueue::new();
-        let h1 = q.push(t(1.0), 1);
-        let h2 = q.push(t(2.0), 2);
-        q.push(t(3.0), 3);
-        assert_eq!(q.len(), 3);
-        assert!(q.cancel(h2));
-        assert!(!q.cancel(h2), "double cancel reports false");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((t(1.0), 1)));
-        assert!(!q.cancel(h1), "cancelling a fired event reports false");
-        assert_eq!(q.pop(), Some((t(3.0), 3)));
-        assert!(q.is_empty());
+        q.push_with_priority(SimTime::ZERO, -5, "plus");
+        q.push_with_priority(neg_zero(), 5, "minus");
+        let (time, ev) = q.pop().unwrap();
+        assert_eq!(ev, "minus");
+        assert_eq!(time.as_secs().to_bits(), (-0.0f64).to_bits());
+        let (time, ev) = q.pop().unwrap();
+        assert_eq!(ev, "plus");
+        assert_eq!(time.as_secs().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn peek_skips_cancelled() {
+    fn pop_until_stops_at_the_horizon() {
         let mut q = EventQueue::new();
-        let h = q.push(t(1.0), 1);
+        assert_eq!(q.pop_until(SimTime::MAX), None);
         q.push(t(2.0), 2);
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
+        q.push(t(1.0), 1);
+        assert_eq!(q.pop_until(t(0.5)), None);
+        assert_eq!(q.pop_until(t(1.0)), Some((t(1.0), 1)), "inclusive");
+        assert_eq!(q.pop_until(t(1.5)), None);
+        assert_eq!(q.len(), 1, "a refused pop leaves the event queued");
+        assert_eq!(q.pop_until(SimTime::MAX), Some((t(2.0), 2)));
+    }
+
+    #[test]
+    fn max_time_events_pop_last() {
+        let mut q = EventQueue::new();
+        q.push_with_priority(SimTime::MAX, -1, "max");
+        q.push(t(f64::MAX / 2.0), "half");
+        q.push(t(0.0), "zero");
+        assert_eq!(q.pop().unwrap().1, "zero");
+        assert_eq!(q.pop().unwrap().1, "half");
+        assert_eq!(q.pop(), Some((SimTime::MAX, "max")));
+    }
+
+    #[test]
+    fn pushes_after_pops_keep_the_order() {
+        let mut q = EventQueue::new();
+        q.push(t(5.0), 5);
+        q.push(t(1.0), 1);
+        assert_eq!(q.pop(), Some((t(1.0), 1)));
+        // Later insertions at earlier or equal times still sort by key;
+        // the equal-time one fires after the older entry (FIFO).
+        q.push(t(3.0), 3);
+        q.push(t(5.0), 6);
+        q.push(t(2.0), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![2, 3, 5, 6]);
     }
 
     #[test]
@@ -353,34 +247,17 @@ mod tests {
     }
 
     #[test]
-    fn bogus_handle_is_rejected() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        assert!(!q.cancel(EventHandle { slot: 42, seq: 42 }));
-    }
-
-    #[test]
-    fn recycled_slot_does_not_alias_old_handle() {
-        let mut q = EventQueue::new();
-        let h1 = q.push(t(1.0), 1);
-        q.pop();
-        // The new entry recycles slot 0; the stale handle must not cancel it.
-        let h2 = q.push(t(2.0), 2);
-        assert!(!q.cancel(h1), "stale handle cancelled a recycled slot");
-        assert_eq!(q.pop(), Some((t(2.0), 2)));
-        assert!(!q.cancel(h2), "handle to a fired event stays dead");
-    }
-
-    #[test]
     fn steady_state_churn_reuses_slots() {
         let mut q = EventQueue::with_capacity(4);
+        let cap = q.heap.capacity();
         for i in 0..100u32 {
             q.push(t(i as f64), i);
             let (_, v) = q.pop().unwrap();
             assert_eq!(v, i);
         }
-        // Only one slot was ever needed: the slab never grew past it.
+        // One slot was ever needed: the heap never grew past its capacity.
         assert_eq!(q.max_len(), 1);
-        assert!(q.slots.len() <= 1);
+        assert_eq!(q.heap.capacity(), cap);
     }
 
     #[test]
@@ -389,11 +266,11 @@ mod tests {
         for i in 0..16u32 {
             q.push(t(i as f64), i);
         }
-        let cap = q.slots.capacity();
+        let cap = q.heap.capacity();
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert!(q.slots.capacity() >= cap);
+        assert!(q.heap.capacity() >= cap);
         q.push(t(1.0), 99);
         assert_eq!(q.pop(), Some((t(1.0), 99)));
     }
@@ -404,9 +281,31 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Maps a small draw onto a time palette with many ties plus the two
+    /// edge keys: `-0.0` and [`SimTime::MAX`].
+    fn palette(code: u32) -> SimTime {
+        match code {
+            0 => SimTime::from_order_key(-1),
+            1 => SimTime::MAX,
+            c => SimTime::from_secs((c / 3) as f64),
+        }
+    }
+
+    /// The reference queue: a plain list, popped at its minimum under
+    /// `SimTime`'s `Ord` (IEEE total order), then priority, then insertion.
+    fn pop_min(model: &mut Vec<(SimTime, Priority, usize)>) -> Option<(SimTime, usize)> {
+        let pos = (0..model.len()).min_by(|&a, &b| {
+            let (ta, pa, sa) = model[a];
+            let (tb, pb, sb) = model[b];
+            ta.cmp(&tb).then(pa.cmp(&pb)).then(sa.cmp(&sb))
+        })?;
+        let (time, _, id) = model.remove(pos);
+        Some((time, id))
+    }
+
     proptest! {
         /// Pops come out sorted by (time, then insertion order for ties),
-        /// and every live event comes out exactly once.
+        /// and every event comes out exactly once.
         #[test]
         fn pops_are_sorted_and_complete(times in proptest::collection::vec(0u32..1000, 1..200)) {
             let mut q = EventQueue::new();
@@ -428,76 +327,55 @@ mod proptests {
             prop_assert_eq!(sorted, (0..times.len()).collect::<Vec<_>>());
         }
 
-        /// Cancelled events never pop; everything else does.
+        /// Push-all-then-drain equals a stable sort by `(time, priority)`,
+        /// bit for bit on the popped times, across priority and sequence
+        /// ties, `-0.0` and `SimTime::MAX`.
         #[test]
-        fn cancellation_is_exact(
-            times in proptest::collection::vec(0u32..100, 1..100),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+        fn pops_match_sorted_reference(
+            keys in proptest::collection::vec((0u32..40, 0u32..5), 1..200),
         ) {
             let mut q = EventQueue::new();
-            let mut handles = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                handles.push(q.push(SimTime::from_secs(t as f64), i));
+            let mut expected: Vec<(SimTime, Priority, usize)> = Vec::new();
+            for (i, &(code, prio)) in keys.iter().enumerate() {
+                let prio = prio as Priority - 2;
+                q.push_with_priority(palette(code), prio, i);
+                expected.push((palette(code), prio, i));
             }
-            let mut cancelled = std::collections::HashSet::new();
-            for (i, h) in handles.iter().enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    prop_assert!(q.cancel(*h));
-                    cancelled.insert(i);
-                }
+            expected.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            for &(time, _, id) in &expected {
+                let (gt, gid) = q.pop_until(time).expect("reference has an event at its head");
+                prop_assert_eq!(gt.as_secs().to_bits(), time.as_secs().to_bits());
+                prop_assert_eq!(gid, id);
             }
-            let mut popped = std::collections::HashSet::new();
-            while let Some((_, v)) = q.pop() {
-                prop_assert!(!cancelled.contains(&v), "cancelled event {v} popped");
-                popped.insert(v);
-            }
-            prop_assert_eq!(popped.len() + cancelled.len(), times.len());
+            prop_assert_eq!(q.pop(), None);
         }
 
-        /// Interleaved push/pop/cancel churn matches a model built on sorting:
-        /// the pooled slab with slot recycling must stay externally
-        /// indistinguishable from the naive stable queue.
+        /// Interleaved push/pop churn matches the reference list: the flat
+        /// heap stays externally indistinguishable from the naive stable
+        /// queue, edge keys and priority ties included.
         #[test]
         fn churn_matches_reference_model(
-            ops in proptest::collection::vec((0u32..50, any::<bool>(), any::<bool>()), 1..300),
+            ops in proptest::collection::vec((0u32..50, 0u32..5, any::<bool>()), 1..300),
         ) {
             let mut q = EventQueue::with_capacity(8);
-            // Model: Vec of (time, seq, id) kept live; pop = min by (time, seq).
-            let mut model: Vec<(u32, usize, usize)> = Vec::new();
-            let mut handles: Vec<(EventHandle, usize)> = Vec::new();
+            let mut model: Vec<(SimTime, Priority, usize)> = Vec::new();
             let mut next_id = 0usize;
-            let mut seq = 0usize;
-            for &(time, do_pop, do_cancel) in &ops {
+            for &(code, prio, do_pop) in &ops {
+                let prio = prio as Priority - 2;
                 if do_pop {
                     let got = q.pop();
-                    model.sort_by_key(|&(t, s, _)| (t, s));
-                    if model.is_empty() {
-                        prop_assert_eq!(got, None);
-                    } else {
-                        let (t, _, id) = model.remove(0);
-                        let (gt, gid) = got.expect("model has a live event");
-                        prop_assert_eq!(gt, SimTime::from_secs(t as f64));
-                        prop_assert_eq!(gid, id);
-                    }
-                } else if do_cancel && !handles.is_empty() {
-                    let (h, id) = handles.swap_remove(time as usize % handles.len());
-                    let in_model = model.iter().position(|&(_, _, mid)| mid == id);
-                    match in_model {
-                        Some(pos) => {
-                            prop_assert!(q.cancel(h));
-                            model.remove(pos);
-                        }
-                        None => {
-                            prop_assert!(!q.cancel(h), "fired event cancelled");
+                    match pop_min(&mut model) {
+                        None => prop_assert_eq!(got, None),
+                        Some((time, id)) => {
+                            let (gt, gid) = got.expect("model has an event");
+                            prop_assert_eq!(gt.as_secs().to_bits(), time.as_secs().to_bits());
+                            prop_assert_eq!(gid, id);
                         }
                     }
                 } else {
-                    let id = next_id;
+                    q.push_with_priority(palette(code), prio, next_id);
+                    model.push((palette(code), prio, next_id));
                     next_id += 1;
-                    let h = q.push(SimTime::from_secs(time as f64), id);
-                    handles.push((h, id));
-                    model.push((time, seq, id));
-                    seq += 1;
                 }
                 prop_assert_eq!(q.len(), model.len());
             }

@@ -3,9 +3,9 @@
 //! The engine is single-threaded and fully deterministic. A simulation is a
 //! type implementing [`World`]; its `handle` method receives each event in
 //! timestamp order together with a mutable scheduler through which it can
-//! schedule (or cancel) further events.
+//! schedule further events.
 
-use crate::queue::{EventHandle, EventQueue, Priority};
+use crate::queue::{EventQueue, Priority};
 use crate::time::SimTime;
 
 /// A simulation model driven by events of type `Self::Event`.
@@ -50,7 +50,7 @@ impl<E> Scheduler<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates a scheduler whose event pool holds `capacity` pending events
+    /// Creates a scheduler whose event heap holds `capacity` pending events
     /// before reallocating. Sizing this to the expected concurrent-event
     /// high-water mark makes steady-state execution allocation-free.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -86,7 +86,7 @@ impl<E> Scheduler<E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (before the current clock).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={}, at={}",
@@ -97,24 +97,14 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedules an event `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
         self.queue.push(self.now + delay, event)
     }
 
     /// Schedules with an explicit same-time priority (lower fires first).
-    pub fn schedule_at_with_priority(
-        &mut self,
-        at: SimTime,
-        priority: Priority,
-        event: E,
-    ) -> EventHandle {
+    pub fn schedule_at_with_priority(&mut self, at: SimTime, priority: Priority, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push_with_priority(at, priority, event)
-    }
-
-    /// Cancels a pending event; returns whether it was still pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
     }
 
     /// Runs until the queue drains. Returns the final clock value.
@@ -134,33 +124,18 @@ impl<E> Scheduler<E> {
         horizon: SimTime,
         max_events: u64,
     ) -> (RunOutcome, SimTime) {
-        if horizon == SimTime::MAX && max_events == u64::MAX {
-            // Unbounded run (the common case behind [`Scheduler::run`]):
-            // the horizon is inclusive, so even a `SimTime::MAX` event is
-            // dispatched, and the budget cannot be exhausted — pop
-            // directly instead of peeking the heap top twice per event.
-            while let Some((time, event)) = self.queue.pop() {
-                debug_assert!(time >= self.now, "event queue went backwards in time");
-                self.now = time;
-                self.events_processed += 1;
-                world.handle(time, event, self);
-            }
-            return (RunOutcome::Drained, self.now);
-        }
         let mut budget = max_events;
         loop {
             if budget == 0 {
                 return (RunOutcome::BudgetExhausted, self.now);
             }
-            let Some(next_time) = self.queue.peek_time() else {
-                return (RunOutcome::Drained, self.now);
-            };
-            if next_time > horizon {
-                return (RunOutcome::HorizonReached, self.now);
-            }
-            // `peek_time` just returned `Some`, so the queue cannot be empty.
-            let Some((time, event)) = self.queue.pop() else {
-                return (RunOutcome::Drained, self.now);
+            let Some((time, event)) = self.queue.pop_until(horizon) else {
+                let outcome = if self.queue.is_empty() {
+                    RunOutcome::Drained
+                } else {
+                    RunOutcome::HorizonReached
+                };
+                return (outcome, self.now);
             };
             debug_assert!(time >= self.now, "event queue went backwards in time");
             self.now = time;

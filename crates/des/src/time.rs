@@ -46,6 +46,25 @@ impl SimTime {
         self.0
     }
 
+    /// This time's position in the `f64::total_cmp` order as a signed
+    /// integer: `a.cmp(&b) == a.order_key().cmp(&b.order_key())` for every
+    /// pair, `-0.0` included. Lets the event queue keep its ordering key
+    /// inline and compare it as a plain integer.
+    #[inline]
+    pub(crate) fn order_key(self) -> i64 {
+        let bits = self.0.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+
+    /// Inverse of [`SimTime::order_key`] (the transform is its own
+    /// inverse: it flips the low 63 bits of negative keys only).
+    #[inline]
+    pub(crate) fn from_order_key(key: i64) -> SimTime {
+        SimTime(f64::from_bits(
+            (key ^ (((key >> 63) as u64) >> 1) as i64) as u64,
+        ))
+    }
+
     /// Saturating subtraction: returns zero instead of going negative.
     ///
     /// Useful when decomposing measured spans where floating-point noise can
@@ -284,6 +303,20 @@ mod proptests {
             }
             // Never below the exact clamp, and ordering stays total.
             prop_assert_eq!(d.cmp(&d), std::cmp::Ordering::Equal);
+        }
+
+        /// The integer order key reproduces `Ord` (IEEE total order) and
+        /// round-trips every bit, `-0.0` and `SimTime::MAX` included.
+        #[test]
+        fn order_key_matches_ord_and_round_trips(a in 0.0f64..1e12, b in 0.0f64..1e12, sign in any::<bool>()) {
+            let a = if sign { -0.0 } else { a };
+            for x in [a, b, f64::MAX] {
+                let key = SimTime(x).order_key();
+                prop_assert_eq!(SimTime::from_order_key(key).as_secs().to_bits(), x.to_bits());
+            }
+            let (ta, tb) = (SimTime(a), SimTime(b));
+            prop_assert_eq!(ta.order_key().cmp(&tb.order_key()), ta.cmp(&tb));
+            prop_assert_eq!(ta.order_key().cmp(&SimTime::MAX.order_key()), ta.cmp(&SimTime::MAX));
         }
 
         /// Ord agrees with the underlying numeric order for all valid

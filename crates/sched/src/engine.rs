@@ -430,9 +430,41 @@ struct JobState<'a> {
     /// The job's read exhausted its retry budget; on completion it must
     /// fail over or be declared lost instead of counting as served.
     fatal: bool,
-    /// Tapes already attempted for this data (failover lineage) — a
-    /// replica is only eligible if its tape is not in here.
-    tried: Vec<TapeId>,
+}
+
+/// One tape's FIFO of queued job indices with running aggregates, so a
+/// dispatch candidate reads two fields instead of walking the queue.
+#[derive(Debug, Clone, Default)]
+struct TapeQueue {
+    jobs: VecDeque<usize>,
+    /// Exact (integer) sum of the queued jobs' bytes.
+    bytes: Bytes,
+    /// Earliest queued arrival, the front-to-back [`SimTime::min`] fold a
+    /// queue walk computes; meaningless while the queue is empty.
+    oldest: SimTime,
+    /// A batch popped jobs off the front, maybe the oldest one (failover
+    /// re-queues put older arrivals at the back). The fold is redone on
+    /// the next read: at most once per batch, never per pop.
+    oldest_stale: bool,
+}
+
+impl TapeQueue {
+    fn push_back(&mut self, job: usize, bytes: Bytes, arrival: SimTime) {
+        self.oldest = if self.jobs.is_empty() {
+            arrival
+        } else {
+            self.oldest.min(arrival)
+        };
+        self.jobs.push_back(job);
+        self.bytes += bytes;
+    }
+
+    /// Pops the front job, whose byte count is `bytes`.
+    fn pop_front(&mut self, bytes: Bytes) {
+        self.jobs.pop_front();
+        self.bytes -= bytes;
+        self.oldest_stale = !self.jobs.is_empty();
+    }
 }
 
 /// One outstanding request instance.
@@ -474,16 +506,19 @@ pub struct OpKey {
     pub lib: u16,
 }
 
+/// An engine event. Indices are `u32` (job ids already are, in the
+/// trace) so a queued event with its inline key is 32 bytes: the heap
+/// moves one entry per level on every push and pop.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// The `i`-th precomputed arrival enters the admission queue.
-    Arrive(usize),
+    Arrive(u32),
     /// A tape exchange completed; the drive now holds `tape`.
-    SwitchDone { drive: usize, tape: TapeId },
+    SwitchDone { drive: u32, tape: TapeId },
     /// One job of a batch finished streaming.
-    JobDone { drive: usize, job: usize },
+    JobDone { drive: u32, job: u32 },
     /// A drive finished its whole batch and is idle again.
-    BatchDone { drive: usize },
+    BatchDone { drive: u32 },
 }
 
 struct SchedSim<'a> {
@@ -517,15 +552,21 @@ struct SchedSim<'a> {
     busy: Vec<bool>,
     robots: Vec<Resource>,
     jobs: Vec<JobState<'a>>,
+    /// Failover lineage: the tapes already attempted for a replacement
+    /// job's data. A replica is only eligible if its tape is not in here.
+    /// Arrival jobs have tried nothing and have no entry.
+    tried: BTreeMap<usize, Vec<TapeId>>,
     requests: Vec<ReqState>,
     /// Shared admission queue: per-tape FIFO of job indices, dense by
-    /// [`SystemConfig::tape_index`]. An empty deque means "no queue" —
-    /// and because `tape_index` is library-major ascending, walking a
-    /// library's slot range in index order visits tapes in exactly the
-    /// `TapeId` order the old `BTreeMap` iteration produced.
-    pending: Vec<VecDeque<usize>>,
+    /// [`SystemConfig::tape_index`]. An empty deque means "no queue".
+    pending: Vec<TapeQueue>,
     /// Tapes currently being fetched by an exchange, dense by tape index.
     claimed: Vec<bool>,
+    /// The dispatch index, one bit per tape index: set while the tape
+    /// has queued jobs and is neither claimed nor held by a drive, i.e.
+    /// exactly the candidate tapes. Kept by [`SchedSim::refresh_ready`]
+    /// after every change to a tape's queue, claim or holder.
+    ready: Vec<u64>,
     outstanding_jobs: usize,
     mounts: u64,
     busy_time: SimTime,
@@ -539,6 +580,8 @@ struct SchedSim<'a> {
     alternates: &'a BTreeMap<ObjectId, Vec<ObjectId>>,
     /// Drives whose permanent failure has been noticed.
     dead: Vec<bool>,
+    /// Per library: how many of its drives are `dead`.
+    failed: Vec<usize>,
     /// Switch-drive count per library (the `m` of the d−m batch rule).
     switch_m: Vec<usize>,
     retries: u64,
@@ -608,7 +651,7 @@ impl SchedSim<'_> {
     fn effective_cap(&self, drive: usize) -> usize {
         let d = self.cfg.library.drives as usize;
         let lib = drive / d;
-        let healthy = (0..d).filter(|&bay| !self.dead[lib * d + bay]).count();
+        let healthy = d - self.failed[lib];
         if healthy + self.switch_m[lib] < d {
             let shrunk = healthy.max(1);
             if self.batch_cap == 0 {
@@ -641,7 +684,7 @@ impl SchedSim<'_> {
             if cap != 0 && taken >= cap {
                 break;
             }
-            let Some(&job) = self.pending[tape_idx].front() else {
+            let Some(&job) = self.pending[tape_idx].jobs.front() else {
                 break;
             };
             // Reuses the member scratch across jobs.
@@ -690,7 +733,8 @@ impl SchedSim<'_> {
                 // of the queue) pending for a surviving drive.
                 break;
             }
-            self.pending[tape_idx].pop_front();
+            let bytes = self.jobs[job].work.bytes();
+            self.pending[tape_idx].pop_front(bytes);
             taken += 1;
             self.head[drive] = pos;
             // All of the batch's windows are emitted at `now` (when the
@@ -728,9 +772,16 @@ impl SchedSim<'_> {
                 self.requests[req].first_plan = Some(self.op_key(now, drive));
             }
             self.requests[req].first_start.get_or_insert(t);
-            sched.schedule_at(finish, Ev::JobDone { drive, job });
+            sched.schedule_at(
+                finish,
+                Ev::JobDone {
+                    drive: drive as u32,
+                    job: job as u32,
+                },
+            );
             t = finish;
         }
+        self.refresh_ready(tape_idx);
         if taken == 0 {
             return;
         }
@@ -742,7 +793,12 @@ impl SchedSim<'_> {
         }
         // Scheduled after the last JobDone at the same instant, so
         // completions are recorded before the drive re-dispatches.
-        sched.schedule_at(t, Ev::BatchDone { drive });
+        sched.schedule_at(
+            t,
+            Ev::BatchDone {
+                drive: drive as u32,
+            },
+        );
     }
 
     /// The earliest request time `>= at` at which an exchange of
@@ -773,6 +829,7 @@ impl SchedSim<'_> {
             let fail_at = self.clock.drive_fail_at(idx);
             if fail_at <= now {
                 self.dead[idx] = true;
+                self.failed[lib] += 1;
                 self.audit.emit(
                     now,
                     TraceEvent::DriveFailed {
@@ -781,7 +838,9 @@ impl SchedSim<'_> {
                     },
                 );
                 if let Some(tape) = self.mounted[idx].take() {
-                    self.holder[self.cfg.tape_index(tape)] = None;
+                    let tape_idx = self.cfg.tape_index(tape);
+                    self.holder[tape_idx] = None;
+                    self.refresh_ready(tape_idx);
                     self.audit.emit(
                         now,
                         TraceEvent::Unmounted {
@@ -805,7 +864,9 @@ impl SchedSim<'_> {
         let (rewind_s, exchange_s) = self.switch_cost(drive);
         let lib = self.drive_id(drive).library.idx();
         if let Some(old) = self.mounted[drive].take() {
-            self.holder[self.cfg.tape_index(old)] = None;
+            let old_idx = self.cfg.tape_index(old);
+            self.holder[old_idx] = None;
+            self.refresh_ready(old_idx);
             self.audit.emit(
                 now,
                 TraceEvent::Unmounted {
@@ -832,14 +893,91 @@ impl SchedSim<'_> {
                 finish: grant.finish,
             },
         );
-        sched.schedule_at(grant.finish, Ev::SwitchDone { drive, tape });
+        sched.schedule_at(
+            grant.finish,
+            Ev::SwitchDone {
+                drive: drive as u32,
+                tape,
+            },
+        );
+    }
+
+    /// Re-derives `tape_idx`'s bit in the dispatch index from its queue,
+    /// claim and holder state.
+    fn refresh_ready(&mut self, tape_idx: usize) {
+        let ready = !self.pending[tape_idx].jobs.is_empty()
+            && !self.claimed[tape_idx]
+            && self.holder[tape_idx].is_none();
+        let (word, bit) = (tape_idx / 64, 1u64 << (tape_idx % 64));
+        if ready {
+            self.ready[word] |= bit;
+        } else {
+            self.ready[word] &= !bit;
+        }
     }
 
     /// Fills `out` with the policy's candidate list for `lib`, estimating
-    /// locate cost against the drive the scheduler would use. Walks only
-    /// the library's slot range of the dense queue table, in ascending
-    /// index order — the same tape order the old `BTreeMap` scan gave.
-    fn fill_candidates(&self, lib: usize, drive: usize, out: &mut Vec<TapeCandidate>) {
+    /// locate cost against the drive the scheduler would use. Visits only
+    /// the library's ready tapes, in ascending index order, and reads
+    /// their queue aggregates; only a queue longer than the batch cap is
+    /// walked, over the `cap` jobs that would ride the mount.
+    fn fill_candidates(&mut self, lib: usize, drive: usize, out: &mut Vec<TapeCandidate>) {
+        let spec = &self.cfg.library.drive;
+        let (rewind_s, exchange_s) = self.switch_cost(drive);
+        let est_locate = SimTime::from_secs(rewind_s + exchange_s);
+        let cap = self.effective_cap(drive);
+        out.clear();
+        let tapes = self.cfg.library.tapes as usize;
+        let slots = lib * tapes..(lib + 1) * tapes;
+        // Set bits in ascending index order: `tape_index` is library-major
+        // ascending, so this is `TapeId` order, the order of a slot walk.
+        let ready = (slots.start / 64..slots.end.div_ceil(64)).flat_map(|word| {
+            let mut bits = self.ready[word];
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(word * 64 + bit)
+            })
+        });
+        for tape_idx in ready.filter(|i| slots.contains(i)) {
+            let queue = &mut self.pending[tape_idx];
+            let (take, bytes, oldest) = if cap != 0 && queue.jobs.len() > cap {
+                let mut bytes = Bytes::ZERO;
+                let mut oldest = SimTime::MAX;
+                for &job in queue.jobs.iter().take(cap) {
+                    bytes += self.jobs[job].work.bytes();
+                    oldest = oldest.min(self.requests[self.jobs[job].request].arrival);
+                }
+                (cap, bytes, oldest)
+            } else {
+                if queue.oldest_stale {
+                    queue.oldest = queue.jobs.iter().fold(SimTime::MAX, |oldest, &job| {
+                        oldest.min(self.requests[self.jobs[job].request].arrival)
+                    });
+                    queue.oldest_stale = false;
+                }
+                (queue.jobs.len(), queue.bytes, queue.oldest)
+            };
+            out.push(TapeCandidate {
+                tape: TapeId::new(
+                    tapesim_model::LibraryId(lib as u16),
+                    (tape_idx - lib * tapes) as u16,
+                ),
+                queued_jobs: take,
+                queued_bytes: bytes,
+                oldest_arrival: oldest,
+                est_locate,
+                est_service: SimTime::from_secs(spec.transfer_time(bytes)),
+            });
+        }
+    }
+
+    /// The slot-walk candidate list the dispatch index replaced: every
+    /// slot of `lib`, every queued job (up to the cap) of every eligible
+    /// tape: the oracle [`SchedSim::fill_candidates`] must equal at every
+    /// dispatch.
+    #[cfg(test)]
+    fn fill_candidates_oracle(&self, lib: usize, drive: usize, out: &mut Vec<TapeCandidate>) {
         let spec = &self.cfg.library.drive;
         let (rewind_s, exchange_s) = self.switch_cost(drive);
         let est_locate = SimTime::from_secs(rewind_s + exchange_s);
@@ -848,7 +986,7 @@ impl SchedSim<'_> {
         let tapes = self.cfg.library.tapes as usize;
         for slot in 0..tapes {
             let tape_idx = lib * tapes + slot;
-            let queue = &self.pending[tape_idx];
+            let queue = &self.pending[tape_idx].jobs;
             if queue.is_empty() || self.claimed[tape_idx] || self.holder[tape_idx].is_some() {
                 continue;
             }
@@ -888,7 +1026,7 @@ impl SchedSim<'_> {
                 continue;
             }
             if let Some(tape) = self.mounted[idx] {
-                if !self.pending[self.cfg.tape_index(tape)].is_empty() {
+                if !self.pending[self.cfg.tape_index(tape)].jobs.is_empty() {
                     self.start_batch(idx, tape, now, sched);
                 }
             }
@@ -908,7 +1046,7 @@ impl SchedSim<'_> {
                 if self.busy[idx] || self.dead[idx] || self.blocked[idx] {
                     continue;
                 }
-                let id = self.drive_id(idx);
+                let id = DriveId::new(tapesim_model::LibraryId(lib as u16), bay as u8);
                 if !self.switch_policy.is_switch_drive(id, self.cfg) {
                     continue;
                 }
@@ -939,6 +1077,8 @@ impl SchedSim<'_> {
             }
             let mut cands = std::mem::take(&mut self.cands);
             self.fill_candidates(lib, drive, &mut cands);
+            #[cfg(test)]
+            oracle::check(self, lib, drive, &cands);
             let choice = if cands.is_empty() {
                 None
             } else {
@@ -949,7 +1089,9 @@ impl SchedSim<'_> {
             let Some(tape) = tape else {
                 return;
             };
-            self.claimed[self.cfg.tape_index(tape)] = true;
+            let tape_idx = self.cfg.tape_index(tape);
+            self.claimed[tape_idx] = true;
+            self.refresh_ready(tape_idx);
             self.begin_switch(drive, tape, now, sched);
         }
     }
@@ -959,7 +1101,7 @@ impl SchedSim<'_> {
     /// provides one for every extent, otherwise declare the job lost.
     fn resolve_fatal(&mut self, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let req = self.jobs[job].request;
-        let mut tried = self.jobs[job].tried.clone();
+        let mut tried = self.tried.get(&job).cloned().unwrap_or_default();
         tried.push(self.jobs[job].work.tape);
 
         let mut alt_objects = Vec::with_capacity(self.jobs[job].work.extents.len());
@@ -996,13 +1138,19 @@ impl SchedSim<'_> {
                         tape: tape.into(),
                     },
                 );
+                let bytes = tj.bytes();
                 self.jobs.push(JobState {
                     request: req,
                     work: Cow::Owned(tj),
                     fatal: false,
-                    tried: tried.clone(),
                 });
-                self.pending[self.cfg.tape_index(tape)].push_back(new_job);
+                self.tried.insert(new_job, tried.clone());
+                let tape_idx = self.cfg.tape_index(tape);
+                let arrival = self.requests[req].arrival;
+                #[cfg(test)]
+                oracle::note_requeue(self, tape_idx, arrival);
+                self.pending[tape_idx].push_back(new_job, bytes, arrival);
+                self.refresh_ready(tape_idx);
                 self.outstanding_jobs += 1;
                 self.requests[req].outstanding += 1;
                 self.failovers_n += 1;
@@ -1057,6 +1205,7 @@ impl World for SchedSim<'_> {
         };
         match ev {
             Ev::Arrive(i) => {
+                let i = i as usize;
                 let (arrival, ridx) = self.arrivals[i];
                 // Copy the catalog reference out of `self` so borrowing a
                 // request's jobs does not pin `self` for the whole arm.
@@ -1096,9 +1245,10 @@ impl World for SchedSim<'_> {
                         request: req,
                         work: Cow::Borrowed(tj),
                         fatal: false,
-                        tried: Vec::new(),
                     });
-                    self.pending[self.cfg.tape_index(tape)].push_back(job);
+                    let tape_idx = self.cfg.tape_index(tape);
+                    self.pending[tape_idx].push_back(job, tj.bytes(), arrival);
+                    self.refresh_ready(tape_idx);
                     self.outstanding_jobs += 1;
                     self.libs_hit[tape.library.idx()] = true;
                 }
@@ -1109,11 +1259,13 @@ impl World for SchedSim<'_> {
                 }
             }
             Ev::SwitchDone { drive, tape } => {
+                let drive = drive as usize;
                 let tape_idx = self.cfg.tape_index(tape);
                 self.mounted[drive] = Some(tape);
                 self.holder[tape_idx] = Some(drive as u32);
                 self.head[drive] = Bytes::ZERO;
                 self.claimed[tape_idx] = false;
+                self.refresh_ready(tape_idx);
                 self.audit.emit(
                     now,
                     TraceEvent::Mounted {
@@ -1130,7 +1282,7 @@ impl World for SchedSim<'_> {
                     self.try_dispatch(lib, now, sched);
                     return;
                 }
-                if !self.pending[tape_idx].is_empty() {
+                if !self.pending[tape_idx].jobs.is_empty() {
                     self.start_batch(drive, tape, now, sched);
                 } else {
                     // The queue drained while the exchange ran (possible
@@ -1140,6 +1292,7 @@ impl World for SchedSim<'_> {
                 }
             }
             Ev::JobDone { drive, job } => {
+                let (drive, job) = (drive as usize, job as usize);
                 if self.jobs[job].fatal {
                     self.resolve_fatal(job, now, sched);
                     return;
@@ -1170,6 +1323,7 @@ impl World for SchedSim<'_> {
                 }
             }
             Ev::BatchDone { drive } => {
+                let drive = drive as usize;
                 self.busy[drive] = false;
                 let lib = self.drive_id(drive).library.idx();
                 self.try_dispatch(lib, now, sched);
@@ -1384,9 +1538,11 @@ impl<'a> ShardEngine<'a> {
             busy: vec![false; n_drives],
             robots: vec![Resource::new(system.library.robot.arms.max(1) as usize); n_libs],
             jobs: Vec::new(),
+            tried: BTreeMap::new(),
             requests: Vec::new(),
-            pending: vec![VecDeque::new(); n_tapes],
+            pending: vec![TapeQueue::default(); n_tapes],
             claimed: vec![false; n_tapes],
+            ready: vec![0; n_tapes.div_ceil(64)],
             outstanding_jobs: 0,
             mounts: 0,
             busy_time: SimTime::ZERO,
@@ -1395,6 +1551,7 @@ impl<'a> ShardEngine<'a> {
             clock: plan.clock(),
             alternates,
             dead: vec![false; n_drives],
+            failed: vec![0; n_libs],
             switch_m,
             retries: 0,
             failovers_n: 0,
@@ -1494,7 +1651,7 @@ impl<'a> ShardEngine<'a> {
         let i = self.world.arrivals.len();
         self.world.arrivals.push((at, request));
         self.sched
-            .schedule_at_with_priority(at, ARRIVAL_PRIORITY, Ev::Arrive(i));
+            .schedule_at_with_priority(at, ARRIVAL_PRIORITY, Ev::Arrive(i as u32));
         true
     }
 
@@ -1607,7 +1764,11 @@ impl<'a> ShardEngine<'a> {
         // are terminal losses, never a hang.
         // Dense queues in ascending tape-index order — the same job
         // order the old `BTreeMap::values()` flatten produced.
-        let stranded: Vec<usize> = world.pending.iter().flatten().copied().collect();
+        let stranded: Vec<usize> = world
+            .pending
+            .iter()
+            .flat_map(|queue| queue.jobs.iter().copied())
+            .collect();
         for job in stranded {
             world
                 .audit
@@ -1622,7 +1783,7 @@ impl<'a> ShardEngine<'a> {
             }
         }
         for queue in &mut world.pending {
-            queue.clear();
+            *queue = TapeQueue::default();
         }
         assert_eq!(
             world.outstanding_jobs, 0,
@@ -1710,11 +1871,75 @@ pub(crate) fn run_concurrent(
     // The same demand stream the sequential gear draws.
     let mut stream = RequestStream::new(cfg.arrivals, workload);
     let mut engine = ShardEngine::new(sim, policy, cfg, plan, alternates, &job_catalog);
+    // Pump behind the submissions, so the heap holds the service events
+    // in flight rather than every future arrival: a whole pre-scheduled
+    // stream makes each push and pop walk a far deeper heap. Pumping to
+    // the previous arrival once a strictly later one is drawn keeps the
+    // event order of submitting everything up front.
+    let mut last: Option<SimTime> = None;
     for _ in 0..cfg.samples {
         let (at, ridx) = stream.next_request();
-        engine.submit(SimTime::from_secs(at), ridx);
+        let at = SimTime::from_secs(at);
+        if let Some(prev) = last.filter(|&prev| prev < at) {
+            engine.pump(prev);
+        }
+        engine.submit(at, ridx);
+        last = Some(at);
     }
     engine.finish().outcome
+}
+
+/// The dispatch-index oracle: every test build compares the indexed
+/// candidate list against the slot walk at every exchange dispatch.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Dispatches checked on this thread, so tests can tell the
+        /// comparison actually ran.
+        pub(super) static CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Failover jobs queued behind a job of a later request, the case
+        /// that makes a queue's front not its oldest arrival.
+        pub(super) static REQUEUED_OLDER: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_requeue(world: &SchedSim<'_>, tape_idx: usize, arrival: SimTime) {
+        let back = world.pending[tape_idx]
+            .jobs
+            .back()
+            .map(|&job| world.requests[world.jobs[job].request].arrival);
+        if back.is_some_and(|back| arrival < back) {
+            REQUEUED_OLDER.with(|c| c.set(c.get() + 1));
+        }
+    }
+
+    /// Every candidate field, times as raw bits.
+    type CandidateBits = (TapeId, usize, Bytes, u64, u64, u64);
+
+    fn bits(c: &TapeCandidate) -> CandidateBits {
+        (
+            c.tape,
+            c.queued_jobs,
+            c.queued_bytes,
+            c.oldest_arrival.as_secs().to_bits(),
+            c.est_locate.as_secs().to_bits(),
+            c.est_service.as_secs().to_bits(),
+        )
+    }
+
+    pub(super) fn check(world: &SchedSim<'_>, lib: usize, drive: usize, got: &[TapeCandidate]) {
+        let mut expected = Vec::new();
+        world.fill_candidates_oracle(lib, drive, &mut expected);
+        let got: Vec<CandidateBits> = got.iter().map(bits).collect();
+        let expected: Vec<CandidateBits> = expected.iter().map(bits).collect();
+        assert_eq!(
+            got, expected,
+            "indexed candidates diverge from the slot walk"
+        );
+        CHECKS.with(|c| c.set(c.get() + 1));
+    }
 }
 
 #[cfg(test)]
@@ -2680,6 +2905,110 @@ mod tests {
 
     /// Satellite: `close()` stops admissions (rejected + counted) while
     /// everything already admitted still drains to completion.
+    /// The oracle grid's two systems, built once: the heavy fixture,
+    /// and the replicated one with its replica map.
+    #[allow(clippy::type_complexity)]
+    fn oracle_fixtures() -> &'static [(Simulator, Workload, BTreeMap<ObjectId, Vec<ObjectId>>); 2] {
+        static FIXTURES: std::sync::OnceLock<
+            [(Simulator, Workload, BTreeMap<ObjectId, Vec<ObjectId>>); 2],
+        > = std::sync::OnceLock::new();
+        FIXTURES.get_or_init(|| {
+            let (sim, w) = heavy_setup();
+            let (rsim, rw, alternates, _) = replicated_setup(40.0);
+            [(sim, w, BTreeMap::new()), (rsim, rw, alternates)]
+        })
+    }
+
+    /// Drives one [`ShardEngine`] submit/pump run over `samples` draws;
+    /// every exchange dispatch in it runs the oracle comparison.
+    fn oracle_run(
+        fixture: &(Simulator, Workload, BTreeMap<ObjectId, Vec<ObjectId>>),
+        kind: crate::policy::PolicyKind,
+        max_batch: usize,
+        plan: &FaultPlan,
+        spec: ArrivalSpec,
+        samples: usize,
+    ) -> ShardReport {
+        let (sim, w, alternates) = fixture;
+        let cfg = SchedConfig::new(spec, samples).with_max_batch(max_batch);
+        let catalog: Vec<Vec<TapeJob>> = w
+            .requests()
+            .iter()
+            .map(|r| tape_jobs(sim.placement(), &r.objects))
+            .collect();
+        let policy = kind.build();
+        let mut engine = ShardEngine::new(sim, policy.as_ref(), &cfg, plan, alternates, &catalog);
+        let mut stream = RequestStream::new(spec, w);
+        for _ in 0..samples {
+            let (at, r) = stream.next_request();
+            let at = SimTime::from_secs(at);
+            engine.submit(at, r);
+            engine.pump(at);
+        }
+        engine.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The dispatch index never changes a candidate list: at every
+        /// exchange dispatch the indexed list equals the slot walk bit
+        /// for bit, for every policy and batch cap, on the heavy fixture
+        /// under drive failures, jams and fatal bad spots, with and
+        /// without a replica map.
+        #[test]
+        fn indexed_dispatch_matches_the_slot_walk(
+            kind in 0usize..3,
+            cap in 0usize..4,
+            replicas in proptest::prelude::any::<bool>(),
+            intensity in 0u32..4,
+            fault_seed in 0u64..1_000,
+            arrival_seed in 0u64..1_000,
+            per_hour in 10u32..60,
+        ) {
+            let fixture = &oracle_fixtures()[replicas as usize];
+            let spec = tapesim_faults::FaultSpec::moderate(fault_seed).scaled(intensity as f64);
+            let plan = FaultPlan::generate(&spec, fixture.0.placement().config());
+            let arrivals = ArrivalSpec { per_hour: per_hour as f64, seed: arrival_seed };
+            let before = oracle::CHECKS.with(|c| c.get());
+            let report = oracle_run(
+                fixture,
+                crate::policy::PolicyKind::ALL[kind],
+                [0, 1, 3, 8][cap],
+                &plan,
+                arrivals,
+                30,
+            );
+            proptest::prop_assert!(oracle::CHECKS.with(|c| c.get()) > before, "no dispatch was checked");
+            proptest::prop_assert_eq!(report.records.len() + report.lost.len(), 30);
+        }
+    }
+
+    /// The oracle grid reaches the aggregate's hard case: a failover
+    /// re-queues a job of an older request behind a newer one, so the
+    /// queue's front is not its oldest arrival.
+    #[test]
+    fn failover_requeues_older_arrivals_behind_newer_ones() {
+        let fixture = &oracle_fixtures()[1];
+        let spec = tapesim_faults::FaultSpec::moderate(5).scaled(3.0);
+        let plan = FaultPlan::generate(&spec, fixture.0.placement().config());
+        let arrivals = ArrivalSpec {
+            per_hour: 60.0,
+            seed: 9,
+        };
+        let before = oracle::REQUEUED_OLDER.with(|c| c.get());
+        let report = oracle_run(
+            fixture,
+            crate::policy::PolicyKind::ALL[2],
+            0,
+            &plan,
+            arrivals,
+            60,
+        );
+        assert!(report.outcome.metrics.failovers() > 0);
+        assert!(oracle::REQUEUED_OLDER.with(|c| c.get()) > before);
+    }
+
     #[test]
     fn close_rejects_new_submissions_and_drains_in_flight() {
         let spec = ArrivalSpec {

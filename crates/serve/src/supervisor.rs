@@ -22,9 +22,10 @@
 //!
 //! 1. **Chaos is in-band.** A [`ChaosPlan`] keys every kill/stall on a
 //!    shard's cumulative accepted-submission count, and the supervisor
-//!    injects the poison message immediately after the triggering
-//!    submission on the same FIFO channel — so the victim dies having
-//!    processed *exactly* that log prefix, on every run.
+//!    injects the poison message immediately after the chunk that ends
+//!    with the triggering submission, on the same FIFO channel — so the
+//!    victim dies having processed *exactly* that log prefix, on every
+//!    run.
 //! 2. **State is the log.** A `ShardEngine` is a pure function of its
 //!    construction inputs and its submission sequence, so checkpoint =
 //!    log and restore = replay; the restarted engine's books are
@@ -42,6 +43,13 @@
 //! shard that wedges *outside* the injected model is still surfaced as
 //! a counted [`FailureReason::Unresponsive`] failure with its log shed,
 //! provided its thread eventually observes channel disconnect.
+//!
+//! Accepted parts travel in chunks of up to 64, never more than
+//! [`ServeConfig::channel_bound`], so a shard wakes the parked
+//! ingestion thread once per chunk, not once per part; the channel holds
+//! `max(1, bound / chunk)` chunks. A seat's buffer is flushed when full,
+//! before a chaos poison, before every tick and before hang-up, so the
+//! shard sees parts in the one-part-message order.
 //!
 //! With an empty `ChaosPlan` and no health policy nothing is injected,
 //! shed or restarted, and the run reproduces the pinned registry,
@@ -67,6 +75,12 @@ use crate::runtime::{
     assemble, refresh_registry, topology, FailureReason, Handles, ServeConfig, ServeReport,
     ShardDone, ShardFailure, SupExtra, Tally,
 };
+
+/// Most parts one `Submit` message carries (capped by the channel bound).
+const CHUNK: usize = 64;
+
+/// One admitted request part: global id, arrival, workload rank.
+type Part = (u64, SimTime, usize);
 
 /// Supervisor knobs. [`Default`] is a generous watchdog and no
 /// admission control.
@@ -114,8 +128,8 @@ impl SuperviseConfig {
 /// are the chaos poison messages; FIFO delivery pins the victim's
 /// processed prefix.
 enum SupMsg {
-    /// One admitted request part (global id, arrival, workload rank).
-    Submit { id: u64, at: SimTime, rank: usize },
+    /// Admitted request parts, in acceptance order.
+    Submit(Vec<Part>),
     /// Snapshot barrier: acknowledge with your registry state.
     Tick { seq: u64 },
     /// Injected kill: return immediately — no drain, no books.
@@ -144,9 +158,11 @@ struct SupDone {
 /// Supervisor-side state of one shard seat, across incarnations.
 #[derive(Default)]
 struct Seat {
-    /// Every accepted submission, across all generations, in order:
+    /// Every delivered submission, across all generations, in order:
     /// `(global id, arrival, rank)`. This *is* the checkpoint.
-    log: Vec<(u64, SimTime, usize)>,
+    log: Vec<Part>,
+    /// Accepted parts not yet sent: the next chunk.
+    buffer: Vec<Part>,
     /// Incarnation counter (0 = original spawn).
     generation: u64,
     /// Next unfired chaos event index in this seat's schedule.
@@ -205,6 +221,45 @@ fn declare_dead<'scope>(
     seat.restarts += 1;
     extra.restarts += 1;
     seat.resume_at = Some(at_draw.saturating_add(1).saturating_add(backoff));
+}
+
+/// Sends seat `s`'s buffered parts as one chunk and logs them. A shard
+/// that hung up outside the chaos plan sheds the whole chunk, unlogged,
+/// and is declared dead. Returns whether the seat is still alive.
+#[allow(clippy::too_many_arguments)]
+fn flush_seat<'scope>(
+    txs: &mut BTreeMap<usize, SyncSender<SupMsg>>,
+    joins: &mut BTreeMap<usize, thread::ScopedJoinHandle<'scope, ()>>,
+    seats: &mut [Seat],
+    extra: &mut SupExtra,
+    chaos: &ChaosPlan,
+    s: usize,
+    at_draw: u64,
+) -> bool {
+    let (Some(tx), Some(seat)) = (txs.get(&s), seats.get_mut(s)) else {
+        return false;
+    };
+    let n = seat.buffer.len();
+    let chunk = std::mem::replace(&mut seat.buffer, Vec::with_capacity(n));
+    seat.log.extend_from_slice(&chunk);
+    if n == 0 || tx.send(SupMsg::Submit(chunk)).is_ok() {
+        return true;
+    }
+    let delivered = seat.log.len() - n;
+    for (id, _, _) in seat.log.drain(delivered..) {
+        extra.shed_parts.insert(id);
+    }
+    declare_dead(
+        txs,
+        joins,
+        seats,
+        extra,
+        chaos,
+        s,
+        FailureReason::Panicked,
+        at_draw,
+    );
+    false
 }
 
 /// Pulls final books off `rx` until every joined shard has reported or
@@ -269,18 +324,20 @@ fn supervised_shard(
     let mut stalled = false;
     for msg in rx.iter() {
         match msg {
-            SupMsg::Submit { id, at, rank } => {
+            SupMsg::Submit(parts) => {
                 if stalled {
                     continue;
                 }
-                if engine.submit(at, rank) {
-                    ids.push(id);
-                    reg.inc(handles.submitted);
+                for (id, at, rank) in parts {
+                    if engine.submit(at, rank) {
+                        ids.push(id);
+                        reg.inc(handles.submitted);
+                    }
+                    // Advance the shard's virtual clock through this
+                    // arrival; the next submission is strictly later, so
+                    // this never reorders events.
+                    engine.pump(at);
                 }
-                // Advance the shard's virtual clock through this
-                // arrival; the next submission is strictly later, so
-                // this never reorders events.
-                engine.pump(at);
             }
             SupMsg::Tick { seq } => {
                 if stalled {
@@ -367,6 +424,10 @@ pub fn supervisor_run(
     let sched_cfg = &topo.sched_cfg;
     let watchdog = Duration::from_millis(sup.watchdog_ms.max(1));
     let bound = cfg.channel_bound.max(1);
+    // Parts per message and messages per channel: at most `bound` parts
+    // are ever queued to one shard.
+    let chunk = CHUNK.min(bound);
+    let capacity = (bound / chunk).max(1);
 
     let (upd_tx, upd_rx) = channel::<SupUpdate>();
     let (done_tx, done_rx) = channel::<SupDone>();
@@ -398,7 +459,7 @@ pub fn supervisor_run(
         };
 
         for s in 0..nshards {
-            let (tx, rx) = sync_channel::<SupMsg>(bound);
+            let (tx, rx) = sync_channel::<SupMsg>(capacity);
             joins.insert(s, spawn_seat(s, 0, None, rx));
             txs.insert(s, tx);
         }
@@ -426,7 +487,7 @@ pub fn supervisor_run(
                 seat.generation += 1;
                 let restore = seat.checkpoint();
                 let generation = seat.generation;
-                let (tx, rx) = sync_channel::<SupMsg>(bound);
+                let (tx, rx) = sync_channel::<SupMsg>(capacity);
                 joins.insert(s, spawn_seat(s, generation, restore, rx));
                 txs.insert(s, tx);
             }
@@ -444,54 +505,42 @@ pub fn supervisor_run(
                     .get(rank)
                     .map_or(&[] as &[usize], Vec::as_slice);
                 for &s in targets {
-                    let sent = match txs.get(&s) {
-                        Some(tx) => tx.send(SupMsg::Submit { id, at, rank }).is_ok(),
-                        None => false,
-                    };
-                    if !sent {
-                        // Dead seat (restart window) or a panic the
-                        // chaos plan never scheduled: shed the part,
-                        // and if the seat thought it was alive, declare
-                        // it dead now.
+                    let Some(seat) = seats.get_mut(s).filter(|_| txs.contains_key(&s)) else {
+                        // Dead seat (restart window): shed the part.
                         extra.shed_parts.insert(id);
-                        if txs.contains_key(&s) {
-                            declare_dead(
-                                &mut txs,
-                                &mut joins,
-                                &mut seats,
-                                &mut extra,
-                                chaos,
-                                s,
-                                FailureReason::Panicked,
-                                id,
-                            );
-                        }
+                        continue;
+                    };
+                    // 3. Buffer the acceptance, then fire any chaos
+                    //    event scheduled at this cumulative count. The
+                    //    chunk ending with this part is flushed first, so
+                    //    FIFO lands the poison right behind it.
+                    seat.buffer.push((id, at, rank));
+                    let count = (seat.log.len() + seat.buffer.len()) as u64;
+                    let events = chaos.shard_events(s);
+                    let due = events
+                        .get(seat.next_event)
+                        .is_some_and(|event| event.after == count);
+                    if (due || seat.buffer.len() >= chunk)
+                        && !flush_seat(&mut txs, &mut joins, &mut seats, &mut extra, chaos, s, id)
+                    {
                         continue;
                     }
-                    // 3. Log the acceptance, then fire any chaos event
-                    //    scheduled at this cumulative count. FIFO makes
-                    //    the poison land right behind the submission.
-                    let (count, mut next_event) = match seats.get_mut(s) {
-                        Some(seat) => {
-                            seat.log.push((id, at, rank));
-                            (seat.log.len() as u64, seat.next_event)
-                        }
-                        None => continue,
-                    };
+                    if !due {
+                        continue;
+                    }
                     let mut fired_kill = false;
                     let mut fired_stall = false;
-                    while let Some(event) = chaos.shard_events(s).get(next_event).copied() {
-                        if event.after != count {
-                            break;
-                        }
-                        next_event += 1;
-                        match event.kind {
-                            ChaosKind::Kill => fired_kill = true,
-                            ChaosKind::Stall => fired_stall = true,
-                        }
-                    }
                     if let Some(seat) = seats.get_mut(s) {
-                        seat.next_event = next_event;
+                        while let Some(event) = events.get(seat.next_event).copied() {
+                            if event.after != count {
+                                break;
+                            }
+                            seat.next_event += 1;
+                            match event.kind {
+                                ChaosKind::Kill => fired_kill = true,
+                                ChaosKind::Stall => fired_stall = true,
+                            }
+                        }
                     }
                     if fired_stall {
                         if let Some(tx) = txs.get(&s) {
@@ -523,6 +572,9 @@ pub fn supervisor_run(
             //    and step the health ladder.
             if cfg.snapshot_every > 0 && (id + 1) % cfg.snapshot_every as u64 == 0 {
                 seq += 1;
+                for s in 0..nshards {
+                    flush_seat(&mut txs, &mut joins, &mut seats, &mut extra, chaos, s, id);
+                }
                 let live: Vec<usize> = txs.keys().copied().collect();
                 for s in &live {
                     if let Some(tx) = txs.get(s) {
@@ -577,8 +629,20 @@ pub fn supervisor_run(
             }
         }
 
-        // 5. Drain. Dead seats get one final recovery incarnation so
-        //    their logged work is replayed and served, not shed.
+        // 5. Drain. Deliver the last chunks; then dead seats get one
+        //    final recovery incarnation so their logged work is replayed
+        //    and served, not shed.
+        for s in 0..nshards {
+            flush_seat(
+                &mut txs,
+                &mut joins,
+                &mut seats,
+                &mut extra,
+                chaos,
+                s,
+                cfg.samples as u64,
+            );
+        }
         for s in 0..nshards {
             let due = seats.get(s).is_some_and(|seat| seat.resume_at.is_some());
             if !due {
@@ -591,7 +655,7 @@ pub fn supervisor_run(
             seat.generation += 1;
             let restore = seat.checkpoint();
             let generation = seat.generation;
-            let (tx, rx) = sync_channel::<SupMsg>(bound);
+            let (tx, rx) = sync_channel::<SupMsg>(capacity);
             joins.insert(s, spawn_seat(s, generation, restore, rx));
             txs.insert(s, tx);
         }
@@ -632,7 +696,7 @@ pub fn supervisor_run(
                 extra.restarts += 1;
                 let restore = seat.checkpoint();
                 let generation = seat.generation;
-                let (tx, rx) = sync_channel::<SupMsg>(bound);
+                let (tx, rx) = sync_channel::<SupMsg>(capacity);
                 joins.insert(s, spawn_seat(s, generation, restore, rx));
                 drop(tx);
             }

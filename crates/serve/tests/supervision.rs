@@ -12,7 +12,7 @@
 //!    replays its log.
 
 use std::collections::BTreeMap;
-use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
+use tapesim_faults::{ChaosKind, ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
 use tapesim_model::specs::paper_table1;
 use tapesim_model::Bytes;
 use tapesim_obs::{digest, fnv1a64};
@@ -311,4 +311,79 @@ fn overload_sheds_at_admission_with_laddered_health() {
     };
     assert_eq!(gauge_at(0), Some(1.0));
     assert_eq!(gauge_at(1), Some(2.0));
+}
+
+/// Everything a report carries, bit-exact: its `Debug` form (floats print
+/// round-trip exact) plus the record and end-time bits that `SimTime`'s
+/// three-decimal `Debug` would round.
+fn report_bits(r: &tapesim_serve::ServeReport) -> String {
+    format!(
+        "{r:?} records {:#x} end {:#x}",
+        records_fingerprint(&r.records),
+        r.end.as_secs().to_bits()
+    )
+}
+
+/// Chunked delivery is invisible: whatever the channel bound (one-part
+/// messages at 1, chunks of 5, of 64, and 64-part chunks with room for
+/// several at 256 and past the sample count), the whole report — records,
+/// snapshots, ledger, failures and health trace — equals the bound-1 run
+/// bit for bit, with and without kills and stalls landing mid-chunk.
+#[test]
+fn chunked_delivery_is_bit_identical_to_one_part_messages() {
+    let spec = ChaosSpec {
+        seed: 8,
+        kills_per_shard: 1.5,
+        stalls_per_shard: 0.7,
+        horizon_submissions: 120,
+        restart_base_draws: 2,
+        restart_cap_draws: 8,
+    };
+    let chaos = ChaosPlan::generate(&spec, 3);
+    let events: Vec<_> = (0..3)
+        .flat_map(|s| chaos.shard_events(s).to_vec())
+        .collect();
+    for kind in [ChaosKind::Kill, ChaosKind::Stall] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == kind && e.after % 64 != 0 && e.after % 5 != 0 && e.after > 5),
+            "the plan must put a {kind:?} mid-chunk: {events:?}"
+        );
+    }
+    let (sim, w) = setup();
+    let plan = FaultPlan::zero(sim.placement().config());
+    let samples = 200;
+    for chaos in [ChaosPlan::zero(3), chaos] {
+        let run = |bound: usize| {
+            supervisor_run(
+                &sim,
+                &w,
+                PolicyKind::SltfTape,
+                &ServeConfig::new(arrivals(), samples)
+                    .with_shards(3)
+                    .with_snapshot_every(25)
+                    .with_channel_bound(bound),
+                &plan,
+                &BTreeMap::new(),
+                &chaos,
+                &SuperviseConfig::new()
+                    .with_watchdog_ms(1_000)
+                    .with_health(HealthPolicy::default()),
+            )
+        };
+        let base = run(1);
+        assert!(base.is_clean());
+        assert_eq!(base.health_trace.len(), samples / 25);
+        let chaotic = !chaos.shard_events(0).is_empty();
+        assert_eq!(chaotic, base.restarts > 0, "{:?}", base.failures);
+        let want = report_bits(&base);
+        for bound in [5, 64, 256, samples + 1] {
+            assert_eq!(
+                report_bits(&run(bound)),
+                want,
+                "channel bound {bound} (chaos: {chaotic})"
+            );
+        }
+    }
 }
