@@ -25,8 +25,8 @@ use tapesim_model::specs::{paper_table1, paper_table1_with_libraries};
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty, run_scheduled_parallel, BatchByTape, Fcfs, ParallelConfig,
-    SchedConfig,
+    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
+    ParallelConfig, SchedConfig,
 };
 use tapesim_sim::Simulator;
 use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
@@ -413,9 +413,10 @@ fn main() {
             .place(w, &system_n)
             .expect("placement");
         let fresh = || Simulator::with_natural_policy(placement_n.clone(), 4);
+        let zero_plan = &FaultPlan::zero(&system_n);
+        let no_alternates = &BTreeMap::new();
         let mut probes = vec![Probe::new(format!("sched_mono_{nlibs}lib"), |mut sim| {
-            let out =
-                run_scheduled_parallel(&mut sim, w, &BatchByTape, cfg, &ParallelConfig::off());
+            let out = run_scheduled(&mut sim, w, &BatchByTape, cfg);
             (out.metrics.served(), out.metrics.events())
         })];
         for threads in [1usize, 2, 4, 8] {
@@ -426,7 +427,15 @@ fn main() {
             probes.push(Probe::new(
                 format!("sched_parallel_{nlibs}lib_{threads}t"),
                 move |mut sim| {
-                    let out = run_scheduled_parallel(&mut sim, w, &BatchByTape, cfg, &par);
+                    let out = run_scheduled_faulty_parallel(
+                        &mut sim,
+                        w,
+                        &BatchByTape,
+                        cfg,
+                        zero_plan,
+                        no_alternates,
+                        &par,
+                    );
                     (out.metrics.served(), out.metrics.events())
                 },
             ));

@@ -7,7 +7,7 @@
 use crate::args::{ArgError, Args};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
 use tapesim_model::specs::{lto3_drive, lto3_tape, stk_l80_library};
@@ -16,13 +16,8 @@ use tapesim_placement::{
     ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement, Placement,
     PlacementError, PlacementPolicy, TapeRole,
 };
-use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig,
-    PolicyKind, SchedConfig,
-};
-use tapesim_serve::{
-    serve_run, supervisor_run, HealthPolicy, ServeConfig, ServeReport, SuperviseConfig,
-};
+use tapesim_sched::{run_scheduled, run_scheduled_faulty, PolicyKind, SchedConfig, SchedOutcome};
+use tapesim_serve::{supervisor_run, HealthPolicy, ServeConfig, ServeReport, SuperviseConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
 use tapesim_workload::{
     replicate_workload, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload,
@@ -292,6 +287,26 @@ struct ServeCell {
     events: u64,
 }
 
+impl ServeCell {
+    fn new(scheme: &str, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ServeCell {
+        ServeCell {
+            scheme: scheme.to_string(),
+            policy: kind.label().to_string(),
+            requests: report.submitted,
+            served: report.served,
+            lost: report.lost,
+            snapshots: report.snapshots.len(),
+            wall_s,
+            requests_per_sec: per_sec(report.served, wall_s),
+            avg_sojourn_s: report.metrics.avg_sojourn(),
+            p50_sojourn_s: report.metrics.sojourn_percentile(50.0),
+            p99_sojourn_s: report.metrics.sojourn_percentile(99.0),
+            mounts: report.metrics.mounts(),
+            events: report.metrics.events(),
+        }
+    }
+}
+
 /// The `BENCH_serve.json` artifact: sustained-throughput and tail-
 /// latency numbers for the sharded service, per scheme × policy.
 #[derive(Debug, Serialize, Deserialize)]
@@ -304,6 +319,16 @@ struct ServeBench {
     channel_bound: usize,
     snapshot_every: usize,
     cells: Vec<ServeCell>,
+}
+
+/// Served requests per wall-clock second (0 for an unmeasurably short
+/// run).
+fn per_sec(served: u64, wall_s: f64) -> f64 {
+    if wall_s > 0.0 {
+        served as f64 / wall_s
+    } else {
+        0.0
+    }
 }
 
 /// The built-in demand catalog for `serve --campaign`: 80 request
@@ -331,17 +356,21 @@ fn campaign_workload() -> Workload {
     .generate()
 }
 
-fn serve_bench_path() -> std::path::PathBuf {
+const SERVE_BENCH: &str = "BENCH_serve.json";
+const CHAOS_BENCH: &str = "BENCH_serve_faults.json";
+
+/// A committed artifact at the workspace root.
+fn artifact_path(file: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join("BENCH_serve.json")
+        .join(file)
 }
 
 /// `--check`: fail if any cell's sustained requests/sec dropped more
 /// than 30% below the committed `BENCH_serve.json` (same convention as
 /// the perf bench gate).
 fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
-    let path = serve_bench_path();
+    let path = artifact_path(SERVE_BENCH);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         CommandError(format!(
             "serve --check: cannot read committed BENCH_serve.json: {e}"
@@ -383,201 +412,6 @@ fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
     }
 }
 
-/// Everything wrong with one `serve --campaign` cell: a dirty audit, a
-/// conservation breach, a rejected submission, or any shed request,
-/// restart or shard failure — the campaign injects no chaos and runs no
-/// admission control, so the supervisor has no cause for any of them.
-fn campaign_ledger(cell: &str, report: &ServeReport) -> Vec<String> {
-    let mut dirty: Vec<String> = report
-        .reports
-        .iter()
-        .filter(|r| !r.is_clean())
-        .map(|audit| format!("{cell}: {audit}"))
-        .collect();
-    if !report.is_clean() || report.rejected != 0 || report.shed != 0 || report.restarts != 0 {
-        dirty.push(format!(
-            "{cell}: request ledger not clean ({} submitted, {} served, {} lost, \
-             {} shed, {} rejected, {} restarts)",
-            report.submitted,
-            report.served,
-            report.lost,
-            report.shed,
-            report.rejected,
-            report.restarts
-        ));
-    }
-    for f in &report.failures {
-        dirty.push(format!(
-            "{cell}: shard {} generation {} failed ({:?}) at draw {}",
-            f.shard, f.generation, f.reason, f.at_draw
-        ));
-    }
-    dirty
-}
-
-/// `tapesim serve --campaign` — the closed-loop load harness over the
-/// sharded service ([`tapesim_serve::serve_run`]): ingest a sustained
-/// Poisson request stream, fan it out to per-library scheduler shards,
-/// and report sustained wall-clock throughput and virtual-time tail
-/// latency per placement scheme × policy.
-///
-/// The full campaign (no `--smoke`) ingests 175 000 requests per cell —
-/// 3 schemes × 2 policies = 1.05 million audited requests — and rewrites
-/// `BENCH_serve.json` at the workspace root. `--smoke` runs a reduced
-/// but still multi-shard, still audited campaign and leaves the artifact
-/// untouched; `--check` gates against the committed artifact. Any audit
-/// violation, conservation breach, rejected submission, shed request,
-/// restart or shard failure is a non-zero exit.
-fn campaign(args: &Args) -> Result<String, CommandError> {
-    let smoke = args.has("smoke");
-    let check = args.has("check");
-    let spec = arrivals_from(args)?;
-    let (rate, seed) = (spec.per_hour, spec.seed);
-    let workload = match args.get("workload") {
-        Some(path) => read_sampled_workload(path)?,
-        None => campaign_workload(),
-    };
-    let system = system_from(args)?;
-    let m: u8 = args.get_or("m", 4)?;
-    let requests = request_count(args, "requests", if smoke { 10_000 } else { 175_000 })?;
-    let shards: usize = serve_shards(args, system.libraries as usize)?;
-    let channel_bound: usize = args.get_or("channel-bound", 256)?;
-    let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
-    let max_batch: usize = args.get_or("max-batch", 0)?;
-    let plan = FaultPlan::zero(&system);
-    let no_alternates: BTreeMap<_, _> = BTreeMap::new();
-
-    let schemes = parse_schemes(args)?;
-    // The campaign defaults to the two policies that keep a sustained
-    // queue stable (fcfs melts down at campaign rates, which is a
-    // finding, not a throughput baseline); `--policy` overrides.
-    let policies = match args.get("policy") {
-        Some(_) => parse_policies(args)?,
-        None => vec![PolicyKind::BatchByTape, PolicyKind::SltfTape],
-    };
-
-    let cfg = ServeConfig::new(spec, requests)
-        .with_shards(shards)
-        .with_max_batch(max_batch)
-        .with_audit(true)
-        .with_seek(seek_policy_from(args)?)
-        .with_channel_bound(channel_bound)
-        .with_snapshot_every(snapshot_every);
-
-    let mut cells = Vec::new();
-    let mut dirty = Vec::new();
-    let mut total = 0u64;
-    let mut effective_shards = shards.max(1);
-    for scheme in schemes {
-        let policy = placement_for(scheme, m);
-        let placement = policy
-            .place(&workload, &system)
-            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
-        for &kind in &policies {
-            let sim = Simulator::with_natural_policy(placement.clone(), m);
-            let t = Instant::now();
-            let report = serve_run(&sim, &workload, kind, &cfg, &plan, &no_alternates);
-            let wall = t.elapsed().as_secs_f64();
-            dirty.extend(campaign_ledger(
-                &format!("{scheme}/{}", kind.label()),
-                &report,
-            ));
-            total += report.submitted;
-            effective_shards = report.shards;
-            cells.push(ServeCell {
-                scheme: scheme.to_string(),
-                policy: kind.label().to_string(),
-                requests: report.submitted,
-                served: report.served,
-                lost: report.lost,
-                snapshots: report.snapshots.len(),
-                wall_s: wall,
-                requests_per_sec: if wall > 0.0 {
-                    report.served as f64 / wall
-                } else {
-                    0.0
-                },
-                avg_sojourn_s: report.metrics.avg_sojourn(),
-                p50_sojourn_s: report.metrics.sojourn_percentile(50.0),
-                p99_sojourn_s: report.metrics.sojourn_percentile(99.0),
-                mounts: report.metrics.mounts(),
-                events: report.metrics.events(),
-            });
-        }
-    }
-    if !dirty.is_empty() {
-        return Err(CommandError(format!(
-            "serve campaign FAILED:\n{}",
-            dirty.join("\n")
-        )));
-    }
-
-    let bench = ServeBench {
-        bench: "serve".to_string(),
-        requests_per_cell: requests,
-        total_requests: total,
-        rate_per_hour: rate,
-        shards: effective_shards,
-        channel_bound,
-        snapshot_every,
-        cells,
-    };
-
-    let mut notes = Vec::new();
-    if check {
-        notes.push(serve_check(&bench)?);
-    }
-    if smoke {
-        notes.push("smoke mode: BENCH_serve.json left untouched".to_string());
-    } else {
-        let path = serve_bench_path();
-        let pretty = serde_json::to_string_pretty(&bench)?;
-        std::fs::write(&path, pretty + "\n")?;
-        notes.push(format!("wrote {}", path.display()));
-    }
-
-    if args.has("json") {
-        return Ok(serde_json::to_string_pretty(&bench)?);
-    }
-    let mut out = format!(
-        "serve campaign: {} requests/cell at {rate}/h across {} shards \
-         (seed {seed}, channel bound {channel_bound}, snapshot every \
-         {snapshot_every}) — {total} total, audited\n\
-         {:<15} {:<6} {:>8} {:>6} {:>5} {:>10} {:>12} {:>12} {:>12} {:>7}\n",
-        requests,
-        effective_shards,
-        "scheme",
-        "policy",
-        "requests",
-        "served",
-        "lost",
-        "req/s wall",
-        "avg sojourn",
-        "p50 sojourn",
-        "p99 sojourn",
-        "mounts",
-    );
-    for c in &bench.cells {
-        out.push_str(&format!(
-            "{:<15} {:<6} {:>8} {:>6} {:>5} {:>10.0} {:>11.1}s {:>11.1}s {:>11.1}s {:>7}\n",
-            c.scheme,
-            c.policy,
-            c.requests,
-            c.served,
-            c.lost,
-            c.requests_per_sec,
-            c.avg_sojourn_s,
-            c.p50_sojourn_s,
-            c.p99_sojourn_s,
-            c.mounts,
-        ));
-    }
-    for note in &notes {
-        out.push_str(&format!("{note}\n"));
-    }
-    Ok(out)
-}
-
 /// One cell of the `tapesim serve --chaos` sweep: one scheme × policy
 /// under a nonzero hardware fault plan *and* a seeded chaos plan (shard
 /// kills + stalls), supervised. Virtual-time figures and the whole
@@ -602,6 +436,28 @@ struct ChaosCell {
     snapshots: usize,
 }
 
+impl ChaosCell {
+    fn new(scheme: &str, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ChaosCell {
+        ChaosCell {
+            scheme: scheme.to_string(),
+            policy: kind.label().to_string(),
+            requests: report.submitted,
+            served: report.served,
+            lost: report.lost,
+            shed: report.shed,
+            rejected: report.rejected,
+            restarts: report.restarts,
+            failures: report.failures.len(),
+            availability: report.metrics.availability(),
+            wall_s,
+            requests_per_sec: per_sec(report.served, wall_s),
+            avg_sojourn_s: report.metrics.avg_sojourn(),
+            p99_sojourn_s: report.metrics.sojourn_percentile(99.0),
+            snapshots: report.snapshots.len(),
+        }
+    }
+}
+
 /// The `BENCH_serve_faults.json` artifact: availability and tail
 /// latency of the supervised service under sustained load with both
 /// hardware faults and process chaos injected.
@@ -622,18 +478,12 @@ struct ChaosBench {
     cells: Vec<ChaosCell>,
 }
 
-fn chaos_bench_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve_faults.json")
-}
-
 /// `--check`: the availability-regression gate. Fails if any cell's
 /// availability dropped more than 0.05 (absolute) below the committed
 /// `BENCH_serve_faults.json`, or its sustained requests/sec fell more
 /// than 30% — the same convention as the throughput gate.
 fn chaos_check(current: &ChaosBench) -> Result<String, CommandError> {
-    let path = chaos_bench_path();
+    let path = artifact_path(CHAOS_BENCH);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         CommandError(format!(
             "serve --chaos --check: cannot read committed BENCH_serve_faults.json: {e}"
@@ -684,14 +534,235 @@ fn chaos_check(current: &ChaosBench) -> Result<String, CommandError> {
     }
 }
 
+/// Everything wrong with one serve cell: a dirty audit or a conservation
+/// breach (`submitted = served + lost + shed + rejected` must close).
+/// In a `calm` run — no faults, no chaos and no admission control, so
+/// the supervisor has no cause for any of them — a shed request,
+/// rejected submission, restart or shard failure is wrong too.
+fn serve_ledger(report: &ServeReport, calm: bool) -> Vec<String> {
+    let mut dirty: Vec<String> = report
+        .reports
+        .iter()
+        .filter(|r| !r.is_clean())
+        .map(ToString::to_string)
+        .collect();
+    let stray = calm && (report.shed != 0 || report.rejected != 0 || report.restarts != 0);
+    if !report.is_clean() || stray {
+        dirty.push(format!(
+            "request ledger not clean ({} submitted, {} served, {} lost, \
+             {} shed, {} rejected, {} restarts)",
+            report.submitted,
+            report.served,
+            report.lost,
+            report.shed,
+            report.rejected,
+            report.restarts
+        ));
+    }
+    if calm {
+        for f in &report.failures {
+            dirty.push(format!(
+                "shard {} generation {} failed ({:?}) at draw {}",
+                f.shard, f.generation, f.reason, f.at_draw
+            ));
+        }
+    }
+    dirty
+}
+
+/// One serve campaign: the sweep's workload and system, the service
+/// configuration, and what the supervisor injects into every cell —
+/// nothing, unless `serve --chaos` sets a fault plan, a chaos plan and
+/// admission control.
+struct Campaign {
+    workload: Workload,
+    system: SystemConfig,
+    cfg: ServeConfig,
+    plan: FaultPlan,
+    chaos: ChaosPlan,
+    sup: SuperviseConfig,
+}
+
+impl Campaign {
+    /// Parses the flags both campaigns share; `requests` is the
+    /// `--requests` default. The service runs `--shards` shard threads,
+    /// one per library by default.
+    fn from_args(args: &Args, requests: usize) -> Result<Campaign, CommandError> {
+        let spec = arrivals_from(args)?;
+        let workload = match args.get("workload") {
+            Some(path) => read_sampled_workload(path)?,
+            None => campaign_workload(),
+        };
+        let system = system_from(args)?;
+        let requests = request_count(args, "requests", requests)?;
+        let cfg = ServeConfig::new(spec, requests)
+            .with_shards(args.get_or("shards", system.libraries as usize)?)
+            .with_max_batch(args.get_or("max-batch", 0)?)
+            .with_audit(true)
+            .with_seek(seek_policy_from(args)?)
+            .with_channel_bound(args.get_or("channel-bound", 256)?)
+            .with_snapshot_every(args.get_or("snapshot-every", (requests / 8).max(1))?);
+        Ok(Campaign {
+            plan: FaultPlan::zero(&system),
+            chaos: ChaosPlan::zero(cfg.shards.max(1)),
+            sup: SuperviseConfig::default(),
+            workload,
+            system,
+            cfg,
+        })
+    }
+
+    /// Runs the scheme × policy sweep on the supervised service
+    /// ([`tapesim_serve::supervisor_run`]; with nothing injected that is
+    /// exactly [`tapesim_serve::serve_run`]). `row` turns each cell's
+    /// report into an artifact row; also returns the shard count the
+    /// service ran.
+    fn run<C>(
+        &self,
+        args: &Args,
+        what: &str,
+        row: fn(&str, PolicyKind, &ServeReport, f64) -> C,
+    ) -> Result<(Vec<C>, usize), CommandError> {
+        let calm = self.plan.is_zero() && self.chaos.is_zero() && self.sup.health.is_none();
+        let no_alternates = BTreeMap::new();
+        let mut shards = self.cfg.shards.max(1);
+        // Fcfs melts down at campaign rates, which is a finding, not a
+        // throughput baseline: the campaigns default to the two policies
+        // that keep a sustained queue stable.
+        let policies = [PolicyKind::BatchByTape, PolicyKind::SltfTape];
+        let rows = sweep(
+            args,
+            &self.workload,
+            &self.system,
+            &policies,
+            what,
+            |scheme, kind, sim| {
+                let t = Instant::now();
+                let report = supervisor_run(
+                    &sim,
+                    &self.workload,
+                    kind,
+                    &self.cfg,
+                    &self.plan,
+                    &no_alternates,
+                    &self.chaos,
+                    &self.sup,
+                );
+                let cell = row(scheme, kind, &report, t.elapsed().as_secs_f64());
+                shards = report.shards;
+                Ok((cell, serve_ledger(&report, calm)))
+            },
+        )?;
+        Ok((rows, shards))
+    }
+}
+
+/// The artifact step of both serve campaigns: `--check` gates `bench`
+/// against the committed `file`; `--smoke` leaves that file untouched,
+/// and a full run rewrites it. Returns the notes to print.
+fn publish<B: Serialize>(
+    args: &Args,
+    bench: &B,
+    file: &str,
+    check: fn(&B) -> Result<String, CommandError>,
+) -> Result<Vec<String>, CommandError> {
+    let mut notes = Vec::new();
+    if args.has("check") {
+        notes.push(check(bench)?);
+    }
+    if args.has("smoke") {
+        notes.push(format!("smoke mode: {file} left untouched"));
+    } else {
+        let path = artifact_path(file);
+        std::fs::write(&path, serde_json::to_string_pretty(bench)? + "\n")?;
+        notes.push(format!("wrote {}", path.display()));
+    }
+    Ok(notes)
+}
+
+/// `tapesim serve --campaign` — the closed-loop load harness over the
+/// sharded service: ingest a sustained Poisson request stream, fan it
+/// out to per-library scheduler shards, and report sustained wall-clock
+/// throughput and virtual-time tail latency per placement scheme ×
+/// policy. Nothing is injected: no faults, no chaos, no admission
+/// control.
+///
+/// The full campaign (no `--smoke`) ingests 175 000 requests per cell —
+/// 3 schemes × 2 policies = 1.05 million audited requests — and rewrites
+/// `BENCH_serve.json` at the workspace root. `--smoke` runs a reduced
+/// but still multi-shard, still audited campaign and leaves the artifact
+/// untouched; `--check` gates against the committed artifact. Any audit
+/// violation, conservation breach, rejected submission, shed request,
+/// restart or shard failure is a non-zero exit.
+fn campaign(args: &Args) -> Result<String, CommandError> {
+    let campaign = Campaign::from_args(args, if args.has("smoke") { 10_000 } else { 175_000 })?;
+    let cfg = campaign.cfg;
+    let (cells, shards) = campaign.run(args, "serve campaign", ServeCell::new)?;
+    let bench = ServeBench {
+        bench: "serve".to_string(),
+        requests_per_cell: cfg.samples,
+        total_requests: cells.iter().map(|c| c.requests).sum(),
+        rate_per_hour: cfg.arrivals.per_hour,
+        shards,
+        channel_bound: cfg.channel_bound,
+        snapshot_every: cfg.snapshot_every,
+        cells,
+    };
+    let notes = publish(args, &bench, SERVE_BENCH, serve_check)?;
+
+    if args.has("json") {
+        return Ok(serde_json::to_string_pretty(&bench)?);
+    }
+    let mut out = format!(
+        "serve campaign: {} requests/cell at {}/h across {} shards \
+         (seed {}, channel bound {}, snapshot every {}) — {} total, audited\n\
+         {:<15} {:<6} {:>8} {:>6} {:>5} {:>10} {:>12} {:>12} {:>12} {:>7}\n",
+        bench.requests_per_cell,
+        bench.rate_per_hour,
+        bench.shards,
+        cfg.arrivals.seed,
+        bench.channel_bound,
+        bench.snapshot_every,
+        bench.total_requests,
+        "scheme",
+        "policy",
+        "requests",
+        "served",
+        "lost",
+        "req/s wall",
+        "avg sojourn",
+        "p50 sojourn",
+        "p99 sojourn",
+        "mounts",
+    );
+    for c in &bench.cells {
+        out.push_str(&format!(
+            "{:<15} {:<6} {:>8} {:>6} {:>5} {:>10.0} {:>11.1}s {:>11.1}s {:>11.1}s {:>7}\n",
+            c.scheme,
+            c.policy,
+            c.requests,
+            c.served,
+            c.lost,
+            c.requests_per_sec,
+            c.avg_sojourn_s,
+            c.p50_sojourn_s,
+            c.p99_sojourn_s,
+            c.mounts,
+        ));
+    }
+    for note in &notes {
+        out.push_str(&format!("{note}\n"));
+    }
+    Ok(out)
+}
+
 /// `tapesim serve --chaos` — the degraded-mode load harness: the same
-/// sustained campaign as `serve --campaign`, but run under
-/// [`tapesim_serve::supervisor_run`] with a **nonzero** hardware fault
-/// plan (drive failures, robot jams, media bad spots, scaled by
-/// `--intensity`) and a seeded [`ChaosPlan`] of shard kills and stalls.
-/// Dead shards restart from their submission logs; a default
-/// [`HealthPolicy`] sheds at admission if the cell goes queue-unstable.
-/// Every cell must close its conservation ledger
+/// sustained campaign as `serve --campaign`, run under a **nonzero**
+/// hardware fault plan (drive failures, robot jams, media bad spots,
+/// scaled by `--intensity`) and a seeded [`ChaosPlan`] of shard kills
+/// and stalls. Dead shards restart from their submission logs; a
+/// default [`HealthPolicy`] sheds at admission if the cell goes
+/// queue-unstable. Every cell must close its conservation ledger
 /// (`submitted = served + lost + shed + rejected`) and audit clean, or
 /// the exit is non-zero.
 ///
@@ -699,21 +770,9 @@ fn chaos_check(current: &ChaosBench) -> Result<String, CommandError> {
 /// availability (−0.05 absolute) and throughput (−30%) against the
 /// committed artifact.
 fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
-    let smoke = args.has("smoke");
-    let check = args.has("check");
-    let spec = arrivals_from(args)?;
-    let (rate, seed) = (spec.per_hour, spec.seed);
-    let workload = match args.get("workload") {
-        Some(path) => read_sampled_workload(path)?,
-        None => campaign_workload(),
-    };
-    let system = system_from(args)?;
-    let m: u8 = args.get_or("m", 4)?;
-    let requests = request_count(args, "requests", if smoke { 6_000 } else { 40_000 })?;
-    let shards: usize = serve_shards(args, system.libraries as usize)?;
-    let channel_bound: usize = args.get_or("channel-bound", 256)?;
-    let snapshot_every: usize = args.get_or("snapshot-every", (requests / 8).max(1))?;
-    let max_batch: usize = args.get_or("max-batch", 0)?;
+    let mut campaign = Campaign::from_args(args, if args.has("smoke") { 6_000 } else { 40_000 })?;
+    let cfg = campaign.cfg;
+    let (rate, seed) = (cfg.arrivals.per_hour, cfg.arrivals.seed);
     let fault_seed: u64 = args.get_or("fault-seed", 23u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;
     let chaos_seed: u64 = args.get_or("chaos-seed", seed)?;
@@ -721,7 +780,7 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     // are span-relative (so the *count* of faults per run is stable
     // whatever `--requests` is): at intensity 1 expect ~4 failures per
     // drive and ~8 robot jams over the whole campaign.
-    let span_hours = requests as f64 / rate.max(f64::EPSILON);
+    let span_hours = cfg.samples as f64 / rate.max(f64::EPSILON);
     let fault_spec = FaultSpec {
         horizon_hours: span_hours,
         drive_mtbf_hours: span_hours / 4.0,
@@ -729,129 +788,33 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
         ..FaultSpec::moderate(fault_seed)
     }
     .scaled(intensity);
-    let plan = FaultPlan::generate(&fault_spec, &system);
     // Chaos events land inside each shard's actual traffic (~1/shards
     // of the stream): a couple of kills and one stall expected per
     // shard, capped-exponential restart backoff.
-    let horizon = (requests / shards.max(1)).max(1) as u64;
-    let chaos = ChaosPlan::generate(&ChaosSpec::moderate(chaos_seed, horizon), shards.max(1));
-    let sup = SuperviseConfig::new()
+    let shards = cfg.shards.max(1);
+    let horizon = (cfg.samples / shards).max(1) as u64;
+    campaign.plan = FaultPlan::generate(&fault_spec, &campaign.system);
+    campaign.chaos = ChaosPlan::generate(&ChaosSpec::moderate(chaos_seed, horizon), shards);
+    campaign.sup = SuperviseConfig::new()
         .with_watchdog_ms(2_000)
         .with_health(HealthPolicy::default());
-    let no_alternates: BTreeMap<_, _> = BTreeMap::new();
-
-    let schemes = parse_schemes(args)?;
-    let policies = match args.get("policy") {
-        Some(_) => parse_policies(args)?,
-        None => vec![PolicyKind::BatchByTape, PolicyKind::SltfTape],
-    };
-
-    let cfg = ServeConfig::new(spec, requests)
-        .with_shards(shards)
-        .with_max_batch(max_batch)
-        .with_audit(true)
-        .with_seek(seek_policy_from(args)?)
-        .with_channel_bound(channel_bound)
-        .with_snapshot_every(snapshot_every);
-
-    let mut cells = Vec::new();
-    let mut dirty = Vec::new();
-    let mut total = 0u64;
-    let mut effective_shards = shards.max(1);
-    for scheme in schemes {
-        let policy = placement_for(scheme, m);
-        let placement = policy
-            .place(&workload, &system)
-            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
-        for &kind in &policies {
-            let sim = Simulator::with_natural_policy(placement.clone(), m);
-            let t = Instant::now();
-            let report = supervisor_run(
-                &sim,
-                &workload,
-                kind,
-                &cfg,
-                &plan,
-                &no_alternates,
-                &chaos,
-                &sup,
-            );
-            let wall = t.elapsed().as_secs_f64();
-            for audit in report.reports.iter().filter(|r| !r.is_clean()) {
-                dirty.push(format!("{scheme}/{}: {audit}", kind.label()));
-            }
-            if report.submitted != report.served + report.lost + report.shed + report.rejected {
-                dirty.push(format!(
-                    "{scheme}/{}: conservation ledger does not close \
-                     ({} submitted, {} served, {} lost, {} shed, {} rejected)",
-                    kind.label(),
-                    report.submitted,
-                    report.served,
-                    report.lost,
-                    report.shed,
-                    report.rejected
-                ));
-            }
-            total += report.submitted;
-            effective_shards = report.shards;
-            cells.push(ChaosCell {
-                scheme: scheme.to_string(),
-                policy: kind.label().to_string(),
-                requests: report.submitted,
-                served: report.served,
-                lost: report.lost,
-                shed: report.shed,
-                rejected: report.rejected,
-                restarts: report.restarts,
-                failures: report.failures.len(),
-                availability: report.metrics.availability(),
-                wall_s: wall,
-                requests_per_sec: if wall > 0.0 {
-                    report.served as f64 / wall
-                } else {
-                    0.0
-                },
-                avg_sojourn_s: report.metrics.avg_sojourn(),
-                p99_sojourn_s: report.metrics.sojourn_percentile(99.0),
-                snapshots: report.snapshots.len(),
-            });
-        }
-    }
-    if !dirty.is_empty() {
-        return Err(CommandError(format!(
-            "serve --chaos campaign FAILED:\n{}",
-            dirty.join("\n")
-        )));
-    }
-
+    let (cells, shards) = campaign.run(args, "serve --chaos campaign", ChaosCell::new)?;
     let bench = ChaosBench {
         bench: "serve-faults".to_string(),
-        requests_per_cell: requests,
-        total_requests: total,
+        requests_per_cell: cfg.samples,
+        total_requests: cells.iter().map(|c| c.requests).sum(),
         rate_per_hour: rate,
-        shards: effective_shards,
-        channel_bound,
-        snapshot_every,
+        shards,
+        channel_bound: cfg.channel_bound,
+        snapshot_every: cfg.snapshot_every,
         fault_seed,
         intensity,
         chaos_seed,
-        kills_planned: chaos.n_kills(),
-        stalls_planned: chaos.n_stalls(),
+        kills_planned: campaign.chaos.n_kills(),
+        stalls_planned: campaign.chaos.n_stalls(),
         cells,
     };
-
-    let mut notes = Vec::new();
-    if check {
-        notes.push(chaos_check(&bench)?);
-    }
-    if smoke {
-        notes.push("smoke mode: BENCH_serve_faults.json left untouched".to_string());
-    } else {
-        let path = chaos_bench_path();
-        let pretty = serde_json::to_string_pretty(&bench)?;
-        std::fs::write(&path, pretty + "\n")?;
-        notes.push(format!("wrote {}", path.display()));
-    }
+    let notes = publish(args, &bench, CHAOS_BENCH, chaos_check)?;
 
     if args.has("json") {
         return Ok(serde_json::to_string_pretty(&bench)?);
@@ -859,12 +822,13 @@ fn chaos_campaign(args: &Args) -> Result<String, CommandError> {
     let mut out = format!(
         "serve chaos campaign: {} requests/cell at {rate}/h across {} shards \
          (seed {seed}, fault seed {fault_seed} ×{intensity}, chaos seed {chaos_seed}: \
-         {} kills + {} stalls planned) — {total} total, supervised, audited\n\
+         {} kills + {} stalls planned) — {} total, supervised, audited\n\
          {:<15} {:<6} {:>8} {:>8} {:>5} {:>5} {:>6} {:>6} {:>11} {:>12}\n",
-        requests,
-        effective_shards,
+        bench.requests_per_cell,
+        bench.shards,
         bench.kills_planned,
         bench.stalls_planned,
+        bench.total_requests,
         "scheme",
         "policy",
         "served",
@@ -980,7 +944,7 @@ fn smoke_workload() -> Workload {
     .generate()
 }
 
-/// Resolves the `--scheme` sweep list shared by `sched` and `faults`.
+/// Resolves the `--scheme` sweep list.
 fn parse_schemes(args: &Args) -> Result<Vec<&'static str>, CommandError> {
     match args.get("scheme").unwrap_or("all") {
         "all" => Ok(vec!["parallel-batch", "object-prob", "cluster-prob"]),
@@ -993,50 +957,58 @@ fn parse_schemes(args: &Args) -> Result<Vec<&'static str>, CommandError> {
     }
 }
 
-/// Resolves the `--policy` sweep list shared by `sched` and `faults`.
-fn parse_policies(args: &Args) -> Result<Vec<PolicyKind>, CommandError> {
-    match args.get("policy").unwrap_or("all") {
-        "all" => Ok(PolicyKind::ALL.to_vec()),
-        other => Ok(vec![PolicyKind::parse(other).ok_or_else(|| {
+/// The scheme × policy sweep behind `sched`, `faults`, `report` and the
+/// serve campaigns. `--scheme` and `--policy` pick the cells
+/// (`default_policies` without `--policy`); each scheme is placed once,
+/// and each cell runs `cell` on a fresh [`Simulator`] under the
+/// scheme's natural switch policy with `--m` switch drives. `cell`
+/// returns the cell's row and what was wrong with it; everything wrong
+/// across the sweep comes back as one `{what} FAILED` error.
+fn sweep<R>(
+    args: &Args,
+    workload: &Workload,
+    system: &SystemConfig,
+    default_policies: &[PolicyKind],
+    what: &str,
+    mut cell: impl FnMut(&'static str, PolicyKind, Simulator) -> Result<(R, Vec<String>), CommandError>,
+) -> Result<Vec<R>, CommandError> {
+    let m: u8 = args.get_or("m", 4)?;
+    let schemes = parse_schemes(args)?;
+    let policies = match args.get("policy") {
+        None => default_policies.to_vec(),
+        Some("all") => PolicyKind::ALL.to_vec(),
+        Some(other) => vec![PolicyKind::parse(other).ok_or_else(|| {
             CommandError(format!(
                 "unknown policy '{other}' (all | fcfs | batch | sltf)"
             ))
-        })?]),
-    }
-}
-
-/// The shard-thread count for `serve` campaigns: `--shards` wins, then
-/// `--threads`, then one shard per library. `--parallel off` collapses
-/// the service to a single shard thread — the sequential fallback.
-fn serve_shards(args: &Args, libraries: usize) -> Result<usize, CommandError> {
-    let par = parallel_config_from(args)?;
-    let default = if args.get("parallel") == Some("off") {
-        1
-    } else if par.threads > 0 {
-        par.threads
-    } else {
-        libraries
+        })?],
     };
-    args.get_or("shards", default).map_err(Into::into)
-}
-
-/// Resolves the `--parallel on|off` / `--threads N` knobs shared by
-/// `sched` and `faults`. The flags override the `TAPESIM_PARALLEL` /
-/// `TAPESIM_THREADS` environment, which remains the default.
-fn parallel_config_from(args: &Args) -> Result<ParallelConfig, CommandError> {
-    let mut par = ParallelConfig::from_env();
-    match args.get("parallel") {
-        None => {}
-        Some("on") => par.enabled = true,
-        Some("off") => par.enabled = false,
-        Some(other) => {
-            return Err(CommandError(format!(
-                "flag --parallel: expected on|off, got '{other}'"
-            )))
+    let mut rows = Vec::new();
+    let mut dirty = Vec::new();
+    for scheme in schemes {
+        let policy = placement_for(scheme, m);
+        let placement = policy
+            .place(workload, system)
+            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
+        for &kind in &policies {
+            let sim = Simulator::with_natural_policy(placement.clone(), m);
+            let (row, wrong) = cell(scheme, kind, sim)?;
+            dirty.extend(
+                wrong
+                    .into_iter()
+                    .map(|w| format!("{scheme}/{}: {w}", kind.label())),
+            );
+            rows.push(row);
         }
     }
-    par.threads = args.get_or("threads", par.threads)?;
-    Ok(par)
+    if dirty.is_empty() {
+        Ok(rows)
+    } else {
+        Err(CommandError(format!(
+            "{what} FAILED:\n{}",
+            dirty.join("\n")
+        )))
+    }
 }
 
 /// Resolves the `--seek-policy greedy|exact|approx|auto` flag shared by
@@ -1064,6 +1036,15 @@ fn placement_for(scheme: &str, m: u8) -> Box<dyn PlacementPolicy> {
     }
 }
 
+/// One line per audit report of `out` that found a violation.
+fn unclean(out: &SchedOutcome) -> Vec<String> {
+    out.reports
+        .iter()
+        .filter(|r| !r.is_clean())
+        .map(ToString::to_string)
+        .collect()
+}
+
 /// `tapesim sched` — run the concurrent scheduler over an arrival stream,
 /// sweeping placement schemes × scheduling policies, with trace auditing
 /// on by default (non-zero exit on any invariant breach).
@@ -1077,35 +1058,22 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
         read_sampled_workload(args.require("workload")?)?
     };
     let system = system_from(args)?;
-    let m: u8 = args.get_or("m", 4)?;
     let samples = request_count(args, "samples", if smoke { 30 } else { 100 })?;
-    let max_batch: usize = args.get_or("max-batch", 0)?;
     let audit = !args.has("no-audit");
-    let par = parallel_config_from(args)?;
-    let seek = seek_policy_from(args)?;
+    let cfg = SchedConfig::new(spec, samples)
+        .with_max_batch(args.get_or("max-batch", 0)?)
+        .with_audit(audit)
+        .with_seek(seek_policy_from(args)?);
 
-    let schemes = parse_schemes(args)?;
-    let policies = parse_policies(args)?;
-
-    let mut rows = Vec::new();
-    let mut dirty = Vec::new();
-    for scheme in schemes {
-        let policy = placement_for(scheme, m);
-        let placement = policy
-            .place(&workload, &system)
-            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
-        for &kind in &policies {
-            let mut sim = Simulator::with_natural_policy(placement.clone(), m);
-            let cfg = SchedConfig::new(spec, samples)
-                .with_max_batch(max_batch)
-                .with_audit(audit)
-                .with_seek(seek);
-            let out =
-                run_scheduled_parallel(&mut sim, &workload, kind.build().as_ref(), &cfg, &par);
-            for report in out.reports.iter().filter(|r| !r.is_clean()) {
-                dirty.push(format!("{scheme}/{}: {report}", kind.label()));
-            }
-            rows.push(SchedRow {
+    let rows = sweep(
+        args,
+        &workload,
+        &system,
+        &PolicyKind::ALL,
+        "sched audit",
+        |scheme, kind, mut sim| {
+            let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
+            let row = SchedRow {
                 scheme,
                 policy: kind.label(),
                 served: out.metrics.served(),
@@ -1115,15 +1083,10 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
                 p99_sojourn_s: out.metrics.sojourn_percentile(99.0),
                 mounts: out.metrics.mounts(),
                 utilisation: out.metrics.utilisation(),
-            });
-        }
-    }
-    if !dirty.is_empty() {
-        return Err(CommandError(format!(
-            "sched audit FAILED:\n{}",
-            dirty.join("\n")
-        )));
-    }
+            };
+            Ok((row, unclean(&out)))
+        },
+    )?;
     if args.has("json") {
         return Ok(serde_json::to_string_pretty(&rows)?);
     }
@@ -1188,33 +1151,31 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
     let samples = request_count(args, "samples", if smoke { 30 } else { 100 })?;
-    let max_batch: usize = args.get_or("max-batch", 0)?;
+    let cfg = SchedConfig::new(spec, samples)
+        .with_max_batch(args.get_or("max-batch", 0)?)
+        .with_obs(true);
 
-    let schemes = parse_schemes(args)?;
-    let policies = parse_policies(args)?;
-
-    let mut entries = Vec::new();
     let mut totals = MetricsRegistry::default();
-    for scheme in schemes {
-        let policy = placement_for(scheme, m);
-        let placement = policy
-            .place(&workload, &system)
-            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
-        for &kind in &policies {
-            let mut sim = Simulator::with_natural_policy(placement.clone(), m);
-            let cfg = SchedConfig::new(spec, samples)
-                .with_max_batch(max_batch)
-                .with_obs(true);
+    let entries = sweep(
+        args,
+        &workload,
+        &system,
+        &PolicyKind::ALL,
+        "report",
+        |scheme, kind, mut sim| {
             let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
-            let budget = out
-                .budget
-                .expect("observability was enabled, the run must carry a budget");
+            let budget = out.budget.ok_or_else(|| {
+                CommandError(format!(
+                    "{scheme}/{}: the run carried no time budget although span accounting was on",
+                    kind.label()
+                ))
+            })?;
+            let mut wrong = Vec::new();
             if budget.sum_error() > 1e-6 {
-                return Err(CommandError(format!(
-                    "{scheme}/{}: budget does not close (error {:.3e} s)",
-                    kind.label(),
+                wrong.push(format!(
+                    "budget does not close (error {:.3e} s)",
                     budget.sum_error()
-                )));
+                ));
             }
 
             // Per-run registry, merged into the sweep totals: the same
@@ -1248,14 +1209,15 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
                 signature: 0,
             }
             .signed();
-            entries.push(ReportEntry {
+            let entry = ReportEntry {
                 scheme,
                 policy: kind.label(),
                 manifest,
                 budget,
-            });
-        }
-    }
+            };
+            Ok((entry, wrong))
+        },
+    )?;
 
     if args.has("json") {
         return Ok(serde_json::to_string_pretty(&entries)?);
@@ -1337,13 +1299,13 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
         read_sampled_workload(args.require("workload")?)?
     };
     let system = system_from(args)?;
-    let m: u8 = args.get_or("m", 4)?;
     let samples = request_count(args, "samples", if smoke { 25 } else { 100 })?;
-    let max_batch: usize = args.get_or("max-batch", 0)?;
+    let cfg = SchedConfig::new(spec, samples)
+        .with_max_batch(args.get_or("max-batch", 0)?)
+        .with_audit(true)
+        .with_seek(seek_policy_from(args)?);
     let fault_seed: u64 = args.get_or("fault-seed", 41u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;
-    let par = parallel_config_from(args)?;
-    let seek = seek_policy_from(args)?;
     let replicate_gb: u64 = args.get_or("replicate-gb", if smoke { 4096 } else { 0 })?;
 
     // Start from the calibrated moderate profile, scale it, then let
@@ -1367,35 +1329,23 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
     };
     let plan = FaultPlan::generate(&fspec, &system);
 
-    let schemes = parse_schemes(args)?;
-    let policies = parse_policies(args)?;
-
-    let mut rows = Vec::new();
-    let mut dirty = Vec::new();
-    for scheme in schemes {
-        let policy = placement_for(scheme, m);
-        let placement = policy
-            .place(&workload, &system)
-            .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
-        for &kind in &policies {
-            let mut sim = Simulator::with_natural_policy(placement.clone(), m);
-            let cfg = SchedConfig::new(spec, samples)
-                .with_max_batch(max_batch)
-                .with_audit(true)
-                .with_seek(seek);
-            let out = run_scheduled_faulty_parallel(
+    let rows = sweep(
+        args,
+        &workload,
+        &system,
+        &PolicyKind::ALL,
+        "faults audit",
+        |scheme, kind, mut sim| {
+            let policy = kind.build();
+            let out = run_scheduled_faulty(
                 &mut sim,
                 &workload,
-                kind.build().as_ref(),
+                policy.as_ref(),
                 &cfg,
                 &plan,
                 &alternates,
-                &par,
             );
-            for report in out.reports.iter().filter(|r| !r.is_clean()) {
-                dirty.push(format!("{scheme}/{}: {report}", kind.label()));
-            }
-            rows.push(FaultRow {
+            let row = FaultRow {
                 scheme,
                 policy: kind.label(),
                 served: out.metrics.served(),
@@ -1407,15 +1357,10 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
                 p99_sojourn_s: out.metrics.sojourn_percentile(99.0),
                 degraded_served: out.metrics.degraded_served(),
                 mounts: out.metrics.mounts(),
-            });
-        }
-    }
-    if !dirty.is_empty() {
-        return Err(CommandError(format!(
-            "faults audit FAILED:\n{}",
-            dirty.join("\n")
-        )));
-    }
+            };
+            Ok((row, unclean(&out)))
+        },
+    )?;
     if args.has("json") {
         return Ok(serde_json::to_string_pretty(&rows)?);
     }
@@ -1787,7 +1732,7 @@ mod tests {
             shards: 2,
             end: Default::default(),
         };
-        assert!(campaign_ledger("pbp/batch", &report).is_empty());
+        assert!(serve_ledger(&report, true).is_empty());
 
         report.failures.push(tapesim_serve::ShardFailure {
             shard: 1,
@@ -1795,7 +1740,7 @@ mod tests {
             reason: tapesim_serve::FailureReason::Stalled,
             at_draw: 7,
         });
-        let dirty = campaign_ledger("pbp/batch", &report);
+        let dirty = serve_ledger(&report, true);
         assert_eq!(dirty.len(), 1, "{dirty:?}");
         assert!(
             dirty[0].contains("shard 1 generation 0 failed (Stalled)"),
@@ -1805,9 +1750,11 @@ mod tests {
         report.restarts = 1;
         report.served = 11;
         report.shed = 1;
-        let dirty = campaign_ledger("pbp/batch", &report);
+        let dirty = serve_ledger(&report, true);
         assert_eq!(dirty.len(), 2, "a restart and a shed fail the ledger too");
         assert!(dirty[0].contains("1 shed"), "{dirty:?}");
+        // Under injected chaos the same balanced ledger is expected.
+        assert!(serve_ledger(&report, false).is_empty());
     }
 
     const FAULTS_VALUES: &[&str] = &[

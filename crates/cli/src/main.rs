@@ -42,8 +42,7 @@ COMMANDS:
                [--shards N] [--scheme all|pbp|opp|cpp]
                [--policy all|fcfs|batch|sltf] [--m M] [--max-batch N]
                [--channel-bound N] [--snapshot-every N]
-               [--parallel on|off] [--threads N]  (shard-thread count:
-               --shards, then --threads, then one per library; off = 1)
+               (--shards: shard threads, default one per library)
                [--seek-policy greedy|exact|approx|auto] [--smoke]
                [--check] [--json]
              or, with --chaos, run the campaign supervised under a
@@ -65,9 +64,6 @@ COMMANDS:
                --rate PER_HOUR --samples N --seed S --m M --max-batch N
                [--smoke] [--json] [--no-audit]
                [--seek-policy greedy|exact|approx|auto]
-               [--parallel on|off] [--threads N]  (default: TAPESIM_PARALLEL /
-               TAPESIM_THREADS; multi-library runs execute one partition per
-               library under conservative time windows, bit-identical)
   faults     rerun the scheduler sweep under a seeded fault plan (drive
              failures, robot jams, media bad spots) with retry, replica
              failover and availability metrics; always audited
@@ -75,7 +71,6 @@ COMMANDS:
                --rate PER_HOUR --samples N --seed S --fault-seed S
                --intensity X --mtbf-hours H --jams-per-hour R
                --spots-per-tape R --replicate-gb GB [--smoke] [--json]
-               [--parallel on|off] [--threads N]
                [--seek-policy greedy|exact|approx|auto]
   report     explain a run at resource granularity: per-drive/per-arm span
              time budgets (seek/rewind/transfer/load/unload/exchange/idle/
@@ -155,8 +150,6 @@ fn main() {
                 "chaos-seed",
                 "fault-seed",
                 "intensity",
-                "parallel",
-                "threads",
                 "seek-policy",
             ],
             &["trace", "campaign", "chaos", "smoke", "check", "json"],
@@ -183,8 +176,6 @@ fn main() {
                 "max-batch",
                 "libraries",
                 "tapes",
-                "parallel",
-                "threads",
                 "seek-policy",
             ],
             &["json", "smoke", "no-audit"],
@@ -210,8 +201,6 @@ fn main() {
                 "jams-per-hour",
                 "spots-per-tape",
                 "replicate-gb",
-                "parallel",
-                "threads",
                 "seek-policy",
             ],
             &["json", "smoke"],

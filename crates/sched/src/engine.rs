@@ -214,13 +214,8 @@ pub fn run_scheduled(
     policy: &dyn SchedPolicy,
     cfg: &SchedConfig,
 ) -> SchedOutcome {
-    crate::parallel::run_scheduled_parallel(
-        sim,
-        workload,
-        policy,
-        cfg,
-        &crate::parallel::ParallelConfig::from_env(),
-    )
+    let plan = FaultPlan::zero(sim.placement().config());
+    run_scheduled_faulty(sim, workload, policy, cfg, &plan, &BTreeMap::new())
 }
 
 /// [`run_scheduled`] with fault injection: drives fail per `plan`, robot
@@ -245,15 +240,11 @@ pub fn run_scheduled_faulty(
     plan: &FaultPlan,
     alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
 ) -> SchedOutcome {
-    crate::parallel::run_scheduled_faulty_parallel(
-        sim,
-        workload,
-        policy,
-        cfg,
-        plan,
-        alternates,
-        &crate::parallel::ParallelConfig::from_env(),
-    )
+    if policy.sequential() && plan.media_only() {
+        run_sequential_faulty(sim, workload, cfg, plan, alternates)
+    } else {
+        run_concurrent(sim, workload, policy, cfg, plan, alternates)
+    }
 }
 
 /// The sequential gear: a single-server FCFS loop over the per-request
@@ -275,7 +266,7 @@ pub fn run_scheduled_faulty(
 /// Media-retry penalties have no trace events behind them in this gear,
 /// so in an observed run they surface as server idle time, not
 /// `Transfer` — documented in DESIGN §12.
-pub(crate) fn run_sequential_faulty(
+fn run_sequential_faulty(
     sim: &mut Simulator,
     workload: &Workload,
     cfg: &SchedConfig,
@@ -1850,7 +1841,7 @@ impl<'a> ShardEngine<'a> {
 /// "submit the whole demand stream, then finish" on the incremental
 /// [`ShardEngine`]. Runs on a snapshot of `sim`'s mount state; the
 /// simulator itself is not mutated.
-pub(crate) fn run_concurrent(
+fn run_concurrent(
     sim: &Simulator,
     workload: &Workload,
     policy: &dyn SchedPolicy,

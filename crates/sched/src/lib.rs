@@ -42,7 +42,7 @@ pub use engine::{
     SchedOutcome, ShardEngine, ShardReport,
 };
 pub use metrics::{RequestRecord, SchedMetrics};
-pub use parallel::{run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig};
+pub use parallel::{run_scheduled_faulty_parallel, ParallelConfig};
 pub use policy::{BatchByTape, Fcfs, PolicyKind, SchedPolicy, SltfTape, TapeCandidate};
 pub use tapesim_obs::TimeBudget;
 pub use tapesim_sim::catalog::{tape_jobs, TapeJob};

@@ -59,13 +59,11 @@
 //! library, which would pierce partition isolation.
 
 use crate::engine::{
-    run_concurrent, run_sequential_faulty, OpKey, SchedConfig, SchedOutcome, ShardEngine,
-    ShardReport,
+    run_scheduled_faulty, OpKey, SchedConfig, SchedOutcome, ShardEngine, ShardReport,
 };
 use crate::metrics::{RequestRecord, SchedMetrics};
 use crate::policy::SchedPolicy;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
 use tapesim_des::audit::AuditReport;
 use tapesim_des::parallel::{run_windowed, window_barriers, WindowPartition, WindowTrace};
 use tapesim_des::SimTime;
@@ -90,12 +88,6 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Arrivals delivered per window round (0 = `DEFAULT_WINDOW`, 64).
     pub window: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::off()
-    }
 }
 
 impl ParallelConfig {
@@ -129,51 +121,13 @@ impl ParallelConfig {
         self.window = window;
         self
     }
-
-    /// The process-wide configuration from the environment, read once:
-    /// `TAPESIM_PARALLEL` (`1`/`on`/`true`/`yes`) enables, and
-    /// `TAPESIM_THREADS` pins the worker count. This is what the plain
-    /// [`crate::run_scheduled`] entry consults, so existing callers and
-    /// the whole tier-1 suite can opt in without code changes.
-    pub fn from_env() -> ParallelConfig {
-        static CACHE: OnceLock<ParallelConfig> = OnceLock::new();
-        *CACHE.get_or_init(|| {
-            let enabled = std::env::var("TAPESIM_PARALLEL")
-                .map(|v| matches!(v.trim(), "1" | "on" | "true" | "yes"))
-                .unwrap_or(false);
-            let threads = std::env::var("TAPESIM_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0);
-            ParallelConfig {
-                enabled,
-                threads,
-                window: 0,
-            }
-        })
-    }
-}
-
-/// [`crate::run_scheduled`] with an explicit parallel configuration:
-/// eligible runs execute one partition per library under the
-/// conservative window protocol; everything else falls back to the
-/// monolithic gears. Results are bit-identical either way.
-pub fn run_scheduled_parallel(
-    sim: &mut Simulator,
-    workload: &Workload,
-    policy: &dyn SchedPolicy,
-    cfg: &SchedConfig,
-    par: &ParallelConfig,
-) -> SchedOutcome {
-    let plan = FaultPlan::zero(sim.placement().config());
-    run_scheduled_faulty_parallel(sim, workload, policy, cfg, &plan, &BTreeMap::new(), par)
 }
 
 /// [`crate::run_scheduled_faulty`] with an explicit parallel
-/// configuration. Routing mirrors the monolithic entry exactly;
-/// partitioned execution additionally requires the fault plan and
-/// replica map to never re-home work across libraries (see the module
-/// docs on eligibility).
+/// configuration: eligible runs execute one partition per library under
+/// the conservative window protocol; everything else (see the module
+/// docs on eligibility) runs [`crate::run_scheduled_faulty`] itself.
+/// Results are bit-identical either way.
 pub fn run_scheduled_faulty_parallel(
     sim: &mut Simulator,
     workload: &Workload,
@@ -183,16 +137,9 @@ pub fn run_scheduled_faulty_parallel(
     alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
     par: &ParallelConfig,
 ) -> SchedOutcome {
-    if policy.sequential() {
-        return if plan.media_only() {
-            run_sequential_faulty(sim, workload, cfg, plan, alternates)
-        } else {
-            run_concurrent(sim, workload, policy, cfg, plan, alternates)
-        };
-    }
     match run_partitioned(sim, workload, policy, cfg, plan, alternates, par) {
         Some((outcome, _)) => outcome,
-        None => run_concurrent(sim, workload, policy, cfg, plan, alternates),
+        None => run_scheduled_faulty(sim, workload, policy, cfg, plan, alternates),
     }
 }
 
@@ -669,6 +616,7 @@ fn merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_scheduled;
     use crate::policy::{BatchByTape, Fcfs, PolicyKind, SltfTape};
     use tapesim_faults::FaultSpec;
     use tapesim_model::specs::{paper_table1, paper_table1_with_libraries};
@@ -696,6 +644,18 @@ mod tests {
         let cfg = paper_table1();
         let p = ParallelBatchPlacement::with_m(4).place(&w, &cfg).unwrap();
         (Simulator::with_natural_policy(p, 4), w)
+    }
+
+    /// The partitioned entry under a zero fault plan.
+    fn run_zero_faults(
+        sim: &mut Simulator,
+        w: &Workload,
+        policy: &dyn SchedPolicy,
+        cfg: &SchedConfig,
+        par: &ParallelConfig,
+    ) -> SchedOutcome {
+        let plan = FaultPlan::zero(sim.placement().config());
+        run_scheduled_faulty_parallel(sim, w, policy, cfg, &plan, &BTreeMap::new(), par)
     }
 
     fn spec(seed: u64) -> ArrivalSpec {
@@ -758,10 +718,9 @@ mod tests {
         for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape] {
             let cfg = SchedConfig::new(spec(11), 40).with_audit(true);
             let (mut mono_sim, w) = heavy_setup();
-            let mono =
-                run_scheduled_parallel(&mut mono_sim, &w, policy, &cfg, &ParallelConfig::off());
+            let mono = run_scheduled(&mut mono_sim, &w, policy, &cfg);
             let (mut par_sim, _) = heavy_setup();
-            let par = run_scheduled_parallel(&mut par_sim, &w, policy, &cfg, &ParallelConfig::on());
+            let par = run_zero_faults(&mut par_sim, &w, policy, &cfg, &ParallelConfig::on());
             assert_identical(&par, &mono);
         }
     }
@@ -770,20 +729,14 @@ mod tests {
     fn thread_and_window_counts_never_change_the_bits() {
         let cfg = SchedConfig::new(spec(23), 32).with_audit(true);
         let (mut mono_sim, w) = heavy_setup();
-        let mono = run_scheduled_parallel(
-            &mut mono_sim,
-            &w,
-            &BatchByTape,
-            &cfg,
-            &ParallelConfig::off(),
-        );
+        let mono = run_scheduled(&mut mono_sim, &w, &BatchByTape, &cfg);
         for threads in [1, 2, 8] {
             for window in [1, 7, 64] {
                 let par_cfg = ParallelConfig::on()
                     .with_threads(threads)
                     .with_window(window);
                 let (mut sim, _) = heavy_setup();
-                let par = run_scheduled_parallel(&mut sim, &w, &BatchByTape, &cfg, &par_cfg);
+                let par = run_zero_faults(&mut sim, &w, &BatchByTape, &cfg, &par_cfg);
                 assert_identical(&par, &mono);
             }
         }
@@ -796,15 +749,7 @@ mod tests {
         for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape] {
             let cfg = SchedConfig::new(spec(7), 40).with_audit(true);
             let (mut mono_sim, w) = heavy_setup();
-            let mono = run_scheduled_faulty_parallel(
-                &mut mono_sim,
-                &w,
-                policy,
-                &cfg,
-                &plan,
-                &alternates,
-                &ParallelConfig::off(),
-            );
+            let mono = run_scheduled_faulty(&mut mono_sim, &w, policy, &cfg, &plan, &alternates);
             let (mut par_sim, _) = heavy_setup();
             let par = run_scheduled_faulty_parallel(
                 &mut par_sim,
@@ -916,11 +861,10 @@ mod tests {
         for kind in PolicyKind::ALL {
             let policy = kind.build();
             let (mut a, w) = heavy_setup();
-            let base =
-                run_scheduled_parallel(&mut a, &w, policy.as_ref(), &cfg, &ParallelConfig::off());
+            let base = run_scheduled(&mut a, &w, policy.as_ref(), &cfg);
             let (mut b, _) = heavy_setup();
             let obs_cfg = cfg.with_obs(false);
-            let via = run_scheduled_parallel(
+            let via = run_zero_faults(
                 &mut b,
                 &w,
                 policy.as_ref(),

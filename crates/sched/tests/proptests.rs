@@ -34,8 +34,8 @@ use tapesim_model::specs::paper_table1;
 use tapesim_model::{Bytes, ObjectId};
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, run_scheduled_parallel,
-    BatchByTape, Fcfs, ParallelConfig, PolicyKind, SchedConfig, SchedOutcome,
+    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
+    ParallelConfig, PolicyKind, SchedConfig, SchedOutcome,
 };
 use tapesim_sim::Simulator;
 use tapesim_workload::{
@@ -427,19 +427,16 @@ proptest! {
             .with_window(window);
         for kind in PolicyKind::ALL {
             let (mut mono_sim, w) = heavy_setup(17);
-            let mono = run_scheduled_parallel(
-                &mut mono_sim,
-                &w,
-                kind.build().as_ref(),
-                &cfg,
-                &ParallelConfig::off(),
-            );
+            let mono = run_scheduled(&mut mono_sim, &w, kind.build().as_ref(), &cfg);
             let (mut par_sim, _) = heavy_setup(17);
-            let par = run_scheduled_parallel(
+            let plan = FaultPlan::zero(par_sim.placement().config());
+            let par = run_scheduled_faulty_parallel(
                 &mut par_sim,
                 &w,
                 kind.build().as_ref(),
                 &cfg,
+                &plan,
+                &BTreeMap::new(),
                 &par_cfg,
             );
             assert_outcomes_identical(&par, &mono);
@@ -470,14 +467,13 @@ proptest! {
         for kind in PolicyKind::ALL {
             let plan = FaultPlan::generate(&fspec, &paper_table1());
             let (mut mono_sim, w) = heavy_setup(17);
-            let mono = run_scheduled_faulty_parallel(
+            let mono = run_scheduled_faulty(
                 &mut mono_sim,
                 &w,
                 kind.build().as_ref(),
                 &cfg,
                 &plan,
                 &alternates,
-                &ParallelConfig::off(),
             );
             let (mut par_sim, _) = heavy_setup(17);
             let par = run_scheduled_faulty_parallel(

@@ -256,44 +256,13 @@ impl World for RequestSim<'_> {
 }
 
 /// Serves one request against the placement, mutating `state` (mounts and
-/// head positions persist to the next request).
-pub fn serve_request(
-    cfg: &SystemConfig,
-    placement: &Placement,
-    policy: &SwitchPolicy,
-    state: &mut MountState,
-    jobs: &[TapeJob],
-) -> RequestMetrics {
-    serve_request_traced(cfg, placement, policy, state, jobs, false).0
-}
-
-/// Like [`serve_request`], but optionally records a human-readable event
-/// timeline (mounts, exchanges, streams, completions) for the request —
-/// the `tapesim serve --trace` view.
-pub fn serve_request_traced(
-    cfg: &SystemConfig,
-    placement: &Placement,
-    policy: &SwitchPolicy,
-    state: &mut MountState,
-    jobs: &[TapeJob],
-    trace: bool,
-) -> (RequestMetrics, Tracer) {
-    serve_request_seek(
-        cfg,
-        placement,
-        policy,
-        state,
-        jobs,
-        trace,
-        SeekPolicy::Greedy,
-    )
-}
-
-/// The general engine entry: [`serve_request_traced`] with an explicit
-/// in-tape [`SeekPolicy`]. [`SeekPolicy::Greedy`] reproduces the
-/// pre-policy engine bit for bit.
+/// head positions persist to the next request). With `trace` set, the
+/// returned [`Tracer`] holds the request's event timeline (mounts,
+/// exchanges, streams, completions — the `tapesim serve --trace` view);
+/// `seek_policy` orders the extents on each tape ([`SeekPolicy::Greedy`]
+/// is the paper's sweep).
 #[allow(clippy::too_many_arguments)]
-pub fn serve_request_seek(
+pub fn serve_request(
     cfg: &SystemConfig,
     placement: &Placement,
     policy: &SwitchPolicy,
@@ -448,7 +417,16 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         // All three tapes are among the initial mounts; heads at 0, each
         // object is the first extent on its tape → zero seek, 100 s each in
         // parallel.
@@ -471,7 +449,16 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(1)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         // Contiguous extents read back to back: 200 s, no seek gap.
         assert!((m.response - 2.0 * XFER_8GB).abs() < 1e-9);
         assert!((m.seek - 0.0).abs() < 1e-9);
@@ -487,7 +474,16 @@ mod tests {
         // Mount nothing: every drive empty.
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         let jobs = tape_jobs(&p, &[ObjectId(0)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         // Empty-drive switch: inject (7.6) + load (19) then 100 s transfer.
         let expected = 7.6 + 19.0 + XFER_8GB;
         assert!((m.response - expected).abs() < 1e-9, "got {}", m.response);
@@ -545,6 +541,8 @@ mod tests {
             &policy,
             &mut state,
             &tape_jobs(&p, &[ObjectId(0), ObjectId(2)]),
+            false,
+            SeekPolicy::Greedy,
         );
         assert!(state.mounted.iter().all(|m| m.is_some()));
 
@@ -556,7 +554,10 @@ mod tests {
             &policy,
             &mut state,
             &tape_jobs(&p, &[ObjectId(1)]),
-        );
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         let rewind = 8.0 / 400.0 * 98.0; // 1.96 s
         let exchange = 19.0 + 7.6 + 7.6 + 19.0; // unload+eject+inject+load
         assert!(
@@ -577,7 +578,16 @@ mod tests {
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         // Objects 0 (L0:T0) and 2 (L0:T1): two switches in the SAME library.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         // Robot does two 26.6 s inject+load blocks back to back; the second
         // drive starts its 100 s transfer at 53.2 s.
         let expected = 2.0 * 26.6 + XFER_8GB;
@@ -595,7 +605,16 @@ mod tests {
         // Objects 0 (L0:T0) and 2 (L0:T1): both switches in library 0, but
         // two arms carry them concurrently.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(2)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         assert!(
             (m.response - (26.6 + XFER_8GB)).abs() < 1e-9,
             "dual-arm response {}",
@@ -611,7 +630,16 @@ mod tests {
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         // Objects 0 (L0) and 3 (L1): one switch in each library.
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         assert!(
             (m.response - (26.6 + XFER_8GB)).abs() < 1e-9,
             "got {}",
@@ -627,7 +655,16 @@ mod tests {
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(vec![None; cfg.total_drives()]);
         let jobs = tape_jobs(&p, &[ObjectId(0), ObjectId(1), ObjectId(2), ObjectId(3)]);
-        let m = serve_request(&cfg, &p, &policy, &mut state, &jobs);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &jobs,
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         assert!((m.switch + m.seek + m.transfer - m.response).abs() < 1e-9);
         assert_eq!(m.n_tapes, 3);
         assert_eq!(m.bytes, Bytes::gb(32));
@@ -638,7 +675,16 @@ mod tests {
         let (cfg, p, _w) = setup();
         let policy = SwitchPolicy::LeastPopular;
         let mut state = MountState::new(policy.initial_mounts(&p, &cfg));
-        let m = serve_request(&cfg, &p, &policy, &mut state, &[]);
+        let m = serve_request(
+            &cfg,
+            &p,
+            &policy,
+            &mut state,
+            &[],
+            false,
+            SeekPolicy::Greedy,
+        )
+        .0;
         assert_eq!(m.response, 0.0);
         assert_eq!(m.bytes, Bytes::ZERO);
     }

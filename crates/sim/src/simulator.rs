@@ -8,7 +8,7 @@
 //! popularity and average the metrics (the paper draws 200).
 
 use crate::catalog::{tape_jobs, RequestCatalog, TapeJob};
-use crate::engine::{serve_request_seek, MountState};
+use crate::engine::{serve_request, MountState};
 use crate::metrics::{RequestMetrics, RunMetrics};
 use crate::policy::SwitchPolicy;
 use crate::seek_order::SeekPolicy;
@@ -109,7 +109,7 @@ impl Simulator {
         jobs: &[TapeJob],
         trace: bool,
     ) -> (RequestMetrics, tapesim_des::Tracer) {
-        serve_request_seek(
+        serve_request(
             &self.config,
             &self.placement,
             &self.policy,

@@ -811,8 +811,8 @@ fn is_root(krate: &str, name: &str) -> bool {
         || (krate == "serve" && name.starts_with("serve_run"))
         || (krate == "serve" && name.starts_with("supervisor_run"))
         // The parallel gears: the window runner (des) and the
-        // partitioned scheduler entry (sched). `run_scheduled_parallel`
-        // and `run_scheduled_faulty_parallel` are already covered by the
+        // partitioned scheduler entry (sched).
+        // `run_scheduled_faulty_parallel` is already covered by the
         // `run_scheduled` prefix above.
         || (krate == "des" && name.starts_with("run_windowed"))
         || (krate == "sched" && name.starts_with("run_partitioned"))
