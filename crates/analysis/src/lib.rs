@@ -1,14 +1,12 @@
 //! # tapesim-analysis
 //!
-//! Presentation-layer utilities for the experiment harness: summary
-//! statistics ([`stats`]), markdown/CSV result tables ([`table`]), labelled
-//! series with JSON round-trips ([`series`]) and terminal line charts
-//! ([`plot`]) so every paper figure can be eyeballed straight from
-//! `cargo run`.
+//! Presentation-layer utilities for the experiment harness: markdown/CSV
+//! result tables ([`table`]), labelled series with JSON round-trips
+//! ([`series`]) and terminal line charts ([`plot`]) so every paper figure
+//! can be eyeballed straight from `cargo run`.
 
 pub mod plot;
 pub mod series;
-pub mod stats;
 pub mod table;
 
 pub use plot::ascii_chart;

@@ -17,7 +17,8 @@ use tapesim_experiments::figures::{
     self, ext_ablation, ext_online, ext_queue, ext_replication, ext_robots, ext_scale,
     ext_striping, ext_tail, ext_technology, fig5, fig6, fig7, fig8, fig9, table1,
 };
-use tapesim_experiments::{evaluate, ExperimentSettings, Scheme};
+use tapesim_experiments::{evaluate, ExperimentSettings};
+use tapesim_placement::Scheme;
 
 /// Tiny settings for the timed inner loop.
 fn bench_settings() -> ExperimentSettings {

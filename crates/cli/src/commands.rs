@@ -12,10 +12,7 @@ use std::time::Instant;
 use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
 use tapesim_model::specs::{lto3_drive, lto3_tape, stk_l80_library};
 use tapesim_model::{Bytes, SystemConfig};
-use tapesim_placement::{
-    ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement, Placement,
-    PlacementError, PlacementPolicy, TapeRole,
-};
+use tapesim_placement::{Placement, PlacementError, Scheme, TapeRole};
 use tapesim_sched::{run_scheduled, run_scheduled_faulty, PolicyKind, SchedConfig, SchedOutcome};
 use tapesim_serve::{supervisor_run, HealthPolicy, ServeConfig, ServeReport, SuperviseConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
@@ -158,20 +155,14 @@ pub fn generate(args: &Args) -> Result<String, CommandError> {
 
 /// `tapesim place` — compute a placement for a workload.
 pub fn place(args: &Args) -> Result<String, CommandError> {
+    let scheme = match args.get("scheme") {
+        None => Scheme::ParallelBatch,
+        Some(name) => parse_scheme(name, &[])?,
+    };
     let workload = read_workload(args.require("workload")?)?;
     let system = system_from(args)?;
     let m: u8 = args.get_or("m", 4)?;
-    let scheme = args.get("scheme").unwrap_or("parallel-batch");
-    let policy: Box<dyn PlacementPolicy> = match scheme {
-        "parallel-batch" | "pbp" => Box::new(ParallelBatchPlacement::with_m(m)),
-        "object-prob" | "opp" => Box::new(ObjectProbabilityPlacement::default()),
-        "cluster-prob" | "cpp" => Box::new(ClusterProbabilityPlacement::default()),
-        other => {
-            return Err(CommandError(format!(
-                "unknown scheme '{other}' (parallel-batch | object-prob | cluster-prob)"
-            )))
-        }
-    };
+    let policy = scheme.policy(m);
     let placement = policy
         .place(&workload, &system)
         .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
@@ -288,9 +279,9 @@ struct ServeCell {
 }
 
 impl ServeCell {
-    fn new(scheme: &str, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ServeCell {
+    fn new(scheme: Scheme, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ServeCell {
         ServeCell {
-            scheme: scheme.to_string(),
+            scheme: scheme.name().to_string(),
             policy: kind.label().to_string(),
             requests: report.submitted,
             served: report.served,
@@ -437,9 +428,9 @@ struct ChaosCell {
 }
 
 impl ChaosCell {
-    fn new(scheme: &str, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ChaosCell {
+    fn new(scheme: Scheme, kind: PolicyKind, report: &ServeReport, wall_s: f64) -> ChaosCell {
         ChaosCell {
-            scheme: scheme.to_string(),
+            scheme: scheme.name().to_string(),
             policy: kind.label().to_string(),
             requests: report.submitted,
             served: report.served,
@@ -621,7 +612,7 @@ impl Campaign {
         &self,
         args: &Args,
         what: &str,
-        row: fn(&str, PolicyKind, &ServeReport, f64) -> C,
+        row: fn(Scheme, PolicyKind, &ServeReport, f64) -> C,
     ) -> Result<(Vec<C>, usize), CommandError> {
         let calm = self.plan.is_zero() && self.chaos.is_zero() && self.sup.health.is_none();
         let no_alternates = BTreeMap::new();
@@ -944,17 +935,16 @@ fn smoke_workload() -> Workload {
     .generate()
 }
 
-/// Resolves the `--scheme` sweep list.
-fn parse_schemes(args: &Args) -> Result<Vec<&'static str>, CommandError> {
-    match args.get("scheme").unwrap_or("all") {
-        "all" => Ok(vec!["parallel-batch", "object-prob", "cluster-prob"]),
-        "parallel-batch" | "pbp" => Ok(vec!["parallel-batch"]),
-        "object-prob" | "opp" => Ok(vec!["object-prob"]),
-        "cluster-prob" | "cpp" => Ok(vec!["cluster-prob"]),
-        other => Err(CommandError(format!(
-            "unknown scheme '{other}' (all | parallel-batch | object-prob | cluster-prob)"
-        ))),
-    }
+/// The scheme a `--scheme` value names (a name or a short tag); an
+/// unknown value is an error listing `extra` and the scheme names.
+fn parse_scheme(text: &str, extra: &[&str]) -> Result<Scheme, CommandError> {
+    Scheme::parse(text).ok_or_else(|| {
+        let names = extra.iter().copied().chain(Scheme::ALL.map(Scheme::name));
+        CommandError(format!(
+            "unknown scheme '{text}' ({})",
+            names.collect::<Vec<_>>().join(" | ")
+        ))
+    })
 }
 
 /// The scheme × policy sweep behind `sched`, `faults`, `report` and the
@@ -970,10 +960,13 @@ fn sweep<R>(
     system: &SystemConfig,
     default_policies: &[PolicyKind],
     what: &str,
-    mut cell: impl FnMut(&'static str, PolicyKind, Simulator) -> Result<(R, Vec<String>), CommandError>,
+    mut cell: impl FnMut(Scheme, PolicyKind, Simulator) -> Result<(R, Vec<String>), CommandError>,
 ) -> Result<Vec<R>, CommandError> {
     let m: u8 = args.get_or("m", 4)?;
-    let schemes = parse_schemes(args)?;
+    let schemes = match args.get("scheme") {
+        None | Some("all") => Scheme::ALL.to_vec(),
+        Some(name) => vec![parse_scheme(name, &["all"])?],
+    };
     let policies = match args.get("policy") {
         None => default_policies.to_vec(),
         Some("all") => PolicyKind::ALL.to_vec(),
@@ -986,7 +979,7 @@ fn sweep<R>(
     let mut rows = Vec::new();
     let mut dirty = Vec::new();
     for scheme in schemes {
-        let policy = placement_for(scheme, m);
+        let policy = scheme.policy(m);
         let placement = policy
             .place(workload, system)
             .map_err(|e| CommandError(format!("{} failed: {e}", policy.display_name())))?;
@@ -996,7 +989,7 @@ fn sweep<R>(
             dirty.extend(
                 wrong
                     .into_iter()
-                    .map(|w| format!("{scheme}/{}: {w}", kind.label())),
+                    .map(|w| format!("{}/{}: {w}", scheme.name(), kind.label())),
             );
             rows.push(row);
         }
@@ -1024,15 +1017,6 @@ fn seek_policy_from(args: &Args) -> Result<SeekPolicy, CommandError> {
                 "flag --seek-policy: expected greedy|exact|approx|auto, got '{text}'"
             ))
         }),
-    }
-}
-
-/// Builds the placement policy for a canonical scheme name.
-fn placement_for(scheme: &str, m: u8) -> Box<dyn PlacementPolicy> {
-    match scheme {
-        "parallel-batch" => Box::new(ParallelBatchPlacement::with_m(m)),
-        "object-prob" => Box::new(ObjectProbabilityPlacement::default()),
-        _ => Box::new(ClusterProbabilityPlacement::default()),
     }
 }
 
@@ -1074,7 +1058,7 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
         |scheme, kind, mut sim| {
             let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
             let row = SchedRow {
-                scheme,
+                scheme: scheme.name(),
                 policy: kind.label(),
                 served: out.metrics.served(),
                 avg_wait_s: out.metrics.avg_wait(),
@@ -1166,7 +1150,8 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
             let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
             let budget = out.budget.ok_or_else(|| {
                 CommandError(format!(
-                    "{scheme}/{}: the run carried no time budget although span accounting was on",
+                    "{}/{}: the run carried no time budget although span accounting was on",
+                    scheme.name(),
                     kind.label()
                 ))
             })?;
@@ -1198,7 +1183,7 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
 
             let manifest = RunManifest {
                 engine: "sched".into(),
-                scheme: short_scheme(scheme).into(),
+                scheme: scheme.tag().into(),
                 policy: kind.label().into(),
                 workload_seed: tapesim_obs::digest(&workload),
                 arrival_seed: seed,
@@ -1210,7 +1195,7 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
             }
             .signed();
             let entry = ReportEntry {
-                scheme,
+                scheme: scheme.name(),
                 policy: kind.label(),
                 manifest,
                 budget,
@@ -1251,15 +1236,6 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
         ));
     }
     Ok(out)
-}
-
-/// Short scheme label used in manifests and figure captions.
-fn short_scheme(scheme: &str) -> &'static str {
-    match scheme {
-        "parallel-batch" => "pbp",
-        "object-prob" => "opp",
-        _ => "cpp",
-    }
 }
 
 /// One row of `tapesim faults` output.
@@ -1346,7 +1322,7 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
                 &alternates,
             );
             let row = FaultRow {
-                scheme,
+                scheme: scheme.name(),
                 policy: kind.label(),
                 served: out.metrics.served(),
                 lost: out.metrics.lost(),

@@ -84,6 +84,54 @@ COMMANDS:
   help       show this message
 ";
 
+/// Value flags of `serve --chaos`. `serve --campaign` takes all but the
+/// last three, which only a chaos run injects with.
+const CHAOS_FLAGS: &[&str] = &[
+    "workload",
+    "m",
+    "scheme",
+    "policy",
+    "rate",
+    "requests",
+    "seed",
+    "shards",
+    "max-batch",
+    "channel-bound",
+    "snapshot-every",
+    "libraries",
+    "tapes",
+    "seek-policy",
+    "fault-seed",
+    "intensity",
+    "chaos-seed",
+];
+
+/// The value and presence flags `serve` takes in the mode `argv` selects:
+/// one request, `--campaign` or `--chaos`. A flag of another mode is
+/// unknown, never silently ignored.
+fn serve_flags(argv: &[String]) -> (&'static [&'static str], &'static [&'static str]) {
+    let given = |flag: &str| {
+        argv.iter()
+            .any(|a| a.starts_with('-') && a.trim_start_matches('-') == flag)
+    };
+    if given("chaos") {
+        (
+            CHAOS_FLAGS,
+            &["chaos", "campaign", "smoke", "check", "json"],
+        )
+    } else if given("campaign") {
+        (
+            &CHAOS_FLAGS[..CHAOS_FLAGS.len() - 3],
+            &["campaign", "smoke", "check", "json"],
+        )
+    } else {
+        (
+            &["workload", "placement", "m", "request", "seek-policy"],
+            &["trace"],
+        )
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().map(String::as_str) else {
@@ -129,33 +177,12 @@ fn main() {
         )
         .map_err(Into::into)
         .and_then(|a| commands::simulate(&a)),
-        "serve" => Args::parse(
-            rest,
-            &[
-                "workload",
-                "placement",
-                "m",
-                "request",
-                "scheme",
-                "policy",
-                "rate",
-                "requests",
-                "seed",
-                "shards",
-                "max-batch",
-                "channel-bound",
-                "snapshot-every",
-                "libraries",
-                "tapes",
-                "chaos-seed",
-                "fault-seed",
-                "intensity",
-                "seek-policy",
-            ],
-            &["trace", "campaign", "chaos", "smoke", "check", "json"],
-        )
-        .map_err(Into::into)
-        .and_then(|a| commands::serve(&a)),
+        "serve" => {
+            let (values, bools) = serve_flags(rest);
+            Args::parse(rest, values, bools)
+                .map_err(Into::into)
+                .and_then(|a| commands::serve(&a))
+        }
         "audit" => Args::parse(
             rest,
             &["workload", "placement", "m", "samples", "seed"],

@@ -44,3 +44,4 @@ pub use policy::PlacementPolicy;
 pub use schemes::cluster_prob::ClusterProbabilityPlacement;
 pub use schemes::object_prob::ObjectProbabilityPlacement;
 pub use schemes::parallel_batch::{ParallelBatchParams, ParallelBatchPlacement};
+pub use schemes::Scheme;

@@ -47,7 +47,18 @@ impl IncrementalPlacer {
         config: &SystemConfig,
         params: ParallelBatchParams,
     ) -> Result<IncrementalPlacer, PlacementError> {
-        let initial = ParallelBatchPlacement::new(params).place(workload, config)?;
+        let placed = ParallelBatchPlacement::new(params).place(workload, config)?;
+        Ok(IncrementalPlacer::from_placement(workload, &placed, params))
+    }
+
+    /// Records the physical state of `initial`, the epoch-0 parallel batch
+    /// placement of `workload` with `params`.
+    pub fn from_placement(
+        workload: &Workload,
+        initial: &Placement,
+        params: ParallelBatchParams,
+    ) -> IncrementalPlacer {
+        let config = *initial.config();
         let n_tapes = config.total_tapes();
         let mut tape_contents: Vec<Vec<(ObjectId, Bytes)>> = vec![Vec::new(); n_tapes];
         let mut roles = vec![TapeRole::Unused; n_tapes];
@@ -61,14 +72,14 @@ impl IncrementalPlacer {
                 .map(|e| (e.object, e.size))
                 .collect();
         }
-        Ok(IncrementalPlacer {
-            config: *config,
+        IncrementalPlacer {
+            config,
             params,
             tape_contents,
             roles,
             placed: workload.objects().len(),
             last_batch: initial.max_switch_batch(),
-        })
+        }
     }
 
     /// Number of objects currently on tape.

@@ -1,10 +1,76 @@
-//! The three placement schemes evaluated in the paper.
+//! The three placement schemes evaluated in the paper, and [`Scheme`], the
+//! one table of their names.
 
 pub mod cluster_prob;
 pub mod object_prob;
 pub mod parallel_batch;
 
+use crate::{
+    ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement,
+    PlacementPolicy,
+};
 use tapesim_model::{SystemConfig, TapeId};
+
+/// The three schemes under comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Scheme {
+    /// The paper's parallel batch placement (§5).
+    ParallelBatch,
+    /// Object probability placement \[11\].
+    ObjectProbability,
+    /// Cluster probability placement \[20\].
+    ClusterProbability,
+}
+
+/// `(figure label, CLI name, short tag)` of each scheme, in [`Scheme::ALL`]
+/// order.
+const NAMES: [(&str, &str, &str); 3] = [
+    ("parallel batch", "parallel-batch", "pbp"),
+    ("object probability", "object-prob", "opp"),
+    ("cluster probability", "cluster-prob", "cpp"),
+];
+
+impl Scheme {
+    /// All three, in the paper's presentation order.
+    pub const ALL: [Scheme; 3] = [
+        Scheme::ParallelBatch,
+        Scheme::ObjectProbability,
+        Scheme::ClusterProbability,
+    ];
+
+    /// The figure-legend label (`parallel batch`).
+    pub fn label(self) -> &'static str {
+        NAMES[self as usize].0
+    }
+
+    /// The command-line name (`parallel-batch`).
+    pub fn name(self) -> &'static str {
+        NAMES[self as usize].1
+    }
+
+    /// The short tag (`pbp`) of run manifests, compound series labels and
+    /// golden files.
+    pub fn tag(self) -> &'static str {
+        NAMES[self as usize].2
+    }
+
+    /// The scheme a command-line name or short tag names.
+    pub fn parse(text: &str) -> Option<Scheme> {
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.name() == text || s.tag() == text)
+    }
+
+    /// Builds the placement policy, with `m` switch drives per library
+    /// for parallel batch placement (the other two have no `m`).
+    pub fn policy(self, m: u8) -> Box<dyn PlacementPolicy + Send + Sync> {
+        match self {
+            Scheme::ParallelBatch => Box::new(ParallelBatchPlacement::with_m(m)),
+            Scheme::ObjectProbability => Box::new(ObjectProbabilityPlacement::default()),
+            Scheme::ClusterProbability => Box::new(ClusterProbabilityPlacement::default()),
+        }
+    }
+}
 
 /// Tape enumeration interleaved across libraries:
 /// `L0:T0, L1:T0, …, Ln:T0, L0:T1, …` — consecutive tapes live in
@@ -23,13 +89,35 @@ pub fn round_robin_tapes(config: &SystemConfig) -> Vec<TapeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement,
-        PlacementPolicy,
-    };
     use tapesim_model::specs::paper_table1;
     use tapesim_model::LibraryId;
     use tapesim_workload::{RequestSpec, Workload, WorkloadSpec};
+
+    #[test]
+    fn scheme_names_and_tags_parse_back() {
+        assert_eq!(
+            Scheme::ALL.map(Scheme::label),
+            [
+                "parallel batch",
+                "object probability",
+                "cluster probability"
+            ]
+        );
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::parse(scheme.name()), Some(scheme));
+            assert_eq!(Scheme::parse(scheme.tag()), Some(scheme));
+            let policy = scheme.policy(4);
+            assert_eq!(
+                policy.display_name(),
+                format!("{} placement", scheme.label())
+            );
+        }
+        assert_eq!(Scheme::parse("parallel-batch"), Some(Scheme::ParallelBatch));
+        assert_eq!(Scheme::parse("cpp"), Some(Scheme::ClusterProbability));
+        for unknown in ["bogus", "all", "", "PBP", "parallel batch"] {
+            assert_eq!(Scheme::parse(unknown), None, "{unknown:?}");
+        }
+    }
 
     #[test]
     fn round_robin_interleaves_libraries() {
@@ -60,12 +148,7 @@ mod tests {
         }
         .generate();
         let cfg = paper_table1();
-        let schemes: [&dyn PlacementPolicy; 3] = [
-            &ParallelBatchPlacement::default(),
-            &ObjectProbabilityPlacement::default(),
-            &ClusterProbabilityPlacement::default(),
-        ];
-        for scheme in schemes {
+        for scheme in Scheme::ALL.map(|s| s.policy(4)) {
             let on_shared = scheme.place(&shared, &cfg).unwrap();
             let fresh = Workload::new(shared.objects().to_vec(), shared.requests().to_vec());
             let on_fresh = scheme.place(&fresh, &cfg).unwrap();

@@ -61,8 +61,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// High-water mark of the queue length, for diagnostics.
-    max_len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -83,7 +81,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            max_len: 0,
         }
     }
 
@@ -95,11 +92,6 @@ impl<E> EventQueue<E> {
     /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// High-water mark of [`EventQueue::len`] over the queue's lifetime.
-    pub fn max_len(&self) -> usize {
-        self.max_len
     }
 
     /// Discards all pending events while keeping the allocated capacity.
@@ -123,7 +115,6 @@ impl<E> EventQueue<E> {
             seq,
             event,
         });
-        self.max_len = self.max_len.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event.
@@ -237,16 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn max_len_high_water_mark() {
-        let mut q = EventQueue::new();
-        q.push(t(1.0), 1);
-        q.push(t(2.0), 2);
-        q.pop();
-        q.push(t(3.0), 3);
-        assert_eq!(q.max_len(), 2);
-    }
-
-    #[test]
     fn steady_state_churn_reuses_slots() {
         let mut q = EventQueue::with_capacity(4);
         let cap = q.heap.capacity();
@@ -255,8 +236,7 @@ mod tests {
             let (_, v) = q.pop().unwrap();
             assert_eq!(v, i);
         }
-        // One slot was ever needed: the heap never grew past its capacity.
-        assert_eq!(q.max_len(), 1);
+        // The heap never grew past its capacity.
         assert_eq!(q.heap.capacity(), cap);
     }
 

@@ -76,11 +76,6 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// High-water mark of the pending-event count.
-    pub fn max_pending(&self) -> usize {
-        self.queue.max_len()
-    }
-
     /// Schedules an event at absolute time `at`.
     ///
     /// # Panics

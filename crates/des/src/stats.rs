@@ -337,6 +337,51 @@ mod tests {
     }
 
     #[test]
+    fn percentile_interpolates() {
+        let mut s = Samples::new();
+        for x in [40.0, 10.0, 30.0, 20.0] {
+            s.push(x);
+        }
+        assert_eq!(s.percentile(0.0), 10.0);
+        assert_eq!(s.percentile(100.0), 40.0);
+        assert!((s.percentile(50.0) - 25.0).abs() < 1e-12);
+        // p95 of 4 points: rank 2.85 → 30 + 0.85·10
+        assert!((s.percentile(95.0) - 38.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_of_known_sample() {
+        let xs = [4.0, 1.0, 3.0, 2.0, 5.0];
+        let mut s = Samples::new();
+        let mut w = Welford::new();
+        for x in xs {
+            s.push(x);
+            w.push(x);
+        }
+        assert_eq!(s.len(), 5);
+        assert_eq!(w.count(), 5);
+        assert!((s.mean() - 3.0).abs() < 1e-12);
+        assert!((w.mean() - 3.0).abs() < 1e-12);
+        assert!((s.percentile(50.0) - 3.0).abs() < 1e-12);
+        assert_eq!(s.percentile(0.0), 1.0);
+        assert_eq!(s.percentile(100.0), 5.0);
+        assert_eq!(w.min(), 1.0);
+        assert_eq!(w.max(), 5.0);
+        // Var = (4+1+0+1+4)/4 = 2.5
+        assert!((w.stddev() - 2.5f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_value_sample() {
+        let mut s = Samples::new();
+        s.push(7.0);
+        for p in [0.0, 50.0, 95.0, 100.0] {
+            assert_eq!(s.percentile(p), 7.0, "p{p}");
+        }
+        assert_eq!(s.mean(), 7.0);
+    }
+
+    #[test]
     fn samples_empty_and_merge() {
         let s = Samples::new();
         assert!(s.is_empty());

@@ -1,51 +1,30 @@
-//! Runs every experiment in sequence (Table 1, Figures 5–9, extensions)
-//! and writes all artifacts under `results/`. Pass `--quick` for shrunken
-//! instances.
+//! Regenerates the paper's artifacts (Table 1, Figures 5–9, extensions)
+//! under `results/` and prints their reports: every artifact by default,
+//! or just the ids given (`all --quick fig6 ext_tail`). Pass `--quick`
+//! for shrunken instances.
 
 use std::time::Instant;
 use tapesim_experiments::figures;
-use tapesim_experiments::harness::{render_and_save, results_dir};
+use tapesim_experiments::harness::results_dir;
 
 fn main() {
     let settings = figures::settings_from_args();
+    let ids: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--quick")
+        .collect();
+    let drivers = figures::select(&ids).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let dir = results_dir();
-
-    let table = figures::table1::run();
-    let report = format!(
-        "## table1 — Tape drive/library specifications\n\n{}",
-        table.to_markdown()
-    );
-    std::fs::create_dir_all(&dir).expect("results dir");
-    std::fs::write(dir.join("table1.md"), &report).expect("write table1");
-    println!("{report}");
-
-    type Driver =
-        fn(&tapesim_experiments::ExperimentSettings) -> tapesim_analysis::ExperimentResult;
-    let drivers: Vec<(&str, Driver)> = vec![
-        ("fig5", figures::fig5::run),
-        ("fig6", figures::fig6::run),
-        ("fig7", figures::fig7::run),
-        ("fig8", figures::fig8::run),
-        ("fig9", figures::fig9::run),
-        ("ext_technology", figures::ext_technology::run),
-        ("ext_scale", figures::ext_scale::run),
-        ("ext_ablation", figures::ext_ablation::run),
-        ("ext_striping", figures::ext_striping::run),
-        ("ext_online", figures::ext_online::run),
-        ("ext_queue", figures::ext_queue::run),
-        ("ext_sched", figures::ext_sched::run),
-        ("ext_seek", figures::ext_seek::run),
-        ("ext_robots", figures::ext_robots::run),
-        ("ext_tail", figures::ext_tail::run),
-        ("ext_replication", figures::ext_replication::run),
-        ("ext_faults", figures::ext_faults::run),
-    ];
-    for (name, run) in drivers {
+    for (id, run) in drivers {
         let t = Instant::now();
-        let result = run(&settings);
-        let report = render_and_save(&result, &dir).expect("write results");
+        let report = run(&settings, &dir).expect("write results");
         println!("{report}");
-        eprintln!("[{name} done in {:.1?}]", t.elapsed());
+        eprintln!("[{id} done in {:.1?}]", t.elapsed());
     }
-    println!("All artifacts written to {}", dir.display());
+    if ids.is_empty() {
+        println!("All artifacts written to {}", dir.display());
+    }
 }

@@ -2,7 +2,8 @@
 //! timings. Useful when sizing sweeps for a machine.
 
 use std::time::Instant;
-use tapesim_experiments::{evaluate, Scheme};
+use tapesim_experiments::evaluate;
+use tapesim_placement::Scheme;
 
 fn main() {
     let settings = tapesim_experiments::figures::settings_from_args();

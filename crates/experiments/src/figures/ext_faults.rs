@@ -24,13 +24,16 @@
 //! in disk arrays. The probability-based schemes, which spread objects
 //! with no per-request structure, degrade more gracefully.
 
-use crate::harness::{sweep, Scheme};
+use crate::harness::scheme_cells;
 use crate::settings::ExperimentSettings;
+use std::collections::BTreeMap;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_faults::{FaultPlan, FaultSpec};
+use tapesim_model::{ObjectId, SystemConfig};
+use tapesim_placement::Scheme;
 use tapesim_sched::{run_scheduled_faulty, PolicyKind, SchedConfig};
 use tapesim_sim::Simulator;
-use tapesim_workload::{replicate_workload, ArrivalSpec, ReplicationSpec};
+use tapesim_workload::{replicate_workload, ArrivalSpec, ReplicationSpec, Workload};
 
 /// Swept multipliers over [`FaultSpec::moderate`]. 0 is the fault-free
 /// anchor (bit-identical to `ext_sched`'s engine); 4 is a library having
@@ -46,7 +49,7 @@ const PER_HOUR: f64 = 16.0;
 
 /// Replication budget as a fraction of workload bytes, spent up front so
 /// that reads which exhaust their retry budget have somewhere to go.
-const REPLICA_BUDGET: f64 = 0.10;
+pub const REPLICA_BUDGET: f64 = 0.10;
 
 /// Extra multiplier on the profile's bad-spot density. An object extent
 /// covers well under 1% of a cartridge, so at the profile's base density
@@ -57,11 +60,11 @@ const REPLICA_BUDGET: f64 = 0.10;
 /// counts.
 const MEDIA_FACTOR: f64 = 8.0;
 
-/// The fault spec for one sweep point.
-fn spec_for(seed: u64, intensity: f64) -> FaultSpec {
-    let mut spec = FaultSpec::moderate(seed).scaled(intensity);
+/// The fault plan for one sweep point.
+pub fn plan(base: &ExperimentSettings, system: &SystemConfig, intensity: f64) -> FaultPlan {
+    let mut spec = FaultSpec::moderate(base.sim_seed ^ 0xFA).scaled(intensity);
     spec.bad_spots_per_tape *= MEDIA_FACTOR;
-    spec
+    FaultPlan::generate(&spec, system)
 }
 
 /// Scheduling policy for every cell: per-tape batching, the default
@@ -69,12 +72,25 @@ fn spec_for(seed: u64, intensity: f64) -> FaultSpec {
 /// path exercises.
 const POLICY: PolicyKind = PolicyKind::BatchByTape;
 
-/// Short scheme tag for the compound series labels.
-fn short(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::ParallelBatch => "pbp",
-        Scheme::ObjectProbability => "opp",
-        Scheme::ClusterProbability => "cpp",
+/// What every cell serves: the base workload plus [`REPLICA_BUDGET`] of
+/// replica copies, and each object's alternates for failover.
+pub struct Demand {
+    /// The replicated workload.
+    pub workload: Workload,
+    /// Each object's replica copies.
+    pub alternates: BTreeMap<ObjectId, Vec<ObjectId>>,
+}
+
+impl Demand {
+    /// Generates and replicates the base workload.
+    pub fn new(base: &ExperimentSettings) -> Demand {
+        let original = base.generate_workload();
+        let budget = original.total_bytes().scale(REPLICA_BUDGET);
+        let (workload, map) = replicate_workload(&original, ReplicationSpec { budget });
+        Demand {
+            alternates: map.alternates(),
+            workload,
+        }
     }
 }
 
@@ -95,22 +111,18 @@ pub struct FaultCell {
     pub served: u64,
 }
 
-/// Runs one (scheme, intensity) cell, auditing every transcript; panics
-/// on any invariant breach (an experiment must not chart a broken run).
-pub fn cell(base: &ExperimentSettings, scheme: Scheme, intensity: f64) -> FaultCell {
-    let system = base.system();
-    let original = base.generate_workload();
-    let budget = original.total_bytes().scale(REPLICA_BUDGET);
-    let (workload, map) = replicate_workload(&original, ReplicationSpec { budget });
-    let alternates = map.alternates();
-
-    let placement = scheme
-        .policy(base.m)
-        .place(&workload, &system)
-        .expect("placement");
-    let spec = spec_for(base.sim_seed ^ 0xFA, intensity);
-    let plan = FaultPlan::generate(&spec, &system);
-    let mut sim = Simulator::with_natural_policy(placement, base.m);
+/// Runs one cell on `sim` (placed under `scheme`) against `plan`, the
+/// plan of fault intensity `intensity`, auditing every transcript;
+/// panics on any invariant breach (an experiment must not chart a broken
+/// run).
+pub fn cell(
+    base: &ExperimentSettings,
+    demand: &Demand,
+    scheme: Scheme,
+    sim: &mut Simulator,
+    intensity: f64,
+    plan: &FaultPlan,
+) -> FaultCell {
     let cfg = SchedConfig::new(
         ArrivalSpec {
             per_hour: PER_HOUR,
@@ -120,12 +132,12 @@ pub fn cell(base: &ExperimentSettings, scheme: Scheme, intensity: f64) -> FaultC
     )
     .with_audit(true);
     let out = run_scheduled_faulty(
-        &mut sim,
-        &workload,
+        sim,
+        &demand.workload,
         POLICY.build().as_ref(),
         &cfg,
-        &plan,
-        &alternates,
+        plan,
+        &demand.alternates,
     );
     if let Some(report) = out.reports.iter().find(|r| !r.is_clean()) {
         panic!(
@@ -148,11 +160,16 @@ pub fn cell(base: &ExperimentSettings, scheme: Scheme, intensity: f64) -> FaultC
 pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let xs = intensities();
     let n = xs.len();
-    let points: Vec<(Scheme, usize)> = Scheme::ALL
-        .iter()
-        .flat_map(|&s| (0..n).map(move |i| (s, i)))
-        .collect();
-    let cells = sweep(points, |&(scheme, i)| cell(base, scheme, xs[i]));
+    let system = base.system();
+    let demand = Demand::new(base);
+    let points: Vec<(f64, FaultPlan)> = xs.iter().map(|&x| (x, plan(base, &system, x))).collect();
+    let rows = scheme_cells(
+        base,
+        &system,
+        &demand.workload,
+        &points,
+        |scheme, mut sim, (x, plan)| cell(base, &demand, scheme, &mut sim, *x, plan),
+    );
 
     let mut result = ExperimentResult::new(
         "ext_faults",
@@ -161,14 +178,13 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "sojourn time (s)",
         xs.clone(),
     );
-    for (si, &scheme) in Scheme::ALL.iter().enumerate() {
-        let row = &cells[si * n..(si + 1) * n];
+    for (scheme, row) in Scheme::ALL.iter().zip(&rows) {
         result.push_series(Series::new(
-            format!("{} sojourn", short(scheme)),
+            format!("{} sojourn", scheme.tag()),
             row.iter().map(|c| c.sojourn).collect(),
         ));
         result.push_series(Series::new(
-            format!("{} availability", short(scheme)),
+            format!("{} availability", scheme.tag()),
             row.iter().map(|c| c.availability).collect(),
         ));
         for &i in &[n / 2, n - 1] {
@@ -200,6 +216,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
 mod tests {
     use super::*;
     use crate::figures::quick_settings;
+    use crate::harness::place;
 
     #[test]
     fn six_series_and_fault_free_anchor_is_perfect() {
@@ -210,7 +227,7 @@ mod tests {
         assert_eq!(r.x, intensities());
         for scheme in Scheme::ALL {
             let avail = &r
-                .series_by_label(&format!("{} availability", short(scheme)))
+                .series_by_label(&format!("{} availability", scheme.tag()))
                 .unwrap()
                 .values;
             assert_eq!(
@@ -236,15 +253,30 @@ mod tests {
     fn sweep_conserves_requests_under_faults() {
         let mut s = quick_settings();
         s.samples = 20;
+        let system = s.system();
+        let demand = Demand::new(&s);
+        let placement = place(&s, &system, &demand.workload, Scheme::ParallelBatch);
+        let cell = |intensity| {
+            let mut sim = Simulator::with_natural_policy(placement.clone(), s.m);
+            let plan = plan(&s, &system, intensity);
+            cell(
+                &s,
+                &demand,
+                Scheme::ParallelBatch,
+                &mut sim,
+                intensity,
+                &plan,
+            )
+        };
         for &intensity in &[0.0, 4.0] {
-            let c = cell(&s, Scheme::ParallelBatch, intensity);
+            let c = cell(intensity);
             assert_eq!(
                 c.served + c.lost,
                 s.samples as u64,
                 "conservation at intensity {intensity}"
             );
         }
-        let calm = cell(&s, Scheme::ParallelBatch, 0.0);
+        let calm = cell(0.0);
         assert_eq!(calm.retries, 0);
         assert_eq!(calm.failovers, 0);
         assert_eq!(calm.lost, 0);

@@ -35,9 +35,15 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let params = ParallelBatchParams::default().with_m(base.m);
 
+    let oracle_policy = ParallelBatchPlacement::new(params);
+
     let mut workload = base.generate_workload();
-    let mut placer =
-        IncrementalPlacer::bootstrap(&workload, &system, params).expect("bootstrap placement");
+    let bootstrap = oracle_policy
+        .place(&workload, &system)
+        .expect("bootstrap placement");
+    let mut placer = IncrementalPlacer::from_placement(&workload, &bootstrap, params);
+    // Epoch 0's oracle is the bootstrap placement itself.
+    let mut bootstrap = Some(bootstrap);
 
     let mut incremental = Vec::with_capacity(n_epochs);
     let mut oracle = Vec::with_capacity(n_epochs);
@@ -54,9 +60,11 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         }
         let inc_placement = placer.advance(&workload).expect("incremental placement");
         incremental.push(evaluate_placement(base, &workload, inc_placement).avg_bandwidth_mbs());
-        let oracle_placement = ParallelBatchPlacement::new(params)
-            .place(&workload, &system)
-            .expect("oracle placement");
+        let oracle_placement = bootstrap.take().unwrap_or_else(|| {
+            oracle_policy
+                .place(&workload, &system)
+                .expect("oracle placement")
+        });
         oracle.push(evaluate_placement(base, &workload, oracle_placement).avg_bandwidth_mbs());
     }
 

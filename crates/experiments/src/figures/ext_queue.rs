@@ -10,11 +10,11 @@
 //! sustains proportionally higher restore rates before the queue blows
 //! up — the operational payoff of the paper's bandwidth numbers.
 
-use crate::harness::{sweep, Scheme};
+use crate::harness::scheme_cells;
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_placement::Scheme;
 use tapesim_sched::{run_scheduled, Fcfs, SchedConfig};
-use tapesim_sim::Simulator;
 use tapesim_workload::ArrivalSpec;
 
 /// Swept arrival rates, restores per hour.
@@ -29,19 +29,10 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let workload = base.generate_workload();
 
-    let points: Vec<(Scheme, usize)> = Scheme::ALL
-        .iter()
-        .flat_map(|&s| (0..rs.len()).map(move |i| (s, i)))
-        .collect();
-    let values = sweep(points, |&(scheme, i)| {
-        let placement = scheme
-            .policy(base.m)
-            .place(&workload, &system)
-            .expect("placement");
-        let mut sim = Simulator::with_natural_policy(placement, base.m);
+    let rows = scheme_cells(base, &system, &workload, &rs, |_, mut sim, &per_hour| {
         let cfg = SchedConfig::new(
             ArrivalSpec {
-                per_hour: rs[i],
+                per_hour,
                 seed: base.sim_seed,
             },
             base.samples,
@@ -58,8 +49,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "sojourn time (s)",
         rs.clone(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * rs.len()..(i + 1) * rs.len()].to_vec();
+    for (scheme, ys) in Scheme::ALL.iter().zip(rows) {
         result.push_series(Series::new(scheme.label(), ys));
     }
     result.push_note(format!(

@@ -9,10 +9,11 @@
 //! shared objects a private copy per requesting group, and the sweep
 //! measures bandwidth and residual exchanges as the byte budget grows.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{evaluate, sweep};
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_model::Bytes;
+use tapesim_placement::Scheme;
 use tapesim_workload::{replicate_workload, ReplicationSpec};
 
 /// Swept budgets as a percentage of the workload's total bytes.

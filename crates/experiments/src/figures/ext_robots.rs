@@ -12,9 +12,9 @@
 //! the single arm by spreading batches across libraries, which is exactly
 //! why the paper's scheme wins without extra hardware.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::scheme_bandwidths;
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 
 /// Swept arm counts per library.
 pub fn arm_counts() -> Vec<u8> {
@@ -25,16 +25,14 @@ pub fn arm_counts() -> Vec<u8> {
 pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let arms = arm_counts();
     let workload = base.generate_workload();
-
-    let points: Vec<(Scheme, u8)> = Scheme::ALL
+    let points: Vec<_> = arms
         .iter()
-        .flat_map(|&s| arms.iter().map(move |&a| (s, a)))
+        .map(|&a| {
+            let mut system = base.system();
+            system.library.robot.arms = a;
+            (*base, system, &workload)
+        })
         .collect();
-    let values = sweep(points, |&(scheme, a)| {
-        let mut system = base.system();
-        system.library.robot.arms = a;
-        evaluate(base, &system, &workload, scheme).avg_bandwidth_mbs()
-    });
 
     let mut result = ExperimentResult::new(
         "ext_robots",
@@ -43,9 +41,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         arms.iter().map(|&a| a as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * arms.len()..(i + 1) * arms.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
     result.push_note(format!(
         "identical placements; only the per-library accessor count changes; {} samples",

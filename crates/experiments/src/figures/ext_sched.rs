@@ -14,13 +14,14 @@
 //! in the figure notes), and the sojourn gap between placement schemes
 //! persists under every policy.
 
-use crate::harness::{sweep, Scheme};
+use crate::harness::scheme_cells;
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_obs::SpanKind;
-use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig};
+use tapesim_placement::Scheme;
+use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig, SchedOutcome};
 use tapesim_sim::Simulator;
-use tapesim_workload::ArrivalSpec;
+use tapesim_workload::{ArrivalSpec, Workload};
 
 /// Swept arrival rates, restores per hour. A log sweep: FCFS mount counts
 /// are rate-independent (a sequential server replays the same service
@@ -31,38 +32,25 @@ pub fn rates() -> Vec<f64> {
     vec![1.0, 4.0, 16.0, 64.0]
 }
 
-/// Short scheme tag for the compound series labels.
-fn short(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::ParallelBatch => "pbp",
-        Scheme::ObjectProbability => "opp",
-        Scheme::ClusterProbability => "cpp",
-    }
-}
-
-/// Runs one (scheme, policy, rate) cell; returns (mean sojourn, mounts).
+/// Runs one (policy, rate) cell on `sim`, with span accounting when
+/// `obs` is set.
 pub fn cell(
     base: &ExperimentSettings,
-    scheme: Scheme,
+    workload: &Workload,
+    sim: &mut Simulator,
     kind: PolicyKind,
     per_hour: f64,
-) -> (f64, u64) {
-    let system = base.system();
-    let workload = base.generate_workload();
-    let placement = scheme
-        .policy(base.m)
-        .place(&workload, &system)
-        .expect("placement");
-    let mut sim = Simulator::with_natural_policy(placement, base.m);
+    obs: bool,
+) -> SchedOutcome {
     let cfg = SchedConfig::new(
         ArrivalSpec {
             per_hour,
             seed: base.sim_seed,
         },
         base.samples,
-    );
-    let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
-    (out.metrics.avg_sojourn(), out.metrics.mounts())
+    )
+    .with_obs(obs);
+    run_scheduled(sim, workload, kind.build().as_ref(), &cfg)
 }
 
 /// Runs the experiment. x is the arrival rate; y the mean sojourn time,
@@ -72,31 +60,24 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let workload = base.generate_workload();
 
-    let n = rs.len();
-    let points: Vec<(Scheme, PolicyKind, usize)> = Scheme::ALL
+    let top_rate = rs.len() - 1;
+    let points: Vec<(PolicyKind, usize)> = PolicyKind::ALL
         .iter()
-        .flat_map(|&s| {
-            PolicyKind::ALL
-                .iter()
-                .flat_map(move |&k| (0..n).map(move |i| (s, k, i)))
-        })
+        .flat_map(|&k| (0..rs.len()).map(move |i| (k, i)))
         .collect();
-    let values: Vec<(f64, u64)> = sweep(points, |&(scheme, kind, i)| {
-        let placement = scheme
-            .policy(base.m)
-            .place(&workload, &system)
-            .expect("placement");
-        let mut sim = Simulator::with_natural_policy(placement, base.m);
-        let cfg = SchedConfig::new(
-            ArrivalSpec {
-                per_hour: rs[i],
-                seed: base.sim_seed,
-            },
-            base.samples,
-        );
-        let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
-        (out.metrics.avg_sojourn(), out.metrics.mounts())
-    });
+    let rows = scheme_cells(
+        base,
+        &system,
+        &workload,
+        &points,
+        |_, mut sim, &(kind, i)| {
+            // The top-rate batch cells also account their spans, for the
+            // resource-budget notes.
+            let obs = kind == PolicyKind::BatchByTape && i == top_rate;
+            let out = cell(base, &workload, &mut sim, kind, rs[i], obs);
+            (out.metrics.avg_sojourn(), out.metrics.mounts(), out.budget)
+        },
+    );
 
     let mut result = ExperimentResult::new(
         "ext_sched",
@@ -105,49 +86,28 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "sojourn time (s)",
         rs.clone(),
     );
-    let top_rate = rs.len() - 1;
-    for (si, &scheme) in Scheme::ALL.iter().enumerate() {
+    for (scheme, row) in Scheme::ALL.iter().zip(&rows) {
         let mut mount_note = format!("{} mounts at {}/h:", scheme.label(), rs[top_rate]);
-        for (ki, &kind) in PolicyKind::ALL.iter().enumerate() {
-            let off = (si * PolicyKind::ALL.len() + ki) * rs.len();
-            let ys = values[off..off + rs.len()].iter().map(|v| v.0).collect();
+        for (kind, cells) in PolicyKind::ALL.iter().zip(row.chunks(rs.len())) {
+            let ys = cells.iter().map(|c| c.0).collect();
             result.push_series(Series::new(
-                format!("{}/{}", short(scheme), kind.label()),
+                format!("{}/{}", scheme.tag(), kind.label()),
                 ys,
             ));
-            mount_note.push_str(&format!(" {} {}", kind.label(), values[off + top_rate].1));
+            mount_note.push_str(&format!(" {} {}", kind.label(), cells[top_rate].1));
         }
         result.push_note(mount_note);
     }
     // Resource-budget columns for the top-rate batch runs: where each
     // scheme's drive time actually goes, from the span accountant.
-    for &scheme in Scheme::ALL.iter() {
-        let placement = scheme
-            .policy(base.m)
-            .place(&workload, &system)
-            .expect("placement");
-        let mut sim = Simulator::with_natural_policy(placement, base.m);
-        let cfg = SchedConfig::new(
-            ArrivalSpec {
-                per_hour: rs[top_rate],
-                seed: base.sim_seed,
-            },
-            base.samples,
-        )
-        .with_obs(true);
-        let out = run_scheduled(
-            &mut sim,
-            &workload,
-            PolicyKind::BatchByTape.build().as_ref(),
-            &cfg,
-        );
-        let budget = out.budget.expect("obs on");
+    for (scheme, row) in Scheme::ALL.iter().zip(&rows) {
+        let budget = row.iter().find_map(|c| c.2.as_ref()).expect("obs on");
         let drive_secs = budget.makespan_s * budget.drives.len() as f64;
         let share = |kind| 100.0 * budget.drive_total(kind) / drive_secs;
         result.push_note(format!(
             "{} budget at {}/h (batch): transfer {:.1}% seek {:.1}% rewind {:.1}% \
              exchange {:.1}% idle {:.1}% | drive util {:.1}% | robot overlap {:.1}%",
-            short(scheme),
+            scheme.tag(),
             rs[top_rate],
             share(SpanKind::Transfer),
             share(SpanKind::Seek),
@@ -170,6 +130,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
 mod tests {
     use super::*;
     use crate::figures::quick_settings;
+    use crate::harness::place;
 
     #[test]
     fn nine_series_and_batching_cuts_mounts_under_load() {
@@ -183,9 +144,13 @@ mod tests {
         // batching performs strictly fewer mounts than FCFS on the same
         // demand stream, for every placement scheme.
         let top = *rates().last().expect("rates");
-        for scheme in Scheme::ALL {
-            let (_, fcfs_mounts) = cell(&s, scheme, PolicyKind::Fcfs, top);
-            let (_, batch_mounts) = cell(&s, scheme, PolicyKind::BatchByTape, top);
+        let w = s.generate_workload();
+        let kinds = [PolicyKind::Fcfs, PolicyKind::BatchByTape];
+        let rows = scheme_cells(&s, &s.system(), &w, &kinds, |_, mut sim, &kind| {
+            cell(&s, &w, &mut sim, kind, top, false).metrics.mounts()
+        });
+        for (scheme, mounts) in Scheme::ALL.iter().zip(rows) {
+            let (fcfs_mounts, batch_mounts) = (mounts[0], mounts[1]);
             assert!(
                 batch_mounts < fcfs_mounts,
                 "{}: batching should cut mounts at {top}/h: batch {batch_mounts} \
@@ -202,10 +167,12 @@ mod tests {
     fn fcfs_series_anchors_to_the_legacy_queue() {
         let mut s = quick_settings();
         s.samples = 25;
-        let rate = rates()[0];
-        let (sojourn, _) = cell(&s, Scheme::ParallelBatch, PolicyKind::Fcfs, rate);
+        let w = s.generate_workload();
+        let placement = place(&s, &s.system(), &w, Scheme::ParallelBatch);
+        let mut sim = Simulator::with_natural_policy(placement, s.m);
+        let out = cell(&s, &w, &mut sim, PolicyKind::Fcfs, rates()[0], false);
         assert_eq!(
-            sojourn.to_bits(),
+            out.metrics.avg_sojourn().to_bits(),
             0x4081edf2711918ac,
             "fcfs drifted from legacy"
         );

@@ -15,13 +15,14 @@
 //! pays more drive seek time than the greedy sweep on any cell here
 //! (the per-scheme seek budgets are recorded in the figure notes).
 
-use crate::harness::{sweep, Scheme};
+use crate::harness::scheme_cells;
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_obs::SpanKind;
+use tapesim_placement::Scheme;
 use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
-use tapesim_workload::ArrivalSpec;
+use tapesim_workload::{ArrivalSpec, Workload};
 
 /// Swept arrival rates, restores per hour. Same log sweep as
 /// `ext_sched`: batches deep enough for service order to matter only
@@ -34,30 +35,15 @@ pub fn rates() -> Vec<f64> {
 /// `exact ≤ approx ≤ 2·exact` on every batch's planned seek distance).
 pub const SEEKS: [SeekPolicy; 3] = [SeekPolicy::Greedy, SeekPolicy::ExactDp, SeekPolicy::Approx];
 
-/// Short scheme tag for the compound series labels.
-fn short(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::ParallelBatch => "pbp",
-        Scheme::ObjectProbability => "opp",
-        Scheme::ClusterProbability => "cpp",
-    }
-}
-
-/// Runs one (scheme, seek policy, rate) cell under `batch` scheduling;
+/// Runs one (seek policy, rate) cell on `sim` under `batch` scheduling;
 /// returns (mean sojourn, aggregate drive seek seconds).
 pub fn cell(
     base: &ExperimentSettings,
-    scheme: Scheme,
+    workload: &Workload,
+    sim: &mut Simulator,
     seek: SeekPolicy,
     per_hour: f64,
 ) -> (f64, f64) {
-    let system = base.system();
-    let workload = base.generate_workload();
-    let placement = scheme
-        .policy(base.m)
-        .place(&workload, &system)
-        .expect("placement");
-    let mut sim = Simulator::with_natural_policy(placement, base.m);
     let cfg = SchedConfig::new(
         ArrivalSpec {
             per_hour,
@@ -68,8 +54,8 @@ pub fn cell(
     .with_seek(seek)
     .with_obs(true);
     let out = run_scheduled(
-        &mut sim,
-        &workload,
+        sim,
+        workload,
         PolicyKind::BatchByTape.build().as_ref(),
         &cfg,
     );
@@ -87,42 +73,17 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let workload = base.generate_workload();
 
-    let n = rs.len();
-    let points: Vec<(Scheme, SeekPolicy, usize)> = Scheme::ALL
+    let points: Vec<(SeekPolicy, f64)> = SEEKS
         .iter()
-        .flat_map(|&s| {
-            SEEKS
-                .iter()
-                .flat_map(move |&k| (0..n).map(move |i| (s, k, i)))
-        })
+        .flat_map(|&k| rs.iter().map(move |&r| (k, r)))
         .collect();
-    let values: Vec<(f64, f64)> = sweep(points, |&(scheme, seek, i)| {
-        let placement = scheme
-            .policy(base.m)
-            .place(&workload, &system)
-            .expect("placement");
-        let mut sim = Simulator::with_natural_policy(placement, base.m);
-        let cfg = SchedConfig::new(
-            ArrivalSpec {
-                per_hour: rs[i],
-                seed: base.sim_seed,
-            },
-            base.samples,
-        )
-        .with_seek(seek)
-        .with_obs(true);
-        let out = run_scheduled(
-            &mut sim,
-            &workload,
-            PolicyKind::BatchByTape.build().as_ref(),
-            &cfg,
-        );
-        let budget = out.budget.expect("obs on");
-        (
-            out.metrics.avg_sojourn(),
-            budget.drive_total(SpanKind::Seek),
-        )
-    });
+    let rows = scheme_cells(
+        base,
+        &system,
+        &workload,
+        &points,
+        |_, mut sim, &(seek, r)| cell(base, &workload, &mut sim, seek, r),
+    );
 
     let mut result = ExperimentResult::new(
         "ext_seek",
@@ -132,24 +93,19 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         rs.clone(),
     );
     let top_rate = rs.len() - 1;
-    for (si, &scheme) in Scheme::ALL.iter().enumerate() {
+    for (scheme, row) in Scheme::ALL.iter().zip(&rows) {
         let mut seek_note = format!(
             "{} drive seek seconds at {}/h (batch):",
             scheme.label(),
             rs[top_rate]
         );
-        for (ki, &seek) in SEEKS.iter().enumerate() {
-            let off = (si * SEEKS.len() + ki) * rs.len();
-            let ys = values[off..off + rs.len()].iter().map(|v| v.0).collect();
+        for (seek, cells) in SEEKS.iter().zip(row.chunks(rs.len())) {
+            let ys = cells.iter().map(|c| c.0).collect();
             result.push_series(Series::new(
-                format!("{}/{}", short(scheme), seek.label()),
+                format!("{}/{}", scheme.tag(), seek.label()),
                 ys,
             ));
-            seek_note.push_str(&format!(
-                " {} {:.0}",
-                seek.label(),
-                values[off + top_rate].1
-            ));
+            seek_note.push_str(&format!(" {} {:.0}", seek.label(), cells[top_rate].1));
         }
         result.push_note(seek_note);
     }
@@ -167,6 +123,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
 mod tests {
     use super::*;
     use crate::figures::quick_settings;
+    use crate::harness::place;
 
     #[test]
     fn nine_series_and_exact_never_pays_more_seek_than_greedy() {
@@ -183,9 +140,13 @@ mod tests {
         // distance; with identical batches and the linear positioning
         // model that carries through to seek seconds here.)
         let top = *rates().last().expect("rates");
-        for scheme in Scheme::ALL {
-            let (_, greedy_seek) = cell(&s, scheme, SeekPolicy::Greedy, top);
-            let (_, exact_seek) = cell(&s, scheme, SeekPolicy::ExactDp, top);
+        let w = s.generate_workload();
+        let seeks = [SeekPolicy::Greedy, SeekPolicy::ExactDp];
+        let rows = scheme_cells(&s, &s.system(), &w, &seeks, |_, mut sim, &seek| {
+            cell(&s, &w, &mut sim, seek, top).1
+        });
+        for (scheme, seek_secs) in Scheme::ALL.iter().zip(rows) {
+            let (greedy_seek, exact_seek) = (seek_secs[0], seek_secs[1]);
             assert!(
                 exact_seek <= greedy_seek,
                 "{}: exact planner should not pay more seek at {top}/h: \
@@ -200,14 +161,11 @@ mod tests {
         let mut s = quick_settings();
         s.samples = 25;
         let rate = rates()[0];
-        let (sojourn, _) = cell(&s, Scheme::ParallelBatch, SeekPolicy::Greedy, rate);
-
-        let system = s.system();
         let workload = s.generate_workload();
-        let placement = Scheme::ParallelBatch
-            .policy(s.m)
-            .place(&workload, &system)
-            .expect("placement");
+        let placement = place(&s, &s.system(), &workload, Scheme::ParallelBatch);
+        let mut sim = Simulator::with_natural_policy(placement.clone(), s.m);
+        let (sojourn, _) = cell(&s, &workload, &mut sim, SeekPolicy::Greedy, rate);
+
         let mut sim = Simulator::with_natural_policy(placement, s.m);
         let cfg = SchedConfig::new(
             ArrivalSpec {

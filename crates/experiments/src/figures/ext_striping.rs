@@ -14,9 +14,9 @@
 //! theoretical transfer-parallelism benefit is already delivered — without
 //! the extra mounts — by parallel batch placement's cluster spreading.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{scheme_bandwidths, sweep};
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_analysis::ExperimentResult;
 use tapesim_model::Bytes;
 use tapesim_workload::{stripe_workload, StripeSpec};
 
@@ -31,24 +31,20 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let original = base.generate_workload();
 
-    let points: Vec<(Scheme, u8)> = Scheme::ALL
-        .iter()
-        .flat_map(|&s| ws.iter().map(move |&w| (s, w)))
-        .collect();
-    let values = sweep(points, |&(scheme, w)| {
-        if w <= 1 {
-            evaluate(base, &system, &original, scheme).avg_bandwidth_mbs()
-        } else {
-            let (striped, _) = stripe_workload(
-                &original,
-                StripeSpec {
-                    width: w,
-                    min_object: Bytes::gb(1),
-                },
-            );
-            evaluate(base, &system, &striped, scheme).avg_bandwidth_mbs()
-        }
+    // One striped workload per width, shared by the three schemes.
+    let striped = sweep(ws.clone(), |&w| {
+        (w > 1).then(|| {
+            let spec = StripeSpec {
+                width: w,
+                min_object: Bytes::gb(1),
+            };
+            stripe_workload(&original, spec).0
+        })
     });
+    let points: Vec<_> = striped
+        .iter()
+        .map(|w| (*base, system, w.as_ref().unwrap_or(&original)))
+        .collect();
 
     let mut result = ExperimentResult::new(
         "ext_striping",
@@ -57,9 +53,8 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         "bandwidth (MB/s)",
         ws.iter().map(|&w| w as f64).collect(),
     );
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        let ys = values[i * ws.len()..(i + 1) * ws.len()].to_vec();
-        result.push_series(Series::new(scheme.label(), ys));
+    for series in scheme_bandwidths(&points) {
+        result.push_series(series);
     }
     result.push_note(
         "objects ≥ 1 GB split into w fragments; requests fetch every fragment \

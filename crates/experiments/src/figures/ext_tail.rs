@@ -12,10 +12,11 @@
 //! percentile and object probability placement's exchange storms blow up
 //! the tail specifically.
 
-use crate::harness::Scheme;
+use crate::harness::place;
 use crate::settings::ExperimentSettings;
-use tapesim_analysis::stats::{percentile_sorted, summarize};
 use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_des::stats::Samples;
+use tapesim_placement::Scheme;
 use tapesim_sim::Simulator;
 
 /// Runs the experiment. x indexes the percentile (50, 95, 99, 100).
@@ -32,29 +33,27 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
         percentiles.to_vec(),
     );
     for scheme in Scheme::ALL {
-        let placement = scheme
-            .policy(base.m)
-            .place(&workload, &system)
-            .expect("placement");
+        let placement = place(base, &system, &workload, scheme);
         let mut sim = Simulator::with_natural_policy(placement, base.m);
         let detailed =
             sim.run_sampled_detailed(&workload, base.samples.max(100) * 2, base.sim_seed);
         let mut responses: Vec<f64> = detailed.iter().map(|m| m.response).collect();
-        responses.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let ys: Vec<f64> = percentiles
-            .iter()
-            .map(|&p| percentile_sorted(&responses, p))
-            .collect();
-        let s = summarize(&responses);
+        // Pushed in ascending order, so the mean sums smallest first.
+        responses.sort_by(f64::total_cmp);
+        let mut samples = Samples::new();
+        for r in responses {
+            samples.push(r);
+        }
+        let ys: Vec<f64> = percentiles.iter().map(|&p| samples.percentile(p)).collect();
         result.push_note(format!(
             "{}: mean {:.0} s, p50 {:.0}, p95 {:.0}, p99 {:.0}, max {:.0} (n = {})",
             scheme.label(),
-            s.mean,
-            s.median,
-            s.p95,
-            percentile_sorted(&responses, 99.0),
-            s.max,
-            s.n
+            samples.mean(),
+            ys[0],
+            ys[1],
+            ys[2],
+            ys[3],
+            samples.len()
         ));
         result.push_series(Series::new(scheme.label(), ys));
     }

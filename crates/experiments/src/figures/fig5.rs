@@ -6,9 +6,10 @@
 //! shrinks, pushing more traffic through the robot). Based on this curve
 //! the paper fixes `m = 4` for the rest of the evaluation.
 
-use crate::harness::{evaluate, sweep, Scheme};
+use crate::harness::{evaluate, sweep};
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
+use tapesim_placement::Scheme;
 
 /// α curves shown in the figure.
 pub fn alphas() -> Vec<f64> {

@@ -13,10 +13,12 @@
 //! the transfer share of the response: the paper reports ≈62% for cluster
 //! probability (serial transfer) vs ≈19% for parallel batch.
 
-use crate::harness::{evaluate, scheme_bandwidths, sweep, Scheme};
+use crate::figures::cells_needed;
+use crate::harness::{evaluate, scheme_bandwidths, sweep};
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::ExperimentResult;
 use tapesim_model::Bytes;
+use tapesim_placement::Scheme;
 
 /// Swept average request sizes (GB).
 pub fn request_sizes_gb() -> Vec<u64> {
@@ -37,14 +39,10 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     // no performance effect beyond providing capacity (drives and robots
     // are untouched).
     let mut base = *base;
-    {
-        let largest = workloads.last().expect("non-empty sweep");
-        let total = largest.total_bytes().get() as f64;
-        let ct = base.system().library.tape.capacity.get() as f64;
-        let cells_needed = (total / (ct * 0.85)).ceil() as u16;
-        let per_library = cells_needed / base.libraries.max(1) + 8;
-        base.tapes_per_library = base.tapes_per_library.max(per_library);
-    }
+    let largest = workloads.last().expect("non-empty sweep");
+    base.tapes_per_library =
+        base.tapes_per_library
+            .max(cells_needed(largest, &base.system(), base.libraries));
     let system = base.system();
 
     let points: Vec<_> = sizes

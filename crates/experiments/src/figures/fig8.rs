@@ -12,6 +12,7 @@
 //! single-library point stores 57 TB of objects). Drives and robots per
 //! library — the quantities that determine performance — are unchanged.
 
+use crate::figures::cells_needed;
 use crate::harness::scheme_bandwidths;
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::ExperimentResult;
@@ -27,14 +28,14 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let ns = library_counts();
     let mut sized = *base;
     sized.workload = sized.workload.with_target_request_size(Bytes::gb(240));
-    // The single-library point must hold the whole workload by itself.
-    sized.tapes_per_library = sized
-        .tapes_per_library
-        .max(crate::figures::cells_needed(&sized, 1));
-
     // The workload does not depend on the library count: one serves every
     // point.
     let workload = sized.generate_workload();
+    // The single-library point must hold the whole workload by itself.
+    sized.tapes_per_library =
+        sized
+            .tapes_per_library
+            .max(cells_needed(&workload, &sized.system(), 1));
     let points: Vec<_> = ns
         .iter()
         .map(|&n| {

@@ -7,10 +7,11 @@
 //! its switch time dominates; *cluster probability* is all transfer
 //! (serial); *parallel batch* balances the three.
 
-use crate::harness::{evaluate, Scheme};
+use crate::harness::evaluate;
 use crate::settings::ExperimentSettings;
 use tapesim_analysis::{ExperimentResult, Series};
 use tapesim_model::Bytes;
+use tapesim_placement::Scheme;
 
 /// Runs the experiment. The x-axis indexes the schemes (0 = parallel
 /// batch, 1 = object probability, 2 = cluster probability); the series are

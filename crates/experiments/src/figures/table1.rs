@@ -3,6 +3,8 @@
 //! Echoes the configuration constants the whole evaluation runs on, from
 //! the spec presets, so the reproduced table always reflects the code.
 
+use crate::settings::ExperimentSettings;
+use std::path::Path;
 use tapesim_analysis::Table;
 use tapesim_model::specs::paper_table1;
 
@@ -55,6 +57,18 @@ pub fn run() -> Table {
     row("Tape drives per library", format!("{}", sys.library.drives));
     row("Number of tape libraries", format!("{}", sys.libraries));
     t
+}
+
+/// Writes the table to `<dir>/table1.md` and returns the report. The
+/// table echoes constants, so `settings` are unused.
+pub fn save(_settings: &ExperimentSettings, dir: &Path) -> std::io::Result<String> {
+    let report = format!(
+        "## table1 — Tape drive/library specifications\n\n{}",
+        run().to_markdown()
+    );
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join("table1.md"), &report)?;
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The evaluation harness: scheme dispatch, single-point evaluation,
-//! rayon-parallel sweeps and result output.
+//! The evaluation harness: single-point evaluation, place-once scheme
+//! sweeps, rayon-parallel sweeps and result output.
 
 use crate::settings::ExperimentSettings;
 use rayon::prelude::*;
@@ -7,48 +7,22 @@ use std::path::Path;
 use tapesim_analysis::{ascii_chart, ExperimentResult, Series, Table};
 use tapesim_model::SystemConfig;
 use tapesim_placement::{
-    ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchParams,
-    ParallelBatchPlacement, Placement, PlacementPolicy,
+    ParallelBatchParams, ParallelBatchPlacement, Placement, PlacementPolicy, Scheme,
 };
 use tapesim_sim::{RunMetrics, Simulator, SwitchPolicy};
 use tapesim_workload::Workload;
 
-/// The three schemes under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// The paper's parallel batch placement (§5).
-    ParallelBatch,
-    /// Object probability placement \[11\].
-    ObjectProbability,
-    /// Cluster probability placement \[20\].
-    ClusterProbability,
-}
-
-impl Scheme {
-    /// All three, in the paper's presentation order.
-    pub const ALL: [Scheme; 3] = [
-        Scheme::ParallelBatch,
-        Scheme::ObjectProbability,
-        Scheme::ClusterProbability,
-    ];
-
-    /// The figure-legend label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Scheme::ParallelBatch => "parallel batch",
-            Scheme::ObjectProbability => "object probability",
-            Scheme::ClusterProbability => "cluster probability",
-        }
-    }
-
-    /// Builds the placement policy for these settings.
-    pub fn policy(&self, m: u8) -> Box<dyn PlacementPolicy + Send + Sync> {
-        match self {
-            Scheme::ParallelBatch => Box::new(ParallelBatchPlacement::with_m(m)),
-            Scheme::ObjectProbability => Box::new(ObjectProbabilityPlacement::default()),
-            Scheme::ClusterProbability => Box::new(ClusterProbabilityPlacement::default()),
-        }
-    }
+/// Places `workload` under `scheme` with `settings.m` switch drives.
+pub fn place(
+    settings: &ExperimentSettings,
+    system: &SystemConfig,
+    workload: &Workload,
+    scheme: Scheme,
+) -> Placement {
+    scheme
+        .policy(settings.m)
+        .place(workload, system)
+        .unwrap_or_else(|e| panic!("{} placement failed: {e}", scheme.label()))
 }
 
 /// Places `workload` under `scheme` and serves the sampled request stream.
@@ -58,10 +32,7 @@ pub fn evaluate(
     workload: &Workload,
     scheme: Scheme,
 ) -> RunMetrics {
-    let placement = scheme
-        .policy(settings.m)
-        .place(workload, system)
-        .unwrap_or_else(|e| panic!("{} placement failed: {e}", scheme.label()));
+    let placement = place(settings, system, workload, scheme);
     evaluate_placement(settings, workload, placement)
 }
 
@@ -124,6 +95,41 @@ pub fn scheme_bandwidths(points: &[(ExperimentSettings, SystemConfig, &Workload)
             let ys = values.iter().skip(s).step_by(Scheme::ALL.len()).copied();
             Series::new(scheme.label(), ys.collect())
         })
+        .collect()
+}
+
+/// Places `workload` once under every scheme, then runs `cell` for every
+/// scheme × runtime point on a fresh simulator (the scheme's natural
+/// switch policy, `settings.m` switch drives) over a copy of that
+/// placement. Returns one row per scheme in [`Scheme::ALL`] order, each
+/// in `points` order. Every cell is an independent, internally
+/// deterministic run, so the parallel sweep cannot change any result.
+pub fn scheme_cells<P, R, F>(
+    settings: &ExperimentSettings,
+    system: &SystemConfig,
+    workload: &Workload,
+    points: &[P],
+    cell: F,
+) -> Vec<Vec<R>>
+where
+    P: Sync,
+    R: Send,
+    F: Fn(Scheme, Simulator, &P) -> R + Sync,
+{
+    let placements = sweep(Scheme::ALL.to_vec(), |&scheme| {
+        place(settings, system, workload, scheme)
+    });
+    let runs: Vec<(usize, usize)> = (0..Scheme::ALL.len())
+        .flat_map(|s| (0..points.len()).map(move |i| (s, i)))
+        .collect();
+    let mut values = sweep(runs, |&(s, i)| {
+        let sim = Simulator::with_natural_policy(placements[s].clone(), settings.m);
+        cell(Scheme::ALL[s], sim, &points[i])
+    })
+    .into_iter();
+    Scheme::ALL
+        .iter()
+        .map(|_| values.by_ref().take(points.len()).collect())
         .collect()
 }
 
@@ -193,6 +199,26 @@ mod tests {
             let run = evaluate(&s, &sys, &w, scheme);
             assert_eq!(run.count(), 30, "{}", scheme.label());
             assert!(run.avg_bandwidth_mbs() > 0.0);
+        }
+    }
+
+    /// A place-once sweep serves each cell exactly what placing the scheme
+    /// afresh for that cell serves.
+    #[test]
+    fn scheme_cells_match_fresh_placements() {
+        let s = small_settings();
+        let sys = s.system();
+        let w = s.generate_workload();
+        let seeds = [3u64, 5];
+        let rows = scheme_cells(&s, &sys, &w, &seeds, |_, mut sim, &seed| {
+            sim.run_sampled(&w, 10, seed).avg_response()
+        });
+        for (scheme, row) in Scheme::ALL.iter().zip(&rows) {
+            for (&seed, &response) in seeds.iter().zip(row) {
+                let mut sim = Simulator::with_natural_policy(place(&s, &sys, &w, *scheme), s.m);
+                let fresh = sim.run_sampled(&w, 10, seed).avg_response();
+                assert_eq!(response.to_bits(), fresh.to_bits(), "{}", scheme.label());
+            }
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Drivers reproducing every table and figure of the ICPP 2006 evaluation
 //! (§6), plus the extension experiments the paper describes in prose. Each
-//! driver builds the paper's workload, runs the three placement schemes
-//! through the simulator, and emits an
-//! [`tapesim_analysis::ExperimentResult`] (JSON under `results/`, a
-//! markdown table and an ASCII chart on stdout).
+//! driver builds the paper's workload, places it once per scheme of
+//! [`tapesim_placement::Scheme`], runs the placements through the
+//! simulator and emits an [`tapesim_analysis::ExperimentResult`] (JSON
+//! under `results/`, a markdown table and an ASCII chart on stdout).
 //!
 //! | Driver | Paper artifact |
 //! |---|---|
@@ -19,11 +19,13 @@
 //! | [`figures::ext_scale`] | §6 close — workload-scale invariance |
 //! | [`figures::ext_ablation`] | §5 design-choice ablations |
 //!
-//! Run them all with `cargo run --release -p tapesim-experiments --bin all`.
+//! Every driver is one entry of [`figures::DRIVERS`]. Run them all with
+//! `cargo run --release -p tapesim-experiments --bin all`, or some by id
+//! with `--bin all -- [--quick] fig6 ext_tail`.
 
 pub mod figures;
 pub mod harness;
 pub mod settings;
 
-pub use harness::{evaluate, evaluate_placement, Scheme};
+pub use harness::{evaluate, evaluate_placement};
 pub use settings::ExperimentSettings;

@@ -244,11 +244,6 @@ pub struct TimeBudget {
 }
 
 impl TimeBudget {
-    /// Number of resources carrying a budget (drives + arms).
-    pub fn resource_count(&self) -> usize {
-        self.drives.len() + self.arms.len()
-    }
-
     /// Largest absolute error `|spans.total() − makespan|` over all
     /// resources. The budget invariant is `sum_error() < 1e-6`:
     /// categories sum to makespan × resource-count.

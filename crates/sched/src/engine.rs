@@ -1621,7 +1621,9 @@ impl<'a> ShardEngine<'a> {
 
     /// Cuts a checkpoint of everything submitted and pumped so far.
     /// Cheap (clones the submission log) and valid at any quiescent
-    /// point — the serve supervisor cuts one at every snapshot barrier.
+    /// point. The serve supervisor does not call it: it rebuilds each
+    /// restart's checkpoint from its own submission log with
+    /// [`EngineCheckpoint::from_arrivals`].
     pub fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint {
             arrivals: self.world.arrivals.clone(),

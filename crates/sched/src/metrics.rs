@@ -27,12 +27,6 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// Seconds from arrival to first service — the metrics-boundary
-    /// conversion external aggregators (registries, histograms) consume.
-    pub fn wait_secs(&self) -> f64 {
-        (self.first_start - self.arrival).as_secs()
-    }
-
     /// Seconds from arrival to completion.
     pub fn sojourn_secs(&self) -> f64 {
         (self.finish - self.arrival).as_secs()

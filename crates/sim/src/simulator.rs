@@ -187,8 +187,7 @@ mod tests {
     use tapesim_model::specs::paper_table1;
     use tapesim_model::Bytes;
     use tapesim_placement::{
-        ClusterProbabilityPlacement, ObjectProbabilityPlacement, ParallelBatchPlacement,
-        PlacementPolicy,
+        ClusterProbabilityPlacement, ParallelBatchPlacement, PlacementPolicy, Scheme,
     };
     use tapesim_workload::{ObjectSizeSpec, RequestSpec, WorkloadSpec};
 
@@ -227,12 +226,8 @@ mod tests {
         .generate()
     }
 
-    fn schemes() -> Vec<(&'static str, Box<dyn PlacementPolicy>)> {
-        vec![
-            ("pbp", Box::new(ParallelBatchPlacement::with_m(4))),
-            ("opp", Box::new(ObjectProbabilityPlacement::default())),
-            ("cpp", Box::new(ClusterProbabilityPlacement::default())),
-        ]
+    fn schemes() -> impl Iterator<Item = (&'static str, Box<dyn PlacementPolicy + Send + Sync>)> {
+        Scheme::ALL.into_iter().map(|s| (s.tag(), s.policy(4)))
     }
 
     const SEEKS: [SeekPolicy; 4] = [
@@ -354,12 +349,7 @@ mod tests {
     fn end_to_end_all_three_schemes() {
         let cfg = paper_table1();
         let w = small_workload();
-        let schemes: Vec<(&str, Box<dyn PlacementPolicy>)> = vec![
-            ("pbp", Box::new(ParallelBatchPlacement::with_m(4))),
-            ("opp", Box::new(ObjectProbabilityPlacement::default())),
-            ("cpp", Box::new(ClusterProbabilityPlacement::default())),
-        ];
-        for (name, scheme) in schemes {
+        for (name, scheme) in schemes() {
             let placement = scheme.place(&w, &cfg).unwrap();
             placement.verify_against(&w).unwrap();
             let mut sim = Simulator::with_natural_policy(placement, 4);
@@ -387,12 +377,7 @@ mod tests {
     fn audit_is_clean_for_all_three_schemes() {
         let cfg = paper_table1();
         let w = small_workload();
-        let schemes: Vec<(&str, Box<dyn PlacementPolicy>)> = vec![
-            ("pbp", Box::new(ParallelBatchPlacement::with_m(4))),
-            ("opp", Box::new(ObjectProbabilityPlacement::default())),
-            ("cpp", Box::new(ClusterProbabilityPlacement::default())),
-        ];
-        for (name, scheme) in schemes {
+        for (name, scheme) in schemes() {
             let placement = scheme.place(&w, &cfg).unwrap();
             let mut sim = Simulator::with_natural_policy(placement, 4);
             let (run, reports) = sim.run_sampled_audited(&w, 15, 99);

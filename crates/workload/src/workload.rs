@@ -78,12 +78,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Returns a copy with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> WorkloadSpec {
-        self.seed = seed;
-        self
-    }
-
     /// Generates the workload deterministically from the spec.
     pub fn generate(&self) -> Workload {
         // Independent, documented sub-streams of the master seed: changing α

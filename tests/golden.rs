@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use tapesim_experiments::figures::quick_settings;
-use tapesim_experiments::Scheme;
 use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
+use tapesim_placement::Scheme;
 use tapesim_sched::{
     run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
     ParallelConfig, SchedConfig,
@@ -64,15 +64,6 @@ struct Fingerprint {
     restarts: u64,
     #[serde(default)]
     shard_failures: u64,
-}
-
-/// Short scheme tag used in snapshot file names.
-fn tag(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::ParallelBatch => "pbp",
-        Scheme::ObjectProbability => "opp",
-        Scheme::ClusterProbability => "cpp",
-    }
 }
 
 /// Runs one (scheme, mode) cell with auditing on and fingerprints it.
@@ -123,7 +114,7 @@ fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
         other => panic!("unknown golden mode {other:?}"),
     };
     let mut fp = Fingerprint {
-        scheme: tag(scheme).to_string(),
+        scheme: scheme.tag().to_string(),
         mode: mode.to_string(),
         served: out.metrics.served(),
         events: out.metrics.events(),
@@ -206,7 +197,7 @@ fn serve_chaos_fingerprint(
         "auditing was on; the golden fingerprint needs audit reports"
     );
     let mut fp = Fingerprint {
-        scheme: tag(scheme).to_string(),
+        scheme: scheme.tag().to_string(),
         mode: "serve-chaos".to_string(),
         served: report.served,
         events: report.metrics.events(),
@@ -237,7 +228,7 @@ fn serve_chaos_fingerprint(
 fn golden_path(scheme: Scheme, mode: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden")
-        .join(format!("{}_{}.json", tag(scheme), mode))
+        .join(format!("{}_{}.json", scheme.tag(), mode))
 }
 
 /// Compares one cell against its snapshot; returns a description of the

@@ -3,7 +3,8 @@
 //! these tests pin the *shapes* so regressions are caught by `cargo test`).
 
 use tapesim_experiments::figures::quick_settings;
-use tapesim_experiments::{evaluate, ExperimentSettings, Scheme};
+use tapesim_experiments::{evaluate, ExperimentSettings};
+use tapesim_placement::Scheme;
 
 fn settings() -> ExperimentSettings {
     let mut s = quick_settings();
