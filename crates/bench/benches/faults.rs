@@ -3,9 +3,9 @@
 //! wall-clock throughput (scheduler events per second) plus availability
 //! and fault counters into `BENCH_faults.json` at the workspace root.
 //!
-//! Not a Criterion bench: the point is a machine-readable artifact the CI
-//! and later sessions can diff — did the fault path get slower, and did
-//! the availability/loss numbers move? Run with
+//! A plain `main` (`harness = false`): the point is a machine-readable
+//! artifact CI can diff — did the fault path get slower, and did the
+//! availability/loss numbers move? Run with
 //! `cargo bench -p tapesim-bench --bench faults`.
 
 use serde::Serialize;

@@ -1,5 +1,6 @@
-//! Hot-path throughput bench: runs the same deterministic scheduling
-//! scenario as `BENCH_sched.json` through every DES engine — the
+//! Hot-path throughput bench: runs one deterministic scheduling scenario
+//! (4,000 objects, 80 request templates, Poisson arrivals at 24/h)
+//! through every DES engine — the
 //! sequential FCFS gear, the concurrent scheduler (with and without span
 //! time accounting, so the observability overhead is measured in the
 //! same run) and the faulty concurrent gear — and records events/sec,
@@ -13,8 +14,8 @@
 //! * `--check` — read the committed `BENCH_perf.json` and fail (non-zero
 //!   exit) if any engine's events/sec dropped more than 30% below it.
 //!
-//! Not a Criterion bench: the point is a machine-readable artifact the CI
-//! and later sessions can diff. Run with
+//! A plain `main` (`harness = false`): the point is a machine-readable
+//! artifact CI can diff. Run with
 //! `cargo bench -p tapesim-bench --bench perf`.
 
 use serde::{Deserialize, Serialize};
@@ -120,7 +121,7 @@ const RATE_PER_HOUR: f64 = 24.0;
 /// enforces against.
 const PRE_POOLING_SCHED_ALLOCS: u64 = 1325;
 
-/// Same workload as the sched bench, so the two artifacts line up.
+/// The scenario's workload: 4,000 objects, 80 templates of 20–30 objects.
 fn workload() -> Workload {
     WorkloadSpec {
         objects: 4_000,

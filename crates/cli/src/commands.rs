@@ -1004,7 +1004,7 @@ fn sweep<R>(
     }
 }
 
-/// Resolves the `--seek-policy greedy|exact|approx|auto` flag shared by
+/// Resolves the `--seek-policy greedy|exact|approx` flag shared by
 /// `simulate`, `serve`, `sched` and `faults`. Without the flag the
 /// policy is the greedy sweep, bit-identical to runs recorded before
 /// seek policies existed; a misspelt value is an error, never a silent
@@ -1014,7 +1014,7 @@ fn seek_policy_from(args: &Args) -> Result<SeekPolicy, CommandError> {
         None => Ok(SeekPolicy::Greedy),
         Some(text) => SeekPolicy::parse(text).ok_or_else(|| {
             CommandError(format!(
-                "flag --seek-policy: expected greedy|exact|approx|auto, got '{text}'"
+                "flag --seek-policy: expected greedy|exact|approx, got '{text}'"
             ))
         }),
     }

@@ -29,9 +29,9 @@ COMMANDS:
                --m M --libraries N --tapes T -o FILE
   simulate   serve a popularity-sampled request stream
                -w WORKLOAD -p PLACEMENT --samples N --seed S --m M [--json]
-               [--seek-policy greedy|exact|approx|auto]  (in-tape service
-               order: greedy sweep, exact LTSP DP, ratio-2 approx, or
-               auto = exact for small batches; default greedy)
+               [--seek-policy greedy|exact|approx]  (in-tape service
+               order: greedy sweep, exact LTSP DP or ratio-2 approx;
+               default greedy)
   serve      serve one pre-defined request and show the decomposition
                -w WORKLOAD -p PLACEMENT --request RANK --m M [--trace]
              or, with --campaign, run the long-running sharded service
@@ -43,7 +43,7 @@ COMMANDS:
                [--policy all|fcfs|batch|sltf] [--m M] [--max-batch N]
                [--channel-bound N] [--snapshot-every N]
                (--shards: shard threads, default one per library)
-               [--seek-policy greedy|exact|approx|auto] [--smoke]
+               [--seek-policy greedy|exact|approx] [--smoke]
                [--check] [--json]
              or, with --chaos, run the campaign supervised under a
              nonzero hardware fault plan plus seeded shard kills and
@@ -63,7 +63,7 @@ COMMANDS:
                -w WORKLOAD --scheme all|pbp|opp|cpp --policy all|fcfs|batch|sltf
                --rate PER_HOUR --samples N --seed S --m M --max-batch N
                [--smoke] [--json] [--no-audit]
-               [--seek-policy greedy|exact|approx|auto]
+               [--seek-policy greedy|exact|approx]
   faults     rerun the scheduler sweep under a seeded fault plan (drive
              failures, robot jams, media bad spots) with retry, replica
              failover and availability metrics; always audited
@@ -71,7 +71,7 @@ COMMANDS:
                --rate PER_HOUR --samples N --seed S --fault-seed S
                --intensity X --mtbf-hours H --jams-per-hour R
                --spots-per-tape R --replicate-gb GB [--smoke] [--json]
-               [--seek-policy greedy|exact|approx|auto]
+               [--seek-policy greedy|exact|approx]
   report     explain a run at resource granularity: per-drive/per-arm span
              time budgets (seek/rewind/transfer/load/unload/exchange/idle/
              failed, summing to the makespan), job-phase means, robot-

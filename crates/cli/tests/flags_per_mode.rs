@@ -1,6 +1,6 @@
 //! Each `serve` mode takes only its own flags: a flag of another mode is
-//! an unknown-flag error, not silently ignored. An unknown `--scheme` is
-//! a one-line error too.
+//! an unknown-flag error, not silently ignored. An unknown `--scheme` or
+//! `--seek-policy` value is a one-line error too.
 
 use std::process::{Command, Output};
 
@@ -98,5 +98,13 @@ fn unknown_scheme_is_a_one_line_error() {
     assert_one_line_error(
         &["sched", "--smoke", "--scheme", "bogus"],
         "error: unknown scheme 'bogus' (all | parallel-batch | object-prob | cluster-prob)",
+    );
+}
+
+#[test]
+fn unknown_seek_policy_is_a_one_line_error() {
+    assert_one_line_error(
+        &["sched", "--smoke", "--seek-policy", "auto"],
+        "error: flag --seek-policy: expected greedy|exact|approx, got 'auto'",
     );
 }

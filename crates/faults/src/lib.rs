@@ -22,7 +22,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use tapesim_des::SimTime;
-use tapesim_model::{Bytes, SystemConfig};
+use tapesim_model::tape::Extent;
+use tapesim_model::{Bytes, DriveSpec, SystemConfig};
 
 pub mod chaos;
 
@@ -127,14 +128,17 @@ pub struct BadSpot {
     pub severity: u32,
 }
 
-/// The outcome of resolving a read's total retry demand against the
-/// per-job budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a job's read pays for the bad spots under it
+/// ([`FaultClock::charge`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadOutcome {
     /// Retries actually burned (never exceeds [`FaultSpec::max_retries`]).
     pub retries: u32,
-    /// The demand exceeded the budget: the read fails after burning the
-    /// whole budget.
+    /// Seconds the retries add to the read: their capped-exponential
+    /// backoff plus one reposition-and-reread of the extent per retry.
+    pub penalty_secs: f64,
+    /// Some extent demanded more retries than the budget had left: the
+    /// read fails after burning the whole budget.
     pub fatal: bool,
 }
 
@@ -369,7 +373,7 @@ impl FaultClock<'_> {
     /// Total retry demand of a read covering `[lo, hi)` on the tape at
     /// dense index `tape`: the sum of severities of the bad spots in
     /// range. Zero on clean media.
-    pub fn spot_demand(&self, tape: usize, lo: Bytes, hi: Bytes) -> u32 {
+    fn spot_demand(&self, tape: usize, lo: Bytes, hi: Bytes) -> u32 {
         let Some(spots) = self.plan.spots.get(tape) else {
             return 0;
         };
@@ -380,27 +384,54 @@ impl FaultClock<'_> {
             .sum()
     }
 
-    /// Resolves a job's total retry `demand` against the budget: within
-    /// budget the read recovers after `demand` retries; beyond it the
-    /// whole budget is burned and the read is fatal.
-    pub fn resolve(&self, demand: u32) -> ReadOutcome {
-        let budget = self.plan.spec.max_retries;
-        if demand <= budget {
-            ReadOutcome {
-                retries: demand,
-                fatal: false,
-            }
-        } else {
-            ReadOutcome {
-                retries: budget,
-                fatal: true,
+    /// Charges a read of `extents` (in the order the drive serves them)
+    /// on the tape at dense index `tape` for the bad spots under it.
+    /// Extent by extent, each spot demand is granted from what is left of
+    /// the job's [`FaultClock::max_retries`] budget; each granted retry
+    /// costs one reposition back over the extent and one reread of it. A
+    /// demand beyond what is left makes the read fatal. The backoff of
+    /// all granted retries is added once, after the walk. A read of a tape
+    /// without bad spots (every read under a zero plan) is charged nothing.
+    #[inline]
+    pub fn charge(
+        &self,
+        tape: usize,
+        extents: &[Extent],
+        drive: &DriveSpec,
+        capacity: Bytes,
+    ) -> ReadOutcome {
+        let mut out = ReadOutcome {
+            retries: 0,
+            penalty_secs: 0.0,
+            fatal: false,
+        };
+        if self.plan.spots.get(tape).is_none_or(Vec::is_empty) {
+            return out;
+        }
+        let budget = self.max_retries();
+        let mut extent_retry_s = 0.0;
+        for e in extents {
+            let demand = self.spot_demand(tape, e.offset, e.end());
+            if demand > 0 {
+                let granted = demand.min(budget - out.retries);
+                out.retries += granted;
+                extent_retry_s += granted as f64
+                    * (drive.position_time(e.end(), e.offset, capacity)
+                        + drive.transfer_time(e.size));
+                if demand > granted {
+                    out.fatal = true;
+                }
             }
         }
+        if out.retries > 0 || out.fatal {
+            out.penalty_secs = self.backoff_secs(out.retries) + extent_retry_s;
+        }
+        out
     }
 
     /// Cumulative backoff of `retries` attempts, seconds: the `k`-th
     /// retry waits `min(cap, base · 2^(k−1))`.
-    pub fn backoff_secs(&self, retries: u32) -> f64 {
+    fn backoff_secs(&self, retries: u32) -> f64 {
         let base = self.plan.spec.retry_base_secs;
         let cap = self.plan.spec.retry_cap_secs;
         let mut total = 0.0;
@@ -644,32 +675,49 @@ mod tests {
         assert_eq!(clock.spot_demand(3, Bytes::ZERO, Bytes::gb(10)), 0);
     }
 
+    /// Each extent's demand is granted from what the job has left of its
+    /// budget (3 here); a demand beyond it is fatal. The penalty is the
+    /// backoff of every granted retry plus one reposition-and-reread of
+    /// its extent per retry.
     #[test]
     fn resolve_enforces_the_budget() {
         let cfg = paper_table1();
-        let plan = FaultPlan::generate(&spec(), &cfg); // max_retries = 3
+        let drive = cfg.library.drive;
+        let cap = cfg.library.tape.capacity;
+        let spot = |gb: u64, severity: u32| BadSpot {
+            offset: Bytes::gb(gb),
+            severity,
+        };
+        let ext = |gb: u64, size_gb: u64| Extent {
+            object: tapesim_model::ObjectId(0),
+            offset: Bytes::gb(gb),
+            size: Bytes::gb(size_gb),
+        };
+        let mut plan = FaultPlan::zero(&cfg); // max_retries = 3, backoff 1 s doubling
+        plan.spots[3] = vec![spot(10, 3), spot(50, 4), spot(90, 2), spot(95, 2)];
         let clock = plan.clock();
-        assert_eq!(
-            clock.resolve(0),
-            ReadOutcome {
-                retries: 0,
-                fatal: false
-            }
-        );
-        assert_eq!(
-            clock.resolve(3),
-            ReadOutcome {
-                retries: 3,
-                fatal: false
-            }
-        );
-        assert_eq!(
-            clock.resolve(4),
-            ReadOutcome {
-                retries: 3,
-                fatal: true
-            }
-        );
+        // One reposition back over a 4 GB extent plus its reread.
+        let retry = drive.position_time(Bytes::gb(14), Bytes::gb(10), cap)
+            + drive.transfer_time(Bytes::gb(4));
+        let charge = |extents: &[Extent]| {
+            let out = clock.charge(3, extents, &drive, cap);
+            (out.retries, out.penalty_secs, out.fatal)
+        };
+        // Demand 0, 3 and 4 against the budget of 3.
+        assert_eq!(charge(&[ext(20, 4)]), (0, 0.0, false));
+        assert_eq!(charge(&[ext(10, 4)]), (3, 7.0 + 3.0 * retry, false));
+        assert_eq!(charge(&[ext(50, 4)]).0, 3);
+        assert!(charge(&[ext(50, 4)]).2);
+        // Two extents demanding 2 each: the second is granted only the 1
+        // retry left, so the read is fatal after 3.
+        let (retries, penalty, fatal) = charge(&[ext(88, 4), ext(94, 2)]);
+        assert_eq!((retries, fatal), (3, true));
+        // 7 s of backoff + 2 × (0.98 + 50) s + 1 × (0.49 + 25) s.
+        assert_eq!(penalty.to_bits(), 0x4060_ce66_6666_6666, "{penalty}");
+        // Under a zero plan every read is free.
+        let zero = FaultPlan::zero(&cfg);
+        let out = zero.clock().charge(3, &[ext(10, 4)], &drive, cap);
+        assert_eq!((out.retries, out.penalty_secs, out.fatal), (0, 0.0, false));
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! The tape drive model.
-//!
-//! A drive is a state machine: empty, or loaded with a cartridge whose head
-//! sits at a byte position. Operations return their duration in seconds and
-//! advance the state, using the paper's cost models:
+//! The tape drive model: the paper's per-request cost rules, written
+//! once for every engine.
 //!
 //! * **Linear positioning** (Johnson & Miller VLDB'98): moving the head over
 //!   `d` bytes of a `C`-byte tape takes `d / C × full_pass_time`. The same
@@ -11,8 +8,12 @@
 //! * **Streaming transfer**: once positioned at an object's first byte the
 //!   drive reads at its native rate.
 //! * Constant **load/thread** and **unload** times.
+//!
+//! [`DriveSpec::switch_cost`] and [`DriveSpec::read_walk`] compose these
+//! into the two charges every engine makes: bringing a new cartridge onto
+//! a drive, and streaming a planned extent order.
 
-use crate::ids::TapeId;
+use crate::robot::RobotSpec;
 use crate::tape::Extent;
 use crate::units::{Bytes, BytesPerSec};
 use serde::{Deserialize, Serialize};
@@ -51,115 +52,51 @@ impl DriveSpec {
     pub fn rewind_time(&self, position: Bytes, capacity: Bytes) -> f64 {
         self.position_time(position, Bytes::ZERO, capacity)
     }
-}
 
-/// Dynamic state of one drive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum DriveState {
-    /// No cartridge loaded.
-    #[default]
-    Empty,
-    /// A cartridge is loaded with the head at `head`.
-    Loaded {
-        /// The mounted cartridge.
-        tape: TapeId,
-        /// Head position, bytes from the load point.
-        head: Bytes,
-    },
-}
-
-impl DriveState {
-    /// The mounted tape, if any.
-    pub fn mounted(&self) -> Option<TapeId> {
-        match self {
-            DriveState::Empty => None,
-            DriveState::Loaded { tape, .. } => Some(*tape),
+    /// `(rewind, exchange)` seconds to bring a new cartridge onto a drive
+    /// of a library with `robot`. `occupied` is the head position of the
+    /// cartridge the drive holds, or `None` for an empty drive. An
+    /// occupied drive rewinds alone, then unloads, has the robot swap the
+    /// cartridges (eject + inject) and loads; an empty one only has the
+    /// robot inject and loads. The exchange occupies robot and drive
+    /// together (the paper's §6 switch timeline).
+    #[inline]
+    pub fn switch_cost(
+        &self,
+        robot: &RobotSpec,
+        occupied: Option<Bytes>,
+        capacity: Bytes,
+    ) -> (f64, f64) {
+        match occupied {
+            Some(head) => (
+                self.rewind_time(head, capacity),
+                self.unload_time + robot.exchange_handling_time() + self.load_time,
+            ),
+            None => (0.0, robot.inject_handling_time() + self.load_time),
         }
     }
 
-    /// Head position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cartridge is loaded.
-    pub fn head(&self) -> Bytes {
-        match self {
-            DriveState::Empty => panic!("drive is empty"),
-            DriveState::Loaded { head, .. } => *head,
+    /// Streams `plan` in order from `head`: the summed seek seconds, the
+    /// summed transfer seconds and the head position after the last
+    /// extent (`head` itself for an empty plan).
+    #[inline]
+    pub fn read_walk(&self, head: Bytes, plan: &[Extent], capacity: Bytes) -> (f64, f64, Bytes) {
+        let mut pos = head;
+        let mut seek_s = 0.0;
+        let mut xfer_s = 0.0;
+        for e in plan {
+            seek_s += self.position_time(pos, e.offset, capacity);
+            xfer_s += self.transfer_time(e.size);
+            pos = e.end();
         }
-    }
-
-    /// Loads `tape`; the head starts at the load point. Returns the load
-    /// duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cartridge is already loaded.
-    pub fn load(&mut self, tape: TapeId, spec: &DriveSpec) -> f64 {
-        assert!(
-            matches!(self, DriveState::Empty),
-            "cannot load {tape}: drive already has {:?}",
-            self.mounted()
-        );
-        *self = DriveState::Loaded {
-            tape,
-            head: Bytes::ZERO,
-        };
-        spec.load_time
-    }
-
-    /// Rewinds to the load point and unloads. Returns
-    /// `(rewind_secs, unload_secs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn rewind_and_unload(&mut self, spec: &DriveSpec, capacity: Bytes) -> (f64, f64) {
-        let DriveState::Loaded { head, .. } = *self else {
-            panic!("cannot unload an empty drive");
-        };
-        let rewind = spec.rewind_time(head, capacity);
-        *self = DriveState::Empty;
-        (rewind, spec.unload_time)
-    }
-
-    /// Seeks to `offset` on the mounted tape. Returns the seek duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn seek_to(&mut self, offset: Bytes, spec: &DriveSpec, capacity: Bytes) -> f64 {
-        let DriveState::Loaded { head, .. } = self else {
-            panic!("cannot seek an empty drive");
-        };
-        let t = spec.position_time(*head, offset, capacity);
-        *head = offset;
-        t
-    }
-
-    /// Streams `extent` (head must already be at its first byte); the head
-    /// ends one past the extent. Returns the transfer duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty or mispositioned.
-    pub fn read(&mut self, extent: Extent, spec: &DriveSpec) -> f64 {
-        let DriveState::Loaded { head, .. } = self else {
-            panic!("cannot read from an empty drive");
-        };
-        assert_eq!(
-            *head, extent.offset,
-            "read requires the head at the extent start"
-        );
-        *head = extent.end();
-        spec.transfer_time(extent.size)
+        (seek_s, xfer_s, pos)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{LibraryId, ObjectId};
+    use crate::ids::ObjectId;
 
     fn spec() -> DriveSpec {
         DriveSpec {
@@ -171,10 +108,6 @@ mod tests {
     }
 
     const CAP: Bytes = Bytes::gb(400);
-
-    fn tape() -> TapeId {
-        TapeId::new(LibraryId(0), 0)
-    }
 
     #[test]
     fn linear_positioning_model() {
@@ -190,64 +123,42 @@ mod tests {
         );
     }
 
+    /// One cartridge's cycle on Table 1's drive and robot: the switch onto
+    /// an empty drive pays inject + load; the read walk charges each
+    /// extent a seek from where the previous one ended plus its transfer,
+    /// in plan order, and leaves the head at the last extent's end; the
+    /// next switch rewinds from there (`h / C` of a 98 s pass), then pays
+    /// unload + eject + inject + load.
     #[test]
     fn load_seek_read_cycle() {
-        let s = spec();
-        let mut d = DriveState::Empty;
-        assert_eq!(d.mounted(), None);
+        let cfg = crate::specs::paper_table1();
+        let (s, robot) = (cfg.library.drive, cfg.library.robot);
+        assert_eq!(cfg.library.tape.capacity, CAP);
+        assert_eq!(s.switch_cost(&robot, None, CAP), (0.0, 7.6 + 19.0));
 
-        let load = d.load(tape(), &s);
-        assert_eq!(load, 19.0);
-        assert_eq!(d.head(), Bytes::ZERO);
-
-        let seek = d.seek_to(Bytes::gb(100), &s, CAP);
-        assert!((seek - 24.5).abs() < 1e-9, "quarter pass");
-
-        let extent = Extent {
-            object: ObjectId(3),
-            offset: Bytes::gb(100),
-            size: Bytes::gb(8),
+        let ext = |id: u32, offset: u64, size: u64| Extent {
+            object: ObjectId(id),
+            offset: Bytes::gb(offset),
+            size: Bytes::gb(size),
         };
-        let read = d.read(extent, &s);
-        assert!((read - 100.0).abs() < 1e-9, "8 GB at 80 MB/s");
-        assert_eq!(d.head(), Bytes::gb(108), "head rests after the object");
+        // Served out of offset order: 100..108, 40..42, 300..310.
+        let plan = [ext(0, 100, 8), ext(1, 40, 2), ext(2, 300, 10)];
+        let pass = |from: u64, to: u64| from.abs_diff(to) as f64 * 1e9 / CAP.get() as f64 * 98.0;
+        let rate = |gb: u64| gb as f64 * 1e9 / 80e6;
+        let (seek, xfer, head) = s.read_walk(Bytes::gb(20), &plan, CAP);
+        let want_seek = 0.0 + pass(20, 100) + pass(108, 40) + pass(42, 300);
+        let want_xfer = 0.0 + rate(8) + rate(2) + rate(10);
+        assert_eq!(seek.to_bits(), want_seek.to_bits());
+        assert_eq!(xfer.to_bits(), want_xfer.to_bits());
+        assert_eq!(head, Bytes::gb(310));
+        let empty: &[Extent] = &[];
+        assert_eq!(s.read_walk(head, empty, CAP), (0.0, 0.0, head));
 
-        let (rewind, unload) = d.rewind_and_unload(&s, CAP);
-        assert!((rewind - 108.0 / 400.0 * 98.0).abs() < 1e-9);
-        assert_eq!(unload, 19.0);
-        assert_eq!(d, DriveState::Empty);
-    }
-
-    #[test]
-    #[should_panic(expected = "already has")]
-    fn double_load_panics() {
-        let s = spec();
-        let mut d = DriveState::Empty;
-        d.load(tape(), &s);
-        d.load(tape(), &s);
-    }
-
-    #[test]
-    #[should_panic(expected = "head at the extent start")]
-    fn read_requires_position() {
-        let s = spec();
-        let mut d = DriveState::Empty;
-        d.load(tape(), &s);
-        d.read(
-            Extent {
-                object: ObjectId(0),
-                offset: Bytes::gb(5),
-                size: Bytes::gb(1),
-            },
-            &s,
+        assert_eq!(
+            s.switch_cost(&robot, Some(head), CAP),
+            (pass(310, 0), 19.0 + 15.2 + 19.0)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "empty drive")]
-    fn unload_empty_panics() {
-        let mut d = DriveState::Empty;
-        d.rewind_and_unload(&spec(), CAP);
+        assert_eq!(s.switch_cost(&robot, Some(Bytes::ZERO), CAP).0, 0.0);
     }
 }
 
@@ -283,33 +194,26 @@ mod proptests {
             );
         }
 
-        /// A load/seek/read/rewind/unload cycle keeps the state machine
-        /// coherent for any extent on the tape.
+        /// Reading any one extent from the load point and switching the
+        /// cartridge out again costs a seek within one pass, the extent's
+        /// transfer, and a rewind from the extent's end.
         #[test]
         fn drive_cycle_is_coherent(offset in 0u64..390, size in 1u64..10) {
             let s = spec();
+            let robot = crate::robot::RobotSpec { cell_to_drive_time: 7.6, arms: 1 };
             let cap = Bytes::gb(400);
-            let tape = TapeId::new(tapesim_model_test_lib(), 3);
-            let mut d = DriveState::Empty;
-            d.load(tape, &s);
-            let seek = d.seek_to(Bytes::gb(offset), &s, cap);
-            prop_assert!(seek >= 0.0 && seek <= s.full_pass_time);
             let e = Extent {
                 object: crate::ids::ObjectId(1),
                 offset: Bytes::gb(offset),
                 size: Bytes::gb(size),
             };
-            let read = d.read(e, &s);
+            let (seek, read, head) = s.read_walk(Bytes::ZERO, &[e], cap);
+            prop_assert!(seek >= 0.0 && seek <= s.full_pass_time);
             prop_assert!((read - size as f64 * 12.5).abs() < 1e-6, "1 GB = 12.5 s at 80 MB/s");
-            prop_assert_eq!(d.head(), e.end());
-            let (rewind, unload) = d.rewind_and_unload(&s, cap);
+            prop_assert_eq!(head, e.end());
+            let (rewind, exchange) = s.switch_cost(&robot, Some(head), cap);
             prop_assert!((rewind - (offset + size) as f64 / 400.0 * 98.0).abs() < 1e-9);
-            prop_assert_eq!(unload, 19.0);
-            prop_assert_eq!(d, DriveState::Empty);
+            prop_assert_eq!(exchange, 19.0 + 15.2 + 19.0);
         }
-    }
-
-    fn tapesim_model_test_lib() -> crate::ids::LibraryId {
-        crate::ids::LibraryId(0)
     }
 }

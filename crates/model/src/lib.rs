@@ -26,7 +26,7 @@ pub mod specs;
 pub mod tape;
 pub mod units;
 
-pub use drive::{DriveSpec, DriveState};
+pub use drive::DriveSpec;
 pub use ids::{DriveId, LibraryId, ObjectId, TapeId};
 pub use library::{LibrarySpec, SystemConfig};
 pub use robot::RobotSpec;

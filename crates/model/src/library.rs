@@ -117,6 +117,14 @@ impl SystemConfig {
     pub fn drive_index(&self, drive: DriveId) -> usize {
         drive.library.idx() * self.library.drives as usize + drive.bay as usize
     }
+
+    /// The drive at dense index `idx`, the inverse of
+    /// [`SystemConfig::drive_index`].
+    #[inline]
+    pub fn drive_at(&self, idx: usize) -> DriveId {
+        let d = self.library.drives as usize;
+        DriveId::new(LibraryId((idx / d) as u16), (idx % d) as u8)
+    }
 }
 
 /// Configuration validation errors.
@@ -198,6 +206,7 @@ mod tests {
         assert_eq!(drives[8], DriveId::new(LibraryId(1), 0));
         for (i, d) in drives.iter().enumerate() {
             assert_eq!(sys.drive_index(*d), i);
+            assert_eq!(sys.drive_at(i), *d);
         }
         let tapes: Vec<_> = sys.tape_ids().collect();
         assert_eq!(tapes.len(), 160);

@@ -55,7 +55,7 @@ use tapesim_des::trace::TraceEntry;
 use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, World};
 use tapesim_faults::{FaultClock, FaultPlan};
 use tapesim_model::tape::Extent;
-use tapesim_model::{Bytes, DriveId, ObjectId, SystemConfig, TapeId};
+use tapesim_model::{Bytes, DriveId, LibraryId, ObjectId, SystemConfig, TapeId};
 use tapesim_obs::{TimeAccountant, TimeBudget, Topology};
 use tapesim_placement::Placement;
 use tapesim_sim::catalog::{tape_jobs, RequestCatalog, TapeJob};
@@ -302,34 +302,19 @@ fn run_sequential_faulty(
             let syscfg = placement.config();
             let spec = &syscfg.library.drive;
             let capacity = syscfg.library.tape.capacity;
-            let budget = clock.max_retries();
 
             final_objects.clear();
             let mut failed_over = false;
             let mut lost = false;
             for job in jobs {
                 let tape_idx = syscfg.tape_index(job.tape);
-                let mut granted_total = 0u32;
-                let mut extent_retry_s = 0.0;
-                let mut fatal = false;
-                for e in &job.extents {
-                    let demand = clock.spot_demand(tape_idx, e.offset, e.end());
-                    if demand > 0 {
-                        let granted = demand.min(budget - granted_total);
-                        granted_total += granted;
-                        extent_retry_s += granted as f64
-                            * (spec.position_time(e.end(), e.offset, capacity)
-                                + spec.transfer_time(e.size));
-                        if demand > granted {
-                            fatal = true;
-                        }
-                    }
-                }
-                if granted_total > 0 || fatal {
-                    penalty_s += clock.backoff_secs(granted_total) + extent_retry_s;
-                    retries += granted_total as u64;
-                }
-                if !fatal {
+                // Charged in offset order, ahead of the service that plans
+                // the read.
+                let read = clock.charge(tape_idx, &job.extents, spec, capacity);
+                // A clean read adds `+ 0.0`, which keeps the bits.
+                penalty_s += read.penalty_secs;
+                retries += read.retries as u64;
+                if !read.fatal {
                     final_objects.extend(job.extents.iter().map(|e| e.object));
                     continue;
                 }
@@ -616,24 +601,12 @@ impl SchedSim<'_> {
         }
     }
 
-    fn drive_id(&self, idx: usize) -> DriveId {
-        let d = self.cfg.library.drives as usize;
-        DriveId::new(tapesim_model::LibraryId((idx / d) as u16), (idx % d) as u8)
-    }
-
     /// Rewind + exchange seconds to bring a new tape onto `drive`, given
-    /// its current occupancy (the per-request engine's switch timeline).
+    /// its current occupancy.
     fn switch_cost(&self, drive: usize) -> (f64, f64) {
-        let spec = &self.cfg.library.drive;
-        let robot = &self.cfg.library.robot;
-        let capacity = self.cfg.library.tape.capacity;
-        match self.mounted[drive] {
-            Some(_) => (
-                spec.rewind_time(self.head[drive], capacity),
-                spec.unload_time + robot.exchange_handling_time() + spec.load_time,
-            ),
-            None => (0.0, robot.inject_handling_time() + spec.load_time),
-        }
+        let hw = &self.cfg.library;
+        let occupied = self.mounted[drive].map(|_| self.head[drive]);
+        hw.drive.switch_cost(&hw.robot, occupied, hw.tape.capacity)
     }
 
     /// The batch cap for `drive`, shrunk when its library is degraded:
@@ -668,7 +641,6 @@ impl SchedSim<'_> {
         let fail_at = self.clock.drive_fail_at(drive);
         let cap = self.effective_cap(drive);
         let tape_idx = self.cfg.tape_index(tape);
-        let budget = self.clock.max_retries();
         let mut t = now;
         let mut taken = 0usize;
         loop {
@@ -678,47 +650,19 @@ impl SchedSim<'_> {
             let Some(&job) = self.pending[tape_idx].jobs.front() else {
                 break;
             };
+            let head = self.head[drive];
             // Reuses the member scratch across jobs.
             let mut plan = std::mem::take(&mut self.plan_scratch);
-            seek_order::plan_with(
-                self.seek,
-                self.head[drive],
-                &self.jobs[job].work.extents,
-                &mut plan,
-            );
-            let mut pos = self.head[drive];
-            let mut seek_s = 0.0;
-            let mut xfer_s = 0.0;
-            let mut granted_total = 0u32;
-            let mut extent_retry_s = 0.0;
-            let mut fatal = false;
-            for e in &plan {
-                seek_s += spec.position_time(pos, e.offset, capacity);
-                xfer_s += spec.transfer_time(e.size);
-                pos = e.end();
-                let demand = self.clock.spot_demand(tape_idx, e.offset, e.end());
-                if demand > 0 {
-                    let granted = demand.min(budget - granted_total);
-                    granted_total += granted;
-                    extent_retry_s += granted as f64
-                        * (spec.position_time(e.end(), e.offset, capacity)
-                            + spec.transfer_time(e.size));
-                    if demand > granted {
-                        fatal = true;
-                    }
-                }
-            }
+            seek_order::plan_with(self.seek, head, &self.jobs[job].work.extents, &mut plan);
+            // The charge walks the same planned order as the read.
+            let (seek_s, xfer_s, pos) = spec.read_walk(head, &plan, capacity);
+            let read = self.clock.charge(tape_idx, &plan, spec, capacity);
             let plan_len = plan.len();
             plan.clear();
             self.plan_scratch = plan;
-            let penalty_s = if granted_total > 0 || fatal {
-                self.clock.backoff_secs(granted_total) + extent_retry_s
-            } else {
-                0.0
-            };
             // `x + 0.0` preserves the bits of `x`, so the zero-fault
             // window is identical to the fault-free formula.
-            let finish = t + SimTime::from_secs(seek_s + xfer_s + penalty_s);
+            let finish = t + SimTime::from_secs(seek_s + xfer_s + read.penalty_secs);
             if finish > fail_at {
                 // The drive dies mid-window: leave this job (and the rest
                 // of the queue) pending for a surviving drive.
@@ -734,7 +678,7 @@ impl SchedSim<'_> {
             self.audit.emit(
                 now,
                 TraceEvent::Transfer {
-                    drive: self.drive_id(drive).into(),
+                    drive: self.cfg.drive_at(drive).into(),
                     tape: tape.into(),
                     job: job as u32,
                     extents: plan_len as u32,
@@ -744,19 +688,19 @@ impl SchedSim<'_> {
                     finish,
                 },
             );
-            if granted_total > 0 || fatal {
+            if read.retries > 0 || read.fatal {
                 self.audit.emit(
                     now,
                     TraceEvent::ReadFaulted {
                         job: job as u32,
-                        drive: self.drive_id(drive).into(),
-                        retries: granted_total,
-                        penalty: SimTime::from_secs(penalty_s),
-                        fatal,
+                        drive: self.cfg.drive_at(drive).into(),
+                        retries: read.retries,
+                        penalty: SimTime::from_secs(read.penalty_secs),
+                        fatal: read.fatal,
                     },
                 );
-                self.jobs[job].fatal = fatal;
-                self.retries += granted_total as u64;
+                self.jobs[job].fatal = read.fatal;
+                self.retries += read.retries as u64;
             }
             let req = self.jobs[job].request;
             if self.requests[req].first_start.is_none() {
@@ -824,7 +768,7 @@ impl SchedSim<'_> {
                 self.audit.emit(
                     now,
                     TraceEvent::DriveFailed {
-                        drive: self.drive_id(idx).into(),
+                        drive: self.cfg.drive_at(idx).into(),
                         at: fail_at,
                     },
                 );
@@ -835,7 +779,7 @@ impl SchedSim<'_> {
                     self.audit.emit(
                         now,
                         TraceEvent::Unmounted {
-                            drive: self.drive_id(idx).into(),
+                            drive: self.cfg.drive_at(idx).into(),
                             tape: tape.into(),
                         },
                     );
@@ -853,7 +797,7 @@ impl SchedSim<'_> {
         sched: &mut Scheduler<Ev>,
     ) {
         let (rewind_s, exchange_s) = self.switch_cost(drive);
-        let lib = self.drive_id(drive).library.idx();
+        let lib = self.cfg.drive_at(drive).library.idx();
         if let Some(old) = self.mounted[drive].take() {
             let old_idx = self.cfg.tape_index(old);
             self.holder[old_idx] = None;
@@ -861,7 +805,7 @@ impl SchedSim<'_> {
             self.audit.emit(
                 now,
                 TraceEvent::Unmounted {
-                    drive: self.drive_id(drive).into(),
+                    drive: self.cfg.drive_at(drive).into(),
                     tape: old.into(),
                 },
             );
@@ -877,7 +821,7 @@ impl SchedSim<'_> {
         self.audit.emit(
             now,
             TraceEvent::ExchangeBegun {
-                drive: self.drive_id(drive).into(),
+                drive: self.cfg.drive_at(drive).into(),
                 tape: tape.into(),
                 arm: grant.server as u32,
                 start: grant.start,
@@ -950,10 +894,7 @@ impl SchedSim<'_> {
                 (queue.jobs.len(), queue.bytes, queue.oldest)
             };
             out.push(TapeCandidate {
-                tape: TapeId::new(
-                    tapesim_model::LibraryId(lib as u16),
-                    (tape_idx - lib * tapes) as u16,
-                ),
+                tape: TapeId::new(LibraryId(lib as u16), (tape_idx - lib * tapes) as u16),
                 queued_jobs: take,
                 queued_bytes: bytes,
                 oldest_arrival: oldest,
@@ -993,7 +934,7 @@ impl SchedSim<'_> {
                 oldest = oldest.min(self.requests[self.jobs[job].request].arrival);
             }
             out.push(TapeCandidate {
-                tape: TapeId::new(tapesim_model::LibraryId(lib as u16), slot as u16),
+                tape: TapeId::new(LibraryId(lib as u16), slot as u16),
                 queued_jobs: take,
                 queued_bytes: bytes,
                 oldest_arrival: oldest,
@@ -1031,25 +972,13 @@ impl SchedSim<'_> {
         // `BTreeSet` every round.
         self.blocked.fill(false);
         loop {
-            let mut best: Option<(u8, f64, usize)> = None;
-            for bay in 0..d {
-                let idx = lib * d + bay;
-                if self.busy[idx] || self.dead[idx] || self.blocked[idx] {
-                    continue;
-                }
-                let id = DriveId::new(tapesim_model::LibraryId(lib as u16), bay as u8);
-                if !self.switch_policy.is_switch_drive(id, self.cfg) {
-                    continue;
-                }
-                let (kind, p) = self
-                    .switch_policy
-                    .victim_key(self.mounted[idx], self.placement);
-                let key = (kind, p, idx);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let Some((_, _, drive)) = best else {
+            let Some(drive) = self.switch_policy.pick_victim(
+                self.cfg,
+                self.placement,
+                LibraryId(lib as u16),
+                &self.mounted,
+                |idx| self.busy[idx] || self.dead[idx] || self.blocked[idx],
+            ) else {
                 return;
             };
             let fail_at = self.clock.drive_fail_at(drive);
@@ -1260,7 +1189,7 @@ impl World for SchedSim<'_> {
                 self.audit.emit(
                     now,
                     TraceEvent::Mounted {
-                        drive: self.drive_id(drive).into(),
+                        drive: self.cfg.drive_at(drive).into(),
                         tape: tape.into(),
                     },
                 );
@@ -1269,7 +1198,7 @@ impl World for SchedSim<'_> {
                     // The drive died exactly as the exchange completed
                     // (the dispatch pre-check rules out anything later):
                     // recover the tape for a surviving drive.
-                    let lib = self.drive_id(drive).library.idx();
+                    let lib = self.cfg.drive_at(drive).library.idx();
                     self.try_dispatch(lib, now, sched);
                     return;
                 }
@@ -1278,7 +1207,7 @@ impl World for SchedSim<'_> {
                 } else {
                     // The queue drained while the exchange ran (possible
                     // only with a batch cap); re-dispatch the drive.
-                    let lib = self.drive_id(drive).library.idx();
+                    let lib = self.cfg.drive_at(drive).library.idx();
                     self.try_dispatch(lib, now, sched);
                 }
             }
@@ -1292,7 +1221,7 @@ impl World for SchedSim<'_> {
                     now,
                     TraceEvent::JobCompleted {
                         job: job as u32,
-                        drive: self.drive_id(drive).into(),
+                        drive: self.cfg.drive_at(drive).into(),
                     },
                 );
                 self.outstanding_jobs -= 1;
@@ -1316,7 +1245,7 @@ impl World for SchedSim<'_> {
             Ev::BatchDone { drive } => {
                 let drive = drive as usize;
                 self.busy[drive] = false;
-                let lib = self.drive_id(drive).library.idx();
+                let lib = self.cfg.drive_at(drive).library.idx();
                 self.try_dispatch(lib, now, sched);
             }
         }
@@ -1493,7 +1422,7 @@ impl<'a> ShardEngine<'a> {
             .map(|lib| {
                 (0..d)
                     .filter(|&bay| {
-                        let id = DriveId::new(tapesim_model::LibraryId(lib as u16), bay as u8);
+                        let id = DriveId::new(LibraryId(lib as u16), bay as u8);
                         switch_policy.is_switch_drive(id, system)
                     })
                     .count()
@@ -1566,7 +1495,7 @@ impl<'a> ShardEngine<'a> {
                 world.audit.emit(
                     SimTime::ZERO,
                     TraceEvent::AssumeMounted {
-                        drive: world.drive_id(drive).into(),
+                        drive: world.cfg.drive_at(drive).into(),
                         tape: tape.into(),
                     },
                 );
@@ -1747,7 +1676,7 @@ impl<'a> ShardEngine<'a> {
                 world.audit.emit(
                     end,
                     TraceEvent::DriveFailed {
-                        drive: world.drive_id(drive).into(),
+                        drive: world.cfg.drive_at(drive).into(),
                         at: fail_at,
                     },
                 );

@@ -50,8 +50,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Whether shards record and audit their event traces.
     pub audit: bool,
-    /// Whether shards run the span accountant (`tapesim-obs` budgets).
-    pub obs: bool,
     /// The in-tape service-order planner every shard uses
     /// ([`SeekPolicy::Greedy`] by default — bit-identical to pre-policy
     /// runs).
@@ -74,7 +72,6 @@ impl ServeConfig {
             shards: 1,
             max_batch: 0,
             audit: false,
-            obs: false,
             seek: SeekPolicy::Greedy,
             channel_bound: 256,
             snapshot_every: 0,
@@ -122,7 +119,6 @@ impl ServeConfig {
         let mut cfg = SchedConfig::new(self.arrivals, self.samples);
         cfg.max_batch = self.max_batch;
         cfg.audit = self.audit;
-        cfg.obs = self.obs;
         cfg.seek = self.seek;
         cfg
     }

@@ -22,7 +22,7 @@ use crate::policy::SwitchPolicy;
 use crate::seek_order::{self, SeekPolicy};
 use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, Tracer, World};
 use tapesim_model::tape::Extent;
-use tapesim_model::{Bytes, DriveId, SystemConfig, TapeId};
+use tapesim_model::{Bytes, LibraryId, SystemConfig, TapeId};
 use tapesim_placement::Placement;
 
 /// Persistent drive state carried across requests.
@@ -87,32 +87,15 @@ struct RequestSim<'a> {
 }
 
 impl<'a> RequestSim<'a> {
-    fn drive_id(&self, idx: usize) -> DriveId {
-        let d = self.cfg.library.drives as usize;
-        DriveId::new(tapesim_model::LibraryId((idx / d) as u16), (idx % d) as u8)
-    }
-
     /// Starts streaming `job` on `drive` (tape already mounted) and
     /// schedules its completion.
     fn start_service(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let spec = &self.cfg.library.drive;
-        let capacity = self.cfg.library.tape.capacity;
+        let head = self.state.head[drive];
         // Scratch-backed planning: one buffer reused for every job.
         let mut plan = std::mem::take(&mut self.plan_scratch);
-        seek_order::plan_with(
-            self.seek_policy,
-            self.state.head[drive],
-            &self.jobs[job].extents,
-            &mut plan,
-        );
-        let mut pos = self.state.head[drive];
-        let mut seek_s = 0.0;
-        let mut xfer_s = 0.0;
-        for e in &plan {
-            seek_s += spec.position_time(pos, e.offset, capacity);
-            xfer_s += spec.transfer_time(e.size);
-            pos = e.end();
-        }
+        seek_order::plan_with(self.seek_policy, head, &self.jobs[job].extents, &mut plan);
+        let hw = &self.cfg.library;
+        let (seek_s, xfer_s, pos) = hw.drive.read_walk(head, &plan, hw.tape.capacity);
         let plan_len = plan.len();
         plan.clear();
         self.plan_scratch = plan;
@@ -125,7 +108,7 @@ impl<'a> RequestSim<'a> {
         self.tracer.emit(
             now,
             TraceEvent::Transfer {
-                drive: self.drive_id(drive).into(),
+                drive: self.cfg.drive_at(drive).into(),
                 tape: self.jobs[job].tape.into(),
                 job: job as u32,
                 extents: plan_len as u32,
@@ -140,25 +123,17 @@ impl<'a> RequestSim<'a> {
 
     /// Begins a tape exchange bringing `job`'s tape onto `drive`.
     fn begin_switch(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let spec = &self.cfg.library.drive;
-        let robot = &self.cfg.library.robot;
-        let capacity = self.cfg.library.tape.capacity;
-        let lib = self.drive_id(drive).library.idx();
-
-        let (rewind_s, exchange_s) = match self.state.mounted[drive] {
-            Some(_) => (
-                spec.rewind_time(self.state.head[drive], capacity),
-                spec.unload_time + robot.exchange_handling_time() + spec.load_time,
-            ),
-            None => (0.0, robot.inject_handling_time() + spec.load_time),
-        };
+        let lib = self.cfg.drive_at(drive).library.idx();
+        let hw = &self.cfg.library;
+        let occupied = self.state.mounted[drive].map(|_| self.state.head[drive]);
+        let (rewind_s, exchange_s) = hw.drive.switch_cost(&hw.robot, occupied, hw.tape.capacity);
         // The cartridge leaves the drive; until SwitchDone the drive is in
         // transition (busy) and holds nothing.
         if let Some(old) = self.state.mounted[drive].take() {
             self.tracer.emit(
                 now,
                 TraceEvent::Unmounted {
-                    drive: self.drive_id(drive).into(),
+                    drive: self.cfg.drive_at(drive).into(),
                     tape: old.into(),
                 },
             );
@@ -174,7 +149,7 @@ impl<'a> RequestSim<'a> {
         self.tracer.emit(
             now,
             TraceEvent::ExchangeBegun {
-                drive: self.drive_id(drive).into(),
+                drive: self.cfg.drive_at(drive).into(),
                 tape: self.jobs[job].tape.into(),
                 arm: grant.server as u32,
                 start: grant.start,
@@ -186,30 +161,17 @@ impl<'a> RequestSim<'a> {
 
     /// Dispatches pending jobs of `lib` onto eligible idle drives.
     fn try_dispatch(&mut self, lib: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let d = self.cfg.library.drives as usize;
         while !self.pending[lib].is_empty() {
             // Eligible: idle switch drives in this library. The mounted
             // tape of an idle drive is never still needed — needed mounted
             // tapes were set busy at t = 0 and stay busy until served.
-            let mut best: Option<(u8, f64, usize)> = None;
-            for bay in 0..d {
-                let idx = lib * d + bay;
-                if self.busy[idx] {
-                    continue;
-                }
-                let id = self.drive_id(idx);
-                if !self.policy.is_switch_drive(id, self.cfg) {
-                    continue;
-                }
-                let (kind, p) = self
-                    .policy
-                    .victim_key(self.state.mounted[idx], self.placement);
-                let key = (kind, p, idx);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let Some((_, _, drive)) = best else {
+            let Some(drive) = self.policy.pick_victim(
+                self.cfg,
+                self.placement,
+                LibraryId(lib as u16),
+                &self.state.mounted,
+                |idx| self.busy[idx],
+            ) else {
                 return; // all eligible drives busy; retry on DriveDone
             };
             let job = self.pending[lib].remove(0);
@@ -229,7 +191,7 @@ impl World for RequestSim<'_> {
                 self.tracer.emit(
                     now,
                     TraceEvent::Mounted {
-                        drive: self.drive_id(drive).into(),
+                        drive: self.cfg.drive_at(drive).into(),
                         tape: self.jobs[job].tape.into(),
                     },
                 );
@@ -244,11 +206,11 @@ impl World for RequestSim<'_> {
                         now,
                         TraceEvent::JobCompleted {
                             job: job as u32,
-                            drive: self.drive_id(drive).into(),
+                            drive: self.cfg.drive_at(drive).into(),
                         },
                     );
                 }
-                let lib = self.drive_id(drive).library.idx();
+                let lib = self.cfg.drive_at(drive).library.idx();
                 self.try_dispatch(lib, now, sched);
             }
         }
@@ -311,7 +273,7 @@ pub fn serve_request(
             sim.tracer.emit(
                 SimTime::ZERO,
                 TraceEvent::AssumeMounted {
-                    drive: sim.drive_id(drive).into(),
+                    drive: sim.cfg.drive_at(drive).into(),
                     tape: tape.into(),
                 },
             );
@@ -594,6 +556,10 @@ mod tests {
         assert!((m.response - expected).abs() < 1e-9, "got {}", m.response);
         assert_eq!(m.n_switches, 2);
         assert!(m.robot_wait > 0.0, "second switch queued on the robot");
+        // Every drive was empty, so each victim choice was a tie: it goes
+        // to the lowest free bay.
+        assert_eq!(state.drive_of(TapeId::new(LibraryId(0), 0)), Some(0));
+        assert_eq!(state.drive_of(TapeId::new(LibraryId(0), 1)), Some(1));
     }
 
     #[test]

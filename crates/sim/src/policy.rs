@@ -11,7 +11,7 @@
 //!   tapes, and the eviction victim is the least probable mounted tape.
 
 use serde::{Deserialize, Serialize};
-use tapesim_model::{DriveId, SystemConfig, TapeId};
+use tapesim_model::{DriveId, LibraryId, SystemConfig, TapeId};
 use tapesim_placement::{Placement, TapeRole};
 
 /// Runtime tape-switch strategy.
@@ -103,11 +103,40 @@ impl SwitchPolicy {
     /// Eviction preference among idle switchable drives: lower key = better
     /// victim. Empty drives are the best victims (no rewind/unload);
     /// otherwise the least probable mounted tape goes first.
-    pub fn victim_key(&self, mounted: Option<TapeId>, placement: &Placement) -> (u8, f64) {
+    fn victim_key(mounted: Option<TapeId>, placement: &Placement) -> (u8, f64) {
         match mounted {
             None => (0, 0.0),
             Some(t) => (1, placement.tape_probability(t)),
         }
+    }
+
+    /// The drive of library `lib` to fetch the next tape onto: among its
+    /// switch drives that `ineligible` does not rule out (busy, or in a
+    /// faulty run dead or blocked), the best victim by `victim_key` over
+    /// `mounted` (dense by drive index), ties to the lower index. `None`
+    /// when no drive qualifies.
+    pub fn pick_victim(
+        &self,
+        config: &SystemConfig,
+        placement: &Placement,
+        lib: LibraryId,
+        mounted: &[Option<TapeId>],
+        ineligible: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let mut best: Option<(u8, f64, usize)> = None;
+        for bay in 0..config.library.drives {
+            let drive = DriveId::new(lib, bay);
+            let idx = config.drive_index(drive);
+            if ineligible(idx) || !self.is_switch_drive(drive, config) {
+                continue;
+            }
+            let (kind, p) = Self::victim_key(mounted[idx], placement);
+            let key = (kind, p, idx);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, _, idx)| idx)
     }
 }
 
@@ -115,7 +144,7 @@ impl SwitchPolicy {
 mod tests {
     use super::*;
     use tapesim_model::specs::paper_table1;
-    use tapesim_model::{Bytes, LibraryId, ObjectId};
+    use tapesim_model::{Bytes, ObjectId};
     use tapesim_placement::{ParallelBatchPlacement, PlacementBuilder, PlacementPolicy};
     use tapesim_workload::{ObjectRecord, Request, Workload};
 
@@ -218,9 +247,43 @@ mod tests {
         let w = pbp_workload();
         let p = ParallelBatchPlacement::with_m(4).place(&w, &cfg).unwrap();
         let policy = SwitchPolicy::LeastPopular;
-        let empty = policy.victim_key(None, &p);
+        let empty = SwitchPolicy::victim_key(None, &p);
         let used = p.used_tapes();
-        let k1 = policy.victim_key(Some(used[0]), &p);
+        let k1 = SwitchPolicy::victim_key(Some(used[0]), &p);
         assert!(empty < k1, "empty drives evict first");
+
+        // Library 1 (dense drives 8..16): empty drives beat mounted ones,
+        // ties go to the lower index, ineligible drives are skipped.
+        let lib = LibraryId(1);
+        let mut mounted = vec![None; cfg.total_drives()];
+        for (idx, slot) in mounted.iter_mut().enumerate().skip(8).take(8) {
+            *slot = Some(used[idx % used.len()]);
+        }
+        mounted[11] = None;
+        mounted[13] = None;
+        let pick = |policy: &SwitchPolicy, mounted: &[Option<TapeId>], skip: &[usize]| {
+            policy.pick_victim(&cfg, &p, lib, mounted, |i| skip.contains(&i))
+        };
+        assert_eq!(pick(&policy, &mounted, &[]), Some(11));
+        assert_eq!(pick(&policy, &mounted, &[11]), Some(13));
+        // With no empty drive left, the least probable mounted tape goes.
+        let (want, _) = (8..16)
+            .filter(|&i| i != 11 && i != 13)
+            .map(|i| (i, p.tape_probability(mounted[i].unwrap())))
+            .fold(
+                (usize::MAX, f64::INFINITY),
+                |b, c| if c.1 < b.1 { c } else { b },
+            );
+        assert_eq!(pick(&policy, &mounted, &[11, 13]), Some(want));
+        assert_eq!(pick(&policy, &mounted, &(8..16).collect::<Vec<_>>()), None);
+
+        // Under the batch rule only bays d−m.. switch: with every drive
+        // empty, the tie goes to the lowest eligible switch bay, never to
+        // a pinned bay.
+        let batch = SwitchPolicy::Batch { m: 4 };
+        let empty = vec![None; cfg.total_drives()];
+        assert_eq!(pick(&batch, &empty, &[]), Some(12));
+        assert_eq!(pick(&batch, &empty, &[12, 13]), Some(14));
+        assert_eq!(pick(&batch, &empty, &[12, 13, 14, 15]), None);
     }
 }

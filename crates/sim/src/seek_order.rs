@@ -48,8 +48,6 @@
 //!   least `G` (each gap is crossed by seeks, never by reads) and at
 //!   least `(h − m)⁺` (the head must reach `m`) — so the sweep is at most
 //!   `2·OPT`, and *equal* to OPT when the head starts below every extent.
-//! * [`SeekPolicy::Auto`] — exact DP up to [`AUTO_EXACT_MAX`] extents,
-//!   the ratio-bounded sweep beyond.
 //!
 //! The brute-force permutation oracle (`oracle::optimal_order`) is the
 //! differential wall the DP is tested against: compiled only under
@@ -58,10 +56,6 @@
 
 use tapesim_model::tape::Extent;
 use tapesim_model::Bytes;
-
-/// Above this many extents, [`SeekPolicy::Auto`] stops paying the DP's
-/// `O(n²)` table and switches to the ratio-bounded sweep.
-pub const AUTO_EXACT_MAX: usize = 24;
 
 /// Which planner orders the extents of one tape job.
 ///
@@ -80,19 +74,15 @@ pub enum SeekPolicy {
     /// The two-candidate sweep with a proven factor-2 bound on disjoint
     /// extents.
     Approx,
-    /// [`SeekPolicy::ExactDp`] for batches of at most [`AUTO_EXACT_MAX`]
-    /// extents, [`SeekPolicy::Approx`] beyond.
-    Auto,
 }
 
 impl SeekPolicy {
-    /// Parses a CLI/env spelling: `greedy`, `exact`, `approx` or `auto`.
+    /// Parses a CLI spelling: `greedy`, `exact` or `approx`.
     pub fn parse(text: &str) -> Option<SeekPolicy> {
         match text.trim().to_ascii_lowercase().as_str() {
             "greedy" => Some(SeekPolicy::Greedy),
             "exact" | "exact-dp" | "exactdp" => Some(SeekPolicy::ExactDp),
             "approx" => Some(SeekPolicy::Approx),
-            "auto" => Some(SeekPolicy::Auto),
             _ => None,
         }
     }
@@ -103,7 +93,6 @@ impl SeekPolicy {
             SeekPolicy::Greedy => "greedy",
             SeekPolicy::ExactDp => "exact",
             SeekPolicy::Approx => "approx",
-            SeekPolicy::Auto => "auto",
         }
     }
 }
@@ -128,13 +117,6 @@ pub fn plan_with(policy: SeekPolicy, head: Bytes, extents: &[Extent], out: &mut 
         SeekPolicy::Greedy => plan_into(head, extents, out),
         SeekPolicy::ExactDp => exact_into(head, extents, out),
         SeekPolicy::Approx => approx_into(head, extents, out),
-        SeekPolicy::Auto => {
-            if extents.len() <= AUTO_EXACT_MAX {
-                exact_into(head, extents, out);
-            } else {
-                approx_into(head, extents, out);
-            }
-        }
     }
 }
 
@@ -578,12 +560,7 @@ mod tests {
         assert!(plan(Bytes::ZERO, &[]).is_empty());
         let one = [ext(0, 7, 1)];
         assert_eq!(plan(Bytes::gb(50), &one), one.to_vec());
-        for policy in [
-            SeekPolicy::Greedy,
-            SeekPolicy::ExactDp,
-            SeekPolicy::Approx,
-            SeekPolicy::Auto,
-        ] {
+        for policy in [SeekPolicy::Greedy, SeekPolicy::ExactDp, SeekPolicy::Approx] {
             let mut out = vec![ext(9, 9, 9)];
             plan_with(policy, Bytes::ZERO, &[], &mut out);
             assert!(out.is_empty(), "{policy:?}");
@@ -804,7 +781,6 @@ mod tests {
                 SeekPolicy::Greedy,
                 SeekPolicy::ExactDp,
                 SeekPolicy::Approx,
-                SeekPolicy::Auto,
             ] {
                 plan_with(policy, head, &extents, &mut out);
                 prop_assert_eq!(out.len(), extents.len(), "{:?} dropped extents", policy);
@@ -818,47 +794,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_switches_between_dp_and_sweep_at_the_cutoff() {
-        let mut rng = ChaCha12Rng::seed_from_u64(13);
-        let make = |n: usize, rng: &mut ChaCha12Rng| -> Vec<Extent> {
-            let mut cursor = 0u64;
-            (0..n)
-                .map(|i| {
-                    cursor += rng.gen_range(1..40);
-                    let size = rng.gen_range(0..20);
-                    let e = ext(i as u32, cursor, size);
-                    cursor += size;
-                    e
-                })
-                .collect()
-        };
-        let head = Bytes::gb(500);
-        let small = make(AUTO_EXACT_MAX, &mut rng);
-        let big = make(AUTO_EXACT_MAX + 1, &mut rng);
-        let (mut auto_out, mut want) = (Vec::new(), Vec::new());
-        plan_with(SeekPolicy::Auto, head, &small, &mut auto_out);
-        exact_into(head, &small, &mut want);
-        assert_eq!(auto_out, want, "auto must run the DP at the cutoff");
-        plan_with(SeekPolicy::Auto, head, &big, &mut auto_out);
-        approx_into(head, &big, &mut want);
-        assert_eq!(auto_out, want, "auto must sweep past the cutoff");
-    }
-
-    #[test]
     fn seek_policy_parses_cli_spellings() {
         assert_eq!(SeekPolicy::parse("greedy"), Some(SeekPolicy::Greedy));
         assert_eq!(SeekPolicy::parse("exact"), Some(SeekPolicy::ExactDp));
         assert_eq!(SeekPolicy::parse("EXACT-DP"), Some(SeekPolicy::ExactDp));
         assert_eq!(SeekPolicy::parse(" approx "), Some(SeekPolicy::Approx));
-        assert_eq!(SeekPolicy::parse("auto"), Some(SeekPolicy::Auto));
+        assert_eq!(SeekPolicy::parse("auto"), None);
         assert_eq!(SeekPolicy::parse("optimal"), None);
         assert_eq!(SeekPolicy::default(), SeekPolicy::Greedy);
-        for policy in [
-            SeekPolicy::Greedy,
-            SeekPolicy::ExactDp,
-            SeekPolicy::Approx,
-            SeekPolicy::Auto,
-        ] {
+        for policy in [SeekPolicy::Greedy, SeekPolicy::ExactDp, SeekPolicy::Approx] {
             assert_eq!(SeekPolicy::parse(policy.label()), Some(policy));
         }
     }

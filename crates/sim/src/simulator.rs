@@ -230,12 +230,7 @@ mod tests {
         Scheme::ALL.into_iter().map(|s| (s.tag(), s.policy(4)))
     }
 
-    const SEEKS: [SeekPolicy; 4] = [
-        SeekPolicy::Greedy,
-        SeekPolicy::ExactDp,
-        SeekPolicy::Approx,
-        SeekPolicy::Auto,
-    ];
+    const SEEKS: [SeekPolicy; 3] = [SeekPolicy::Greedy, SeekPolicy::ExactDp, SeekPolicy::Approx];
 
     /// Every field of `m` as raw bits, so a comparison is bit for bit.
     fn bits(m: &RequestMetrics) -> [u64; 9] {
