@@ -4,7 +4,8 @@
 //! `serve` and `audit` reject the same `--m` on a placement with pinned
 //! tapes, where the batch switch policy uses it. Request probabilities
 //! nothing can be sampled from are malformed too, and every command that
-//! draws requests rejects a workload with none.
+//! draws requests rejects a workload with none. An object larger than a
+//! cartridge fails every scheme with one error naming it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -222,6 +223,32 @@ fn malformed_workloads_are_one_line_errors() {
             assert_eq!(out.status.code(), Some(1), "{name} {scheme}: {stderr}");
             assert_eq!(stderr.trim_end(), expected, "{name} {scheme}");
         }
+    }
+}
+
+/// Objects are never split across tapes, so an object larger than a
+/// cartridge fails every scheme with the same error naming it.
+#[test]
+fn an_object_larger_than_a_cartridge_is_a_one_line_error() {
+    // Object 1 is 1 PB; the default cartridge holds 400 GB.
+    let json = r#"{"objects":[{"id":0,"size":1000},{"id":1,"size":1000000000000000}],
+        "requests":[{"rank":0,"probability":1.0,"objects":[0,1]}]}"#;
+    for (scheme, label) in [
+        ("pbp", "parallel batch"),
+        ("opp", "object probability"),
+        ("cpp", "cluster probability"),
+    ] {
+        let out = place_json("oversized", json, scheme);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{scheme}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!(
+                "error: {label} placement failed: object O1 (1000.00 TB) \
+                 is larger than a tape cartridge (400.00 GB)"
+            ),
+            "{scheme}"
+        );
     }
 }
 

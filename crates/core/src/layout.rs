@@ -57,6 +57,16 @@ pub enum PlacementError {
         /// Cartridge capacity.
         capacity: Bytes,
     },
+    /// An object is larger than one cartridge. Objects are never split
+    /// across tapes, so no scheme can place it.
+    ObjectTooLarge {
+        /// The object.
+        object: ObjectId,
+        /// Its size.
+        size: Bytes,
+        /// Cartridge capacity.
+        capacity: Bytes,
+    },
     /// Objects left unplaced after building (count).
     Unplaced(usize),
     /// The workload needs more tapes than the system has.
@@ -89,6 +99,14 @@ impl std::fmt::Display for PlacementError {
                 f,
                 "object {object} does not fit on {tape} ({used} of {capacity} used)"
             ),
+            PlacementError::ObjectTooLarge {
+                object,
+                size,
+                capacity,
+            } => write!(
+                f,
+                "object {object} ({size}) is larger than a tape cartridge ({capacity})"
+            ),
             PlacementError::Unplaced(n) => write!(f, "{n} objects left unplaced"),
             PlacementError::OutOfTapes { needed, available } => {
                 write!(f, "workload needs {needed} tapes, system has {available}")
@@ -101,6 +119,24 @@ impl std::fmt::Display for PlacementError {
 }
 
 impl std::error::Error for PlacementError {}
+
+/// The check every scheme makes before placing: the first object larger
+/// than a cartridge, by id, fails the placement with
+/// [`PlacementError::ObjectTooLarge`].
+pub(crate) fn check_object_sizes(
+    workload: &Workload,
+    config: &SystemConfig,
+) -> Result<(), PlacementError> {
+    let capacity = config.library.tape.capacity;
+    match workload.objects().iter().find(|o| o.size > capacity) {
+        Some(o) => Err(PlacementError::ObjectTooLarge {
+            object: o.id,
+            size: o.size,
+            capacity,
+        }),
+        None => Ok(()),
+    }
+}
 
 /// Incrementally builds a [`Placement`].
 pub struct PlacementBuilder {

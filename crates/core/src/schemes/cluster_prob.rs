@@ -14,7 +14,7 @@
 //! show.
 
 use crate::density::density_ranked;
-use crate::layout::{Placement, PlacementBuilder, PlacementError, TapeRole};
+use crate::layout::{check_object_sizes, Placement, PlacementBuilder, PlacementError, TapeRole};
 use crate::organ_pipe::organ_pipe_order;
 use crate::policy::PlacementPolicy;
 use crate::schemes::round_robin_tapes;
@@ -53,6 +53,7 @@ impl PlacementPolicy for ClusterProbabilityPlacement {
         workload: &Workload,
         config: &SystemConfig,
     ) -> Result<Placement, PlacementError> {
+        check_object_sizes(workload, config)?;
         let soft_cap = config.library.tape.capacity.scale(self.k_utilization);
         // Clusters must fit one cartridge — that is the whole point of the
         // scheme. Average linkage keeps overlapping requests from chaining
@@ -219,6 +220,11 @@ mod tests {
             .unwrap();
         p.verify_against(&w).unwrap();
         assert_eq!(p.n_used_tapes(), 0);
+    }
+
+    #[test]
+    fn rejects_an_object_larger_than_a_cartridge() {
+        crate::schemes::assert_rejects_oversized_objects(&ClusterProbabilityPlacement::default());
     }
 
     #[test]

@@ -86,6 +86,48 @@ pub fn round_robin_tapes(config: &SystemConfig) -> Vec<TapeId> {
     out
 }
 
+/// Places a §6-system workload in which objects 3 and 5 are 1 PB each
+/// under `scheme`, and checks that it fails naming object 3, the first
+/// object larger than a cartridge.
+#[cfg(test)]
+pub(crate) fn assert_rejects_oversized_objects(scheme: &dyn PlacementPolicy) {
+    use crate::PlacementError;
+    use tapesim_model::{Bytes, ObjectId};
+    use tapesim_workload::{ObjectRecord, Request, Workload};
+
+    let config = tapesim_model::specs::paper_table1();
+    let petabyte = Bytes::gb(1_000_000);
+    let objects = (0..8)
+        .map(|i| ObjectRecord {
+            id: ObjectId(i),
+            size: if i == 3 || i == 5 {
+                petabyte
+            } else {
+                Bytes::gb(10)
+            },
+        })
+        .collect();
+    let requests = vec![Request {
+        rank: 0,
+        probability: 1.0,
+        objects: (0..8).map(ObjectId).collect(),
+    }];
+    let workload = Workload::new(objects, requests);
+    match scheme.place(&workload, &config) {
+        Ok(_) => panic!("{} placed a 1 PB object", scheme.name()),
+        Err(err) => assert_eq!(
+            err,
+            PlacementError::ObjectTooLarge {
+                object: ObjectId(3),
+                size: petabyte,
+                capacity: config.library.tape.capacity,
+            },
+            "{}",
+            scheme.name()
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! and dominates its response (Figure 9).
 
 use crate::density::probability_ranked;
-use crate::layout::{Placement, PlacementBuilder, PlacementError, TapeRole};
+use crate::layout::{check_object_sizes, Placement, PlacementBuilder, PlacementError, TapeRole};
 use crate::organ_pipe::organ_pipe_order;
 use crate::policy::PlacementPolicy;
 use crate::schemes::round_robin_tapes;
@@ -55,6 +55,7 @@ impl PlacementPolicy for ObjectProbabilityPlacement {
         workload: &Workload,
         config: &SystemConfig,
     ) -> Result<Placement, PlacementError> {
+        check_object_sizes(workload, config)?;
         let ranked = probability_ranked(workload);
         let tapes = round_robin_tapes(config);
         let capacity = config.library.tape.capacity;
@@ -224,6 +225,11 @@ mod tests {
         let w = workload(81, 400);
         let err = ObjectProbabilityPlacement::default().place(&w, &cfg);
         assert!(matches!(err, Err(PlacementError::OutOfTapes { .. })));
+    }
+
+    #[test]
+    fn rejects_an_object_larger_than_a_cartridge() {
+        crate::schemes::assert_rejects_oversized_objects(&ObjectProbabilityPlacement::default());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::balance::{zigzag_assign_lossy, TapeBin};
 use crate::density::{density_ranked, RankedObject};
-use crate::layout::{Placement, PlacementBuilder, PlacementError, TapeRole};
+use crate::layout::{check_object_sizes, Placement, PlacementBuilder, PlacementError, TapeRole};
 use crate::organ_pipe::{descending_order, organ_pipe_order};
 use crate::policy::PlacementPolicy;
 use crate::sublist::{partition_plain, partition_with_clusters, Sublist};
@@ -193,6 +193,7 @@ impl PlacementPolicy for ParallelBatchPlacement {
         if m < 1 || m >= d {
             return Err(PlacementError::SwitchDrives { m, d });
         }
+        check_object_sizes(workload, config)?;
         let n = config.libraries as u64;
         let ct = config.library.tape.capacity;
         let k = self.params.k_utilization;
@@ -475,6 +476,11 @@ mod tests {
             let p = ParallelBatchPlacement::new(params).place(&w, &cfg).unwrap();
             p.verify_against(&w).unwrap();
         }
+    }
+
+    #[test]
+    fn rejects_an_object_larger_than_a_cartridge() {
+        crate::schemes::assert_rejects_oversized_objects(&ParallelBatchPlacement::with_m(4));
     }
 
     #[test]

@@ -48,10 +48,10 @@
 
 use crate::metrics::{RequestRecord, SchedMetrics};
 use crate::policy::{SchedPolicy, TapeCandidate};
+use crate::tap::Tap;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use tapesim_des::audit::{AuditReport, AuditStream, TraceAuditor};
-use tapesim_des::trace::TraceEntry;
+use tapesim_des::audit::{AuditReport, TraceAuditor};
 use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, World};
 use tapesim_faults::{FaultClock, FaultPlan};
 use tapesim_model::tape::Extent;
@@ -73,8 +73,10 @@ pub struct SchedConfig {
     /// Largest number of jobs one mount may serve (0 = unlimited).
     pub max_batch: usize,
     /// Whether to audit the event trace: each request's trace in the
-    /// sequential gear, the whole run online through an [`AuditStream`]
-    /// (never buffered) in the concurrent gear.
+    /// sequential gear, the whole run online in the concurrent gear,
+    /// through an [`AuditStream`](tapesim_des::audit::AuditStream) on a
+    /// consumer thread fed bounded chunks of the trace (never the whole
+    /// trace).
     pub audit: bool,
     /// Whether to run the span accountant and attach a
     /// [`TimeBudget`] to the outcome. Off by default; when off the
@@ -135,49 +137,6 @@ fn topology_of(system: &SystemConfig) -> Topology {
         tapes_per_library: system.library.tapes as u32,
         load_secs: system.library.drive.load_time,
         unload_secs: system.library.drive.unload_time,
-    }
-}
-
-/// The engine's single trace-event tap: every emitted event goes to the
-/// optional span accountant and then to the optional online auditor.
-/// Both consumers are streaming; neither buffers the trace. With both
-/// off, the cost per event is two `None` checks.
-#[derive(Debug)]
-struct Tap {
-    audit: Option<Box<AuditStream>>,
-    spans: Option<Box<TimeAccountant>>,
-}
-
-impl Tap {
-    fn new(cfg: &SchedConfig, auditor: &TraceAuditor, system: &SystemConfig) -> Tap {
-        Tap {
-            audit: cfg.audit.then(|| Box::new(auditor.stream())),
-            spans: cfg
-                .obs
-                .then(|| Box::new(TimeAccountant::new(topology_of(system)))),
-        }
-    }
-
-    #[inline]
-    fn emit(&mut self, time: SimTime, event: TraceEvent) {
-        if let Some(acc) = self.spans.as_deref_mut() {
-            acc.observe(time, &event);
-        }
-        if let Some(stream) = self.audit.as_deref_mut() {
-            stream.push(&TraceEntry { time, event });
-        }
-    }
-
-    /// Closes both consumers: the audit report (none when auditing is
-    /// off) and the time budget, booked against makespan `end`.
-    fn finish(self, end: SimTime) -> (Vec<AuditReport>, Option<TimeBudget>) {
-        let budget = self.spans.map(|acc| acc.finish(end));
-        let reports = self
-            .audit
-            .map(|stream| stream.finish())
-            .into_iter()
-            .collect();
-        (reports, budget)
     }
 }
 
@@ -406,6 +365,59 @@ struct JobState<'a> {
     /// The job's read exhausted its retry budget; on completion it must
     /// fail over or be declared lost instead of counting as served.
     fatal: bool,
+    /// The job completed, failed over or was lost: nothing reads it
+    /// again, and it leaves the [`JobTable`] once every older job has.
+    retired: bool,
+}
+
+/// The job table as a window over global job ids: jobs from the oldest
+/// unresolved one onwards. Ids stay dense `u32`s from zero in events and
+/// the trace; a resolved job at the front is popped, so the table holds
+/// the backlog, not the run's history.
+#[derive(Debug, Default)]
+struct JobTable<'a> {
+    live: VecDeque<JobState<'a>>,
+    /// Global id of `live`'s front.
+    base: usize,
+}
+
+impl<'a> JobTable<'a> {
+    /// Admits `job` under the next global id, which it returns.
+    fn push(&mut self, job: JobState<'a>) -> usize {
+        let id = self.base + self.live.len();
+        self.live.push_back(job);
+        #[cfg(test)]
+        oracle::note_window(self.live.len());
+        id
+    }
+
+    /// The id the next [`JobTable::push`] will return.
+    fn next_id(&self) -> usize {
+        self.base + self.live.len()
+    }
+
+    /// Marks `id` resolved and pops every resolved job off the front.
+    fn retire(&mut self, id: usize) {
+        self[id].retired = true;
+        while self.live.front().is_some_and(|job| job.retired) {
+            self.live.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+impl<'a> std::ops::Index<usize> for JobTable<'a> {
+    type Output = JobState<'a>;
+
+    fn index(&self, id: usize) -> &JobState<'a> {
+        &self.live[id - self.base]
+    }
+}
+
+impl<'a> std::ops::IndexMut<usize> for JobTable<'a> {
+    fn index_mut(&mut self, id: usize) -> &mut JobState<'a> {
+        &mut self.live[id - self.base]
+    }
 }
 
 /// One tape's FIFO of queued job indices with running aggregates, so a
@@ -527,11 +539,15 @@ struct SchedSim<'a> {
     holder: Vec<Option<u32>>,
     busy: Vec<bool>,
     robots: Vec<Resource>,
-    jobs: Vec<JobState<'a>>,
+    jobs: JobTable<'a>,
     /// Failover lineage: the tapes already attempted for a replacement
     /// job's data. A replica is only eligible if its tape is not in here.
-    /// Arrival jobs have tried nothing and have no entry.
+    /// Arrival jobs have tried nothing and have no entry; an entry goes
+    /// when its job retires.
     tried: BTreeMap<usize, Vec<TapeId>>,
+    /// Every request admitted so far, by local index. Not windowed like
+    /// `jobs`: [`ShardEngine::finish`] reads each one's `first_plan` for
+    /// the parallel merge's [`MergeOps::first_plans`].
     requests: Vec<ReqState>,
     /// Shared admission queue: per-tape FIFO of job indices, dense by
     /// [`SystemConfig::tape_index`]. An empty deque means "no queue".
@@ -547,8 +563,8 @@ struct SchedSim<'a> {
     mounts: u64,
     busy_time: SimTime,
     records: Vec<RequestRecord>,
-    /// Audit/observability tap: every emitted event passes the optional
-    /// span accountant, then the audit sink.
+    /// Audit/observability tap: every emitted event goes to the optional
+    /// span accountant and audit sink, which run on their own thread.
     audit: Tap,
     /// Fault-plan view; identity answers under a zero plan.
     clock: FaultClock<'a>,
@@ -1021,7 +1037,7 @@ impl SchedSim<'_> {
     /// provides one for every extent, otherwise declare the job lost.
     fn resolve_fatal(&mut self, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let req = self.jobs[job].request;
-        let mut tried = self.tried.get(&job).cloned().unwrap_or_default();
+        let mut tried = self.tried.remove(&job).unwrap_or_default();
         tried.push(self.jobs[job].work.tape);
 
         let mut alt_objects = Vec::with_capacity(self.jobs[job].work.extents.len());
@@ -1040,6 +1056,7 @@ impl SchedSim<'_> {
                 }
             }
         }
+        self.jobs.retire(job);
 
         self.outstanding_jobs -= 1;
         self.requests[req].outstanding -= 1;
@@ -1048,7 +1065,7 @@ impl SchedSim<'_> {
             self.libs_hit.fill(false);
             let mut first_replacement = None;
             for tj in replacement_work {
-                let new_job = self.jobs.len();
+                let new_job = self.jobs.next_id();
                 first_replacement.get_or_insert(new_job);
                 let tape = tj.tape;
                 self.audit.emit(
@@ -1063,6 +1080,7 @@ impl SchedSim<'_> {
                     request: req,
                     work: Cow::Owned(tj),
                     fatal: false,
+                    retired: false,
                 });
                 self.tried.insert(new_job, tried.clone());
                 let tape_idx = self.cfg.tape_index(tape);
@@ -1152,7 +1170,7 @@ impl World for SchedSim<'_> {
                 });
                 self.libs_hit.fill(false);
                 for tj in work {
-                    let job = self.jobs.len();
+                    let job = self.jobs.next_id();
                     let tape = tj.tape;
                     self.audit.emit(
                         now,
@@ -1165,6 +1183,7 @@ impl World for SchedSim<'_> {
                         request: req,
                         work: Cow::Borrowed(tj),
                         fatal: false,
+                        retired: false,
                     });
                     let tape_idx = self.cfg.tape_index(tape);
                     self.pending[tape_idx].push_back(job, tj.bytes(), arrival);
@@ -1226,6 +1245,8 @@ impl World for SchedSim<'_> {
                 );
                 self.outstanding_jobs -= 1;
                 let req = self.jobs[job].request;
+                self.jobs.retire(job);
+                self.tried.remove(&job);
                 self.requests[req].outstanding -= 1;
                 if self.requests[req].outstanding == 0 {
                     if self.requests[req].lost {
@@ -1457,7 +1478,7 @@ impl<'a> ShardEngine<'a> {
             holder,
             busy: vec![false; n_drives],
             robots: vec![Resource::new(system.library.robot.arms.max(1) as usize); n_libs],
-            jobs: Vec::new(),
+            jobs: JobTable::default(),
             tried: BTreeMap::new(),
             requests: Vec::new(),
             pending: vec![TapeQueue::default(); n_tapes],
@@ -1467,7 +1488,10 @@ impl<'a> ShardEngine<'a> {
             mounts: 0,
             busy_time: SimTime::ZERO,
             records: Vec::new(),
-            audit: Tap::new(cfg, &auditor, system),
+            audit: Tap::new(
+                cfg.audit.then_some(auditor),
+                cfg.obs.then(|| topology_of(system)),
+            ),
             clock: plan.clock(),
             alternates,
             dead: vec![false; n_drives],
@@ -1697,6 +1721,8 @@ impl<'a> ShardEngine<'a> {
                 .emit(end, TraceEvent::JobLost { job: job as u32 });
             world.outstanding_jobs -= 1;
             let req = world.jobs[job].request;
+            world.jobs.retire(job);
+            world.tried.remove(&job);
             world.requests[req].outstanding -= 1;
             world.requests[req].lost = true;
             if world.requests[req].outstanding == 0 {
@@ -1825,6 +1851,12 @@ mod oracle {
         /// Failover jobs queued behind a job of a later request, the case
         /// that makes a queue's front not its oldest arrival.
         pub(super) static REQUEUED_OLDER: Cell<u64> = const { Cell::new(0) };
+        /// The job table's largest window on this thread.
+        pub(super) static WINDOW_PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_window(len: usize) {
+        WINDOW_PEAK.with(|c| c.set(c.get().max(len)));
     }
 
     pub(super) fn note_requeue(world: &SchedSim<'_>, tape_idx: usize, arrival: SimTime) {
@@ -2929,6 +2961,99 @@ mod tests {
         );
         assert!(report.outcome.metrics.failovers() > 0);
         assert!(oracle::REQUEUED_OLDER.with(|c| c.get()) > before);
+    }
+
+    /// On a real faulty run (drive failures, jams, fatal bad spots,
+    /// failovers; the inline prefix and several chunks of trace), the
+    /// consumer thread gives the audit report and time budget of sinks
+    /// run inline, bit for bit.
+    #[test]
+    fn piped_sinks_match_inline_sinks_on_a_faulty_run() {
+        let fixture = &oracle_fixtures()[1];
+        let spec = tapesim_faults::FaultSpec::moderate(5).scaled(3.0);
+        let plan = FaultPlan::generate(&spec, fixture.0.placement().config());
+        let arrivals = ArrivalSpec {
+            per_hour: 60.0,
+            seed: 9,
+        };
+        let (sim, w, alternates) = fixture;
+        let cfg = SchedConfig::new(arrivals, 2_000)
+            .with_audit(true)
+            .with_obs(true);
+        let catalog: Vec<Vec<TapeJob>> = w
+            .requests()
+            .iter()
+            .map(|r| tape_jobs(sim.placement(), &r.objects))
+            .collect();
+        let run = |inline: bool| {
+            crate::tap::INLINE.with(|c| c.set(inline));
+            let mut engine = ShardEngine::new(sim, &SltfTape, &cfg, &plan, alternates, &catalog);
+            let mut stream = RequestStream::new(arrivals, w);
+            for _ in 0..cfg.samples {
+                let (at, r) = stream.next_request();
+                let at = SimTime::from_secs(at);
+                engine.submit(at, r);
+                engine.pump(at);
+            }
+            let outcome = engine.finish().outcome;
+            crate::tap::INLINE.with(|c| c.set(false));
+            outcome
+        };
+        let piped = run(false);
+        let inline = run(true);
+        assert!(piped.metrics.failovers() > 0 && piped.metrics.lost() > 0);
+        assert!(
+            piped.reports[0].entries > crate::tap::INLINE_ENTRIES + 3 * 4096,
+            "{} entries",
+            piped.reports[0].entries
+        );
+        assert_eq!(piped.reports, inline.reports);
+        assert_eq!(piped.budget, inline.budget);
+        assert!(piped.budget.is_some());
+    }
+
+    /// The job table is a window over the backlog: on a stable stream it
+    /// never holds more than a small share of the jobs issued, and a
+    /// drained engine holds none (nor any failover lineage).
+    #[test]
+    fn job_table_holds_the_backlog_not_the_history() {
+        const SAMPLES: usize = 5_000;
+        let spec = ArrivalSpec {
+            per_hour: 12.0,
+            seed: 3,
+        };
+        let (sim, w) = heavy_setup();
+        let placement = sim.placement();
+        let catalog: Vec<Vec<TapeJob>> = w
+            .requests()
+            .iter()
+            .map(|r| tape_jobs(placement, &r.objects))
+            .collect();
+        let plan = FaultPlan::zero(placement.config());
+        let alternates = BTreeMap::new();
+        let cfg = SchedConfig::new(spec, SAMPLES).with_audit(true);
+        let mut engine = ShardEngine::new(&sim, &BatchByTape, &cfg, &plan, &alternates, &catalog);
+        oracle::WINDOW_PEAK.with(|c| c.set(0));
+        let mut stream = RequestStream::new(spec, &w);
+        for _ in 0..SAMPLES {
+            let (at, ridx) = stream.next_request();
+            let at = SimTime::from_secs(at);
+            engine.submit(at, ridx);
+            engine.pump(at);
+        }
+        engine.close();
+        engine.pump(SimTime::MAX);
+        let issued = engine.world.jobs.next_id();
+        let peak = oracle::WINDOW_PEAK.with(|c| c.get());
+        assert!(
+            peak * 10 < issued,
+            "window peaked at {peak} of {issued} jobs issued"
+        );
+        assert!(engine.world.jobs.live.is_empty());
+        assert!(engine.world.tried.is_empty());
+        let report = engine.finish();
+        assert_eq!(report.records.len(), SAMPLES);
+        assert!(report.outcome.is_clean());
     }
 
     #[test]

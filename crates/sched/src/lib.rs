@@ -36,6 +36,7 @@ pub mod engine;
 pub mod metrics;
 pub mod parallel;
 pub mod policy;
+mod tap;
 
 pub use engine::{
     run_scheduled, run_scheduled_faulty, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
