@@ -5,10 +5,12 @@
 //! The similarity between objects is "the probability they will be accessed
 //! together", a property of the workload: the weight of a pair
 //! `(O_i, O_j)` is the sum of probabilities of all requests containing
-//! both. The workload crate owns that graph and its flat average-linkage
-//! partition ([`Workload::co_access_clusters`], re-exported here with
-//! [`CoAccessGraph`], [`average_linkage_clusters`] and
-//! [`THRESHOLD_FRACTION`]), computed once per workload value.
+//! both. The workload crate owns those weights and their flat
+//! average-linkage partition ([`Workload::co_access_clusters`]), computed
+//! once per workload value from rows built straight from the requests. The
+//! same kernel over an explicit graph is re-exported here with the cut
+//! fraction: [`CoAccessGraph`], [`average_linkage_clusters`] and
+//! [`THRESHOLD_FRACTION`].
 //!
 //! What differs between the clustering placements is the §5.1 size rule:
 //! a cluster should not exceed the tape-batch width. [`ClusterParams`]

@@ -16,11 +16,17 @@
 //! Per live cluster: a sparse adjacency map of cross-cluster weight sums
 //! (fast integer hashing, reserved to the vertex degree), its size in a
 //! dense array and its members as a linked list; merging is
-//! smaller-into-larger. The kernel is the "generic" lazy best-neighbour
-//! scheme of Müllner (*Modern hierarchical, agglomerative clustering
-//! algorithms*, arXiv:1109.2378): a max-heap holds one live entry per
-//! cluster, keyed by that cluster's *bound*, a candidate
-//! `(score, smaller pair)` at or above the threshold.
+//! smaller-into-larger. The maps start as the co-access rows, taken one
+//! object at a time from the request-driven row builder (the partition
+//! path, which builds no graph) or from a [`CoAccessGraph`]'s CSR rows.
+//! They are the kernel's memory peak, so an entry is 12 bytes: a `u32`
+//! cluster key and the sum's bytes at alignment 1.
+//!
+//! The kernel is the "generic" lazy best-neighbour scheme of Müllner
+//! (*Modern hierarchical, agglomerative clustering algorithms*,
+//! arXiv:1109.2378): a max-heap holds one live entry per cluster, keyed
+//! by that cluster's *bound*, a candidate `(score, smaller pair)` at or
+//! above the threshold.
 //!
 //! * A popped entry whose bound is still its cluster's bound is rescanned
 //!   for the cluster's exact best candidate. It merges iff the exact best
@@ -46,7 +52,8 @@
 //! clusters) the 20 880 merges take 99 695 pops and 3.56 M folds: most of
 //! the cost is the folds and rescans, not the heap.
 
-use crate::similarity::{order_key, CoAccessGraph};
+use crate::similarity::{order_key, CoAccessGraph, RowBuilder};
+use crate::Request;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -70,6 +77,10 @@ impl Hasher for IntHasher {
         }
     }
     #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.0 = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    #[inline]
     fn write_usize(&mut self, i: usize) {
         self.0 = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
@@ -79,8 +90,29 @@ impl Hasher for IntHasher {
     }
 }
 
-/// `HashMap` keyed by small integers with [`IntHasher`].
-pub type IntMap<V> = HashMap<usize, V, BuildHasherDefault<IntHasher>>;
+/// `HashMap` keyed by cluster ids with [`IntHasher`].
+pub type IntMap<V> = HashMap<u32, V, BuildHasherDefault<IntHasher>>;
+
+/// A cross-cluster weight sum: the `f64`'s bytes at alignment 1, so a map
+/// entry with its `u32` key is 12 bytes, not 16.
+#[derive(Clone, Copy, Default)]
+struct Sum([u8; 8]);
+
+const _: () = assert!(std::mem::size_of::<(u32, Sum)>() == 12);
+
+impl Sum {
+    fn new(x: f64) -> Sum {
+        Sum(x.to_ne_bytes())
+    }
+
+    fn get(self) -> f64 {
+        f64::from_ne_bytes(self.0)
+    }
+
+    fn add(&mut self, x: f64) {
+        *self = Sum::new(self.get() + x);
+    }
+}
 
 /// A merge candidate of clusters `a < b`, greatest first: the higher
 /// score, then the smaller pair (`pair` is the packed `(a, b)`, bit
@@ -113,14 +145,21 @@ impl Candidate {
 const NIL: u32 = u32::MAX;
 
 /// The best candidate of cluster `c` at or above `threshold`, if any.
-fn best(c: usize, adj: &IntMap<f64>, size: &[u32], threshold: f64) -> Option<Candidate> {
+fn best(c: usize, adj: &IntMap<Sum>, size: &[u32], threshold: f64) -> Option<Candidate> {
     let len = size[c] as f64;
     adj.iter()
         .filter_map(|(&other, &sum)| {
-            let score = sum / (len * size[other] as f64);
-            (score >= threshold).then(|| Candidate::new(score, c, other))
+            let score = sum.get() / (len * size[other as usize] as f64);
+            (score >= threshold).then(|| Candidate::new(score, c, other as usize))
         })
         .max()
+}
+
+/// One object's adjacency map from its row, reserved to the vertex degree.
+fn row_map((ids, sums): (&[u32], &[f64])) -> IntMap<Sum> {
+    let mut map = IntMap::with_capacity_and_hasher(ids.len(), Default::default());
+    map.extend(ids.iter().zip(sums).map(|(&b, &w)| (b, Sum::new(w))));
+    map
 }
 
 /// Flat average-linkage clusters of `graph` at similarity `threshold`.
@@ -128,15 +167,32 @@ fn best(c: usize, adj: &IntMap<f64>, size: &[u32], threshold: f64) -> Option<Can
 /// Returns a partition of all objects (singletons included), clusters
 /// ordered by smallest member, members ascending.
 pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
-    let n = graph.n_objects();
-    let mut adj: Vec<IntMap<f64>> = (0..n)
-        .map(|i| {
-            let row = graph.neighbours(ObjectId(i as u32));
-            let mut map = IntMap::with_capacity_and_hasher(row.len(), Default::default());
-            map.extend(row.map(|(b, w)| (b.idx(), w)));
-            map
-        })
+    let adj = (0..graph.n_objects())
+        .map(|a| row_map(graph.row(a)))
         .collect();
+    linkage(adj, threshold)
+}
+
+/// [`average_linkage_clusters`] of the co-access graph of `requests` over
+/// `n_objects` objects, its maps filled row by row from the requests with
+/// no graph built.
+///
+/// # Panics
+///
+/// Panics if a request names an object outside `0..n_objects`.
+pub(crate) fn request_linkage_clusters(
+    n_objects: usize,
+    requests: &[Request],
+    threshold: f64,
+) -> Vec<Vec<ObjectId>> {
+    let mut rows = RowBuilder::from_requests(n_objects, requests);
+    let adj = (0..n_objects).map(|a| row_map(rows.row(a))).collect();
+    linkage(adj, threshold)
+}
+
+/// The kernel over per-object adjacency maps.
+fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
+    let n = adj.len();
     // Cluster sizes (0 once absorbed) and member lists: `next` links a
     // cluster's objects from its id, `last` is the list's tail.
     let mut size = vec![1u32; n];
@@ -171,7 +227,7 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
         let (keep, drop) = if size[a] >= size[b] { (a, b) } else { (b, a) };
         let dropped = std::mem::take(&mut adj[drop]);
         let mut kept = std::mem::take(&mut adj[keep]);
-        kept.remove(&drop);
+        kept.remove(&(drop as u32));
         size[keep] += size[drop];
         size[drop] = 0;
         bound[drop] = None;
@@ -182,12 +238,13 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
         // whose sum changes has `keep` as a side, and `keep` is rescanned
         // below; every other pair only loses score as a side grows.
         for (&other, &w) in &dropped {
-            if other == keep {
+            if other as usize == keep {
                 continue;
             }
-            *kept.entry(other).or_insert(0.0) += w;
-            let from_drop = adj[other].remove(&drop).unwrap_or(0.0);
-            *adj[other].entry(keep).or_insert(0.0) += from_drop;
+            kept.entry(other).or_default().add(w.get());
+            let row = &mut adj[other as usize];
+            let from_drop = row.remove(&(drop as u32)).map_or(0.0, Sum::get);
+            row.entry(keep as u32).or_default().add(from_drop);
         }
         bound[keep] = best(keep, &kept, &size, threshold);
         if let Some(b) = bound[keep] {
@@ -217,11 +274,14 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
 /// [`average_linkage_clusters`].
 #[cfg(test)]
 mod reference {
-    use super::IntMap;
+    use super::IntHasher;
     use crate::similarity::CoAccessGraph;
     use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+    use std::collections::{BinaryHeap, HashMap};
+    use std::hash::BuildHasherDefault;
     use tapesim_model::ObjectId;
+
+    type IntMap<V> = HashMap<usize, V, BuildHasherDefault<IntHasher>>;
 
     #[derive(Debug)]
     struct Candidate {
@@ -407,7 +467,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Request, RequestSpec, WorkloadSpec};
+    use crate::{ObjectRecord, Request, RequestSpec, Workload, WorkloadSpec};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
@@ -545,8 +605,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// The best-neighbour kernel returns exactly the reference partition,
-        /// under tied (uniform) and Zipf-like probabilities, at thresholds
+        /// The best-neighbour kernel, from the CSR and from request-built
+        /// rows, returns exactly the reference partition, under tied
+        /// (uniform) and Zipf-like probabilities, at thresholds
         /// across the weight range: an edge weight, or a half, third or
         /// quarter of one, which average scores hit exactly.
         #[test]
@@ -565,10 +626,99 @@ mod tests {
             let edges = reference::edges(&g);
             let at = (pick * edges.len() as f64) as usize;
             let threshold = edges.get(at).map_or(0.5, |e| e.2) / div as f64;
+            let clusters = average_linkage_clusters(&g, threshold);
             prop_assert_eq!(
-                average_linkage_clusters(&g, threshold),
-                reference::average_linkage_clusters(&g, threshold)
+                &request_linkage_clusters(n_obj as usize, &reqs, threshold),
+                &clusters
             );
+            prop_assert_eq!(clusters, reference::average_linkage_clusters(&g, threshold));
+        }
+    }
+
+    #[test]
+    fn sum_round_trips_bit_for_bit() {
+        for x in [0.0, f64::from_bits(1), 1.0 / 3.0, f64::MAX] {
+            assert_eq!(Sum::new(x).get().to_bits(), x.to_bits(), "{x:e}");
+        }
+        assert_eq!(Sum::default().get().to_bits(), 0.0f64.to_bits());
+    }
+
+    /// A workload over `n_obj` unit-size objects whose requests stress what
+    /// the row build must fold exactly: some requests are subsets of an
+    /// earlier one (nested), some list an object twice, and under
+    /// `uniform` every probability ties.
+    fn nested_workload(seed: u64, n_obj: u32, n_req: usize, uniform: bool) -> Workload {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let objects = (0..n_obj)
+            .map(|i| ObjectRecord {
+                id: ObjectId(i),
+                size: tapesim_model::Bytes::gb(1),
+            })
+            .collect();
+        let mut sets: Vec<Vec<ObjectId>> = Vec::new();
+        for _ in 0..n_req {
+            let mut objects: Vec<ObjectId> = match sets.len() {
+                n if n > 0 && rng.gen_bool(0.4) => {
+                    let outer = &sets[rng.gen_range(0..n)];
+                    outer
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.gen_bool(0.7))
+                        .collect()
+                }
+                _ => {
+                    let k = rng.gen_range(2..=n_obj.min(12));
+                    (0..k).map(|_| ObjectId(rng.gen_range(0..n_obj))).collect()
+                }
+            };
+            if !objects.is_empty() && rng.gen_bool(0.2) {
+                objects.push(objects[rng.gen_range(0..objects.len())]);
+            }
+            sets.push(objects);
+        }
+        let weights: Vec<f64> = (0..n_req)
+            .map(|_| {
+                if uniform {
+                    1.0
+                } else {
+                    rng.gen_range(0.05..1.0)
+                }
+            })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let requests = sets
+            .into_iter()
+            .zip(&weights)
+            .enumerate()
+            .map(|(rank, (objects, w))| Request {
+                rank: rank as u32,
+                probability: w / total,
+                objects,
+            })
+            .collect();
+        Workload::new(objects, requests)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The partition path (linkage maps filled from request-built rows),
+        /// the CSR entry point and the reference kernel return one
+        /// partition, with objects listed twice, nested requests and tied
+        /// probabilities.
+        #[test]
+        fn request_rows_match_csr_and_reference(
+            seed in any::<u64>(),
+            n_obj in 2u32..60,
+            n_req in 1usize..30,
+            uniform in any::<bool>(),
+        ) {
+            let w = nested_workload(seed, n_obj, n_req, uniform);
+            let threshold = w.co_access_threshold();
+            let g = CoAccessGraph::from_workload(&w);
+            let via_graph = average_linkage_clusters(&g, threshold);
+            prop_assert_eq!(w.co_access_clusters(), &via_graph[..]);
+            prop_assert_eq!(via_graph, reference::average_linkage_clusters(&g, threshold));
         }
     }
 

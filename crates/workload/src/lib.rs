@@ -16,10 +16,12 @@
 //! * the **co-access partition** (§5.1): the similarity of two objects is
 //!   the probability they are requested together, a property of the
 //!   workload alone. [`Workload::co_access_clusters`] agglomerates the
-//!   sparse [`CoAccessGraph`] by [`average_linkage_clusters`] down to
-//!   [`THRESHOLD_FRACTION`] of the smallest request probability, once per
-//!   workload value; every clustering placement (parallel batch, cluster
-//!   probability, online) then byte-caps that one partition.
+//!   co-access rows, built straight from the requests, by average linkage
+//!   down to [`THRESHOLD_FRACTION`] of the smallest request probability,
+//!   once per workload value; every clustering placement (parallel batch,
+//!   cluster probability, online) then byte-caps that one partition.
+//!   [`CoAccessGraph`] holds the same rows as a CSR graph, and
+//!   [`average_linkage_clusters`] runs the same kernel on it.
 //!
 //! Everything is seeded [`rand_chacha::ChaCha12Rng`]; identical specs produce
 //! identical workloads on every platform.

@@ -10,21 +10,27 @@
 //! pairwise edges of weight ≥ `p`, so any threshold cut at or below `p`
 //! groups them — which is how the paper's tree-traversal extraction behaves.
 //!
-//! ## Layout and build
+//! ## Rows and layout
 //!
-//! The graph is a symmetric CSR adjacency: per object an offset into one
-//! neighbour-id array and one weight array, each row ascending by
-//! neighbour id, every pair stored in both endpoint rows. It is built row
-//! by row with no pair map and no sort over the edges: for object `a`,
-//! walk `a`'s requests in request order (a request listing `a` twice is
-//! walked twice) and add `p_r` for every other object `b` of the request
-//! into a dense accumulator. Each pair so receives the same addends in
-//! the same order as a per-request pair-map accumulation — `m_a·m_b`
-//! copies of `p_r` per request when the request lists the objects `m_a`
-//! and `m_b` times, requests in order — and both endpoint rows hold the
-//! same sum bit for bit.
+//! One row builder (`RowBuilder`) accumulates every object's row straight
+//! from the requests, with no pair map and no sort over the edges: for
+//! object `a`, walk `a`'s requests in request order (a request listing `a`
+//! twice is walked twice) and add `p_r` for every other object `b` of the
+//! request into a dense accumulator. Each pair so receives the same
+//! addends in the same order as a per-request pair-map accumulation —
+//! `m_a·m_b` copies of `p_r` per request when the request lists the
+//! objects `m_a` and `m_b` times, requests in order — and both endpoint
+//! rows hold the same sum bit for bit.
+//!
+//! The co-access partition takes its rows from the builder directly
+//! ([`Workload::co_access_clusters`]). [`CoAccessGraph`] stores the same
+//! rows as a symmetric CSR adjacency, for callers that want the graph
+//! itself: per object an offset into one neighbour-id array and one
+//! weight array, each row ascending by neighbour id, every pair stored in
+//! both endpoint rows.
 
 use crate::{Request, Workload};
+#[cfg(test)]
 use tapesim_model::ObjectId;
 
 /// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order,
@@ -61,24 +67,6 @@ impl CoAccessGraph {
     /// Panics if a request names an object outside `0..n_objects`
     /// ([`Workload::try_new`] rejects such workloads).
     pub fn from_requests(n_objects: usize, requests: &[Request]) -> CoAccessGraph {
-        // Object → requests listing it, one entry per listing, in request
-        // order: a CSR index of its own.
-        let mut request_offsets = vec![0usize; n_objects + 1];
-        for o in requests.iter().flat_map(|r| &r.objects) {
-            request_offsets[o.idx() + 1] += 1;
-        }
-        for i in 0..n_objects {
-            request_offsets[i + 1] += request_offsets[i];
-        }
-        let mut fill = request_offsets[..n_objects].to_vec();
-        let mut listed = vec![0u32; request_offsets[n_objects]];
-        for (r, req) in requests.iter().enumerate() {
-            for o in &req.objects {
-                listed[fill[o.idx()]] = r as u32;
-                fill[o.idx()] += 1;
-            }
-        }
-
         let mut offsets = Vec::with_capacity(n_objects + 1);
         offsets.push(0);
         // Each ordered position pair of a request adds at most one row
@@ -96,30 +84,11 @@ impl CoAccessGraph {
             .min(n_objects.saturating_mul(n_objects.saturating_sub(1)));
         let mut neighbours = Vec::with_capacity(cap);
         let mut weights = Vec::with_capacity(cap);
-        let mut acc = vec![0.0f64; n_objects];
-        let mut seen = vec![false; n_objects];
-        let mut touched: Vec<u32> = Vec::new();
+        let mut rows = RowBuilder::from_requests(n_objects, requests);
         for a in 0..n_objects {
-            for &r in &listed[request_offsets[a]..request_offsets[a + 1]] {
-                let req = &requests[r as usize];
-                // A request listing an object twice adds no self-pair.
-                for b in req.objects.iter().map(|b| b.idx()).filter(|&b| b != a) {
-                    if !seen[b] {
-                        seen[b] = true;
-                        touched.push(b as u32);
-                    }
-                    acc[b] += req.probability;
-                }
-            }
-            touched.sort_unstable();
-            neighbours.extend_from_slice(&touched);
-            for &b in &touched {
-                let b = b as usize;
-                weights.push(acc[b]);
-                acc[b] = 0.0;
-                seen[b] = false;
-            }
-            touched.clear();
+            let (ids, sums) = rows.row(a);
+            neighbours.extend_from_slice(ids);
+            weights.extend_from_slice(sums);
             offsets.push(neighbours.len());
         }
         CoAccessGraph {
@@ -145,21 +114,29 @@ impl CoAccessGraph {
         self.neighbours.len() / 2
     }
 
+    /// Row `a`: its neighbour ids, ascending, and their pair weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is outside the graph.
+    pub(crate) fn row(&self, a: usize) -> (&[u32], &[f64]) {
+        let row = self.offsets[a]..self.offsets[a + 1];
+        (&self.neighbours[row.clone()], &self.weights[row])
+    }
+
     /// The neighbours of `object` with their pair weights, ascending by
     /// neighbour id.
     ///
     /// # Panics
     ///
     /// Panics if `object` is outside the graph.
+    #[cfg(test)]
     pub(crate) fn neighbours(
         &self,
         object: ObjectId,
     ) -> impl ExactSizeIterator<Item = (ObjectId, f64)> + '_ {
-        let row = self.offsets[object.idx()]..self.offsets[object.idx() + 1];
-        self.neighbours[row.clone()]
-            .iter()
-            .zip(&self.weights[row])
-            .map(|(&b, &w)| (ObjectId(b), w))
+        let (ids, weights) = self.row(object.idx());
+        ids.iter().zip(weights).map(|(&b, &w)| (ObjectId(b), w))
     }
 
     /// Similarity of a pair (0 if never co-accessed).
@@ -168,6 +145,89 @@ impl CoAccessGraph {
         self.neighbours(a)
             .find(|&(o, _)| o == b)
             .map_or(0.0, |e| e.1)
+    }
+}
+
+/// Builds co-access rows one object at a time, straight from the
+/// requests: the one accumulation behind [`CoAccessGraph`]'s CSR and the
+/// linkage kernel's per-cluster maps, which take rows from it with no
+/// graph in between.
+pub(crate) struct RowBuilder<'a> {
+    requests: &'a [Request],
+    /// Object `a`'s requests are `listed[request_offsets[a]..request_offsets[a + 1]]`.
+    request_offsets: Vec<usize>,
+    /// Request indices, one per listing of an object, in request order.
+    listed: Vec<u32>,
+    /// Dense pair-weight accumulator, all zero between rows.
+    acc: Vec<f64>,
+    seen: Vec<bool>,
+    /// The current row: neighbour ids, ascending, and their weights.
+    touched: Vec<u32>,
+    sums: Vec<f64>,
+}
+
+impl<'a> RowBuilder<'a> {
+    /// Indexes `requests` by object over `n_objects` objects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request names an object outside `0..n_objects`.
+    pub(crate) fn from_requests(n_objects: usize, requests: &'a [Request]) -> RowBuilder<'a> {
+        let mut request_offsets = vec![0usize; n_objects + 1];
+        for o in requests.iter().flat_map(|r| &r.objects) {
+            request_offsets[o.idx() + 1] += 1;
+        }
+        for i in 0..n_objects {
+            request_offsets[i + 1] += request_offsets[i];
+        }
+        let mut fill = request_offsets[..n_objects].to_vec();
+        let mut listed = vec![0u32; request_offsets[n_objects]];
+        for (r, req) in requests.iter().enumerate() {
+            for o in &req.objects {
+                listed[fill[o.idx()]] = r as u32;
+                fill[o.idx()] += 1;
+            }
+        }
+        RowBuilder {
+            requests,
+            request_offsets,
+            listed,
+            acc: vec![0.0; n_objects],
+            seen: vec![false; n_objects],
+            touched: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// Row `a`: its neighbour ids, ascending, and their pair weights,
+    /// accumulated as the module doc says. The slices live until the next
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is outside `0..n_objects`.
+    pub(crate) fn row(&mut self, a: usize) -> (&[u32], &[f64]) {
+        self.touched.clear();
+        self.sums.clear();
+        for &r in &self.listed[self.request_offsets[a]..self.request_offsets[a + 1]] {
+            let req = &self.requests[r as usize];
+            // A request listing an object twice adds no self-pair.
+            for b in req.objects.iter().map(|b| b.idx()).filter(|&b| b != a) {
+                if !self.seen[b] {
+                    self.seen[b] = true;
+                    self.touched.push(b as u32);
+                }
+                self.acc[b] += req.probability;
+            }
+        }
+        self.touched.sort_unstable();
+        for &b in &self.touched {
+            let b = b as usize;
+            self.sums.push(self.acc[b]);
+            self.acc[b] = 0.0;
+            self.seen[b] = false;
+        }
+        (&self.touched, &self.sums)
     }
 }
 

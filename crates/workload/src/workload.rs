@@ -10,11 +10,10 @@
 //! * the flat co-access partition (§5.1) every clustering placement
 //!   starts from, computed once per workload value.
 
-use crate::average::average_linkage_clusters;
+use crate::average::request_linkage_clusters;
 use crate::object::{ObjectRecord, ObjectSizeSpec};
 use crate::request::{Request, RequestSpec};
 use crate::sampler::RequestSampler;
-use crate::similarity::CoAccessGraph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
@@ -321,17 +320,23 @@ impl Workload {
         }
     }
 
-    /// The flat co-access partition (§5.1): [`average_linkage_clusters`]
-    /// of the [`CoAccessGraph`] at [`Workload::co_access_threshold`]. Every
+    /// The flat co-access partition (§5.1):
+    /// [`average_linkage_clusters`](crate::average_linkage_clusters) of the
+    /// [`CoAccessGraph`](crate::CoAccessGraph) at [`Workload::co_access_threshold`]. Every
     /// object is in exactly one cluster; clusters are ordered by smallest
     /// member, members ascending.
     ///
-    /// The first call computes it, dropping the graph after linkage; later
-    /// calls, on this value or a clone of it, return the same slice.
+    /// The first call computes it with the same kernel, but fills the
+    /// linkage maps row by row from the requests and never builds the
+    /// graph; later calls, on this value or a clone of it, return the same
+    /// slice.
     pub fn co_access_clusters(&self) -> &[Vec<ObjectId>] {
         self.partition.get_or_init(|| {
-            let graph = CoAccessGraph::from_workload(self);
-            average_linkage_clusters(&graph, self.co_access_threshold())
+            request_linkage_clusters(
+                self.objects.len(),
+                &self.requests,
+                self.co_access_threshold(),
+            )
         })
     }
 
