@@ -58,7 +58,7 @@ use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, DriveId, LibraryId, ObjectId, SystemConfig, TapeId};
 use tapesim_obs::{TimeAccountant, TimeBudget, Topology};
 use tapesim_placement::Placement;
-use tapesim_sim::catalog::{tape_jobs, RequestCatalog, TapeJob};
+use tapesim_sim::catalog::{tape_jobs, TapeJob};
 use tapesim_sim::seek_order;
 use tapesim_sim::{SeekPolicy, Simulator, SwitchPolicy};
 use tapesim_workload::{ArrivalSpec, RequestStream, Workload};
@@ -219,8 +219,9 @@ pub fn run_scheduled_faulty(
 /// here), or the whole request is lost — skipped, never served. A zero
 /// plan skips the scan and serves the drawn objects as they are.
 ///
-/// Each drawn rank is grouped into tape jobs once per run (a
-/// [`RequestCatalog`]); only a request that failed over is regrouped.
+/// Each drawn rank's tape jobs come from the simulator's catalog
+/// ([`Simulator::drawn_jobs`]); only a request that failed over is
+/// regrouped.
 ///
 /// Media-retry penalties have no trace events behind them in this gear,
 /// so in an observed run they surface as server idle time, not
@@ -247,17 +248,16 @@ fn run_sequential_faulty(
     let mut server_free = 0.0;
     let mut first_arrival = None;
     let mut events = 0u64;
-    let mut catalog = RequestCatalog::new(workload);
     let mut final_objects = Vec::new();
     for _ in 0..cfg.samples {
         let (clock_t, idx) = stream.next_request();
         first_arrival.get_or_insert(clock_t);
-        let mut jobs = catalog.jobs(sim.placement(), idx);
-        let regrouped;
+        let objects = workload.requests().get(idx).map_or(&[][..], |r| &r.objects);
+        let mut regrouped = None;
 
         let mut penalty_s = 0.0;
         if !clock.is_zero() {
-            let placement = sim.placement();
+            let (placement, jobs) = sim.drawn_jobs(idx, objects);
             let syscfg = placement.config();
             let spec = &syscfg.library.drive;
             let capacity = syscfg.library.tape.capacity;
@@ -307,30 +307,28 @@ fn run_sequential_faulty(
             // Without a failover the surviving objects are the request's
             // own, whose grouping the catalog already holds.
             if failed_over {
-                regrouped = tape_jobs(placement, &final_objects);
-                jobs = &regrouped;
+                regrouped = Some(tape_jobs(placement, &final_objects));
             }
         }
 
         let start = clock_t.max(server_free);
-        let r = if cfg.audit || acct.is_some() {
-            let (r, tracer) = sim.serve_jobs(jobs, true);
-            if cfg.audit {
-                reports.push(TraceAuditor::new().audit(tracer.entries()));
-            }
-            // Stitch the request's local-clock trace onto the run axis at
-            // its service start; sequential services never overlap, so
-            // the shifted windows stay exclusive per resource.
-            if let Some(acc) = acct.as_deref_mut() {
-                let offset = SimTime::from_secs(start);
-                for entry in tracer.entries() {
-                    acc.observe_shifted(offset, entry.time, &entry.event);
-                }
-            }
-            r
-        } else {
-            sim.serve_jobs(jobs, false).0
+        let trace = cfg.audit || acct.is_some();
+        let (r, tracer) = match &regrouped {
+            Some(jobs) => sim.serve_jobs(jobs, trace),
+            None => sim.serve_drawn(idx, objects, trace),
         };
+        if cfg.audit {
+            reports.push(TraceAuditor::new().audit(tracer.entries()));
+        }
+        // Stitch the request's local-clock trace onto the run axis at its
+        // service start; sequential services never overlap, so the shifted
+        // windows stay exclusive per resource.
+        if let Some(acc) = acct.as_deref_mut() {
+            let offset = SimTime::from_secs(start);
+            for entry in tracer.entries() {
+                acc.observe_shifted(offset, entry.time, &entry.event);
+            }
+        }
         // `x + 0.0` preserves the bits of `x`: a zero plan charges nothing.
         let response = r.response + penalty_s;
         server_free = start + response;

@@ -5,10 +5,10 @@
 //! information. Given a request, the corresponding tapes are identified
 //! based on the object indexing database."
 
+use std::cmp::Reverse;
 use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, ObjectId, TapeId};
 use tapesim_placement::Placement;
-use tapesim_workload::{Request, Workload};
 
 /// The work one tape owes a request: which extents to read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub fn tape_jobs(placement: &Placement, objects: &[ObjectId]) -> Vec<TapeJob> {
             },
         ));
     }
-    pairs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.offset.cmp(&b.1.offset)));
+    pairs.sort_by_key(|&(tape, e)| (tape, e.offset));
     pairs.dedup_by(|a, b| a.0 == b.0 && a.1.object == b.1.object);
 
     // Count the groups first so the jobs vec is sized in one allocation
@@ -71,36 +71,48 @@ pub fn tape_jobs(placement: &Placement, objects: &[ObjectId]) -> Vec<TapeJob> {
             extents: group.iter().map(|p| p.1).collect(),
         })
     }));
-    jobs.sort_by(|a, b| b.bytes().cmp(&a.bytes()).then(a.tape.cmp(&b.tape)));
+    // Each job's byte total is summed once, not once per comparison.
+    jobs.sort_by_cached_key(|j| (Reverse(j.bytes()), j.tape));
     jobs
 }
 
-/// A request's tape jobs by rank, each grouped by [`tape_jobs`] the first
-/// time its rank is asked for and borrowed on every later ask.
+/// Tape jobs by request rank, kept across calls: one slot per rank holds
+/// the object list it was grouped from next to its [`tape_jobs`].
 ///
-/// One catalog serves one run over one placement: it holds no placement,
-/// so every [`RequestCatalog::jobs`] call must pass the same one. A run
-/// that draws fewer requests than the workload defines groups only the
-/// ranks it draws.
-pub struct RequestCatalog<'w> {
-    requests: &'w [Request],
-    jobs: Vec<Option<Vec<TapeJob>>>,
+/// A lookup borrows the slot while its stored list equals the asked-for
+/// objects and regroups it otherwise, so the catalog stays exact when one
+/// owner is handed a different workload. It holds no placement: its owner
+/// must pass the same one on every call. A never-filled slot holds the
+/// empty list and no jobs, which is that list's grouping.
+#[derive(Debug, Default)]
+pub(crate) struct JobCatalog {
+    slots: Vec<Slot>,
 }
 
-impl<'w> RequestCatalog<'w> {
-    /// An empty catalog over `workload`'s pre-defined requests.
-    pub fn new(workload: &'w Workload) -> RequestCatalog<'w> {
-        let requests = workload.requests();
-        RequestCatalog {
-            requests,
-            jobs: vec![None; requests.len()],
-        }
-    }
+#[derive(Debug, Default)]
+struct Slot {
+    objects: Vec<ObjectId>,
+    jobs: Vec<TapeJob>,
+}
 
-    /// The tape jobs of request `rank` on `placement`.
-    pub fn jobs(&mut self, placement: &Placement, rank: usize) -> &[TapeJob] {
-        let objects = &self.requests[rank].objects;
-        self.jobs[rank].get_or_insert_with(|| tape_jobs(placement, objects))
+impl JobCatalog {
+    /// The tape jobs of `objects`, drawn as request `rank`, on `placement`.
+    pub(crate) fn jobs(
+        &mut self,
+        placement: &Placement,
+        rank: usize,
+        objects: &[ObjectId],
+    ) -> &[TapeJob] {
+        if self.slots.len() <= rank {
+            self.slots.resize_with(rank + 1, Slot::default);
+        }
+        let slot = &mut self.slots[rank];
+        if slot.objects != objects {
+            slot.objects.clear();
+            slot.objects.extend_from_slice(objects);
+            slot.jobs = tape_jobs(placement, objects);
+        }
+        &slot.jobs
     }
 }
 

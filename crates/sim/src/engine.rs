@@ -58,16 +58,17 @@ enum Ev {
     DriveDone { drive: usize },
 }
 
-struct RequestSim<'a> {
-    cfg: &'a SystemConfig,
-    placement: &'a Placement,
-    policy: &'a SwitchPolicy,
-    state: &'a mut MountState,
+/// The per-request engine's working set: robot calendars, dispatch
+/// queues, per-drive accounting, the event heap and the seek-plan
+/// scratch. Its owner keeps it across requests; [`serve_request`] resets
+/// it at the start of each one, so a warm engine serves without
+/// allocating. It carries nothing from one request to the next.
+pub struct EngineBuffers {
     robots: Vec<Resource>,
-    /// All jobs, borrowed from the caller; `pending` holds
-    /// indices not yet assigned to a drive.
-    jobs: &'a [TapeJob],
-    pending: Vec<Vec<usize>>, // per library, front = next to dispatch
+    /// Per library, jobs waiting for a switch drive; `next[lib]` is the
+    /// index of the next one to dispatch.
+    pending: Vec<Vec<usize>>,
+    next: Vec<usize>,
     busy: Vec<bool>,
     /// Job index a drive is streaming or switching for, for trace events.
     current_job: Vec<Option<usize>>,
@@ -75,15 +76,64 @@ struct RequestSim<'a> {
     seek: Vec<f64>,
     transfer: Vec<f64>,
     completion: Vec<SimTime>,
+    /// Per tape (dense index), the drive holding it at t = 0; filled and
+    /// cleared again within the t = 0 pass.
+    holder: Vec<Option<usize>>,
+    sched: Scheduler<Ev>,
+    /// Seek-plan scratch reused by [`RequestSim::start_service`] across
+    /// jobs instead of allocating per-job order vectors.
+    plan: Vec<Extent>,
+}
+
+impl EngineBuffers {
+    /// Buffers sized for `cfg`.
+    pub fn new(cfg: &SystemConfig) -> EngineBuffers {
+        let n_drives = cfg.total_drives();
+        let n_libs = cfg.libraries as usize;
+        EngineBuffers {
+            robots: vec![Resource::new(cfg.library.robot.arms.max(1) as usize); n_libs],
+            pending: vec![Vec::new(); n_libs],
+            next: vec![0; n_libs],
+            busy: vec![false; n_drives],
+            current_job: vec![None; n_drives],
+            seek: vec![0.0; n_drives],
+            transfer: vec![0.0; n_drives],
+            completion: vec![SimTime::ZERO; n_drives],
+            holder: vec![None; cfg.total_tapes()],
+            sched: Scheduler::new(),
+            plan: Vec::new(),
+        }
+    }
+
+    /// Back to the state [`EngineBuffers::new`] leaves, keeping capacity.
+    fn reset(&mut self) {
+        self.robots.iter_mut().for_each(Resource::reset);
+        self.pending.iter_mut().for_each(Vec::clear);
+        self.next.fill(0);
+        self.busy.fill(false);
+        self.current_job.fill(None);
+        self.seek.fill(0.0);
+        self.transfer.fill(0.0);
+        self.completion.fill(SimTime::ZERO);
+        self.sched.reset_clock();
+    }
+}
+
+struct RequestSim<'a> {
+    cfg: &'a SystemConfig,
+    placement: &'a Placement,
+    policy: &'a SwitchPolicy,
+    state: &'a mut MountState,
+    /// All jobs, borrowed from the caller; `buf.pending` holds indices not
+    /// yet assigned to a drive.
+    jobs: &'a [TapeJob],
+    buf: &'a mut EngineBuffers,
     outstanding: usize,
     n_switches: u32,
     robot_wait: f64,
     tracer: Tracer,
     /// In-tape service-order planner ([`SeekPolicy::Greedy`] by default).
     seek_policy: SeekPolicy,
-    /// Seek-plan scratch reused by [`Self::start_service`] across jobs
-    /// instead of allocating per-job order vectors.
-    plan_scratch: Vec<Extent>,
 }
 
 impl<'a> RequestSim<'a> {
@@ -91,19 +141,17 @@ impl<'a> RequestSim<'a> {
     /// schedules its completion.
     fn start_service(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let head = self.state.head[drive];
-        // Scratch-backed planning: one buffer reused for every job.
-        let mut plan = std::mem::take(&mut self.plan_scratch);
-        seek_order::plan_with(self.seek_policy, head, &self.jobs[job].extents, &mut plan);
+        let plan = &mut self.buf.plan;
+        seek_order::plan_with(self.seek_policy, head, &self.jobs[job].extents, plan);
         let hw = &self.cfg.library;
-        let (seek_s, xfer_s, pos) = hw.drive.read_walk(head, &plan, hw.tape.capacity);
+        let (seek_s, xfer_s, pos) = hw.drive.read_walk(head, plan, hw.tape.capacity);
         let plan_len = plan.len();
         plan.clear();
-        self.plan_scratch = plan;
         self.state.head[drive] = pos;
-        self.seek[drive] += seek_s;
-        self.transfer[drive] += xfer_s;
-        self.busy[drive] = true;
-        self.current_job[drive] = Some(job);
+        self.buf.seek[drive] += seek_s;
+        self.buf.transfer[drive] += xfer_s;
+        self.buf.busy[drive] = true;
+        self.buf.current_job[drive] = Some(job);
         let finish = now + SimTime::from_secs(seek_s + xfer_s);
         self.tracer.emit(
             now,
@@ -139,11 +187,11 @@ impl<'a> RequestSim<'a> {
             );
         }
         self.state.head[drive] = Bytes::ZERO;
-        self.busy[drive] = true;
-        self.current_job[drive] = Some(job);
+        self.buf.busy[drive] = true;
+        self.buf.current_job[drive] = Some(job);
 
         let rewind_done = now + SimTime::from_secs(rewind_s);
-        let grant = self.robots[lib].acquire(rewind_done, SimTime::from_secs(exchange_s));
+        let grant = self.buf.robots[lib].acquire(rewind_done, SimTime::from_secs(exchange_s));
         self.robot_wait += (grant.start - rewind_done).as_secs();
         self.n_switches += 1;
         self.tracer.emit(
@@ -161,20 +209,21 @@ impl<'a> RequestSim<'a> {
 
     /// Dispatches pending jobs of `lib` onto eligible idle drives.
     fn try_dispatch(&mut self, lib: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
-        while !self.pending[lib].is_empty() {
+        while let Some(&job) = self.buf.pending[lib].get(self.buf.next[lib]) {
             // Eligible: idle switch drives in this library. The mounted
             // tape of an idle drive is never still needed — needed mounted
             // tapes were set busy at t = 0 and stay busy until served.
+            let busy = &self.buf.busy;
             let Some(drive) = self.policy.pick_victim(
                 self.cfg,
                 self.placement,
                 LibraryId(lib as u16),
                 &self.state.mounted,
-                |idx| self.busy[idx],
+                |idx| busy[idx],
             ) else {
                 return; // all eligible drives busy; retry on DriveDone
             };
-            let job = self.pending[lib].remove(0);
+            self.buf.next[lib] += 1;
             self.begin_switch(drive, job, now, sched);
         }
     }
@@ -198,10 +247,10 @@ impl World for RequestSim<'_> {
                 self.start_service(drive, job, now, sched);
             }
             Ev::DriveDone { drive } => {
-                self.busy[drive] = false;
-                self.completion[drive] = now;
+                self.buf.busy[drive] = false;
+                self.buf.completion[drive] = now;
                 self.outstanding -= 1;
-                if let Some(job) = self.current_job[drive].take() {
+                if let Some(job) = self.buf.current_job[drive].take() {
                     self.tracer.emit(
                         now,
                         TraceEvent::JobCompleted {
@@ -218,40 +267,38 @@ impl World for RequestSim<'_> {
 }
 
 /// Serves one request against the placement, mutating `state` (mounts and
-/// head positions persist to the next request). With `trace` set, the
-/// returned [`Tracer`] holds the request's event timeline (mounts,
-/// exchanges, streams, completions — the `tapesim serve --trace` view);
-/// `seek_policy` orders the extents on each tape ([`SeekPolicy::Greedy`]
-/// is the paper's sweep).
+/// head positions persist to the next request) and reusing `buf` as its
+/// working set. With `trace` set, the returned [`Tracer`] holds the
+/// request's event timeline (mounts, exchanges, streams, completions — the
+/// `tapesim serve --trace` view); `seek_policy` orders the extents on each
+/// tape ([`SeekPolicy::Greedy`] is the paper's sweep).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_request(
     cfg: &SystemConfig,
     placement: &Placement,
     policy: &SwitchPolicy,
     state: &mut MountState,
+    buf: &mut EngineBuffers,
     jobs: &[TapeJob],
     trace: bool,
     seek_policy: SeekPolicy,
 ) -> (RequestMetrics, Tracer) {
     let n_drives = cfg.total_drives();
-    let n_libs = cfg.libraries as usize;
     let bytes: Bytes = jobs.iter().map(|j| j.bytes()).sum();
     let n_tapes = jobs.len() as u32;
+    buf.reset();
+    // The heap lives in `buf` but runs the world that borrows `buf`.
+    let mut sched = std::mem::take(&mut buf.sched);
+    let events_before = sched.events_processed();
 
     let mut sim = RequestSim {
         cfg,
         placement,
         policy,
         state,
-        robots: vec![Resource::new(cfg.library.robot.arms.max(1) as usize); n_libs],
         outstanding: jobs.len(),
         jobs,
-        pending: vec![Vec::new(); n_libs],
-        busy: vec![false; n_drives],
-        current_job: vec![None; n_drives],
-        seek: vec![0.0; n_drives],
-        transfer: vec![0.0; n_drives],
-        completion: vec![SimTime::ZERO; n_drives],
+        buf,
         n_switches: 0,
         robot_wait: 0.0,
         tracer: if trace {
@@ -260,10 +307,7 @@ pub fn serve_request(
             Tracer::disabled()
         },
         seek_policy,
-        plan_scratch: Vec::new(),
     };
-
-    let mut sched: Scheduler<Ev> = Scheduler::new();
 
     // Trace prologue: the initial mount state (carried over from previous
     // requests) and the request's job list, so the audited transcript is
@@ -290,16 +334,23 @@ pub fn serve_request(
     }
 
     // t = 0: mounted jobs start streaming; the rest queue per library.
-    for job in 0..sim.jobs.len() {
-        match sim.state.drive_of(sim.jobs[job].tape) {
-            Some(drive) => sim.start_service(drive, job, SimTime::ZERO, &mut sched),
-            None => {
-                let lib = sim.jobs[job].tape.library.idx();
-                sim.pending[lib].push(job);
-            }
+    // Mounts do not change in this pass, so one holder index answers
+    // every "which drive holds this tape" (the lowest such drive).
+    for (drive, mounted) in sim.state.mounted.iter().enumerate().rev() {
+        if let Some(tape) = mounted {
+            sim.buf.holder[cfg.tape_index(*tape)] = Some(drive);
         }
     }
-    for lib in 0..n_libs {
+    for (job, &TapeJob { tape, .. }) in jobs.iter().enumerate() {
+        match sim.buf.holder[cfg.tape_index(tape)] {
+            Some(drive) => sim.start_service(drive, job, SimTime::ZERO, &mut sched),
+            None => sim.buf.pending[tape.library.idx()].push(job),
+        }
+    }
+    for tape in sim.state.mounted.iter().flatten() {
+        sim.buf.holder[cfg.tape_index(*tape)] = None;
+    }
+    for lib in 0..cfg.libraries as usize {
         sim.try_dispatch(lib, SimTime::ZERO, &mut sched);
     }
 
@@ -312,13 +363,14 @@ pub fn serve_request(
 
     // Last-finishing drive defines the request's seek/transfer (§6).
     let response = end.as_secs();
+    let completion = &sim.buf.completion;
     let last = (0..n_drives)
         .max_by(|&a, &b| {
-            sim.completion[a].cmp(&sim.completion[b]).then(b.cmp(&a)) // deterministic: smaller index wins ties
+            completion[a].cmp(&completion[b]).then(b.cmp(&a)) // deterministic: smaller index wins ties
         })
         .unwrap_or(0);
-    let seek = sim.seek[last];
-    let transfer = sim.transfer[last];
+    let seek = sim.buf.seek[last];
+    let transfer = sim.buf.transfer[last];
     let metrics = RequestMetrics {
         response,
         seek,
@@ -328,9 +380,11 @@ pub fn serve_request(
         n_tapes,
         n_switches: sim.n_switches,
         robot_wait: sim.robot_wait,
-        n_events: sched.events_processed(),
+        n_events: sched.events_processed() - events_before,
     };
-    (metrics, sim.tracer)
+    let tracer = sim.tracer;
+    buf.sched = sched;
+    (metrics, tracer)
 }
 
 #[cfg(test)]
@@ -384,6 +438,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -416,6 +471,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -441,6 +497,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -502,6 +559,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &tape_jobs(&p, &[ObjectId(0), ObjectId(2)]),
             false,
             SeekPolicy::Greedy,
@@ -515,6 +573,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &tape_jobs(&p, &[ObjectId(1)]),
             false,
             SeekPolicy::Greedy,
@@ -545,6 +604,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -576,6 +636,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -601,6 +662,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -626,6 +688,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &jobs,
             false,
             SeekPolicy::Greedy,
@@ -646,6 +709,7 @@ mod tests {
             &p,
             &policy,
             &mut state,
+            &mut EngineBuffers::new(&cfg),
             &[],
             false,
             SeekPolicy::Greedy,

@@ -6,9 +6,14 @@
 //! empty). [`Simulator::run_sampled`] reproduces the paper's measurement
 //! loop: draw requests from the pre-defined set according to their Zipf
 //! popularity and average the metrics (the paper draws 200).
+//!
+//! A simulator's placement never changes, so it keeps each drawn
+//! request's tape jobs across calls (checked against the request's object
+//! list on every draw) and reuses one set of engine buffers for every
+//! request: a warm sampled run neither regroups nor reallocates.
 
-use crate::catalog::{tape_jobs, RequestCatalog, TapeJob};
-use crate::engine::{serve_request, MountState};
+use crate::catalog::{tape_jobs, JobCatalog, TapeJob};
+use crate::engine::{serve_request, EngineBuffers, MountState};
 use crate::metrics::{RequestMetrics, RunMetrics};
 use crate::policy::SwitchPolicy;
 use crate::seek_order::SeekPolicy;
@@ -25,6 +30,9 @@ pub struct Simulator {
     policy: SwitchPolicy,
     seek: SeekPolicy,
     state: MountState,
+    /// Drawn requests' tape jobs by rank, kept across calls and resets.
+    catalog: JobCatalog,
+    buffers: EngineBuffers,
 }
 
 impl Simulator {
@@ -38,6 +46,8 @@ impl Simulator {
             policy,
             seek: SeekPolicy::Greedy,
             state,
+            catalog: JobCatalog::default(),
+            buffers: EngineBuffers::new(&config),
         }
     }
 
@@ -82,7 +92,8 @@ impl Simulator {
         &self.state
     }
 
-    /// Restores the startup mount state.
+    /// Restores the startup mount state. The job catalog is kept: it
+    /// depends on the placement alone.
     pub fn reset(&mut self) {
         self.state = MountState::new(self.policy.initial_mounts(&self.placement, &self.config));
     }
@@ -102,8 +113,8 @@ impl Simulator {
     }
 
     /// Serves one request already grouped into tape jobs ([`tape_jobs`]
-    /// or a [`RequestCatalog`] over this simulator's placement), with the
-    /// event timeline when `trace` is set.
+    /// over this simulator's placement), with the event timeline when
+    /// `trace` is set.
     pub fn serve_jobs(
         &mut self,
         jobs: &[TapeJob],
@@ -114,7 +125,37 @@ impl Simulator {
             &self.placement,
             &self.policy,
             &mut self.state,
+            &mut self.buffers,
             jobs,
+            trace,
+            self.seek,
+        )
+    }
+
+    /// The tape jobs of `objects`, drawn as request template `rank`, next
+    /// to the placement they are grouped on. The catalog groups a rank the
+    /// first time it is drawn and again only when the rank's object list
+    /// differs from the one it stored.
+    pub fn drawn_jobs(&mut self, rank: usize, objects: &[ObjectId]) -> (&Placement, &[TapeJob]) {
+        let jobs = self.catalog.jobs(&self.placement, rank, objects);
+        (&self.placement, jobs)
+    }
+
+    /// Serves `objects`, drawn as request template `rank`, with its tape
+    /// jobs from the catalog ([`Simulator::drawn_jobs`]).
+    pub fn serve_drawn(
+        &mut self,
+        rank: usize,
+        objects: &[ObjectId],
+        trace: bool,
+    ) -> (RequestMetrics, tapesim_des::Tracer) {
+        serve_request(
+            &self.config,
+            &self.placement,
+            &self.policy,
+            &mut self.state,
+            &mut self.buffers,
+            self.catalog.jobs(&self.placement, rank, objects),
             trace,
             self.seek,
         )
@@ -123,9 +164,8 @@ impl Simulator {
     /// Serves `samples` requests drawn from `workload`'s pre-defined set by
     /// popularity (deterministic for a given `seed`) and aggregates.
     ///
-    /// The sampled runs group each drawn request into tape jobs once per
-    /// call (a [`RequestCatalog`]) and serve later draws of the same rank
-    /// from it.
+    /// Every draw is served through [`Simulator::serve_drawn`], so a rank
+    /// any earlier call on this simulator grouped is not grouped again.
     pub fn run_sampled(&mut self, workload: &Workload, samples: usize, seed: u64) -> RunMetrics {
         let mut run = RunMetrics::new();
         for metrics in self.run_sampled_detailed(workload, samples, seed) {
@@ -145,18 +185,13 @@ impl Simulator {
         samples: usize,
         seed: u64,
     ) -> (RunMetrics, Vec<tapesim_des::AuditReport>) {
-        let sampler = workload.request_sampler();
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut catalog = RequestCatalog::new(workload);
         let auditor = tapesim_des::TraceAuditor::new();
         let mut run = RunMetrics::new();
         let mut reports = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let jobs = catalog.jobs(&self.placement, sampler.sample(&mut rng));
-            let (metrics, tracer) = self.serve_jobs(jobs, true);
+        self.for_each_draw(workload, samples, seed, true, |metrics, tracer| {
             run.push(&metrics);
             reports.push(auditor.audit(tracer.entries()));
-        }
+        });
         (run, reports)
     }
 
@@ -169,15 +204,52 @@ impl Simulator {
         samples: usize,
         seed: u64,
     ) -> Vec<RequestMetrics> {
+        let mut out = Vec::with_capacity(samples);
+        self.for_each_draw(workload, samples, seed, false, |metrics, _| {
+            out.push(metrics)
+        });
+        out
+    }
+
+    /// Draws `samples` requests from `workload` by popularity and hands
+    /// each one's metrics and tracer to `visit`, in service order.
+    fn for_each_draw(
+        &mut self,
+        workload: &Workload,
+        samples: usize,
+        seed: u64,
+        trace: bool,
+        mut visit: impl FnMut(RequestMetrics, tapesim_des::Tracer),
+    ) {
         let sampler = workload.request_sampler();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut catalog = RequestCatalog::new(workload);
-        (0..samples)
-            .map(|_| {
-                let jobs = catalog.jobs(&self.placement, sampler.sample(&mut rng));
-                self.serve_jobs(jobs, false).0
-            })
-            .collect()
+        let requests = workload.requests();
+        for _ in 0..samples {
+            let rank = sampler.sample(&mut rng);
+            let objects = requests.get(rank).map_or(&[][..], |r| &r.objects);
+            let (metrics, tracer) = self.serve_drawn(rank, objects, trace);
+            visit(metrics, tracer);
+        }
+    }
+
+    /// [`Simulator::serve_jobs`] on engine buffers of its own, so a test
+    /// reference shares no buffer with the simulator under test.
+    #[cfg(test)]
+    fn serve_unshared(
+        &mut self,
+        objects: &[ObjectId],
+        trace: bool,
+    ) -> (RequestMetrics, tapesim_des::Tracer) {
+        serve_request(
+            &self.config,
+            &self.placement,
+            &self.policy,
+            &mut self.state,
+            &mut EngineBuffers::new(&self.config),
+            &tape_jobs(&self.placement, objects),
+            trace,
+            self.seek,
+        )
     }
 }
 
@@ -248,7 +320,7 @@ mod tests {
     }
 
     /// The reference for the sampled runs: the same draws, each grouped
-    /// afresh and served through [`Simulator::serve_traced`].
+    /// afresh and served traced on engine buffers of its own.
     fn serve_each(
         sim: &mut Simulator,
         w: &Workload,
@@ -258,7 +330,7 @@ mod tests {
         let sampler = w.request_sampler();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         (0..samples)
-            .map(|_| sim.serve_traced(&w.requests()[sampler.sample(&mut rng)].objects))
+            .map(|_| sim.serve_unshared(&w.requests()[sampler.sample(&mut rng)].objects, true))
             .collect()
     }
 
@@ -300,6 +372,66 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "{name} {seek:?}");
                 }
                 assert_eq!(run.count(), samples as u64);
+
+                // Traced and untraced requests alternate on one set of
+                // buffers, so state one request leaves behind reaches the
+                // next.
+                let mut mixed = fresh();
+                let sampler = w.request_sampler();
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                for (i, (want, want_trace)) in expected.iter().enumerate() {
+                    let objects = &w.requests()[sampler.sample(&mut rng)].objects;
+                    let got = if i % 2 == 0 {
+                        let (got, tracer) = mixed.serve_traced(objects);
+                        assert_eq!(
+                            tracer.entries(),
+                            want_trace.entries(),
+                            "{name} {seek:?} {i}"
+                        );
+                        got
+                    } else {
+                        mixed.serve(objects)
+                    };
+                    assert_eq!(bits(&got), bits(want), "{name} {seek:?} sample {i}");
+                }
+                assert_eq!(mixed.state(), reference.state(), "{name} {seek:?}");
+            }
+        }
+    }
+
+    /// `w`'s requests with every object list moved to the next rank: the
+    /// same template count and objects, a different list under each rank.
+    fn rotated(w: &Workload) -> Workload {
+        let mut requests = w.requests().to_vec();
+        let mut lists: Vec<_> = requests.iter().map(|r| r.objects.clone()).collect();
+        lists.rotate_right(1);
+        for (r, objects) in requests.iter_mut().zip(lists) {
+            r.objects = objects;
+        }
+        Workload::new(w.objects().to_vec(), requests)
+    }
+
+    #[test]
+    fn the_catalog_follows_the_workload_it_is_handed() {
+        let cfg = paper_table1();
+        let a = mid_workload();
+        let b = rotated(&a);
+        assert_eq!(a.requests().len(), b.requests().len());
+        let (samples, seed) = (300, 23);
+        for (name, scheme) in schemes() {
+            let placement = scheme.place(&a, &cfg).unwrap();
+            let fresh = || Simulator::with_natural_policy(placement.clone(), 4);
+            let mut sim = fresh();
+            // A cold, then B over A's catalog, then A over B's, then A warm.
+            for (call, w) in [&a, &b, &a, &a].into_iter().enumerate() {
+                sim.reset();
+                let got = sim.run_sampled_detailed(w, samples, seed);
+                let mut cold = fresh();
+                let want = cold.run_sampled_detailed(w, samples, seed);
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{name} call {call} sample {i}");
+                }
+                assert_eq!(sim.state(), cold.state(), "{name} call {call}");
             }
         }
     }
