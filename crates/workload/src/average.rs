@@ -20,7 +20,14 @@
 //! object at a time from the request-driven row builder (the partition
 //! path, which builds no graph) or from a [`CoAccessGraph`]'s CSR rows.
 //! They are the kernel's memory peak, so an entry is 12 bytes: a `u32`
-//! cluster key and the sum's bytes at alignment 1.
+//! cluster key and the sum's bytes at alignment 1. On the partition path
+//! a scoped producer thread runs the row builder and hands its rows over
+//! a bounded channel in flat chunks, whose buffers come back to it for
+//! reuse, while the calling thread fills the maps and the initial bounds
+//! from them in object order. The maps are allocated on the calling
+//! thread only, the producer is joined before the merges begin, and its
+//! panic is re-raised there. There is one code path on every host: on
+//! one CPU the two threads take turns.
 //!
 //! The kernel is the "generic" lazy best-neighbour scheme of Müllner
 //! (*Modern hierarchical, agglomerative clustering algorithms*,
@@ -28,10 +35,13 @@
 //! by that cluster's *bound*, a candidate `(score, smaller pair)` at or
 //! above the threshold.
 //!
-//! * A popped entry whose bound is still its cluster's bound is rescanned
-//!   for the cluster's exact best candidate. It merges iff the exact best
-//!   equals the bound; otherwise the exact best becomes the bound and is
-//!   re-pushed (or the cluster leaves the heap if nothing qualifies).
+//! * A popped entry whose bound is still its cluster's bound is checked
+//!   first: if its pair is still live and scores exactly as it did (the
+//!   same `sum / (|A|·|B|)` a rescan computes), it merges with no rescan.
+//!   Otherwise the cluster is rescanned for its exact best candidate,
+//!   which becomes the bound and is re-pushed (or the cluster leaves the
+//!   heap if nothing qualifies). A rescan never confirms the popped
+//!   bound: a candidate names its pair, so an equal one was still exact.
 //! * A merge folds the dropped side's adjacency into the kept side with
 //!   the same float operations as one heap holding every candidate, then
 //!   rescans the kept cluster.
@@ -42,14 +52,29 @@
 //! cluster as a side, and that cluster is rescanned; every other pair
 //! keeps its sum and only loses score as a side grows. So the greatest
 //! heap entry is at or above every live pair, a popped bound that is
-//! exact is the greatest live pair, and the merge sequence, every pair's
-//! float fold order and the partition are those of one heap holding every
-//! candidate (the `reference` kernel in the tests). Candidates compare as
-//! two integers: the score's total-order bits, then the bit-inverted
-//! packed `(a, b)`.
+//! still exact is the greatest live pair, and the merge sequence, every
+//! pair's float fold order and the partition are those of one heap
+//! holding every candidate (the `reference` kernel in the tests).
+//! Candidates compare as two integers: the score's total-order bits,
+//! then the bit-inverted packed `(a, b)`.
+//!
+//! Both rows of a live pair hold the same sum bit for bit, so a fold
+//! probes the neighbour's map once: it adds the dropped side's weight on
+//! the kept side (IEEE addition commutes, so this is the sum the
+//! neighbour would compute) and writes the result under the kept id. The
+//! dropped id stays in the neighbour's map as a *dead key*, one whose
+//! cluster has size 0: folds skip dead keys, and a rescan purges those it
+//! meets while it scans. An absorbed cluster's own map is emptied and
+//! never written again.
 //!
 //! On the paper-scale graph (2.2 M edges, 30 000 vertices, 9 120
-//! clusters) the 20 880 merges take 99 695 pops and 3.56 M folds: most of
+//! clusters) the 20 880 merges take 99 695 pops, 78 815 of them live, and
+//! 3.56 M folds. Every merge is of a still-exact bound, so a live pop
+//! rescans only when its bound went stale (57 935 times) and each merge
+//! rescans its kept cluster: 78 815 rescans over 35.9 M map entries, dead
+//! keys included, after 30 000 initial bounds read from the rows' 4.4 M
+//! entries. Rescanning on every live pop and removing the dropped id from
+//! each neighbour's map took 99 695 rescans over 50.9 M entries. Most of
 //! the cost is the folds and rescans, not the heap.
 
 use crate::similarity::{order_key, CoAccessGraph, RowBuilder};
@@ -57,6 +82,8 @@ use crate::Request;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread;
 use tapesim_model::ObjectId;
 
 /// Multiplicative hasher for small integer keys (FxHash-style); adjacency
@@ -144,15 +171,49 @@ impl Candidate {
 /// End of a member list.
 const NIL: u32 = u32::MAX;
 
+/// Rows per chunk the row producer hands to the kernel.
+const ROW_CHUNK: usize = 64;
+/// Full chunks the channel holds before the producer waits for the
+/// kernel.
+const CHUNK_BOUND: usize = 4;
+
+/// The score of a pair of clusters of `len` and `other_len` objects
+/// whose cross weight sums to `sum`.
+#[inline]
+fn score(sum: Sum, len: u32, other_len: u32) -> f64 {
+    sum.get() / (len as f64 * other_len as f64)
+}
+
 /// The best candidate of cluster `c` at or above `threshold`, if any.
-fn best(c: usize, adj: &IntMap<Sum>, size: &[u32], threshold: f64) -> Option<Candidate> {
-    let len = size[c] as f64;
-    adj.iter()
-        .filter_map(|(&other, &sum)| {
-            let score = sum.get() / (len * size[other as usize] as f64);
-            (score >= threshold).then(|| Candidate::new(score, c, other as usize))
-        })
-        .max()
+/// Purges the dead keys of `adj`, those of absorbed clusters.
+fn best(c: usize, adj: &mut IntMap<Sum>, size: &[u32], threshold: f64) -> Option<Candidate> {
+    #[cfg(test)]
+    counters::note_scan(adj.len());
+    let len = size[c];
+    let mut best = None;
+    adj.retain(|&other, &mut sum| {
+        let other_len = size[other as usize];
+        if other_len == 0 {
+            return false;
+        }
+        let score = score(sum, len, other_len);
+        if score >= threshold {
+            best = best.max(Some(Candidate::new(score, c, other as usize)));
+        }
+        true
+    });
+    best
+}
+
+/// Whether `cand`, a bound of live cluster `c`, is still the exact
+/// candidate of its pair: the other side is live and the pair scores as
+/// [`best`] would score it now.
+fn still_exact(cand: Candidate, c: usize, adj: &IntMap<Sum>, size: &[u32]) -> bool {
+    let other = if cand.a() == c { cand.b() } else { cand.a() };
+    size[other] > 0
+        && adj
+            .get(&(other as u32))
+            .is_some_and(|&sum| Candidate::new(score(sum, size[c], size[other]), c, other) == cand)
 }
 
 /// One object's adjacency map from its row, reserved to the vertex degree.
@@ -162,15 +223,50 @@ fn row_map((ids, sums): (&[u32], &[f64])) -> IntMap<Sum> {
     map
 }
 
+/// The initial bound of object `a` from its row: [`best`] of a
+/// singleton, whose pairs score `w / (1·1) = w`.
+fn row_bound(a: usize, (ids, sums): (&[u32], &[f64]), threshold: f64) -> Option<Candidate> {
+    ids.iter()
+        .zip(sums)
+        .filter(|&(_, &w)| w >= threshold)
+        .map(|(&b, &w)| Candidate::new(w, a, b as usize))
+        .max()
+}
+
+/// The kernel's per-object state, filled one row at a time in object
+/// order.
+struct Rows {
+    adj: Vec<IntMap<Sum>>,
+    bound: Vec<Option<Candidate>>,
+    threshold: f64,
+}
+
+impl Rows {
+    fn with_capacity(n: usize, threshold: f64) -> Rows {
+        Rows {
+            adj: Vec::with_capacity(n),
+            bound: Vec::with_capacity(n),
+            threshold,
+        }
+    }
+
+    fn push(&mut self, row: (&[u32], &[f64])) {
+        let a = self.adj.len();
+        self.bound.push(row_bound(a, row, self.threshold));
+        self.adj.push(row_map(row));
+    }
+}
+
 /// Flat average-linkage clusters of `graph` at similarity `threshold`.
 ///
 /// Returns a partition of all objects (singletons included), clusters
 /// ordered by smallest member, members ascending.
 pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
-    let adj = (0..graph.n_objects())
-        .map(|a| row_map(graph.row(a)))
-        .collect();
-    linkage(adj, threshold)
+    let mut rows = Rows::with_capacity(graph.n_objects(), threshold);
+    for a in 0..graph.n_objects() {
+        rows.push(graph.row(a));
+    }
+    linkage(rows)
 }
 
 /// [`average_linkage_clusters`] of the co-access graph of `requests` over
@@ -185,13 +281,91 @@ pub(crate) fn request_linkage_clusters(
     requests: &[Request],
     threshold: f64,
 ) -> Vec<Vec<ObjectId>> {
-    let mut rows = RowBuilder::from_requests(n_objects, requests);
-    let adj = (0..n_objects).map(|a| row_map(rows.row(a))).collect();
-    linkage(adj, threshold)
+    chunked_linkage(n_objects, requests, threshold, ROW_CHUNK)
 }
 
-/// The kernel over per-object adjacency maps.
-fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
+/// Rows back to back: row `i` is `ids`/`sums` from `ends[i - 1]` (0 for
+/// the first) to `ends[i]`.
+#[derive(Default)]
+struct RowChunk {
+    ids: Vec<u32>,
+    sums: Vec<f64>,
+    ends: Vec<usize>,
+}
+
+/// [`request_linkage_clusters`] with `chunk` rows to a chunk.
+///
+/// A scoped producer thread builds the rows and hands them over a bounded
+/// channel, `chunk` rows at a time, while this thread fills the maps and
+/// initial bounds from them in object order; emptied chunks go back to the
+/// producer. The maps are allocated here, not on the producer. The
+/// producer is joined before linkage starts, and a producer panic is
+/// re-raised here.
+fn chunked_linkage(
+    n_objects: usize,
+    requests: &[Request],
+    threshold: f64,
+    chunk: usize,
+) -> Vec<Vec<ObjectId>> {
+    let builder = RowBuilder::from_requests(n_objects, requests);
+    let mut rows = Rows::with_capacity(n_objects, threshold);
+    let (full_tx, full_rx) = mpsc::sync_channel(CHUNK_BOUND);
+    let (empty_tx, empty_rx) = mpsc::channel();
+    thread::scope(|s| {
+        let producer = s.spawn(move || produce(builder, n_objects, chunk, full_tx, empty_rx));
+        // The loop ends when the producer hangs up, done or panicked.
+        for mut c in full_rx {
+            let RowChunk { ids, sums, ends } = &mut c;
+            let mut start = 0;
+            for &end in ends.iter() {
+                rows.push((&ids[start..end], &sums[start..end]));
+                start = end;
+            }
+            ids.clear();
+            sums.clear();
+            ends.clear();
+            // A producer that has sent its last chunk takes no spares.
+            empty_tx.send(c).ok();
+        }
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
+    linkage(rows)
+}
+
+/// The producer: every row of `builder` in object order, `chunk` rows to a
+/// sent chunk, reusing chunks the kernel hands back. Stops early if the
+/// kernel hangs up, which only a panic makes it do.
+fn produce(
+    mut builder: RowBuilder<'_>,
+    n_objects: usize,
+    chunk: usize,
+    full: SyncSender<RowChunk>,
+    empty: Receiver<RowChunk>,
+) {
+    let mut c = RowChunk::default();
+    for a in 0..n_objects {
+        let (ids, sums) = builder.row(a);
+        c.ids.extend_from_slice(ids);
+        c.sums.extend_from_slice(sums);
+        c.ends.push(c.ids.len());
+        if c.ends.len() == chunk || a + 1 == n_objects {
+            if full.send(c).is_err() {
+                return;
+            }
+            c = empty.try_recv().unwrap_or_default();
+        }
+    }
+}
+
+/// The kernel over per-object adjacency maps and their initial bounds.
+fn linkage(rows: Rows) -> Vec<Vec<ObjectId>> {
+    let Rows {
+        mut adj,
+        mut bound,
+        threshold,
+    } = rows;
     let n = adj.len();
     // Cluster sizes (0 once absorbed) and member lists: `next` links a
     // cluster's objects from its id, `last` is the list's tail.
@@ -199,8 +373,6 @@ fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
     let mut next = vec![NIL; n];
     let mut last: Vec<u32> = (0..n as u32).collect();
 
-    let mut bound: Vec<Option<Candidate>> =
-        (0..n).map(|c| best(c, &adj[c], &size, threshold)).collect();
     let mut heap: BinaryHeap<(Candidate, u32)> = bound
         .iter()
         .enumerate()
@@ -214,12 +386,18 @@ fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
         if bound[owner] != Some(cand) {
             continue;
         }
-        let exact = best(owner, &adj[owner], &size, threshold);
-        bound[owner] = exact;
-        let Some(exact) = exact else { continue };
-        if exact != cand {
-            heap.push((exact, owner as u32));
-            continue;
+        // A bound whose pair still scores as it did is the greatest live
+        // pair and merges as it is; any other is rescanned.
+        if !still_exact(cand, owner, &adj[owner], &size) {
+            let exact = best(owner, &mut adj[owner], &size, threshold);
+            bound[owner] = exact;
+            let Some(exact) = exact else { continue };
+            if exact != cand {
+                heap.push((exact, owner as u32));
+                continue;
+            }
+            #[cfg(test)]
+            counters::note_rescanned_merge();
         }
 
         // Merge the smaller cluster into the larger one.
@@ -234,24 +412,32 @@ fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
         next[last[keep] as usize] = drop as u32;
         last[keep] = last[drop];
 
-        // Fold the dropped side's adjacency into the kept side. Every pair
-        // whose sum changes has `keep` as a side, and `keep` is rescanned
-        // below; every other pair only loses score as a side grows.
+        // Fold the dropped side's adjacency into the kept side. Both rows
+        // of a live pair hold the same sum, so the kept side's new sum is
+        // the neighbour's too; `drop` stays in the neighbour's row as a
+        // dead key until a rescan purges it. Every pair whose sum changes
+        // has `keep` as a side, and `keep` is rescanned below; every other
+        // pair only loses score as a side grows.
         for (&other, &w) in &dropped {
-            if other as usize == keep {
+            if other as usize == keep || size[other as usize] == 0 {
                 continue;
             }
-            kept.entry(other).or_default().add(w.get());
-            let row = &mut adj[other as usize];
-            let from_drop = row.remove(&(drop as u32)).map_or(0.0, Sum::get);
-            row.entry(keep as u32).or_default().add(from_drop);
+            let sum = kept.entry(other).or_default();
+            sum.add(w.get());
+            adj[other as usize].insert(keep as u32, *sum);
         }
-        bound[keep] = best(keep, &kept, &size, threshold);
+        bound[keep] = best(keep, &mut kept, &size, threshold);
         if let Some(b) = bound[keep] {
             heap.push((b, keep as u32));
         }
         adj[keep] = kept;
     }
+
+    #[cfg(test)]
+    assert!(
+        (0..n).all(|c| size[c] > 0 || adj[c].is_empty()),
+        "a fold wrote into an absorbed cluster's row"
+    );
 
     let mut out: Vec<Vec<ObjectId>> = (0..n)
         .filter(|&c| size[c] > 0)
@@ -268,6 +454,38 @@ fn linkage(mut adj: Vec<IntMap<Sum>>, threshold: f64) -> Vec<Vec<ObjectId>> {
         .collect();
     out.sort_by_key(|c| c[0]);
     out
+}
+
+/// Per-thread kernel counters, read by the tests.
+#[cfg(test)]
+mod counters {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Full rescans ([`super::best`] calls) on this thread.
+        pub(super) static SCANS: Cell<u64> = const { Cell::new(0) };
+        /// Map entries those rescans visited, dead keys included.
+        pub(super) static ENTRIES: Cell<u64> = const { Cell::new(0) };
+        /// Merges of a popped bound that a rescan confirmed. A bound that
+        /// rescan confirms was still exact, so none should happen.
+        pub(super) static RESCANNED_MERGES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_scan(entries: usize) {
+        SCANS.with(|c| c.set(c.get() + 1));
+        ENTRIES.with(|c| c.set(c.get() + entries as u64));
+    }
+
+    pub(super) fn note_rescanned_merge() {
+        RESCANNED_MERGES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Zeroes every counter on this thread.
+    pub(super) fn reset() {
+        for c in [&SCANS, &ENTRIES, &RESCANNED_MERGES] {
+            c.with(|c| c.set(0));
+        }
+    }
 }
 
 /// The single-heap kernel, kept as the parity reference for
@@ -782,5 +1000,70 @@ mod tests {
             (9120, Some(146), 0xe9f5_9cd9_093b_3bb8),
             "{fingerprint:x?}"
         );
+    }
+
+    /// Requests over `n_obj` objects: random overlapping ones, or for a
+    /// lone object one request listing it twice (no pair), or none.
+    fn chunk_case(seed: u64, n_obj: u32) -> Vec<Request> {
+        match n_obj {
+            0 => Vec::new(),
+            1 => vec![Request {
+                rank: 0,
+                probability: 1.0,
+                objects: vec![ObjectId(0), ObjectId(0)],
+            }],
+            _ => random_requests(seed, n_obj, 12, 0.8),
+        }
+    }
+
+    /// The producer's chunking cannot move a row: chunks of 1, 2 and 7
+    /// rows and the default, over 0 and 1 objects and one object either
+    /// side of a chunk and of two, give the partition of the CSR entry
+    /// point and of the reference kernel.
+    #[test]
+    fn every_row_chunk_gives_the_reference_partition() {
+        for chunk in [1, 2, 7, ROW_CHUNK] {
+            for n_obj in [0, 1, chunk - 1, chunk + 1, 2 * chunk + 1] {
+                for seed in 0..4 {
+                    let reqs = chunk_case(seed, n_obj as u32);
+                    let g = CoAccessGraph::from_requests(n_obj, &reqs);
+                    let edges = reference::edges(&g);
+                    let threshold = edges.get(edges.len() / 2).map_or(0.5, |e| e.2) / 2.0;
+                    let want = reference::average_linkage_clusters(&g, threshold);
+                    assert_eq!(partition_size(&want), n_obj);
+                    assert_eq!(average_linkage_clusters(&g, threshold), want);
+                    assert_eq!(
+                        chunked_linkage(n_obj, &reqs, threshold, chunk),
+                        want,
+                        "chunk {chunk}, {n_obj} objects, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// On the mid-size workload every bound that stayed exact merges
+    /// without a rescan (no rescan ever confirms a popped bound), and the
+    /// rescan count is pinned: one per merge for the kept cluster plus
+    /// one per popped bound that went stale.
+    #[test]
+    fn still_exact_bounds_merge_without_a_rescan() {
+        let w = WorkloadSpec {
+            objects: 6_000,
+            requests: RequestSpec {
+                count: 60,
+                ..RequestSpec::default()
+            },
+            ..WorkloadSpec::default()
+        }
+        .generate();
+        counters::reset();
+        let clusters =
+            request_linkage_clusters(w.objects().len(), w.requests(), w.co_access_threshold());
+        assert_eq!(clusters.len(), 1869);
+        let count = |c: &'static std::thread::LocalKey<std::cell::Cell<u64>>| c.with(|c| c.get());
+        assert_eq!(count(&counters::RESCANNED_MERGES), 0);
+        assert_eq!(count(&counters::SCANS), 14_356);
+        assert_eq!(count(&counters::ENTRIES), 3_436_271);
     }
 }

@@ -3,8 +3,9 @@
 //! The one test sits in a binary of its own, so it runs in its own
 //! process and the process's high-water mark (`VmHWM`) is this
 //! clustering's. Filling the linkage maps row by row from the requests
-//! into 12-byte entries peaks at ~115 MB; building the CSR graph first and
-//! filling 16-byte entries from it peaked at ~198 MB.
+//! into 12-byte entries peaks at ~117 MB (~115 MB before folds left dead
+//! keys in the maps); building the CSR graph first and filling 16-byte
+//! entries from it peaked at ~198 MB.
 #![cfg(target_os = "linux")]
 
 use tapesim_workload::WorkloadSpec;
