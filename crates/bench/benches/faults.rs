@@ -95,9 +95,9 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut metrics = None;
         for _ in 0..ITERATIONS {
-            let mut sim = Simulator::with_natural_policy(placement.clone(), 4);
+            let sim = Simulator::with_natural_policy(placement.clone(), 4);
             let t = Instant::now();
-            let out = run_scheduled_faulty(&mut sim, &w, policy.as_ref(), &cfg, &plan, &alternates);
+            let out = run_scheduled_faulty(&sim, &w, policy.as_ref(), &cfg, &plan, &alternates);
             let secs = t.elapsed().as_secs_f64();
             if secs < best {
                 best = secs;

@@ -1,9 +1,9 @@
 //! Hot-path throughput bench: runs one deterministic scheduling scenario
 //! (4,000 objects, 80 request templates, Poisson arrivals at 24/h)
-//! through every DES engine — the
-//! sequential FCFS gear, the concurrent scheduler (with and without span
-//! time accounting, so the observability overhead is measured in the
-//! same run) and the faulty concurrent gear — and records events/sec,
+//! through the scheduling engine in every mode — FCFS behind its
+//! admission gate, the batching scheduler (with and without span time
+//! accounting, so the observability overhead is measured in the same
+//! run) and the batching scheduler under a fault plan — and records events/sec,
 //! allocation counts and wall time into `BENCH_perf.json` at the
 //! workspace root.
 //!
@@ -343,29 +343,23 @@ fn main() {
     let fresh_sim = || Simulator::with_natural_policy(placement.clone(), 4);
     let obs_cfg = cfg.with_obs(true);
     let mut probes = vec![
-        Probe::new("queued_fcfs", |mut sim: Simulator| {
-            let out = run_scheduled(&mut sim, &w, &Fcfs, &cfg);
+        Probe::new("queued_fcfs", |sim: Simulator| {
+            let out = run_scheduled(&sim, &w, &Fcfs, &cfg);
             (out.metrics.served(), out.metrics.events())
         }),
-        Probe::new("sched", |mut sim: Simulator| {
-            let out = run_scheduled(&mut sim, &w, &BatchByTape, &cfg);
+        Probe::new("sched", |sim: Simulator| {
+            let out = run_scheduled(&sim, &w, &BatchByTape, &cfg);
             (out.metrics.served(), out.metrics.events())
         }),
-        Probe::new("sched_obs", |mut sim: Simulator| {
-            let out = run_scheduled(&mut sim, &w, &BatchByTape, &obs_cfg);
+        Probe::new("sched_obs", |sim: Simulator| {
+            let out = run_scheduled(&sim, &w, &BatchByTape, &obs_cfg);
             let budget = out.budget.expect("obs on");
             assert!(budget.sum_error() < 1e-6, "budget must close in the bench");
             (out.metrics.served(), out.metrics.events())
         }),
-        Probe::new("faults", |mut sim: Simulator| {
-            let out = run_scheduled_faulty(
-                &mut sim,
-                &w,
-                &BatchByTape,
-                &cfg,
-                &fault_plan,
-                &no_alternates,
-            );
+        Probe::new("faults", |sim: Simulator| {
+            let out =
+                run_scheduled_faulty(&sim, &w, &BatchByTape, &cfg, &fault_plan, &no_alternates);
             (out.metrics.served(), out.metrics.events())
         }),
     ];
@@ -416,8 +410,8 @@ fn main() {
         let fresh = || Simulator::with_natural_policy(placement_n.clone(), 4);
         let zero_plan = &FaultPlan::zero(&system_n);
         let no_alternates = &BTreeMap::new();
-        let mut probes = vec![Probe::new(format!("sched_mono_{nlibs}lib"), |mut sim| {
-            let out = run_scheduled(&mut sim, w, &BatchByTape, cfg);
+        let mut probes = vec![Probe::new(format!("sched_mono_{nlibs}lib"), |sim| {
+            let out = run_scheduled(&sim, w, &BatchByTape, cfg);
             (out.metrics.served(), out.metrics.events())
         })];
         for threads in [1usize, 2, 4, 8] {

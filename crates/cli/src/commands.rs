@@ -1055,8 +1055,8 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
         &system,
         &PolicyKind::ALL,
         "sched audit",
-        |scheme, kind, mut sim| {
-            let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
+        |scheme, kind, sim| {
+            let out = run_scheduled(&sim, &workload, kind.build().as_ref(), &cfg);
             let row = SchedRow {
                 scheme: scheme.name(),
                 policy: kind.label(),
@@ -1146,8 +1146,8 @@ pub fn report(args: &Args) -> Result<String, CommandError> {
         &system,
         &PolicyKind::ALL,
         "report",
-        |scheme, kind, mut sim| {
-            let out = run_scheduled(&mut sim, &workload, kind.build().as_ref(), &cfg);
+        |scheme, kind, sim| {
+            let out = run_scheduled(&sim, &workload, kind.build().as_ref(), &cfg);
             let budget = out.budget.ok_or_else(|| {
                 CommandError(format!(
                     "{}/{}: the run carried no time budget although span accounting was on",
@@ -1311,16 +1311,10 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
         &system,
         &PolicyKind::ALL,
         "faults audit",
-        |scheme, kind, mut sim| {
+        |scheme, kind, sim| {
             let policy = kind.build();
-            let out = run_scheduled_faulty(
-                &mut sim,
-                &workload,
-                policy.as_ref(),
-                &cfg,
-                &plan,
-                &alternates,
-            );
+            let out =
+                run_scheduled_faulty(&sim, &workload, policy.as_ref(), &cfg, &plan, &alternates);
             let row = FaultRow {
                 scheme: scheme.name(),
                 policy: kind.label(),

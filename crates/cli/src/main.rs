@@ -42,7 +42,9 @@ COMMANDS:
                [--shards N] [--scheme all|pbp|opp|cpp]
                [--policy all|fcfs|batch|sltf] [--m M] [--max-batch N]
                [--channel-bound N] [--snapshot-every N]
-               (--shards: shard threads, default one per library)
+               (--shards: shard threads, default one per library;
+               --policy fcfs gates each shard: one request in service
+               per shard)
                [--seek-policy greedy|exact|approx] [--smoke]
                [--check] [--json]
              or, with --chaos, run the campaign supervised under a
@@ -57,8 +59,9 @@ COMMANDS:
              invariants (drive/robot exclusivity, mount pairing, ...)
                -w WORKLOAD -p PLACEMENT --samples N --seed S --m M
   sched      run the request scheduler over a Poisson arrival stream
-             (fcfs one request at a time; batch and sltf with all drives
-             serving concurrently), sweeping placement schemes x policies,
+             (fcfs admits one request at a time through a FIFO gate;
+             batch and sltf admit every arrival; all drives serve
+             concurrently), sweeping placement schemes x policies,
              audited by default
                -w WORKLOAD --scheme all|pbp|opp|cpp --policy all|fcfs|batch|sltf
                --rate PER_HOUR --samples N --seed S --m M --max-batch N

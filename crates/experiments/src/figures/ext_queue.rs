@@ -29,7 +29,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
     let system = base.system();
     let workload = base.generate_workload();
 
-    let rows = scheme_cells(base, &system, &workload, &rs, |_, mut sim, &per_hour| {
+    let rows = scheme_cells(base, &system, &workload, &rs, |_, sim, &per_hour| {
         let cfg = SchedConfig::new(
             ArrivalSpec {
                 per_hour,
@@ -37,7 +37,7 @@ pub fn run(base: &ExperimentSettings) -> ExperimentResult {
             },
             base.samples,
         );
-        run_scheduled(&mut sim, &workload, &Fcfs, &cfg)
+        run_scheduled(&sim, &workload, &Fcfs, &cfg)
             .metrics
             .avg_sojourn()
     });

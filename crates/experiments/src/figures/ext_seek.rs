@@ -166,7 +166,7 @@ mod tests {
         let mut sim = Simulator::with_natural_policy(placement.clone(), s.m);
         let (sojourn, _) = cell(&s, &workload, &mut sim, SeekPolicy::Greedy, rate);
 
-        let mut sim = Simulator::with_natural_policy(placement, s.m);
+        let sim = Simulator::with_natural_policy(placement, s.m);
         let cfg = SchedConfig::new(
             ArrivalSpec {
                 per_hour: rate,
@@ -175,7 +175,7 @@ mod tests {
             s.samples,
         );
         let out = run_scheduled(
-            &mut sim,
+            &sim,
             &workload,
             PolicyKind::BatchByTape.build().as_ref(),
             &cfg,

@@ -278,13 +278,6 @@ impl FaultPlan {
         self.spots.iter().map(Vec::len).sum()
     }
 
-    /// Whether the plan injects only media faults — no drive failures,
-    /// no robot jams. Media-only plans have no hardware identities to
-    /// act on, so a sequential (single-server) engine can honour them.
-    pub fn media_only(&self) -> bool {
-        self.n_drive_failures() == 0 && self.n_jams() == 0
-    }
-
     /// A copy of the plan with every fault outside the `owned` libraries
     /// erased: drive failures reset to never, jam windows and bad spots
     /// cleared. `owned[lib]` says whether library `lib` is kept; indices

@@ -473,16 +473,12 @@ impl TimeAccountant {
         ) {
             return;
         }
-        self.observe_shifted(SimTime::ZERO, time, event);
+        self.fold(time, event);
     }
 
-    /// [`TimeAccountant::observe`] with every timestamp (emit instant and
-    /// interval fields alike) shifted forward by `offset` — used to stitch
-    /// the per-request traces of the sequential engines, whose local
-    /// clocks restart at zero, onto the run's global axis.
-    pub fn observe_shifted(&mut self, offset: SimTime, time: SimTime, event: &TraceEvent) {
-        let off = offset.as_secs();
-        let now = time.as_secs() + off;
+    /// The out-of-line body of [`TimeAccountant::observe`].
+    fn fold(&mut self, time: SimTime, event: &TraceEvent) {
+        let now = time.as_secs();
         self.high_water = self.high_water.max(now);
         match *event {
             TraceEvent::JobSubmitted { job, .. } => {
@@ -510,7 +506,7 @@ impl TimeAccountant {
                 start,
                 finish,
             } => {
-                let (s, f) = (start.as_secs() + off, finish.as_secs() + off);
+                let (s, f) = (start.as_secs(), finish.as_secs());
                 self.high_water = self.high_water.max(f);
                 if let Some(d) = self.topo.drive_index(drive) {
                     // [now, start] is rewind + robot-queue wait; the
@@ -546,7 +542,7 @@ impl TimeAccountant {
                 finish,
                 ..
             } => {
-                let (s, f) = (start.as_secs() + off, finish.as_secs() + off);
+                let (s, f) = (start.as_secs(), finish.as_secs());
                 self.high_water = self.high_water.max(f);
                 let seek_s = seek.as_secs().min(f - s);
                 if let Some(d) = self.topo.drive_index(drive) {
@@ -584,7 +580,7 @@ impl TimeAccountant {
             }
             TraceEvent::DriveFailed { drive, at } => {
                 if let Some(d) = self.topo.drive_index(drive) {
-                    self.drive_fail_at[d] = self.drive_fail_at[d].min(at.as_secs() + off);
+                    self.drive_fail_at[d] = self.drive_fail_at[d].min(at.as_secs());
                 }
             }
             TraceEvent::RobotJammed {
@@ -593,7 +589,7 @@ impl TimeAccountant {
                 finish,
             } => {
                 if let Some(jams) = self.jams.get_mut(library as usize) {
-                    jams.push((start.as_secs() + off, finish.as_secs() + off));
+                    jams.push((start.as_secs(), finish.as_secs()));
                 }
             }
             TraceEvent::AssumeMounted { .. }
@@ -935,30 +931,6 @@ mod tests {
         assert_eq!(b.overlap[0].exchange_s, 10.0);
         assert_eq!(b.overlap[0].overlapped_s, 5.0);
         assert_eq!(b.overlap[0].ratio(), 0.5);
-    }
-
-    #[test]
-    fn shifted_observation_moves_all_windows() {
-        let mut acc = TimeAccountant::new(topo());
-        acc.observe_shifted(
-            t(100.0),
-            t(0.0),
-            &TraceEvent::Transfer {
-                drive: DriveKey::pack(0, 0),
-                tape: TapeKey::pack(0, 0),
-                job: 0,
-                extents: 1,
-                seek: t(1.0),
-                transfer: t(2.0),
-                start: t(0.0),
-                finish: t(3.0),
-            },
-        );
-        let b = acc.finish(t(0.0));
-        // The makespan floor follows the shifted finish.
-        assert_eq!(b.makespan_s, 103.0);
-        assert_eq!(b.drives[0].spans.seek, 1.0);
-        assert_eq!(b.drives[0].spans.idle, 100.0);
     }
 
     #[test]

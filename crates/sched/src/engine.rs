@@ -1,31 +1,30 @@
 //! The scheduled-service engine.
 //!
 //! [`run_scheduled`] serves a Poisson arrival stream of popularity-drawn
-//! requests under a [`SchedPolicy`]. Two gears:
+//! requests under a [`SchedPolicy`] as one discrete-event simulation.
+//! Requests arrive while earlier ones are still streaming, their per-tape
+//! jobs join a shared admission queue, and every drive serves from that
+//! queue concurrently. Jobs targeting the same tape coalesce into a batch
+//! — one mount amortised over every queued job for that tape, ordered
+//! within the tape by the same `seek_order` planner the per-request
+//! engine uses. The run starts from a snapshot of the simulator's mount
+//! state; the simulator itself is never mutated.
 //!
-//! * **Sequential** (policies with [`SchedPolicy::sequential`] — FCFS):
-//!   the paper's §6 operating model with queueing added — one request in
-//!   service at a time on a single conceptual server, each served by the
-//!   per-request [`Simulator`], whose mount state persists across
-//!   requests. A request that arrives while another is in service waits.
-//! * **Concurrent** (everything else): the *whole* arrival stream runs
-//!   as one discrete-event simulation. Requests arrive while earlier ones
-//!   are still streaming, their per-tape jobs join a shared admission
-//!   queue, and every drive serves from that queue concurrently. Jobs
-//!   targeting the same tape coalesce into a batch — one mount amortised
-//!   over every queued job for that tape, ordered within the tape by the
-//!   same `seek_order` planner the per-request engine uses. It runs on a
-//!   snapshot of the simulator's mount state (the simulator itself is
-//!   left untouched).
+//! A [`SchedPolicy::sequential`] policy (FCFS) adds an admission gate:
+//! while one request has jobs outstanding, later arrivals wait in a
+//! FIFO. The next one is admitted by its own event, ordered after every
+//! same-instant service event, so the drives the finished request used
+//! are idle again — the paper's §6 single-server model with a queue in
+//! front of it, run on the same engine as every other policy.
 //!
 //! Physical modelling (rewind, exchange, robot contention, seek plans)
-//! reuses the per-request engine's formulas so both worlds agree on the
+//! reuses the per-request engine's formulas so both engines agree on the
 //! hardware.
 //!
 //! # Fault injection
 //!
 //! [`run_scheduled_faulty`] threads a pre-generated
-//! [`tapesim_faults::FaultPlan`] through the concurrent gear. All fault
+//! [`tapesim_faults::FaultPlan`] through the engine. All fault
 //! handling is *guarded*: under a zero plan every fault query returns its
 //! identity value and the run is bit-identical to [`run_scheduled`]
 //! (pinned by regression test). Degraded-mode behaviour:
@@ -44,7 +43,8 @@
 //! * **Batch shrinking**: when a library drops below `d − m` healthy
 //!   drives, its batches are capped at the healthy-drive count.
 //! * Jobs stranded when no feasible drive remains are swept into counted
-//!   losses after the event queue drains.
+//!   losses after the event queue drains, and so are the requests still
+//!   waiting behind a gate that can no longer open.
 
 use crate::metrics::{RequestRecord, SchedMetrics};
 use crate::policy::{SchedPolicy, TapeCandidate};
@@ -56,7 +56,7 @@ use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, World};
 use tapesim_faults::{FaultClock, FaultPlan};
 use tapesim_model::tape::Extent;
 use tapesim_model::{Bytes, DriveId, LibraryId, ObjectId, SystemConfig, TapeId};
-use tapesim_obs::{TimeAccountant, TimeBudget, Topology};
+use tapesim_obs::{TimeBudget, Topology};
 use tapesim_placement::Placement;
 use tapesim_sim::catalog::{tape_jobs, TapeJob};
 use tapesim_sim::seek_order;
@@ -72,11 +72,9 @@ pub struct SchedConfig {
     pub samples: usize,
     /// Largest number of jobs one mount may serve (0 = unlimited).
     pub max_batch: usize,
-    /// Whether to audit the event trace: each request's trace in the
-    /// sequential gear, the whole run online in the concurrent gear,
-    /// through an [`AuditStream`](tapesim_des::audit::AuditStream) on a
-    /// consumer thread fed bounded chunks of the trace (never the whole
-    /// trace).
+    /// Whether to audit the event trace: the whole run, online, through
+    /// an [`AuditStream`](tapesim_des::audit::AuditStream) on a consumer
+    /// thread fed bounded chunks of the trace (never the whole trace).
     pub audit: bool,
     /// Whether to run the span accountant and attach a
     /// [`TimeBudget`] to the outcome. Off by default; when off the
@@ -145,8 +143,8 @@ fn topology_of(system: &SystemConfig) -> Topology {
 pub struct SchedOutcome {
     /// Per-request metrics with percentiles.
     pub metrics: SchedMetrics,
-    /// Audit reports (one per request in the sequential gear, one for the
-    /// whole run in the concurrent gear; empty when auditing is off).
+    /// Audit reports: one for the whole run (one per library in a
+    /// partitioned run); empty when auditing is off.
     pub reports: Vec<AuditReport>,
     /// Per-resource time budget (present iff [`SchedConfig::obs`] was
     /// set): the makespan of every drive and robot arm split into
@@ -164,11 +162,10 @@ impl SchedOutcome {
 /// Runs `cfg.samples` popularity-drawn requests through the scheduler
 /// under `policy`.
 ///
-/// Every policy sees the same demand, drawn from one [`RequestStream`].
-/// Sequential policies mutate `sim`'s mount state; concurrent policies
-/// run on a snapshot and leave `sim` untouched.
+/// Every policy sees the same demand, drawn from one [`RequestStream`],
+/// and starts from `sim`'s mount state, which it leaves untouched.
 pub fn run_scheduled(
-    sim: &mut Simulator,
+    sim: &Simulator,
     workload: &Workload,
     policy: &dyn SchedPolicy,
     cfg: &SchedConfig,
@@ -182,173 +179,47 @@ pub fn run_scheduled(
 /// maps each object to its replica copies (from
 /// `tapesim_workload::ReplicaMap::alternates`); jobs whose retries are
 /// exhausted fail over to an untried replica tape or become counted
-/// losses.
+/// losses. With a zero plan the metrics are bit-identical to
+/// [`run_scheduled`].
 ///
-/// With a zero plan the metrics are bit-identical to [`run_scheduled`].
-/// Sequential policies route by what the plan injects: a **media-only**
-/// plan (bad-spots, no drive failures, no jams) runs the single-server
-/// loop with per-request retry accounting; any plan with drive failures
-/// or jams routes through the concurrent event gear — the single-server
-/// loop has no drive identities for those faults to act on. FCFS order
-/// is preserved there by `Fcfs::choose` (oldest arrival first).
+/// The batch entry is the incremental [`ShardEngine`] fed the whole
+/// demand stream, then finished.
 pub fn run_scheduled_faulty(
-    sim: &mut Simulator,
+    sim: &Simulator,
     workload: &Workload,
     policy: &dyn SchedPolicy,
     cfg: &SchedConfig,
     plan: &FaultPlan,
     alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
 ) -> SchedOutcome {
-    if policy.sequential() && plan.media_only() {
-        run_sequential_faulty(sim, workload, cfg, plan, alternates)
-    } else {
-        run_concurrent(sim, workload, policy, cfg, plan, alternates)
-    }
-}
+    let placement = sim.placement();
+    // Group every distinct request's objects into tape jobs once; the
+    // arrival stream samples the same request ranks repeatedly, and the
+    // grouping is a pure function of (placement, request).
+    let job_catalog: Vec<Vec<TapeJob>> = workload
+        .requests()
+        .iter()
+        .map(|r| tape_jobs(placement, &r.objects))
+        .collect();
 
-/// The sequential gear: a single-server FCFS loop over the per-request
-/// [`Simulator`] under a **media-only** `plan` (a zero plan is the
-/// fault-free run). A request starts at `max(arrival, previous
-/// completion)`; its response is the simulator's.
-///
-/// Under a non-zero plan each request's tape jobs are scanned for bad
-/// spots before service. Retries cost capped exponential backoff plus one
-/// reposition-and-reread each, charged as a surcharge on the response. A
-/// job whose demand exceeds the retry budget is redirected to replica
-/// copies from `alternates` (one level: replica reads are assumed clean
-/// here), or the whole request is lost — skipped, never served. A zero
-/// plan skips the scan and serves the drawn objects as they are.
-///
-/// Each drawn rank's tape jobs come from the simulator's catalog
-/// ([`Simulator::drawn_jobs`]); only a request that failed over is
-/// regrouped.
-///
-/// Media-retry penalties have no trace events behind them in this gear,
-/// so in an observed run they surface as server idle time, not
-/// `Transfer` — documented in DESIGN §12.
-fn run_sequential_faulty(
-    sim: &mut Simulator,
-    workload: &Workload,
-    cfg: &SchedConfig,
-    plan: &FaultPlan,
-    alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
-) -> SchedOutcome {
-    sim.set_seek(cfg.seek);
-    let clock = plan.clock();
     let mut stream = RequestStream::new(cfg.arrivals, workload);
-
-    let mut metrics = SchedMetrics::new(1);
-    let mut reports = Vec::new();
-    let mut acct = cfg
-        .obs
-        .then(|| Box::new(TimeAccountant::new(topology_of(sim.placement().config()))));
-    let mut retries = 0u64;
-    let mut failovers = 0u64;
-    let mut lost_requests = 0u64;
-    let mut server_free = 0.0;
-    let mut first_arrival = None;
-    let mut events = 0u64;
-    let mut final_objects = Vec::new();
+    let mut engine = ShardEngine::new(sim, policy, cfg, plan, alternates, &job_catalog);
+    // Pump behind the submissions, so the heap holds the service events
+    // in flight rather than every future arrival: a whole pre-scheduled
+    // stream makes each push and pop walk a far deeper heap. Pumping to
+    // the previous arrival once a strictly later one is drawn keeps the
+    // event order of submitting everything up front.
+    let mut last: Option<SimTime> = None;
     for _ in 0..cfg.samples {
-        let (clock_t, idx) = stream.next_request();
-        first_arrival.get_or_insert(clock_t);
-        let objects = workload.requests().get(idx).map_or(&[][..], |r| &r.objects);
-        let mut regrouped = None;
-
-        let mut penalty_s = 0.0;
-        if !clock.is_zero() {
-            let (placement, jobs) = sim.drawn_jobs(idx, objects);
-            let syscfg = placement.config();
-            let spec = &syscfg.library.drive;
-            let capacity = syscfg.library.tape.capacity;
-
-            final_objects.clear();
-            let mut failed_over = false;
-            let mut lost = false;
-            for job in jobs {
-                let tape_idx = syscfg.tape_index(job.tape);
-                // Charged in offset order, ahead of the service that plans
-                // the read.
-                let read = clock.charge(tape_idx, &job.extents, spec, capacity);
-                // A clean read adds `+ 0.0`, which keeps the bits.
-                penalty_s += read.penalty_secs;
-                retries += read.retries as u64;
-                if !read.fatal {
-                    final_objects.extend(job.extents.iter().map(|e| e.object));
-                    continue;
-                }
-                // Retries exhausted: redirect every extent to a replica on
-                // a different tape, or lose the whole request.
-                let mut replicas = Vec::with_capacity(job.extents.len());
-                let resolvable = job.extents.iter().all(|e| {
-                    alternates
-                        .get(&e.object)
-                        .and_then(|alts| {
-                            alts.iter()
-                                .copied()
-                                .find(|&o| placement.locate(o).tape != job.tape)
-                        })
-                        .map(|o| replicas.push(o))
-                        .is_some()
-                });
-                if resolvable {
-                    failovers += 1;
-                    failed_over = true;
-                    final_objects.extend(replicas);
-                } else {
-                    lost = true;
-                    break;
-                }
-            }
-            if lost {
-                lost_requests += 1;
-                continue;
-            }
-            // Without a failover the surviving objects are the request's
-            // own, whose grouping the catalog already holds.
-            if failed_over {
-                regrouped = Some(tape_jobs(placement, &final_objects));
-            }
+        let (at, ridx) = stream.next_request();
+        let at = SimTime::from_secs(at);
+        if let Some(prev) = last.filter(|&prev| prev < at) {
+            engine.pump(prev);
         }
-
-        let start = clock_t.max(server_free);
-        let trace = cfg.audit || acct.is_some();
-        let (r, tracer) = match &regrouped {
-            Some(jobs) => sim.serve_jobs(jobs, trace),
-            None => sim.serve_drawn(idx, objects, trace),
-        };
-        if cfg.audit {
-            reports.push(TraceAuditor::new().audit(tracer.entries()));
-        }
-        // Stitch the request's local-clock trace onto the run axis at its
-        // service start; sequential services never overlap, so the shifted
-        // windows stay exclusive per resource.
-        if let Some(acc) = acct.as_deref_mut() {
-            let offset = SimTime::from_secs(start);
-            for entry in tracer.entries() {
-                acc.observe_shifted(offset, entry.time, &entry.event);
-            }
-        }
-        // `x + 0.0` preserves the bits of `x`: a zero plan charges nothing.
-        let response = r.response + penalty_s;
-        server_free = start + response;
-
-        metrics.record_seconds(start - clock_t, response, server_free - clock_t);
-        metrics.add_mounts(r.n_switches as u64);
-        metrics.add_busy(response);
-        events += r.n_events;
+        engine.submit(at, ridx);
+        last = Some(at);
     }
-    metrics.set_horizon(server_free - first_arrival.unwrap_or(0.0));
-    metrics.set_events(events);
-    metrics.add_retries(retries);
-    metrics.add_failovers(failovers);
-    metrics.add_lost(lost_requests);
-    let budget = acct.map(|acc| acc.finish(SimTime::from_secs(server_free)));
-    SchedOutcome {
-        metrics,
-        reports,
-        budget,
-    }
+    engine.finish().outcome
 }
 
 /// One job in the shared admission queue.
@@ -505,6 +376,22 @@ enum Ev {
     JobDone { drive: u32, job: u32 },
     /// A drive finished its whole batch and is idle again.
     BatchDone { drive: u32 },
+    /// The gated request in service resolved its last job: the next
+    /// waiting arrival passes the gate.
+    Release,
+}
+
+/// The admission gate of a [`SchedPolicy::sequential`] policy: one
+/// request in service at a time, later arrivals waiting in FIFO order.
+#[derive(Debug, Default)]
+struct Gate {
+    /// An admitted request still has jobs outstanding, or its release
+    /// is pending.
+    held: bool,
+    /// Arrivals waiting for the gate, by submission index.
+    waiting: VecDeque<usize>,
+    /// Tape jobs of the waiting arrivals, counted as outstanding.
+    waiting_jobs: usize,
 }
 
 struct SchedSim<'a> {
@@ -527,7 +414,7 @@ struct SchedSim<'a> {
     /// Dense snapshot of the simulator's mount state — the only two
     /// fields dispatch reads or advances. Copied once per run (two small
     /// per-drive vectors); the simulator itself is never cloned or
-    /// mutated by the concurrent gear.
+    /// mutated.
     mounted: Vec<Option<TapeId>>,
     /// Per-drive head position, advanced as batches stream.
     head: Vec<Bytes>,
@@ -602,6 +489,9 @@ struct SchedSim<'a> {
     /// `None` outside partitioned runs, so the single-engine paths pay
     /// nothing.
     busy_log: Option<Vec<(OpKey, SimTime)>>,
+    /// The admission gate, present iff the policy is
+    /// [`SchedPolicy::sequential`].
+    gate: Option<Gate>,
 }
 
 impl SchedSim<'_> {
@@ -1115,17 +1005,102 @@ impl SchedSim<'_> {
             self.requests[req].lost = true;
         }
         if self.requests[req].outstanding == 0 {
-            if self.requests[req].lost {
-                self.lost_requests += 1;
-                self.lost_log.push(self.requests[req].index);
-            } else {
-                let r = &self.requests[req];
-                self.records.push(RequestRecord {
-                    request: r.index,
-                    arrival: r.arrival,
-                    first_start: r.first_start.unwrap_or(r.arrival),
-                    finish: now,
-                });
+            self.close_request(req, now, sched);
+        }
+    }
+
+    /// Closes the books on request `req`, whose last job just resolved:
+    /// a completion record, or a counted loss if any job was lost. A
+    /// gated request then releases the gate.
+    fn close_request(&mut self, req: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let r = &self.requests[req];
+        if r.lost {
+            self.lost_requests += 1;
+            self.lost_log.push(r.index);
+        } else {
+            self.records.push(RequestRecord {
+                request: r.index,
+                arrival: r.arrival,
+                first_start: r.first_start.unwrap_or(r.arrival),
+                finish: now,
+            });
+        }
+        if self.gate.is_some() {
+            sched.schedule_at_with_priority(now, RELEASE_PRIORITY, Ev::Release);
+        }
+    }
+
+    /// Admits arrival `i` at `now`: its tape jobs join the per-tape
+    /// queues and the libraries they touch dispatch. A request with no
+    /// work is served on the spot.
+    fn admit(&mut self, i: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let (arrival, ridx) = self.arrivals[i];
+        // Copy the catalog reference out of `self` so borrowing a
+        // request's jobs does not pin `self` for the whole function.
+        let catalog = self.job_catalog;
+        let work = &catalog[ridx];
+        if work.is_empty() {
+            // Nothing to stream: served instantaneously.
+            self.records.push(RequestRecord {
+                request: i,
+                arrival,
+                first_start: now,
+                finish: now,
+            });
+            return;
+        }
+        let req = self.requests.len();
+        self.requests.push(ReqState {
+            index: i,
+            arrival,
+            outstanding: work.len(),
+            first_start: None,
+            first_plan: None,
+            lost: false,
+        });
+        self.libs_hit.fill(false);
+        for tj in work {
+            let job = self.jobs.next_id();
+            let tape = tj.tape;
+            self.audit.emit(
+                now,
+                TraceEvent::JobSubmitted {
+                    job: job as u32,
+                    tape: tape.into(),
+                },
+            );
+            self.jobs.push(JobState {
+                request: req,
+                work: Cow::Borrowed(tj),
+                fatal: false,
+                retired: false,
+            });
+            let tape_idx = self.cfg.tape_index(tape);
+            self.pending[tape_idx].push_back(job, tj.bytes(), arrival);
+            self.refresh_ready(tape_idx);
+            self.outstanding_jobs += 1;
+            self.libs_hit[tape.library.idx()] = true;
+        }
+        for lib in 0..self.libs_hit.len() {
+            if self.libs_hit[lib] {
+                self.try_dispatch(lib, now, sched);
+            }
+        }
+    }
+
+    /// Passes the gate to the waiting arrivals in FIFO order: empty ones
+    /// are served on the spot, the first with work holds the gate.
+    fn release(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+        while let Some(gate) = self.gate.as_mut() {
+            let Some(i) = gate.waiting.pop_front() else {
+                gate.held = false;
+                return;
+            };
+            let jobs = self.job_catalog[self.arrivals[i].1].len();
+            gate.waiting_jobs -= jobs;
+            self.admit(i, now, sched);
+            if jobs > 0 {
+                return;
             }
         }
     }
@@ -1137,63 +1112,22 @@ impl World for SchedSim<'_> {
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         self.event_class = match ev {
             Ev::Arrive(_) => ARRIVAL_PRIORITY as i8,
+            Ev::Release => RELEASE_PRIORITY as i8,
             _ => 0,
         };
         match ev {
             Ev::Arrive(i) => {
                 let i = i as usize;
-                let (arrival, ridx) = self.arrivals[i];
-                // Copy the catalog reference out of `self` so borrowing a
-                // request's jobs does not pin `self` for the whole arm.
-                let catalog = self.job_catalog;
-                let work = &catalog[ridx];
-                if work.is_empty() {
-                    // Nothing to stream: served instantaneously.
-                    self.records.push(RequestRecord {
-                        request: i,
-                        arrival,
-                        first_start: arrival,
-                        finish: arrival,
-                    });
-                    return;
-                }
-                let req = self.requests.len();
-                self.requests.push(ReqState {
-                    index: i,
-                    arrival,
-                    outstanding: work.len(),
-                    first_start: None,
-                    first_plan: None,
-                    lost: false,
-                });
-                self.libs_hit.fill(false);
-                for tj in work {
-                    let job = self.jobs.next_id();
-                    let tape = tj.tape;
-                    self.audit.emit(
-                        now,
-                        TraceEvent::JobSubmitted {
-                            job: job as u32,
-                            tape: tape.into(),
-                        },
-                    );
-                    self.jobs.push(JobState {
-                        request: req,
-                        work: Cow::Borrowed(tj),
-                        fatal: false,
-                        retired: false,
-                    });
-                    let tape_idx = self.cfg.tape_index(tape);
-                    self.pending[tape_idx].push_back(job, tj.bytes(), arrival);
-                    self.refresh_ready(tape_idx);
-                    self.outstanding_jobs += 1;
-                    self.libs_hit[tape.library.idx()] = true;
-                }
-                for lib in 0..self.libs_hit.len() {
-                    if self.libs_hit[lib] {
-                        self.try_dispatch(lib, now, sched);
+                if let Some(gate) = self.gate.as_mut() {
+                    let jobs = self.job_catalog[self.arrivals[i].1].len();
+                    if gate.held {
+                        gate.waiting.push_back(i);
+                        gate.waiting_jobs += jobs;
+                        return;
                     }
+                    gate.held = jobs > 0;
                 }
+                self.admit(i, now, sched);
             }
             Ev::SwitchDone { drive, tape } => {
                 let drive = drive as usize;
@@ -1247,18 +1181,7 @@ impl World for SchedSim<'_> {
                 self.tried.remove(&job);
                 self.requests[req].outstanding -= 1;
                 if self.requests[req].outstanding == 0 {
-                    if self.requests[req].lost {
-                        self.lost_requests += 1;
-                        self.lost_log.push(self.requests[req].index);
-                    } else {
-                        let r = &self.requests[req];
-                        self.records.push(RequestRecord {
-                            request: r.index,
-                            arrival: r.arrival,
-                            first_start: r.first_start.unwrap_or(r.arrival),
-                            finish: now,
-                        });
-                    }
+                    self.close_request(req, now, sched);
                 }
             }
             Ev::BatchDone { drive } => {
@@ -1267,6 +1190,7 @@ impl World for SchedSim<'_> {
                 let lib = self.cfg.drive_at(drive).library.idx();
                 self.try_dispatch(lib, now, sched);
             }
+            Ev::Release => self.release(now, sched),
         }
     }
 }
@@ -1280,6 +1204,13 @@ impl World for SchedSim<'_> {
 /// incremental [`ShardEngine`] interleave submissions with event
 /// processing and still replay the batch gear bit for bit.
 const ARRIVAL_PRIORITY: i32 = -1;
+
+/// Priority class of gate releases. Strictly above the default class, so
+/// a release stamped at `t` fires after every same-instant service event
+/// — the last job's `JobDone` and its drive's `BatchDone` included — and
+/// the next request finds the drives idle, as the §6 engine's request
+/// does at its local t = 0.
+const RELEASE_PRIORITY: i32 = 1;
 
 /// Everything one drained [`ShardEngine`] knows at shutdown: the run
 /// outcome plus the raw per-request ledger a collector needs to join
@@ -1505,6 +1436,7 @@ impl<'a> ShardEngine<'a> {
             plan_scratch: Vec::new(),
             event_class: 0,
             busy_log: None,
+            gate: policy.sequential().then(Gate::default),
         };
 
         // Trace prologue: carried-over mounts, so the transcript is
@@ -1655,9 +1587,10 @@ impl<'a> ShardEngine<'a> {
         self.world.lost_requests
     }
 
-    /// Jobs admitted but not yet completed.
+    /// Jobs accepted but not yet completed, including those of requests
+    /// waiting behind an admission gate.
     pub fn outstanding_jobs(&self) -> usize {
-        self.world.outstanding_jobs
+        self.world.outstanding_jobs + self.world.gate.as_ref().map_or(0, |g| g.waiting_jobs)
     }
 
     /// Tape exchanges performed so far.
@@ -1731,6 +1664,13 @@ impl<'a> ShardEngine<'a> {
         for queue in &mut world.pending {
             *queue = TapeQueue::default();
         }
+        // A gated request that lost its stranded jobs never resolves in
+        // service: the gate stays shut, and every request still waiting
+        // behind it is a counted loss too.
+        if let Some(gate) = world.gate.take() {
+            world.lost_requests += gate.waiting.len() as u64;
+            world.lost_log.extend(gate.waiting);
+        }
         assert_eq!(
             world.outstanding_jobs, 0,
             "scheduler drained with unserved jobs — no eligible switch drive \
@@ -1749,9 +1689,9 @@ impl<'a> ShardEngine<'a> {
             }
         }
         metrics.add_mounts(world.mounts);
-        metrics.add_busy_time(world.busy_time);
+        metrics.add_busy(world.busy_time);
         let first = world.arrivals.first().map_or(SimTime::ZERO, |&(at, _)| at);
-        metrics.set_horizon_time(end.saturating_sub(first));
+        metrics.set_horizon(end.saturating_sub(first));
         metrics.set_events(sched.events_processed());
         metrics.add_retries(world.retries);
         metrics.add_failovers(world.failovers_n);
@@ -1790,49 +1730,6 @@ impl<'a> ShardEngine<'a> {
             merge,
         }
     }
-}
-
-/// The concurrent shared-queue gear: the batch entry, re-expressed as
-/// "submit the whole demand stream, then finish" on the incremental
-/// [`ShardEngine`]. Runs on a snapshot of `sim`'s mount state; the
-/// simulator itself is not mutated.
-fn run_concurrent(
-    sim: &Simulator,
-    workload: &Workload,
-    policy: &dyn SchedPolicy,
-    cfg: &SchedConfig,
-    plan: &FaultPlan,
-    alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
-) -> SchedOutcome {
-    let placement = sim.placement();
-    // Group every distinct request's objects into tape jobs once; the
-    // arrival stream samples the same request ranks repeatedly, and the
-    // grouping is a pure function of (placement, request).
-    let job_catalog: Vec<Vec<TapeJob>> = workload
-        .requests()
-        .iter()
-        .map(|r| tape_jobs(placement, &r.objects))
-        .collect();
-
-    // The same demand stream the sequential gear draws.
-    let mut stream = RequestStream::new(cfg.arrivals, workload);
-    let mut engine = ShardEngine::new(sim, policy, cfg, plan, alternates, &job_catalog);
-    // Pump behind the submissions, so the heap holds the service events
-    // in flight rather than every future arrival: a whole pre-scheduled
-    // stream makes each push and pop walk a far deeper heap. Pumping to
-    // the previous arrival once a strictly later one is drawn keeps the
-    // event order of submitting everything up front.
-    let mut last: Option<SimTime> = None;
-    for _ in 0..cfg.samples {
-        let (at, ridx) = stream.next_request();
-        let at = SimTime::from_secs(at);
-        if let Some(prev) = last.filter(|&prev| prev < at) {
-            engine.pump(prev);
-        }
-        engine.submit(at, ridx);
-        last = Some(at);
-    }
-    engine.finish().outcome
 }
 
 /// The dispatch-index oracle: every test build compares the indexed
@@ -1961,7 +1858,6 @@ mod tests {
             .iter()
             .map(|r| tape_jobs(sim.placement(), &r.objects))
             .collect();
-        let policy = BatchByTape;
         let mut stream = RequestStream::new(spec, &w);
         let draws: Vec<(SimTime, usize)> = (0..40)
             .map(|_| {
@@ -1970,79 +1866,70 @@ mod tests {
             })
             .collect();
 
-        // The uncrashed reference: submit/pump the whole stream.
-        let mut continuous = ShardEngine::new(&sim, &policy, &cfg, &plan, &alternates, &catalog);
-        for &(at, r) in &draws {
-            continuous.submit(at, r);
-            continuous.pump(at);
+        // `Fcfs` replays its admission gate too: requests still waiting
+        // behind it at the cut must pass it in the same order.
+        for policy in [&BatchByTape as &dyn SchedPolicy, &Fcfs] {
+            // The uncrashed reference: submit/pump the whole stream.
+            let mut continuous = ShardEngine::new(&sim, policy, &cfg, &plan, &alternates, &catalog);
+            for &(at, r) in &draws {
+                continuous.submit(at, r);
+                continuous.pump(at);
+            }
+            let base = continuous.finish();
+
+            // Crash after 17 submissions, restore from the checkpoint,
+            // feed the remainder: every book must close on the same bits.
+            let mut first = ShardEngine::new(&sim, policy, &cfg, &plan, &alternates, &catalog);
+            for &(at, r) in draws.iter().take(17) {
+                first.submit(at, r);
+                first.pump(at);
+            }
+            let ckpt = first.checkpoint();
+            assert_eq!(ckpt.len(), 17);
+            assert!(!ckpt.is_empty());
+            if policy.sequential() {
+                assert!(
+                    first
+                        .world
+                        .gate
+                        .as_ref()
+                        .is_some_and(|g| !g.waiting.is_empty()),
+                    "the cut must fall while requests wait behind the gate"
+                );
+            }
+            drop(first); // the "crash": engine state is gone, checkpoint survives
+
+            let mut restored =
+                ShardEngine::restore(&sim, policy, &cfg, &plan, &alternates, &catalog, &ckpt);
+            assert_eq!(restored.submitted(), 17);
+            for &(at, r) in draws.iter().skip(17) {
+                restored.submit(at, r);
+                restored.pump(at);
+            }
+            let redo = restored.finish();
+
+            let name = policy.name();
+            assert_eq!(base.records, redo.records, "{name}");
+            assert_eq!(base.submitted, redo.submitted);
+            assert_eq!(base.lost, redo.lost);
+            assert_eq!(base.end, redo.end);
+            assert_eq!(
+                base.outcome.metrics.avg_sojourn().to_bits(),
+                redo.outcome.metrics.avg_sojourn().to_bits()
+            );
+            assert_eq!(
+                base.outcome.metrics.avg_wait().to_bits(),
+                redo.outcome.metrics.avg_wait().to_bits()
+            );
+            assert_eq!(base.outcome.metrics.mounts(), redo.outcome.metrics.mounts());
+            assert_eq!(base.outcome.metrics.events(), redo.outcome.metrics.events());
+            assert_eq!(base.outcome.reports, redo.outcome.reports, "{name}");
+            assert!(redo.outcome.is_clean());
+
+            // The supervisor's log-built checkpoint is the engine-cut one.
+            let log: Vec<(SimTime, usize)> = draws.iter().take(17).copied().collect();
+            assert_eq!(EngineCheckpoint::from_arrivals(log), ckpt);
         }
-        let base = continuous.finish();
-
-        // Crash after 17 submissions, restore from the checkpoint, feed
-        // the remainder: every book must close on the same bits.
-        let mut first = ShardEngine::new(&sim, &policy, &cfg, &plan, &alternates, &catalog);
-        for &(at, r) in draws.iter().take(17) {
-            first.submit(at, r);
-            first.pump(at);
-        }
-        let ckpt = first.checkpoint();
-        assert_eq!(ckpt.len(), 17);
-        assert!(!ckpt.is_empty());
-        drop(first); // the "crash": engine state is gone, checkpoint survives
-
-        let mut restored =
-            ShardEngine::restore(&sim, &policy, &cfg, &plan, &alternates, &catalog, &ckpt);
-        assert_eq!(restored.submitted(), 17);
-        for &(at, r) in draws.iter().skip(17) {
-            restored.submit(at, r);
-            restored.pump(at);
-        }
-        let redo = restored.finish();
-
-        assert_eq!(base.records, redo.records);
-        assert_eq!(base.submitted, redo.submitted);
-        assert_eq!(base.lost, redo.lost);
-        assert_eq!(base.end, redo.end);
-        assert_eq!(
-            base.outcome.metrics.avg_sojourn().to_bits(),
-            redo.outcome.metrics.avg_sojourn().to_bits()
-        );
-        assert_eq!(
-            base.outcome.metrics.avg_wait().to_bits(),
-            redo.outcome.metrics.avg_wait().to_bits()
-        );
-        assert_eq!(base.outcome.metrics.mounts(), redo.outcome.metrics.mounts());
-        assert_eq!(base.outcome.metrics.events(), redo.outcome.metrics.events());
-        assert_eq!(base.outcome.reports.len(), redo.outcome.reports.len());
-        assert!(redo.outcome.is_clean());
-
-        // The supervisor's log-built checkpoint is the engine-cut one.
-        let log: Vec<(SimTime, usize)> = draws.iter().take(17).copied().collect();
-        assert_eq!(EngineCheckpoint::from_arrivals(log), ckpt);
-    }
-
-    /// The sequential gear reproduces the retired single-server queue
-    /// loop bit for bit. The constants are that loop's metric bits on
-    /// this fixture, recorded before it was folded into this gear.
-    #[test]
-    fn fcfs_reproduces_legacy_queue_bit_for_bit() {
-        let spec = ArrivalSpec {
-            per_hour: 6.0,
-            seed: 9,
-        };
-        let (mut sim, w) = setup();
-        let out = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 25));
-        let m = &out.metrics;
-        assert_eq!(m.served(), 25);
-        assert_eq!(m.avg_wait().to_bits(), 0x4078102b7c54c9d1);
-        assert_eq!(m.avg_service().to_bits(), 0x4078b5ca2d0ccbcd);
-        assert_eq!(m.avg_sojourn().to_bits(), 0x408862fad4b0cace);
-        assert_eq!(m.utilisation().to_bits(), 0x3fe832ee47597f46);
-        assert!(
-            m.events() > 0,
-            "sequential gear must report the per-request engine's summed \
-             DES events, not 0"
-        );
     }
 
     /// One request a week — the paper's §6 regime: nobody ever waits.
@@ -2052,8 +1939,8 @@ mod tests {
             per_hour: 1.0 / 168.0,
             seed: 1,
         };
-        let (mut sim, w) = setup();
-        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics;
+        let (sim, w) = setup();
+        let m = run_scheduled(&sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics;
         assert_eq!(m.served(), 30);
         assert!(
             m.avg_wait() < 1e-9,
@@ -2065,18 +1952,25 @@ mod tests {
     }
 
     /// Services take hundreds of seconds; 30 arrivals an hour is one
-    /// every two minutes, so the queue must build.
+    /// every two minutes, so the queue must build, and the fleet's drives
+    /// are busier than under the sparse stream.
     #[test]
     fn dense_arrivals_queue_up() {
-        let spec = ArrivalSpec {
-            per_hour: 30.0,
-            seed: 1,
+        let run = |per_hour| {
+            let spec = ArrivalSpec { per_hour, seed: 1 };
+            let (sim, w) = setup();
+            run_scheduled(&sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics
         };
-        let (mut sim, w) = setup();
-        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 30)).metrics;
+        let m = run(30.0);
         assert!(m.avg_wait() > m.avg_service(), "no queueing at high load");
         assert!(m.avg_sojourn() > m.avg_wait());
-        assert!(m.utilisation() > 0.8);
+        let sparse = run(1.0 / 168.0);
+        assert!(
+            m.utilisation() > 10.0 * sparse.utilisation(),
+            "utilisation {} vs sparse {}",
+            m.utilisation(),
+            sparse.utilisation()
+        );
     }
 
     #[test]
@@ -2085,8 +1979,8 @@ mod tests {
             .iter()
             .map(|&per_hour| {
                 let spec = ArrivalSpec { per_hour, seed: 5 };
-                let (mut sim, w) = setup();
-                run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, 40))
+                let (sim, w) = setup();
+                run_scheduled(&sim, &w, &Fcfs, &SchedConfig::new(spec, 40))
                     .metrics
                     .avg_wait()
             })
@@ -2103,14 +1997,14 @@ mod tests {
             per_hour: 6.0,
             seed: 2,
         };
-        let (mut sim, w) = setup();
+        let (sim, w) = setup();
         let out = run_scheduled(
-            &mut sim,
+            &sim,
             &w,
             &Fcfs,
             &SchedConfig::new(spec, 10).with_audit(true),
         );
-        assert_eq!(out.reports.len(), 10, "one audit per request");
+        assert_eq!(out.reports.len(), 1, "one audit for the whole run");
         assert!(out.is_clean(), "{:?}", out.reports);
     }
 
@@ -2120,9 +2014,9 @@ mod tests {
             per_hour: 20.0,
             seed: 7,
         };
-        let (mut sim, w) = setup();
+        let (sim, w) = setup();
         let out = run_scheduled(
-            &mut sim,
+            &sim,
             &w,
             &BatchByTape,
             &SchedConfig::new(spec, 40).with_audit(true),
@@ -2140,15 +2034,10 @@ mod tests {
             per_hour: 30.0,
             seed: 3,
         };
-        let (mut fcfs_sim, w) = heavy_setup();
-        let fcfs = run_scheduled(&mut fcfs_sim, &w, &Fcfs, &SchedConfig::new(spec, 25));
-        let (mut batch_sim, _) = heavy_setup();
-        let batch = run_scheduled(
-            &mut batch_sim,
-            &w,
-            &BatchByTape,
-            &SchedConfig::new(spec, 25),
-        );
+        let (fcfs_sim, w) = heavy_setup();
+        let fcfs = run_scheduled(&fcfs_sim, &w, &Fcfs, &SchedConfig::new(spec, 25));
+        let (batch_sim, _) = heavy_setup();
+        let batch = run_scheduled(&batch_sim, &w, &BatchByTape, &SchedConfig::new(spec, 25));
         assert!(
             fcfs.metrics.mounts() > 0,
             "fixture must force tape switches"
@@ -2168,9 +2057,9 @@ mod tests {
             seed: 3,
         };
         for kind in crate::policy::PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup();
+            let (sim, w) = heavy_setup();
             let out = run_scheduled(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, 25).with_audit(true),
@@ -2192,8 +2081,8 @@ mod tests {
             per_hour: 20.0,
             seed: 3,
         };
-        let (mut sim, w) = setup();
-        let _ = run_scheduled(&mut sim, &w, &SltfTape, &SchedConfig::new(spec, 10));
+        let (sim, w) = setup();
+        let _ = run_scheduled(&sim, &w, &SltfTape, &SchedConfig::new(spec, 10));
         // Compare against a freshly built fixture instead of snapshotting
         // `sim` — the engine must not need a state clone even here.
         let (fresh, _) = setup();
@@ -2220,10 +2109,10 @@ mod tests {
             per_hour: 24.0,
             seed: 11,
         };
-        let (mut bsim, w) = setup();
-        let batch = run_scheduled(&mut bsim, &w, &BatchByTape, &SchedConfig::new(spec, 40));
-        let (mut ssim, _) = setup();
-        let sltf = run_scheduled(&mut ssim, &w, &SltfTape, &SchedConfig::new(spec, 40));
+        let (bsim, w) = setup();
+        let batch = run_scheduled(&bsim, &w, &BatchByTape, &SchedConfig::new(spec, 40));
+        let (ssim, _) = setup();
+        let sltf = run_scheduled(&ssim, &w, &SltfTape, &SchedConfig::new(spec, 40));
         assert_eq!(
             batch.metrics.mounts(),
             0,
@@ -2246,10 +2135,10 @@ mod tests {
             per_hour: 30.0,
             seed: 3,
         };
-        let (mut bsim, w) = heavy_setup();
-        let batch = run_scheduled(&mut bsim, &w, &BatchByTape, &SchedConfig::new(spec, 25));
-        let (mut ssim, _) = heavy_setup();
-        let sltf = run_scheduled(&mut ssim, &w, &SltfTape, &SchedConfig::new(spec, 25));
+        let (bsim, w) = heavy_setup();
+        let batch = run_scheduled(&bsim, &w, &BatchByTape, &SchedConfig::new(spec, 25));
+        let (ssim, _) = heavy_setup();
+        let sltf = run_scheduled(&ssim, &w, &SltfTape, &SchedConfig::new(spec, 25));
         assert!(
             batch.metrics.mounts() > 0,
             "pressure fixture must exchange tapes"
@@ -2277,9 +2166,9 @@ mod tests {
             per_hour: 25.0,
             seed: 13,
         };
-        let (mut sim, w) = setup();
+        let (sim, w) = setup();
         let out = run_scheduled(
-            &mut sim,
+            &sim,
             &w,
             &BatchByTape,
             &SchedConfig::new(spec, 20)
@@ -2301,15 +2190,7 @@ mod tests {
             per_hour: 30.0,
             seed: 3,
         };
-        let pinned: [(&str, u64, u64, u64, u64, u64); 3] = [
-            (
-                "fcfs",
-                98,
-                0x40c46b755394e20d,
-                0x40c65d08bacc077f,
-                0x3ff0000000000000,
-                0x40d46038dd49a50f,
-            ),
+        let pinned: [(&str, u64, u64, u64, u64, u64); 2] = [
             (
                 "batch",
                 48,
@@ -2328,17 +2209,17 @@ mod tests {
             ),
         ];
         for (kind, &(label, mounts, wait, sojourn, util, p99)) in
-            crate::policy::PolicyKind::ALL.iter().zip(&pinned)
+            crate::policy::PolicyKind::ALL[1..].iter().zip(&pinned)
         {
             assert!(kind.label().starts_with(label), "pin order drifted");
             let policy = kind.build();
-            let (mut sim, w) = heavy_setup();
-            let out = run_scheduled(&mut sim, &w, policy.as_ref(), &SchedConfig::new(spec, 25));
+            let (sim, w) = heavy_setup();
+            let out = run_scheduled(&sim, &w, policy.as_ref(), &SchedConfig::new(spec, 25));
 
-            let (mut fsim, _) = heavy_setup();
+            let (fsim, _) = heavy_setup();
             let plan = FaultPlan::zero(fsim.placement().config());
             let fout = run_scheduled_faulty(
-                &mut fsim,
+                &fsim,
                 &w,
                 policy.as_ref(),
                 &SchedConfig::new(spec, 25),
@@ -2375,11 +2256,11 @@ mod tests {
             seed: 3,
         };
         for kind in crate::policy::PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup();
+            let (sim, w) = heavy_setup();
             let plan = FaultPlan::generate(&FaultSpec::moderate(41), sim.placement().config());
             assert!(!plan.is_zero(), "moderate plan must inject something");
             let out = run_scheduled_faulty(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, 25).with_audit(true),
@@ -2465,9 +2346,9 @@ mod tests {
             seed: 3,
         };
         // Heavy media faults so retry budgets actually run dry.
-        let (mut sim, replicated, alternates, plan) = replicated_setup(40.0);
+        let (sim, replicated, alternates, plan) = replicated_setup(40.0);
         let out = run_scheduled_faulty(
-            &mut sim,
+            &sim,
             &replicated,
             &BatchByTape,
             &SchedConfig::new(spec, 25).with_audit(true),
@@ -2486,69 +2367,22 @@ mod tests {
         );
     }
 
-    /// The FCFS sequential gear serves each arrival from the run's
-    /// request catalog and regroups only a request that failed over.
-    /// The constants are the gear's output on this fixture when it
-    /// regrouped every arrival.
-    #[test]
-    fn fcfs_failover_regroups_bit_for_bit() {
-        let spec = ArrivalSpec {
-            per_hour: 30.0,
-            seed: 3,
-        };
-        let (mut sim, w, alternates, plan) = replicated_setup(6.0);
-        assert!(
-            plan.media_only(),
-            "media-only plans run the sequential gear"
-        );
-        let out = run_scheduled_faulty(
-            &mut sim,
-            &w,
-            &Fcfs,
-            &SchedConfig::new(spec, 40).with_audit(true),
-            &plan,
-            &alternates,
-        );
-        assert!(out.is_clean(), "{:?}", out.reports.first());
-        let m = &out.metrics;
-        let got = [
-            m.avg_wait(),
-            m.avg_service(),
-            m.avg_sojourn(),
-            m.utilisation(),
-        ]
-        .map(f64::to_bits);
-        let counters = [m.served(), m.retries(), m.failovers(), m.lost()];
-        assert_eq!(
-            got,
-            [
-                0x40bd80f958ed46ab,
-                0x40a23ce6ae222df3,
-                0x40c34fb657ff2ed2,
-                0x3fefc7e150baa1f5
-            ]
-        );
-        assert_eq!(counters, [9, 177, 2, 31]);
-        assert_eq!(m.mounts(), 61);
-    }
-
     #[test]
     fn deterministic_across_runs() {
         let spec = ArrivalSpec {
             per_hour: 15.0,
             seed: 21,
         };
-        let (mut a, w) = setup();
-        let (mut b, _) = setup();
-        let ra = run_scheduled(&mut a, &w, &SltfTape, &SchedConfig::new(spec, 30));
-        let rb = run_scheduled(&mut b, &w, &SltfTape, &SchedConfig::new(spec, 30));
+        let (a, w) = setup();
+        let (b, _) = setup();
+        let ra = run_scheduled(&a, &w, &SltfTape, &SchedConfig::new(spec, 30));
+        let rb = run_scheduled(&b, &w, &SltfTape, &SchedConfig::new(spec, 30));
         assert_eq!(ra.metrics.avg_sojourn(), rb.metrics.avg_sojourn());
         assert_eq!(ra.metrics.mounts(), rb.metrics.mounts());
         assert_eq!(ra.metrics.events(), rb.metrics.events());
     }
 
-    /// A media-only fault spec: bad-spots only, so the sequential gear
-    /// can honour the plan without drive/robot identities.
+    /// A media-only fault spec: bad spots, no drive failures or jams.
     fn media_only_spec(seed: u64) -> tapesim_faults::FaultSpec {
         tapesim_faults::FaultSpec {
             bad_spots_per_tape: 20.0,
@@ -2559,7 +2393,7 @@ mod tests {
     }
 
     /// The engine-level acceptance invariant: with observability on,
-    /// every gear and every policy produces a budget whose per-resource
+    /// every policy produces a budget whose per-resource
     /// categories sum to the makespan within 1e-6 s.
     #[test]
     fn obs_budget_closes_for_every_policy() {
@@ -2568,9 +2402,9 @@ mod tests {
             seed: 3,
         };
         for kind in crate::policy::PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup();
+            let (sim, w) = heavy_setup();
             let out = run_scheduled(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, 25).with_obs(true),
@@ -2592,7 +2426,7 @@ mod tests {
     }
 
     /// Observability must never perturb the simulation: the metric bits
-    /// are identical with the accountant on and off, for both gears.
+    /// are identical with the accountant on and off, for every policy.
     #[test]
     fn obs_does_not_change_metrics() {
         let spec = ArrivalSpec {
@@ -2600,16 +2434,11 @@ mod tests {
             seed: 7,
         };
         for kind in crate::policy::PolicyKind::ALL {
-            let (mut a, w) = heavy_setup();
-            let (mut b, _) = heavy_setup();
-            let plain = run_scheduled(
-                &mut a,
-                &w,
-                kind.build().as_ref(),
-                &SchedConfig::new(spec, 20),
-            );
+            let (a, w) = heavy_setup();
+            let (b, _) = heavy_setup();
+            let plain = run_scheduled(&a, &w, kind.build().as_ref(), &SchedConfig::new(spec, 20));
             let observed = run_scheduled(
-                &mut b,
+                &b,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, 20).with_obs(true),
@@ -2646,10 +2475,10 @@ mod tests {
             per_hour: 30.0,
             seed: 3,
         };
-        let (mut sim, w) = heavy_setup();
+        let (sim, w) = heavy_setup();
         let plan = FaultPlan::generate(&FaultSpec::moderate(41), sim.placement().config());
         let out = run_scheduled_faulty(
-            &mut sim,
+            &sim,
             &w,
             &BatchByTape,
             &SchedConfig::new(spec, 25).with_obs(true),
@@ -2668,118 +2497,48 @@ mod tests {
         );
     }
 
-    /// Under media-only fault plans the sequential FCFS gear reproduces
-    /// the retired single-server fault loop bit for bit — metrics and
-    /// lost/retries/failovers counters — across several fault seeds. The
-    /// constants are that loop's output on this fixture, recorded before
-    /// it was folded into this gear.
-    #[test]
-    fn media_only_fcfs_matches_legacy_queue_bit_for_bit() {
-        let spec = ArrivalSpec {
-            per_hour: 10.0,
-            seed: 5,
-        };
-        // (fault seed, served, [wait, service, sojourn, utilisation] bits,
-        //  [retries, failovers, lost])
-        type Pin = (u64, u64, [u64; 4], [u64; 3]);
-        let pinned: [Pin; 3] = [
-            (
-                11,
-                15,
-                [
-                    0x40a69e25133a2a38,
-                    0x408aebf2b2c11adc,
-                    0x40ad5921bfea70ef,
-                    0x3ff0000000000000,
-                ],
-                [102, 0, 15],
-            ),
-            (
-                29,
-                4,
-                [
-                    0x40521b62f3b796d0,
-                    0x4086464eea9d9443,
-                    0x408889bb4914871e,
-                    0x3fdab98d54fb5d26,
-                ],
-                [107, 0, 26],
-            ),
-            (
-                83,
-                5,
-                [
-                    0x408435c96e4d4a32,
-                    0x4090dda596cba4a0,
-                    0x409af88a4df249b8,
-                    0x3fe33c63069d01ab,
-                ],
-                [115, 0, 25],
-            ),
-        ];
-        for (fault_seed, served, bits, counters) in pinned {
-            let (mut sim, w) = setup();
-            let plan = FaultPlan::generate(&media_only_spec(fault_seed), sim.placement().config());
-            assert!(plan.media_only() && !plan.is_zero(), "seed {fault_seed}");
-            let out = run_scheduled_faulty(
-                &mut sim,
-                &w,
-                &Fcfs,
-                &SchedConfig::new(spec, 30),
-                &plan,
-                &BTreeMap::new(),
-            );
-            let m = &out.metrics;
-            assert_eq!(m.served(), served, "seed {fault_seed}");
-            let got = [
-                m.avg_wait(),
-                m.avg_service(),
-                m.avg_sojourn(),
-                m.utilisation(),
-            ];
-            assert_eq!(got.map(f64::to_bits), bits, "seed {fault_seed}");
-            assert_eq!(
-                [m.retries(), m.failovers(), m.lost()],
-                counters,
-                "seed {fault_seed}"
-            );
-        }
-    }
-
-    /// The sequential faulty gear supports the observability tap too:
-    /// budgets close, and auditing still works alongside.
+    /// Media faults under the FCFS gate: retries are timed inside the
+    /// transfer windows and fatal reads fail over or lose the request,
+    /// yet every request is served or counted lost, the one trace audits
+    /// clean and the time budget closes — alone and with replicas.
     #[test]
     fn sequential_faulty_obs_and_audit_coexist() {
         let spec = ArrivalSpec {
             per_hour: 10.0,
             seed: 5,
         };
-        let (mut sim, w) = setup();
-        let plan = FaultPlan::generate(&media_only_spec(29), sim.placement().config());
-        let out = run_scheduled_faulty(
-            &mut sim,
-            &w,
-            &Fcfs,
-            &SchedConfig::new(spec, 30).with_obs(true).with_audit(true),
-            &plan,
-            &BTreeMap::new(),
-        );
-        assert!(
-            out.is_clean(),
-            "{:?}",
-            out.reports.iter().find(|r| !r.is_clean())
-        );
-        assert_eq!(
-            out.reports.len() as u64,
-            out.metrics.served(),
-            "one audit per served request"
-        );
-        let budget = out.budget.expect("obs on must yield a budget");
-        assert!(
-            budget.sum_error() < 1e-6,
-            "closure error {:.3e}",
-            budget.sum_error()
-        );
+        let (sim, w) = setup();
+        let (rsim, rw, alternates, rplan) = replicated_setup(6.0);
+        let none = BTreeMap::new();
+        let plans: Vec<_> = [11, 29, 83]
+            .map(|seed| FaultPlan::generate(&media_only_spec(seed), sim.placement().config()))
+            .into_iter()
+            .map(|plan| (&sim, &w, &none, plan))
+            .chain([(&rsim, &rw, &alternates, rplan)])
+            .collect();
+        for (sim, w, alternates, plan) in &plans {
+            assert_eq!((plan.n_drive_failures(), plan.n_jams()), (0, 0));
+            assert!(plan.n_spots() > 0);
+            let out = run_scheduled_faulty(
+                sim,
+                w,
+                &Fcfs,
+                &SchedConfig::new(spec, 30).with_obs(true).with_audit(true),
+                plan,
+                alternates,
+            );
+            let m = &out.metrics;
+            assert_eq!(m.served() + m.lost(), 30, "conservation");
+            assert!(m.retries() > 0, "bad spots must cost retries");
+            assert_eq!(out.reports.len(), 1, "one audit for the whole run");
+            assert!(out.is_clean(), "{}", out.reports[0]);
+            let budget = out.budget.expect("obs on must yield a budget");
+            assert!(
+                budget.sum_error() < 1e-6,
+                "closure error {:.3e}",
+                budget.sum_error()
+            );
+        }
     }
 
     /// The serve runtime's determinism keystone: feeding the engine one
@@ -2791,10 +2550,10 @@ mod tests {
             per_hour: 30.0,
             seed: 5,
         };
-        for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape] {
+        for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape, &Fcfs] {
             let cfg = SchedConfig::new(spec, 30).with_audit(true);
-            let (mut batch_sim, w) = heavy_setup();
-            let batch = run_scheduled(&mut batch_sim, &w, policy, &cfg);
+            let (batch_sim, w) = heavy_setup();
+            let batch = run_scheduled(&batch_sim, &w, policy, &cfg);
 
             let (inc_sim, _) = heavy_setup();
             let placement = inc_sim.placement();
@@ -2855,8 +2614,77 @@ mod tests {
         }
     }
 
-    /// Satellite: `close()` stops admissions (rejected + counted) while
-    /// everything already admitted still drains to completion.
+    /// The §6 single-server loop the admission gate replaced, kept as the
+    /// reference: each drawn request is served on the per-request engine
+    /// from `max(arrival, previous finish)`, its mount state carried to
+    /// the next. Returns the sojourns in service order and the summed
+    /// exchanges.
+    fn single_server_reference(
+        sim: &Simulator,
+        w: &Workload,
+        spec: ArrivalSpec,
+        samples: usize,
+    ) -> (Vec<f64>, u64) {
+        let mut server = Simulator::new(sim.placement().clone(), sim.policy());
+        let mut stream = RequestStream::new(spec, w);
+        let (mut free, mut mounts) = (0.0f64, 0u64);
+        let mut sojourns = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let (arrival, rank) = stream.next_request();
+            let objects = w.requests().get(rank).map_or(&[][..], |r| &r.objects);
+            let service = server.serve(objects);
+            free = arrival.max(free) + service.response;
+            sojourns.push(free - arrival);
+            mounts += service.n_switches as u64;
+        }
+        (sojourns, mounts)
+    }
+
+    /// The light (all-mounted) and heavy (exchanging) fixtures, built once.
+    fn gate_fixtures() -> &'static [(Simulator, Workload); 2] {
+        static FIXTURES: std::sync::OnceLock<[(Simulator, Workload); 2]> =
+            std::sync::OnceLock::new();
+        FIXTURES.get_or_init(|| [setup(), heavy_setup()])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The FCFS gate is the §6 single-server model. Over the sched
+        /// proptest grid (seed, rate, samples) with a zero plan, on both
+        /// fixtures, gated `fcfs` serves every request with the reference
+        /// loop's exchange count and each sojourn within 1e-9 relative:
+        /// the engine folds times on the run's clock, the reference on
+        /// each request's local one, so the last bits may differ.
+        #[test]
+        fn fcfs_gate_matches_the_single_server_reference(
+            seed in 0u64..1_000,
+            rate_tenths in 5u32..400,
+            samples in 5usize..25,
+            heavy in proptest::prelude::any::<bool>(),
+        ) {
+            let (sim, w) = &gate_fixtures()[heavy as usize];
+            let spec = ArrivalSpec { per_hour: rate_tenths as f64 / 10.0, seed };
+            let cfg = SchedConfig::new(spec, samples).with_audit(true);
+            let out = run_scheduled(sim, w, &Fcfs, &cfg);
+            let (sojourns, mounts) = single_server_reference(sim, w, spec, samples);
+            proptest::prop_assert!(out.is_clean());
+            proptest::prop_assert_eq!(out.metrics.served(), samples as u64);
+            proptest::prop_assert_eq!(out.metrics.mounts(), mounts);
+            let got = out.metrics.sojourn_seconds();
+            proptest::prop_assert_eq!(got.len(), sojourns.len());
+            for (i, (got, want)) in got.iter().zip(&sojourns).enumerate() {
+                proptest::prop_assert!(
+                    (got - want).abs() <= 1e-9 * want,
+                    "request {}: sojourn {} vs reference {}",
+                    i,
+                    got,
+                    want
+                );
+            }
+        }
+    }
+
     /// The oracle grid's two systems, built once: the heavy fixture,
     /// and the replicated one with its replica map.
     #[allow(clippy::type_complexity)]
@@ -3054,6 +2882,8 @@ mod tests {
         assert!(report.outcome.is_clean());
     }
 
+    /// `close()` stops admissions (rejected + counted) while everything
+    /// already admitted still drains to completion.
     #[test]
     fn close_rejects_new_submissions_and_drains_in_flight() {
         let spec = ArrivalSpec {

@@ -16,8 +16,8 @@
 //! * **per-tape batching** — all queued jobs for a tape ride one mount,
 //!   ordered within the tape by the `seek_order` planner;
 //! * a **pluggable [`SchedPolicy`]** deciding which tape a freed drive
-//!   fetches next: [`Fcfs`] (the paper's one-request-at-a-time model on
-//!   a single server, with queueing), [`BatchByTape`] (coalescing,
+//!   fetches next: [`Fcfs`] (the paper's one-request-at-a-time model,
+//!   an admission gate with a FIFO behind it), [`BatchByTape`] (coalescing,
 //!   longest-waiting tape first) and [`SltfTape`]
 //!   (shortest-locate/service-time-first);
 //! * **per-request metrics with percentiles** ([`SchedMetrics`]) and

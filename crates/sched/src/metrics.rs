@@ -2,9 +2,9 @@
 //!
 //! [`SchedMetrics`] keeps mean wait/service/sojourn, utilisation and the
 //! served count, plus retained samples for percentile queries and
-//! scheduler-level counters (mounts, events processed). The pinned FCFS
-//! metric bits depend on the Welford accumulators being fed in one fixed
-//! push order — see `SchedMetrics::record_seconds`.
+//! scheduler-level counters (mounts, events processed). One definition
+//! holds for every policy: a request's wait is its first byte minus its
+//! arrival, and utilisation is drive busy time over drives × horizon.
 
 use serde::{Deserialize, Serialize};
 use tapesim_des::stats::{Samples, Welford};
@@ -73,15 +73,8 @@ impl SchedMetrics {
     pub fn record(&mut self, r: &RequestRecord) {
         let wait = (r.first_start - r.arrival).as_secs();
         let sojourn = (r.finish - r.arrival).as_secs();
-        self.record_seconds(wait, sojourn - wait, sojourn);
-    }
-
-    /// Records one served request from pre-computed seconds. The push
-    /// order (wait, service, sojourn) is fixed: the pinned FCFS metric
-    /// bits depend on it.
-    pub(crate) fn record_seconds(&mut self, wait: f64, service: f64, sojourn: f64) {
         self.wait.push(wait);
-        self.service.push(service);
+        self.service.push(sojourn - wait);
         self.sojourn.push(sojourn);
         self.wait_samples.push(wait);
         self.sojourn_samples.push(sojourn);
@@ -91,19 +84,11 @@ impl SchedMetrics {
         self.mounts += n;
     }
 
-    pub(crate) fn add_busy(&mut self, seconds: f64) {
-        self.busy += seconds;
-    }
-
-    pub(crate) fn add_busy_time(&mut self, time: SimTime) {
+    pub(crate) fn add_busy(&mut self, time: SimTime) {
         self.busy += time.as_secs();
     }
 
-    pub(crate) fn set_horizon(&mut self, seconds: f64) {
-        self.horizon = seconds;
-    }
-
-    pub(crate) fn set_horizon_time(&mut self, time: SimTime) {
+    pub(crate) fn set_horizon(&mut self, time: SimTime) {
         self.horizon = time.as_secs();
     }
 
@@ -202,9 +187,7 @@ impl SchedMetrics {
         self.mounts
     }
 
-    /// DES events processed. The concurrent gear counts its own event
-    /// loop; the sequential FCFS gear sums the per-request engine's
-    /// events across all served requests.
+    /// DES events processed by the scheduling engine's event loop.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -243,8 +226,8 @@ impl SchedMetrics {
     }
 
     /// Aggregate drive busy time over the run span, normalised by server
-    /// count: `busy / (horizon × servers)`. With one server (the
-    /// sequential gear) this is plain `busy / horizon`.
+    /// count: `busy / (horizon × servers)`, the servers being every drive
+    /// of the fleet under every policy.
     pub fn utilisation(&self) -> f64 {
         if self.horizon <= 0.0 {
             0.0
@@ -281,7 +264,12 @@ mod tests {
     fn percentiles_come_from_samples() {
         let mut m = SchedMetrics::new(2);
         for (w, s) in [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)] {
-            m.record_seconds(w, s - w, s);
+            m.record(&RequestRecord {
+                request: 0,
+                arrival: t(0.0),
+                first_start: t(w),
+                finish: t(s),
+            });
         }
         assert_eq!(m.wait_percentile(50.0), 2.0);
         assert_eq!(m.sojourn_percentile(100.0), 30.0);
@@ -318,8 +306,8 @@ mod tests {
     #[test]
     fn utilisation_normalises_by_servers() {
         let mut m = SchedMetrics::new(4);
-        m.add_busy(100.0);
-        m.set_horizon(50.0);
+        m.add_busy(t(100.0));
+        m.set_horizon(t(50.0));
         assert!((m.utilisation() - 0.5).abs() < 1e-12);
 
         let empty = SchedMetrics::new(4);

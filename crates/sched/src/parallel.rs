@@ -52,7 +52,7 @@
 //! The decomposition is sound only when nothing crosses libraries after
 //! arrival. `run_partitioned` declines (returns `None`, the caller
 //! falls back to the monolithic gear) when: the system has one library;
-//! the policy is sequential (the FCFS gear mutates the simulator); span
+//! the policy is sequential (FCFS's admission gate spans every library); span
 //! accounting is on (one global `TimeBudget` cannot be rebuilt from
 //! partition budgets); or the run combines a non-zero fault
 //! plan with replica alternates — a failover may re-home work to another
@@ -543,7 +543,7 @@ fn merge(
     for &(_, delta) in &busy_ops {
         busy += delta;
     }
-    metrics.add_busy_time(busy);
+    metrics.add_busy(busy);
 
     let mut mounts = 0u64;
     let mut events = 0u64;
@@ -593,7 +593,7 @@ fn merge(
     };
 
     let first = draws.first().map_or(SimTime::ZERO, |&(at, _)| at);
-    metrics.set_horizon_time(end.saturating_sub(first));
+    metrics.set_horizon(end.saturating_sub(first));
     if !clock.is_zero() {
         // Availability over the full fleet and the global span — the
         // monolithic formula verbatim.
@@ -717,8 +717,8 @@ mod tests {
     fn parallel_matches_monolithic_bit_for_bit() {
         for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape] {
             let cfg = SchedConfig::new(spec(11), 40).with_audit(true);
-            let (mut mono_sim, w) = heavy_setup();
-            let mono = run_scheduled(&mut mono_sim, &w, policy, &cfg);
+            let (mono_sim, w) = heavy_setup();
+            let mono = run_scheduled(&mono_sim, &w, policy, &cfg);
             let (mut par_sim, _) = heavy_setup();
             let par = run_zero_faults(&mut par_sim, &w, policy, &cfg, &ParallelConfig::on());
             assert_identical(&par, &mono);
@@ -728,8 +728,8 @@ mod tests {
     #[test]
     fn thread_and_window_counts_never_change_the_bits() {
         let cfg = SchedConfig::new(spec(23), 32).with_audit(true);
-        let (mut mono_sim, w) = heavy_setup();
-        let mono = run_scheduled(&mut mono_sim, &w, &BatchByTape, &cfg);
+        let (mono_sim, w) = heavy_setup();
+        let mono = run_scheduled(&mono_sim, &w, &BatchByTape, &cfg);
         for threads in [1, 2, 8] {
             for window in [1, 7, 64] {
                 let par_cfg = ParallelConfig::on()
@@ -748,8 +748,8 @@ mod tests {
         let alternates = BTreeMap::new();
         for policy in [&BatchByTape as &dyn SchedPolicy, &SltfTape] {
             let cfg = SchedConfig::new(spec(7), 40).with_audit(true);
-            let (mut mono_sim, w) = heavy_setup();
-            let mono = run_scheduled_faulty(&mut mono_sim, &w, policy, &cfg, &plan, &alternates);
+            let (mono_sim, w) = heavy_setup();
+            let mono = run_scheduled_faulty(&mono_sim, &w, policy, &cfg, &plan, &alternates);
             let (mut par_sim, _) = heavy_setup();
             let par = run_scheduled_faulty_parallel(
                 &mut par_sim,
@@ -808,7 +808,7 @@ mod tests {
             &ParallelConfig::off()
         )
         .is_none());
-        // Sequential (FCFS) policy.
+        // Sequential (FCFS) policy: one gate for the whole fleet.
         assert!(run_partitioned(&sim, &w, &Fcfs, &cfg, &plan, &alternates, &on).is_none());
         // Span accounting on: one global budget cannot be partitioned.
         assert!(run_partitioned(
@@ -854,14 +854,14 @@ mod tests {
 
     /// The fallback still *serves* the run: parallel entry + ineligible
     /// shape produces the monolithic answer, not a panic or an empty
-    /// outcome — for every policy, including the sequential FCFS gear.
+    /// outcome — for every policy, including gated FCFS.
     #[test]
     fn fallback_outcomes_match_the_plain_entry_points() {
         let cfg = SchedConfig::new(spec(13), 12).with_audit(true);
         for kind in PolicyKind::ALL {
             let policy = kind.build();
-            let (mut a, w) = heavy_setup();
-            let base = run_scheduled(&mut a, &w, policy.as_ref(), &cfg);
+            let (a, w) = heavy_setup();
+            let base = run_scheduled(&a, &w, policy.as_ref(), &cfg);
             let (mut b, _) = heavy_setup();
             let obs_cfg = cfg.with_obs(false);
             let via = run_zero_faults(

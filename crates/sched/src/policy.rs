@@ -7,6 +7,7 @@
 //! time, and locate/service estimates for the drive under consideration —
 //! never the simulator's internals, so policies stay interchangeable.
 
+use std::cmp::Reverse;
 use tapesim_des::SimTime;
 use tapesim_model::{Bytes, TapeId};
 
@@ -40,30 +41,37 @@ pub trait SchedPolicy: std::fmt::Debug + Send + Sync {
     /// Picks a candidate index from a non-empty slice.
     fn choose(&self, candidates: &[TapeCandidate]) -> Option<usize>;
 
-    /// Whether the scheduler must serve one request at a time on a
-    /// single conceptual server (the sequential gear). FCFS sets this;
+    /// Whether the engine admits one request at a time: while a request
+    /// has jobs outstanding, later arrivals wait in a FIFO gate (the §6
+    /// single-server model with a queue in front). FCFS sets this;
     /// concurrent policies do not.
     fn sequential(&self) -> bool {
         false
     }
 }
 
-/// Picks the candidate whose longest-waiting job arrived first.
-fn choose_oldest(candidates: &[TapeCandidate]) -> Option<usize> {
-    let mut best: Option<(SimTime, TapeId, usize)> = None;
+/// The index of the candidate with the smallest `key`; equal keys go to
+/// the earlier candidate.
+fn choose_min<K: PartialOrd>(
+    candidates: &[TapeCandidate],
+    key: impl Fn(&TapeCandidate) -> K,
+) -> Option<usize> {
+    let mut best: Option<(K, usize)> = None;
     for (i, c) in candidates.iter().enumerate() {
-        let key = (c.oldest_arrival, c.tape, i);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+        let k = key(c);
+        if best.as_ref().is_none_or(|(b, _)| k < *b) {
+            best = Some((k, i));
         }
     }
-    best.map(|(_, _, i)| i)
+    best.map(|(_, i)| i)
 }
 
 /// First-come-first-served, one request at a time: the paper's §6
-/// operating model with a queue in front of it, run by the sequential
-/// gear. Under drive failures or jams it runs on the concurrent gear,
-/// where `choose` keeps oldest-arrival-first order.
+/// operating model with a queue in front of it. The engine's admission
+/// gate keeps one request in service; `choose` sends its tapes largest
+/// job first, the order the §6 engine dispatches a request's pending
+/// jobs in (`tape_jobs` sorts by bytes, descending), so a lone request
+/// costs what the §6 simulator says it costs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fcfs;
 
@@ -73,7 +81,9 @@ impl SchedPolicy for Fcfs {
     }
 
     fn choose(&self, candidates: &[TapeCandidate]) -> Option<usize> {
-        choose_oldest(candidates)
+        choose_min(candidates, |c| {
+            (c.oldest_arrival, Reverse(c.queued_bytes), c.tape)
+        })
     }
 
     fn sequential(&self) -> bool {
@@ -93,7 +103,7 @@ impl SchedPolicy for BatchByTape {
     }
 
     fn choose(&self, candidates: &[TapeCandidate]) -> Option<usize> {
-        choose_oldest(candidates)
+        choose_min(candidates, |c| (c.oldest_arrival, c.tape))
     }
 }
 
@@ -109,14 +119,9 @@ impl SchedPolicy for SltfTape {
     }
 
     fn choose(&self, candidates: &[TapeCandidate]) -> Option<usize> {
-        let mut best: Option<(SimTime, SimTime, TapeId, usize)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            let key = (c.est_locate + c.est_service, c.oldest_arrival, c.tape, i);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, _, i)| i)
+        choose_min(candidates, |c| {
+            (c.est_locate + c.est_service, c.oldest_arrival, c.tape)
+        })
     }
 }
 
@@ -193,6 +198,23 @@ mod tests {
         ];
         assert_eq!(Fcfs.choose(&cands), Some(1));
         assert_eq!(BatchByTape.choose(&cands), Some(1));
+    }
+
+    #[test]
+    fn fcfs_breaks_arrival_ties_largest_job_first() {
+        let mut small = cand(1, 10.0, 5.0, 5.0);
+        small.queued_bytes = Bytes::gb(2);
+        let mut large = cand(3, 10.0, 5.0, 5.0);
+        large.queued_bytes = Bytes::gb(7);
+        let mut also_large = cand(2, 10.0, 5.0, 5.0);
+        also_large.queued_bytes = Bytes::gb(7);
+        let older = cand(4, 9.0, 5.0, 5.0);
+        // Same arrival: the most bytes win, then the smaller tape id.
+        assert_eq!(Fcfs.choose(&[small, large, also_large]), Some(2));
+        // An older arrival still beats any size.
+        assert_eq!(Fcfs.choose(&[large, older]), Some(1));
+        // `BatchByTape` keeps its tape-id tie-break.
+        assert_eq!(BatchByTape.choose(&[small, large, also_large]), Some(0));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!    every audited trace is clean, across random seeds/rates.
 //! 2. **Single server** — `Fcfs` serves one request at a time in arrival
 //!    order: rebuilding each start as `max(arrival, previous finish)`
-//!    accounts for every recorded wait and service second.
+//!    accounts for every recorded wait and service second. (The fixture
+//!    keeps every requested tape mounted, so a request's first byte
+//!    streams the instant it passes the admission gate.)
 //! 3. **Coalescing** — under deep queues (high arrival rates)
 //!    `BatchByTape` mounts strictly fewer tapes than `Fcfs` on the same
 //!    demand stream. (At shallow depths no dominance holds: shifted
@@ -173,9 +175,9 @@ proptest! {
             seed,
         };
         for kind in PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup(17);
+            let (sim, w) = heavy_setup(17);
             let out = run_scheduled(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, samples).with_audit(true),
@@ -204,8 +206,8 @@ proptest! {
             per_hour: rate_tenths as f64 / 10.0,
             seed,
         };
-        let (mut sim, w) = setup(23);
-        let m = run_scheduled(&mut sim, &w, &Fcfs, &SchedConfig::new(spec, samples)).metrics;
+        let (sim, w) = setup(23);
+        let m = run_scheduled(&sim, &w, &Fcfs, &SchedConfig::new(spec, samples)).metrics;
         prop_assert_eq!(m.served(), samples as u64);
         let mut arrivals = ArrivalProcess::new(spec);
         let (mut prev_finish, mut wait, mut service) = (0.0f64, 0.0, 0.0);
@@ -233,11 +235,11 @@ proptest! {
             per_hour: rate as f64,
             seed,
         };
-        let (mut fcfs_sim, w) = heavy_setup(29);
-        let fcfs = run_scheduled(&mut fcfs_sim, &w, &Fcfs, &SchedConfig::new(spec, samples));
-        let (mut batch_sim, _) = heavy_setup(29);
+        let (fcfs_sim, w) = heavy_setup(29);
+        let fcfs = run_scheduled(&fcfs_sim, &w, &Fcfs, &SchedConfig::new(spec, samples));
+        let (batch_sim, _) = heavy_setup(29);
         let batch = run_scheduled(
-            &mut batch_sim,
+            &batch_sim,
             &w,
             &BatchByTape,
             &SchedConfig::new(spec, samples),
@@ -271,10 +273,10 @@ proptest! {
         let fspec = FaultSpec::moderate(fault_seed)
             .scaled(intensity_tenths as f64 / 10.0);
         for kind in PolicyKind::ALL {
-            let (mut sim, w, alternates) = faulty_setup(17, replicate);
+            let (sim, w, alternates) = faulty_setup(17, replicate);
             let plan = FaultPlan::generate(&fspec, &paper_table1());
             let out = run_scheduled_faulty(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, samples).with_audit(true),
@@ -303,16 +305,16 @@ proptest! {
         let spec = ArrivalSpec { per_hour: 20.0, seed };
         let plan = FaultPlan::zero(&paper_table1());
         for kind in PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup(17);
+            let (sim, w) = heavy_setup(17);
             let base = run_scheduled(
-                &mut sim,
+                &sim,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, samples),
             );
-            let (mut sim2, _) = heavy_setup(17);
+            let (sim2, _) = heavy_setup(17);
             let out = run_scheduled_faulty(
-                &mut sim2,
+                &sim2,
                 &w,
                 kind.build().as_ref(),
                 &SchedConfig::new(spec, samples),
@@ -358,7 +360,7 @@ proptest! {
             seed,
         };
         for kind in PolicyKind::ALL {
-            let (mut sim, w) = heavy_setup(17);
+            let (sim, w) = heavy_setup(17);
             let cfg = SchedConfig::new(spec, samples).with_obs(true);
             let out = if faulty {
                 let plan = FaultPlan::generate(
@@ -366,7 +368,7 @@ proptest! {
                     sim.placement().config(),
                 );
                 run_scheduled_faulty(
-                    &mut sim,
+                    &sim,
                     &w,
                     kind.build().as_ref(),
                     &cfg,
@@ -374,7 +376,7 @@ proptest! {
                     &BTreeMap::new(),
                 )
             } else {
-                run_scheduled(&mut sim, &w, kind.build().as_ref(), &cfg)
+                run_scheduled(&sim, &w, kind.build().as_ref(), &cfg)
             };
             let budget = out.budget.expect("obs on must yield a budget");
             prop_assert!(
@@ -407,8 +409,8 @@ proptest! {
 
     /// Family 7 (fault-free): any (seed, rate, samples) × (threads,
     /// window) point produces the monolithic bits through the
-    /// partitioned engine, for every policy including the sequential
-    /// FCFS gear (which must route around partitioning entirely).
+    /// partitioned engine, for every policy including gated FCFS (which
+    /// must route around partitioning entirely).
     #[test]
     fn parallel_run_is_bit_identical_to_sequential(
         seed in 0u64..1_000,
@@ -426,8 +428,8 @@ proptest! {
             .with_threads(threads)
             .with_window(window);
         for kind in PolicyKind::ALL {
-            let (mut mono_sim, w) = heavy_setup(17);
-            let mono = run_scheduled(&mut mono_sim, &w, kind.build().as_ref(), &cfg);
+            let (mono_sim, w) = heavy_setup(17);
+            let mono = run_scheduled(&mono_sim, &w, kind.build().as_ref(), &cfg);
             let (mut par_sim, _) = heavy_setup(17);
             let plan = FaultPlan::zero(par_sim.placement().config());
             let par = run_scheduled_faulty_parallel(
@@ -466,9 +468,9 @@ proptest! {
         let alternates = BTreeMap::new();
         for kind in PolicyKind::ALL {
             let plan = FaultPlan::generate(&fspec, &paper_table1());
-            let (mut mono_sim, w) = heavy_setup(17);
+            let (mono_sim, w) = heavy_setup(17);
             let mono = run_scheduled_faulty(
-                &mut mono_sim,
+                &mono_sim,
                 &w,
                 kind.build().as_ref(),
                 &cfg,

@@ -49,11 +49,16 @@ fn arrivals() -> ArrivalSpec {
 
 #[test]
 fn single_shard_reproduces_batch_bit_for_bit() {
-    for kind in [PolicyKind::BatchByTape, PolicyKind::SltfTape] {
-        let (mut batch_sim, w) = setup();
+    // `Fcfs` runs its admission gate inside the one shard.
+    for kind in [
+        PolicyKind::BatchByTape,
+        PolicyKind::SltfTape,
+        PolicyKind::Fcfs,
+    ] {
+        let (batch_sim, w) = setup();
         let policy = kind.build();
         let batch = run_scheduled(
-            &mut batch_sim,
+            &batch_sim,
             &w,
             policy.as_ref(),
             &SchedConfig::new(arrivals(), 30).with_audit(true),

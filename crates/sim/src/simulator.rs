@@ -132,18 +132,11 @@ impl Simulator {
         )
     }
 
-    /// The tape jobs of `objects`, drawn as request template `rank`, next
-    /// to the placement they are grouped on. The catalog groups a rank the
-    /// first time it is drawn and again only when the rank's object list
-    /// differs from the one it stored.
-    pub fn drawn_jobs(&mut self, rank: usize, objects: &[ObjectId]) -> (&Placement, &[TapeJob]) {
-        let jobs = self.catalog.jobs(&self.placement, rank, objects);
-        (&self.placement, jobs)
-    }
-
     /// Serves `objects`, drawn as request template `rank`, with its tape
-    /// jobs from the catalog ([`Simulator::drawn_jobs`]).
-    pub fn serve_drawn(
+    /// jobs from the catalog: it groups a rank the first time the rank
+    /// is drawn and again only when the rank's object list differs from
+    /// the one it stored.
+    fn serve_drawn(
         &mut self,
         rank: usize,
         objects: &[ObjectId],
@@ -164,8 +157,9 @@ impl Simulator {
     /// Serves `samples` requests drawn from `workload`'s pre-defined set by
     /// popularity (deterministic for a given `seed`) and aggregates.
     ///
-    /// Every draw is served through [`Simulator::serve_drawn`], so a rank
-    /// any earlier call on this simulator grouped is not grouped again.
+    /// Every draw takes its tape jobs from the simulator's catalog, so a
+    /// rank any earlier call on this simulator grouped is not grouped
+    /// again.
     pub fn run_sampled(&mut self, workload: &Workload, samples: usize, seed: u64) -> RunMetrics {
         let mut run = RunMetrics::new();
         for metrics in self.run_sampled_detailed(workload, samples, seed) {

@@ -102,9 +102,9 @@ fn queueing_preserves_service_metrics_and_orders_waits() {
     // Mean service time under queueing equals the plain sampled mean for
     // the same seed structure (the queue changes waits, not services).
     let fcfs = |per_hour: f64| {
-        let mut sim = Simulator::with_natural_policy(placement.clone(), 4);
+        let sim = Simulator::with_natural_policy(placement.clone(), 4);
         let cfg = SchedConfig::new(ArrivalSpec { per_hour, seed: 5 }, 40);
-        run_scheduled(&mut sim, &w, &Fcfs, &cfg).metrics
+        run_scheduled(&sim, &w, &Fcfs, &cfg).metrics
     };
     let sparse = fcfs(0.01);
     let dense = fcfs(20.0);

@@ -1,9 +1,9 @@
 //! Golden-trace snapshot wall.
 //!
-//! Every placement scheme runs the engine modes — the sequential FCFS
-//! gear (`queued`), the concurrent batching scheduler (`sched`), the
-//! same scheduler under the exact-DP seek policy (`sched-exact`) and the
-//! faulty concurrent gear under a seeded moderate fault plan
+//! Every placement scheme runs the engine modes — FCFS behind its
+//! admission gate (`queued`), the concurrent batching scheduler (`sched`),
+//! the same scheduler under the exact-DP seek policy (`sched-exact`) and
+//! the faulty batching scheduler under a seeded moderate fault plan
 //! (`faults-smoke`) — with the trace auditor enabled. Each run's audit
 //! verdict and event-count fingerprint (entries, jobs, transfers,
 //! exchanges, faults, losses, failovers) is compared against a committed
@@ -97,7 +97,7 @@ fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
         }
     };
     let out = match mode {
-        "queued" => run_scheduled(&mut sim, &w, &Fcfs, &cfg),
+        "queued" => run_scheduled(&sim, &w, &Fcfs, &cfg),
         "sched" => batch(&mut sim, &FaultPlan::zero(&system)),
         // The exact-DP policy gets its own wall: same stream, optimal
         // in-tape order. Mount and exchange counts must match `sched`
@@ -105,7 +105,7 @@ fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
         // shape may move.
         "sched-exact" => {
             let cfg = cfg.with_seek(SeekPolicy::ExactDp);
-            run_scheduled(&mut sim, &w, &BatchByTape, &cfg)
+            run_scheduled(&sim, &w, &BatchByTape, &cfg)
         }
         "faults-smoke" => batch(
             &mut sim,
