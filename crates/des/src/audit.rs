@@ -382,8 +382,9 @@ impl TraceAuditor {
 /// slot and one state byte per id. Ids far past the entries seen so far
 /// go to a sparse map instead, so a malformed trace naming `u32::MAX`
 /// costs one map entry, not gigabytes. Each drive's state (mount,
-/// pending exchange, failure instant, busy windows) sits in one map
-/// entry, so an event costs one lookup in a map of a few dozen drives.
+/// pending exchange, failure instant, busy windows) and each robot arm's
+/// windows sit in tables indexed by library and bay or arm, with the
+/// same sparse fallback past 256 libraries, bays or arms.
 ///
 /// Drive and robot exclusivity are defined on *start-sorted adjacent
 /// pairs* over the whole run, ties kept in arrival order, and
@@ -403,9 +404,9 @@ pub struct AuditStream {
     /// [`AuditStream::finish`] appends the end-of-trace passes.
     report: AuditReport,
     jobs: Jobs,
-    drives: BTreeMap<DriveKey, Drive>,
+    drives: Dense<Drive>,
     /// Exchange windows per `(library, arm)`, in arrival order.
-    arms: BTreeMap<(u16, u32), Vec<Window>>,
+    arms: Dense<Vec<Window>>,
     any_drive_failed: bool,
     jam_windows: BTreeMap<u16, Vec<(SimTime, SimTime)>>,
     fatal_faults: BTreeMap<u32, SimTime>,
@@ -440,7 +441,7 @@ impl AuditStream {
 
         match entry.event {
             TraceEvent::AssumeMounted { drive, tape } => {
-                let d = self.drives.entry(drive).or_default();
+                let d = self.drives.get_mut(drive.library(), drive.bay().into());
                 if d.mounted.is_some() {
                     flag(
                         &mut self.report.violations,
@@ -458,7 +459,11 @@ impl AuditStream {
                 }
             }
             TraceEvent::Unmounted { drive, tape } => {
-                let actual = self.drives.entry(drive).or_default().mounted.take();
+                let actual = self
+                    .drives
+                    .get_mut(drive.library(), drive.bay().into())
+                    .mounted
+                    .take();
                 if actual != Some(tape) {
                     flag(
                         &mut self.report.violations,
@@ -478,7 +483,7 @@ impl AuditStream {
                 finish,
             } => {
                 self.report.exchanges += 1;
-                let d = self.drives.entry(drive).or_default();
+                let d = self.drives.get_mut(drive.library(), drive.bay().into());
                 if let Some(held) = d.mounted {
                     flag(
                         &mut self.report.violations,
@@ -494,12 +499,11 @@ impl AuditStream {
                 d.pending_exchange = Some(tape);
                 d.exchanges.push((index, start, finish));
                 self.arms
-                    .entry((drive.library(), arm))
-                    .or_default()
+                    .get_mut(drive.library(), arm)
                     .push((index, start, finish));
             }
             TraceEvent::Mounted { drive, tape } => {
-                let d = self.drives.entry(drive).or_default();
+                let d = self.drives.get_mut(drive.library(), drive.bay().into());
                 let expected = d.pending_exchange.take();
                 if expected != Some(tape) {
                     flag(
@@ -522,7 +526,7 @@ impl AuditStream {
                 ..
             } => {
                 self.report.transfers += 1;
-                let d = self.drives.entry(drive).or_default();
+                let d = self.drives.get_mut(drive.library(), drive.bay().into());
                 let held = d.mounted;
                 if held != Some(tape) {
                     flag(
@@ -595,8 +599,7 @@ impl AuditStream {
             }
             TraceEvent::DriveFailed { drive, at } => {
                 self.drives
-                    .entry(drive)
-                    .or_default()
+                    .get_mut(drive.library(), drive.bay().into())
                     .failed_at
                     .get_or_insert(at);
                 self.any_drive_failed = true;
@@ -691,8 +694,8 @@ impl AuditStream {
             prev_time,
             mut report,
             jobs,
-            mut drives,
-            mut arms,
+            drives,
+            arms,
             jam_windows,
             fatal_faults,
             failover_edges,
@@ -707,7 +710,14 @@ impl AuditStream {
         // so after the final stable sort by index the order of the passes
         // decides ties: overlaps, failed drives, jams, faults, failovers,
         // never-completed.
-        for (&drive, d) in &mut drives {
+        let mut drives: Vec<(DriveKey, Drive)> = drives
+            .into_sorted()
+            .into_iter()
+            .map(|((library, bay), d)| (DriveKey::pack(library, bay as u16), d))
+            .collect();
+        let mut arms = arms.into_sorted();
+        for (drive, d) in &mut drives {
+            let drive = *drive;
             for (index, first_finish, second_start) in sweep(&mut d.transfers) {
                 report.violations.push(Violation {
                     index,
@@ -720,7 +730,8 @@ impl AuditStream {
                 });
             }
         }
-        for (&(library, arm), windows) in &mut arms {
+        for ((library, arm), windows) in &mut arms {
+            let (library, arm) = (*library, *arm);
             for (index, first_finish, second_start) in sweep(windows) {
                 report.violations.push(Violation {
                     index,
@@ -735,7 +746,7 @@ impl AuditStream {
             }
         }
 
-        for (&drive, d) in &drives {
+        for &(drive, ref d) in &drives {
             let Some(failed_at) = d.failed_at else {
                 continue;
             };
@@ -754,7 +765,7 @@ impl AuditStream {
             }
         }
 
-        for (&(library, arm), windows) in &arms {
+        for &((library, arm), ref windows) in &arms {
             let Some(jams) = jam_windows.get(&library) else {
                 continue;
             };
@@ -948,6 +959,68 @@ impl Jobs {
             .filter(|&(_, &(state, _))| open(state))
             .map(|(&id, _)| id);
         dense.chain(sparse).collect()
+    }
+}
+
+/// Per-resource audit state keyed by `(library, unit)`, a unit being a
+/// drive bay or a robot arm: a table per library indexed by unit, plus a
+/// sparse map for keys past [`DENSE_UNITS`] in either part, so a wild key
+/// costs one map entry. Whether a key is dense never changes, so every
+/// key has exactly one home.
+#[derive(Debug)]
+struct Dense<T> {
+    libraries: Vec<Vec<T>>,
+    sparse: BTreeMap<(u16, u32), T>,
+}
+
+impl<T> Default for Dense<T> {
+    fn default() -> Self {
+        Dense {
+            libraries: Vec::new(),
+            sparse: BTreeMap::new(),
+        }
+    }
+}
+
+/// Libraries, bays and arms below this many are kept dense: every bay a
+/// model drive id can name (`u8`), and far more libraries and arms than
+/// any configuration has.
+const DENSE_UNITS: usize = 256;
+
+impl<T: Default> Dense<T> {
+    /// The state of `(library, unit)`, a default one if never seen.
+    fn get_mut(&mut self, library: u16, unit: u32) -> &mut T {
+        let (l, u) = (library as usize, unit as usize);
+        if l < DENSE_UNITS && u < DENSE_UNITS {
+            if self.libraries.len() <= l {
+                self.libraries.resize_with(l + 1, Vec::new);
+            }
+            if let Some(units) = self.libraries.get_mut(l) {
+                if units.len() <= u {
+                    units.resize_with(u + 1, T::default);
+                }
+                if let Some(state) = units.get_mut(u) {
+                    return state;
+                }
+            }
+        }
+        self.sparse.entry((library, unit)).or_default()
+    }
+
+    /// Every key's state in ascending `(library, unit)` order, keys never
+    /// seen included (their state is the default).
+    fn into_sorted(self) -> Vec<((u16, u32), T)> {
+        let mut all: Vec<((u16, u32), T)> = (0u16..)
+            .zip(self.libraries)
+            .flat_map(|(library, units)| {
+                (0u32..)
+                    .zip(units)
+                    .map(move |(unit, state)| ((library, unit), state))
+            })
+            .chain(self.sparse)
+            .collect();
+        all.sort_by_key(|&(key, _)| key);
+        all
     }
 }
 
@@ -2564,7 +2637,24 @@ mod streaming_proptests {
     /// picks the job-id space (see [`job_id`]).
     fn decode(v: u32, a: u32, b: u32, c: u32, clock: &mut f64) -> TraceEntry {
         *clock = (*clock + (c % 8) as f64 * 0.25 - 0.25).max(0.0);
-        let drive = DriveKey(a % 3);
+        // The top id space also names drives and arms past the dense
+        // tables (a library, bay or arm of 256 or more) beside dense ones
+        // of library 1, so both homes and their merged order are covered.
+        let wild = a / 64 == 3;
+        let drive = if wild {
+            [
+                DriveKey::pack(1, 0),
+                DriveKey::pack(0, 300),
+                DriveKey::pack(300, 1),
+            ][(a % 3) as usize]
+        } else {
+            DriveKey(a % 3)
+        };
+        let arm = if wild {
+            [1, 300, u32::MAX][(b % 3) as usize]
+        } else {
+            b % 2
+        };
         let tape = TapeKey(u64::from(b) % 4);
         let job = job_id(a / 64, (a / 3) % 6);
         let start = SimTime::from_secs((*clock + ((c / 8) % 4) as f64 * 0.5 - 0.5).max(0.0));
@@ -2576,7 +2666,7 @@ mod streaming_proptests {
             3 => TraceEvent::ExchangeBegun {
                 drive,
                 tape,
-                arm: b % 2,
+                arm,
                 start,
                 finish,
             },
@@ -2594,7 +2684,11 @@ mod streaming_proptests {
             6 => TraceEvent::JobCompleted { job, drive },
             7 => TraceEvent::DriveFailed { drive, at: start },
             8 => TraceEvent::RobotJammed {
-                library: a % 2,
+                library: if wild {
+                    [1, 300][(b % 2) as usize]
+                } else {
+                    a % 2
+                },
                 start,
                 finish,
             },

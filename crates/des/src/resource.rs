@@ -56,19 +56,22 @@ impl Resource {
     /// Requests a job of length `duration` at time `at`; books the
     /// earliest-free server and returns the grant.
     pub fn acquire(&mut self, at: SimTime, duration: SimTime) -> Grant {
-        // Earliest-free server, lowest index on ties (strict `<` keeps the
-        // first minimum). The constructor guarantees at least one server.
-        let mut server = 0;
-        let mut free = self.free_at[0];
-        for (i, &t) in self.free_at.iter().enumerate().skip(1) {
-            if t < free {
-                server = i;
-                free = t;
+        // Earliest-free server, lowest index on ties (`reduce` keeps the
+        // first minimum under a strict `<`). The constructor guarantees
+        // at least one server.
+        let earliest =
+            self.free_at
+                .iter_mut()
+                .enumerate()
+                .reduce(|best, next| if *next.1 < *best.1 { next } else { best });
+        let (server, start, finish) = match earliest {
+            Some((server, free)) => {
+                let start = at.max(*free);
+                *free = start + duration;
+                (server, start, *free)
             }
-        }
-        let start = at.max(free);
-        let finish = start + duration;
-        self.free_at[server] = finish;
+            None => (0, at, at + duration),
+        };
         self.busy += duration;
         self.jobs += 1;
         Grant {

@@ -55,12 +55,12 @@ use tapesim_des::audit::{AuditReport, TraceAuditor};
 use tapesim_des::{Resource, Scheduler, SimTime, TraceEvent, World};
 use tapesim_faults::{FaultClock, FaultPlan};
 use tapesim_model::tape::Extent;
-use tapesim_model::{Bytes, DriveId, LibraryId, ObjectId, SystemConfig, TapeId};
+use tapesim_model::{Bytes, LibraryId, ObjectId, SystemConfig, TapeId};
 use tapesim_obs::{TimeBudget, Topology};
 use tapesim_placement::Placement;
 use tapesim_sim::catalog::{tape_jobs, TapeJob};
 use tapesim_sim::seek_order;
-use tapesim_sim::{SeekPolicy, Simulator, SwitchPolicy};
+use tapesim_sim::{BaySet, SeekPolicy, Simulator, SwitchPolicy};
 use tapesim_workload::{ArrivalSpec, RequestStream, Workload};
 
 /// Configuration of one scheduled run.
@@ -423,6 +423,9 @@ struct SchedSim<'a> {
     /// the per-candidate linear `drive_of` scan.
     holder: Vec<Option<u32>>,
     busy: Vec<bool>,
+    /// The drive side of the dispatch index: each library's drives as
+    /// bay sets, kept beside `busy`, `dead` and `holder`.
+    bays: Vec<LibraryBays>,
     robots: Vec<Resource>,
     jobs: JobTable<'a>,
     /// Failover lineage: the tapes already attempted for a replacement
@@ -459,8 +462,8 @@ struct SchedSim<'a> {
     dead: Vec<bool>,
     /// Per library: how many of its drives are `dead`.
     failed: Vec<usize>,
-    /// Switch-drive count per library (the `m` of the d−m batch rule).
-    switch_m: Vec<usize>,
+    /// Switch drives per library (the `m` of the d−m batch rule).
+    switch_m: usize,
     retries: u64,
     failovers_n: u64,
     lost_requests: u64,
@@ -468,10 +471,6 @@ struct SchedSim<'a> {
     /// the complement of `records` (together they partition the accepted
     /// submissions), so collectors can account for every request.
     lost_log: Vec<usize>,
-    /// Per-drive victim-scan scratch for [`Self::try_dispatch`] (drives
-    /// whose exchange cannot finish before their failure instant).
-    /// Member so the allocation is reused across dispatches.
-    blocked: Vec<bool>,
     /// Per-library scratch marking libraries touched by an arrival or a
     /// failover, drained in ascending order (the old `BTreeSet` order).
     libs_hit: Vec<bool>,
@@ -494,7 +493,65 @@ struct SchedSim<'a> {
     gate: Option<Gate>,
 }
 
+/// The ready tapes of library `lib` (`tapes` per library) in the
+/// dispatch index `ready`, ascending. `tape_index` is library-major
+/// ascending, so this is `TapeId` order, the order of a slot walk.
+fn ready_tapes(ready: &[u64], lib: usize, tapes: usize) -> impl Iterator<Item = usize> + '_ {
+    let slots = lib * tapes..(lib + 1) * tapes;
+    (slots.start / 64..slots.end.div_ceil(64))
+        .flat_map(move |word| {
+            let mut bits = ready[word];
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(word * 64 + bit)
+            })
+        })
+        .filter(move |i| slots.contains(i))
+}
+
+/// One library's drives as bay sets (DESIGN §9, "The dispatch index").
+#[derive(Debug)]
+struct LibraryBays {
+    /// Bays neither busy nor dead.
+    idle: BaySet,
+    /// Bays holding a tape with queued jobs; kept by
+    /// [`SchedSim::refresh_ready`] through the tape's holder.
+    loaded: BaySet,
+    /// The earliest failure instant among the library's live drives:
+    /// before it, [`SchedSim::reap_failures`] has nothing to notice.
+    next_failure: SimTime,
+}
+
 impl SchedSim<'_> {
+    /// Marks `drive` busy or not, keeping its idle bit.
+    fn set_busy(&mut self, drive: usize, busy: bool) {
+        self.busy[drive] = busy;
+        let id = self.cfg.drive_at(drive);
+        self.bays[id.library.idx()]
+            .idle
+            .set(id.bay, !busy && !self.dead[drive]);
+    }
+
+    /// Marks `drive` dead for good, and so never idle again.
+    fn mark_dead(&mut self, drive: usize) {
+        self.dead[drive] = true;
+        let id = self.cfg.drive_at(drive);
+        self.bays[id.library.idx()].idle.remove(id.bay);
+    }
+
+    /// Takes the tape off `drive`, if it holds one, and clears it from
+    /// the reverse index and the dispatch index.
+    fn unmount(&mut self, drive: usize) -> Option<TapeId> {
+        let tape = self.mounted[drive].take()?;
+        let tape_idx = self.cfg.tape_index(tape);
+        self.holder[tape_idx] = None;
+        let id = self.cfg.drive_at(drive);
+        self.bays[id.library.idx()].loaded.remove(id.bay);
+        self.refresh_ready(tape_idx);
+        Some(tape)
+    }
+
     /// The merge key of an order-sensitive operation performed at `now`
     /// by `drive`'s library, under the event class currently in flight.
     fn op_key(&self, now: SimTime, drive: usize) -> OpKey {
@@ -520,7 +577,7 @@ impl SchedSim<'_> {
         let d = self.cfg.library.drives as usize;
         let lib = drive / d;
         let healthy = d - self.failed[lib];
-        if healthy + self.switch_m[lib] < d {
+        if healthy + self.switch_m < d {
             let shrunk = healthy.max(1);
             if self.batch_cap == 0 {
                 shrunk
@@ -624,7 +681,7 @@ impl SchedSim<'_> {
         if taken == 0 {
             return;
         }
-        self.busy[drive] = true;
+        self.set_busy(drive, true);
         self.busy_time += t - now;
         let key = self.op_key(now, drive);
         if let Some(log) = self.busy_log.as_mut() {
@@ -657,39 +714,44 @@ impl SchedSim<'_> {
 
     /// Notices drive failures up to `now` in `lib`: marks the drive dead,
     /// emits the failure, and recovers its mounted tape (unmount) so a
-    /// surviving drive can fetch it.
+    /// surviving drive can fetch it. Returns at once before the
+    /// library's next failure instant.
     fn reap_failures(&mut self, lib: usize, now: SimTime) {
+        if now < self.bays[lib].next_failure {
+            return;
+        }
         let d = self.cfg.library.drives as usize;
+        let mut next_failure = SimTime::MAX;
         for bay in 0..d {
             let idx = lib * d + bay;
             if self.dead[idx] {
                 continue;
             }
             let fail_at = self.clock.drive_fail_at(idx);
-            if fail_at <= now {
-                self.dead[idx] = true;
-                self.failed[lib] += 1;
+            if fail_at > now {
+                next_failure = next_failure.min(fail_at);
+                continue;
+            }
+            self.mark_dead(idx);
+            self.failed[lib] += 1;
+            self.audit.emit(
+                now,
+                TraceEvent::DriveFailed {
+                    drive: self.cfg.drive_at(idx).into(),
+                    at: fail_at,
+                },
+            );
+            if let Some(tape) = self.unmount(idx) {
                 self.audit.emit(
                     now,
-                    TraceEvent::DriveFailed {
+                    TraceEvent::Unmounted {
                         drive: self.cfg.drive_at(idx).into(),
-                        at: fail_at,
+                        tape: tape.into(),
                     },
                 );
-                if let Some(tape) = self.mounted[idx].take() {
-                    let tape_idx = self.cfg.tape_index(tape);
-                    self.holder[tape_idx] = None;
-                    self.refresh_ready(tape_idx);
-                    self.audit.emit(
-                        now,
-                        TraceEvent::Unmounted {
-                            drive: self.cfg.drive_at(idx).into(),
-                            tape: tape.into(),
-                        },
-                    );
-                }
             }
         }
+        self.bays[lib].next_failure = next_failure;
     }
 
     /// Begins the exchange bringing `tape` onto `drive`.
@@ -702,10 +764,7 @@ impl SchedSim<'_> {
     ) {
         let (rewind_s, exchange_s) = self.switch_cost(drive);
         let lib = self.cfg.drive_at(drive).library.idx();
-        if let Some(old) = self.mounted[drive].take() {
-            let old_idx = self.cfg.tape_index(old);
-            self.holder[old_idx] = None;
-            self.refresh_ready(old_idx);
+        if let Some(old) = self.unmount(drive) {
             self.audit.emit(
                 now,
                 TraceEvent::Unmounted {
@@ -715,7 +774,7 @@ impl SchedSim<'_> {
             );
         }
         self.head[drive] = Bytes::ZERO;
-        self.busy[drive] = true;
+        self.set_busy(drive, true);
 
         let rewind_done = now + SimTime::from_secs(rewind_s);
         let exchange = SimTime::from_secs(exchange_s);
@@ -741,12 +800,16 @@ impl SchedSim<'_> {
         );
     }
 
-    /// Re-derives `tape_idx`'s bit in the dispatch index from its queue,
-    /// claim and holder state.
+    /// Re-derives `tape_idx`'s bits in the dispatch index from its queue,
+    /// claim and holder state: its ready bit, and the loaded bit of the
+    /// bay holding it.
     fn refresh_ready(&mut self, tape_idx: usize) {
-        let ready = !self.pending[tape_idx].jobs.is_empty()
-            && !self.claimed[tape_idx]
-            && self.holder[tape_idx].is_none();
+        let queued = !self.pending[tape_idx].jobs.is_empty();
+        if let Some(drive) = self.holder[tape_idx] {
+            let id = self.cfg.drive_at(drive as usize);
+            self.bays[id.library.idx()].loaded.set(id.bay, queued);
+        }
+        let ready = queued && !self.claimed[tape_idx] && self.holder[tape_idx].is_none();
         let (word, bit) = (tape_idx / 64, 1u64 << (tape_idx % 64));
         if ready {
             self.ready[word] |= bit;
@@ -767,18 +830,7 @@ impl SchedSim<'_> {
         let cap = self.effective_cap(drive);
         out.clear();
         let tapes = self.cfg.library.tapes as usize;
-        let slots = lib * tapes..(lib + 1) * tapes;
-        // Set bits in ascending index order: `tape_index` is library-major
-        // ascending, so this is `TapeId` order, the order of a slot walk.
-        let ready = (slots.start / 64..slots.end.div_ceil(64)).flat_map(|word| {
-            let mut bits = self.ready[word];
-            std::iter::from_fn(move || {
-                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
-                bits &= bits - 1;
-                Some(word * 64 + bit)
-            })
-        });
-        for tape_idx in ready.filter(|i| slots.contains(i)) {
+        for tape_idx in ready_tapes(&self.ready, lib, tapes) {
             let queue = &mut self.pending[tape_idx];
             let (take, bytes, oldest) = if cap != 0 && queue.jobs.len() > cap {
                 let mut bytes = Bytes::ZERO;
@@ -853,36 +905,44 @@ impl SchedSim<'_> {
     /// fetch onto idle switch drives.
     fn try_dispatch(&mut self, lib: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         self.reap_failures(lib, now);
+        #[cfg(test)]
+        oracle::check_reaped(self, lib, now);
         let d = self.cfg.library.drives as usize;
         // Free batches: an idle drive already holding a tape with queued
-        // jobs serves them without any exchange.
-        for bay in 0..d {
-            let idx = lib * d + bay;
-            if self.busy[idx] || self.dead[idx] {
-                continue;
-            }
+        // jobs serves them without any exchange, in ascending bay order.
+        // A batch changes only its own drive's and tape's bits, so the
+        // set taken up front is the set a bay-by-bay walk would meet.
+        let free = self.bays[lib].idle & self.bays[lib].loaded;
+        #[cfg(test)]
+        oracle::check_free(self, lib, free);
+        for bay in free.iter() {
+            let idx = lib * d + bay as usize;
             if let Some(tape) = self.mounted[idx] {
-                if !self.pending[self.cfg.tape_index(tape)].jobs.is_empty() {
-                    self.start_batch(idx, tape, now, sched);
-                }
+                self.start_batch(idx, tape, now, sched);
             }
         }
         // Exchanges: repeatedly pick the cheapest idle switch drive (the
         // per-request engine's victim order) and ask the policy which
         // tape to fetch onto it. Drives whose imminent failure would cut
         // an exchange short are blocked for this dispatch round.
-        // `try_dispatch` never re-enters itself, so the member scratch is
-        // free here; clearing a per-drive bool vector beats rebuilding a
-        // `BTreeSet` every round.
-        self.blocked.fill(false);
+        // Without a ready tape there is nothing to fetch: every victim
+        // would get an empty candidate list.
+        let tapes = self.cfg.library.tapes as usize;
+        if ready_tapes(&self.ready, lib, tapes).next().is_none() {
+            return;
+        }
+        let mut blocked = BaySet::EMPTY;
         loop {
-            let Some(drive) = self.switch_policy.pick_victim(
+            let victim = self.switch_policy.pick_victim(
                 self.cfg,
                 self.placement,
                 LibraryId(lib as u16),
                 &self.mounted,
-                |idx| self.busy[idx] || self.dead[idx] || self.blocked[idx],
-            ) else {
+                self.bays[lib].idle - blocked,
+            );
+            #[cfg(test)]
+            oracle::check_victim(self, lib, blocked, victim);
+            let Some(drive) = victim else {
                 return;
             };
             let fail_at = self.clock.drive_fail_at(drive);
@@ -895,7 +955,7 @@ impl SchedSim<'_> {
                 let at = self.exchange_start(lib, rewind_done, exchange);
                 let start = self.robots[lib].earliest_start(at);
                 if start + exchange > fail_at {
-                    self.blocked[drive] = true;
+                    blocked.insert(self.cfg.drive_at(drive).bay);
                     continue;
                 }
             }
@@ -1144,7 +1204,7 @@ impl World for SchedSim<'_> {
                         tape: tape.into(),
                     },
                 );
-                self.busy[drive] = false;
+                self.set_busy(drive, false);
                 if !self.dead[drive] && self.clock.drive_fail_at(drive) <= now {
                     // The drive died exactly as the exchange completed
                     // (the dispatch pre-check rules out anything later):
@@ -1186,7 +1246,7 @@ impl World for SchedSim<'_> {
             }
             Ev::BatchDone { drive } => {
                 let drive = drive as usize;
-                self.busy[drive] = false;
+                self.set_busy(drive, false);
                 let lib = self.cfg.drive_at(drive).library.idx();
                 self.try_dispatch(lib, now, sched);
             }
@@ -1368,14 +1428,15 @@ impl<'a> ShardEngine<'a> {
         let n_libs = system.libraries as usize;
         let d = system.library.drives as usize;
         let switch_policy = sim.policy();
-        let switch_m: Vec<usize> = (0..n_libs)
-            .map(|lib| {
-                (0..d)
-                    .filter(|&bay| {
-                        let id = DriveId::new(LibraryId(lib as u16), bay as u8);
-                        switch_policy.is_switch_drive(id, system)
-                    })
-                    .count()
+        let clock = plan.clock();
+        let bays: Vec<LibraryBays> = (0..n_libs)
+            .map(|lib| LibraryBays {
+                idle: BaySet::range(0, system.library.drives),
+                loaded: BaySet::EMPTY,
+                next_failure: (lib * d..(lib + 1) * d)
+                    .map(|drive| clock.drive_fail_at(drive))
+                    .min()
+                    .unwrap_or(SimTime::MAX),
             })
             .collect();
 
@@ -1406,6 +1467,7 @@ impl<'a> ShardEngine<'a> {
             head,
             holder,
             busy: vec![false; n_drives],
+            bays,
             robots: vec![Resource::new(system.library.robot.arms.max(1) as usize); n_libs],
             jobs: JobTable::default(),
             tried: BTreeMap::new(),
@@ -1421,16 +1483,15 @@ impl<'a> ShardEngine<'a> {
                 cfg.audit.then_some(auditor),
                 cfg.obs.then(|| topology_of(system)),
             ),
-            clock: plan.clock(),
+            clock,
             alternates,
             dead: vec![false; n_drives],
             failed: vec![0; n_libs],
-            switch_m,
+            switch_m: switch_policy.switch_bays(system).len(),
             retries: 0,
             failovers_n: 0,
             lost_requests: 0,
             lost_log: Vec::new(),
-            blocked: vec![false; n_drives],
             libs_hit: vec![false; n_libs],
             cands: Vec::new(),
             plan_scratch: Vec::new(),
@@ -1627,7 +1688,7 @@ impl<'a> ShardEngine<'a> {
         for drive in 0..n_drives {
             let fail_at = world.clock.drive_fail_at(drive);
             if !world.dead[drive] && fail_at < SimTime::MAX {
-                world.dead[drive] = true;
+                world.mark_dead(drive);
                 world.audit.emit(
                     end,
                     TraceEvent::DriveFailed {
@@ -1733,7 +1794,9 @@ impl<'a> ShardEngine<'a> {
 }
 
 /// The dispatch-index oracle: every test build compares the indexed
-/// candidate list against the slot walk at every exchange dispatch.
+/// candidate list against the slot walk at every exchange dispatch, and
+/// the bay-set free batches and victims against the bay scans they
+/// replaced at every dispatch.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -1748,6 +1811,88 @@ mod oracle {
         pub(super) static REQUEUED_OLDER: Cell<u64> = const { Cell::new(0) };
         /// The job table's largest window on this thread.
         pub(super) static WINDOW_PEAK: Cell<usize> = const { Cell::new(0) };
+        /// Bay-set free passes and victim picks checked on this thread.
+        pub(super) static BAY_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Checked victims past bay 63, the first word of a bay set.
+        pub(super) static HIGH_VICTIMS: Cell<u64> = const { Cell::new(0) };
+        /// Dispatches checked at exactly a drive's failure instant.
+        pub(super) static REAPED_AT_INSTANT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The reap's bay walk: after [`SchedSim::reap_failures`] no live
+    /// drive of `lib` may have a failure instant at or before `now`.
+    pub(super) fn check_reaped(world: &SchedSim<'_>, lib: usize, now: SimTime) {
+        let d = world.cfg.library.drives as usize;
+        for idx in lib * d..(lib + 1) * d {
+            let fail_at = world.clock.drive_fail_at(idx);
+            assert!(
+                world.dead[idx] || fail_at > now,
+                "drive {idx} failed at {fail_at:?} but is live at {now:?}"
+            );
+            if fail_at == now {
+                REAPED_AT_INSTANT.with(|c| c.set(c.get() + 1));
+            }
+        }
+    }
+
+    /// The free-batch bay walk: every idle drive of `lib` holding a tape
+    /// with queued jobs, ascending, read off `busy`, `dead`, `mounted`
+    /// and the queues.
+    pub(super) fn check_free(world: &SchedSim<'_>, lib: usize, got: BaySet) {
+        let d = world.cfg.library.drives as usize;
+        let expected: Vec<usize> = (lib * d..(lib + 1) * d)
+            .filter(|&idx| {
+                !world.busy[idx]
+                    && !world.dead[idx]
+                    && world.mounted[idx]
+                        .is_some_and(|t| !world.pending[world.cfg.tape_index(t)].jobs.is_empty())
+            })
+            .collect();
+        let got: Vec<usize> = got.iter().map(|bay| lib * d + bay as usize).collect();
+        assert_eq!(
+            got, expected,
+            "bay-set free batches diverge from the bay walk"
+        );
+        BAY_CHECKS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The victim scan over every bay of `lib`: idle, not `blocked`, a
+    /// switch bay by the §5.2 rule written out; least key
+    /// `(kind, probability, index)` wins.
+    pub(super) fn check_victim(
+        world: &SchedSim<'_>,
+        lib: usize,
+        blocked: BaySet,
+        got: Option<usize>,
+    ) {
+        let d = world.cfg.library.drives;
+        let mut best: Option<(u8, f64, usize)> = None;
+        for bay in 0..d {
+            let idx = lib * d as usize + bay as usize;
+            let switchable = match world.switch_policy {
+                SwitchPolicy::Batch { m } => bay >= d - m,
+                SwitchPolicy::LeastPopular => true,
+            };
+            if world.busy[idx] || world.dead[idx] || blocked.contains(bay) || !switchable {
+                continue;
+            }
+            let key = match world.mounted[idx] {
+                None => (0, 0.0, idx),
+                Some(t) => (1, world.placement.tape_probability(t), idx),
+            };
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        assert_eq!(
+            got,
+            best.map(|(_, _, idx)| idx),
+            "bay-set victim diverges from the bay scan"
+        );
+        BAY_CHECKS.with(|c| c.set(c.get() + 1));
+        if got.is_some_and(|idx| idx % d as usize >= 64) {
+            HIGH_VICTIMS.with(|c| c.set(c.get() + 1));
+        }
     }
 
     pub(super) fn note_window(len: usize) {
@@ -2787,6 +2932,158 @@ mod tests {
         );
         assert!(report.outcome.metrics.failovers() > 0);
         assert!(oracle::REQUEUED_OLDER.with(|c| c.get()) > before);
+    }
+
+    /// A 100-drive library: two bay-set words per library. Audited runs
+    /// under both switch policies, fault-free and under faults, pass the
+    /// bay oracle at every dispatch and pick victims past bay 63.
+    #[test]
+    fn wide_libraries_dispatch_exactly_and_audit_clean() {
+        use tapesim_model::specs::{lto3_drive, lto3_tape, stk_l80_library};
+        use tapesim_model::LibrarySpec;
+        use tapesim_placement::{PlacementBuilder, TapeRole};
+        use tapesim_workload::{ObjectRecord, Request};
+
+        let cfg = SystemConfig::new(
+            2,
+            LibrarySpec {
+                drives: 100,
+                tapes: 200,
+                ..stk_l80_library(lto3_drive(), lto3_tape())
+            },
+        )
+        .unwrap();
+        // One 2 GB object per tape; 40 templates of 12 scattered objects.
+        let objects = (0..400u32)
+            .map(|i| ObjectRecord {
+                id: ObjectId(i),
+                size: Bytes::gb(2),
+            })
+            .collect();
+        let requests = (0..40u32)
+            .map(|r| Request {
+                rank: r,
+                probability: 1.0 / 40.0,
+                objects: (0..12u32)
+                    .map(|k| ObjectId((r * 97 + k * 131) % 400))
+                    .collect(),
+            })
+            .collect();
+        let w = Workload::new(objects, requests);
+        let mut b = PlacementBuilder::new(&cfg, &w);
+        for i in 0..400u32 {
+            let (lib, slot) = ((i / 200) as u16, (i % 200) as u16);
+            let tape = TapeId::new(LibraryId(lib), slot);
+            b.append(
+                tape,
+                ObjectId(i),
+                Bytes::gb(2),
+                ((i * 37) % 11) as f64 / 100.0,
+            )
+            .unwrap();
+            // The §5.2 roles for m = 40: 60 pinned bays, then batches of 40.
+            let role = if slot < 60 {
+                TapeRole::Pinned
+            } else {
+                TapeRole::SwitchPool {
+                    batch: (slot - 60) / 40 + 1,
+                }
+            };
+            b.set_role(tape, role);
+        }
+        let placement = b.build().unwrap();
+        let no_replicas = BTreeMap::new();
+        for switch in [SwitchPolicy::LeastPopular, SwitchPolicy::Batch { m: 40 }] {
+            let sim = Simulator::new(placement.clone(), switch);
+            for intensity in [0.0, 2.0] {
+                let spec = tapesim_faults::FaultSpec::moderate(3).scaled(intensity);
+                let plan = FaultPlan::generate(&spec, &cfg);
+                let arrivals = ArrivalSpec {
+                    per_hour: 300.0,
+                    seed: 5,
+                };
+                let sched_cfg = SchedConfig::new(arrivals, 60).with_audit(true);
+                let catalog: Vec<Vec<TapeJob>> = w
+                    .requests()
+                    .iter()
+                    .map(|r| tape_jobs(sim.placement(), &r.objects))
+                    .collect();
+                let policy = crate::policy::PolicyKind::BatchByTape.build();
+                let (checks, high) = (
+                    oracle::BAY_CHECKS.with(|c| c.get()),
+                    oracle::HIGH_VICTIMS.with(|c| c.get()),
+                );
+                let mut engine = ShardEngine::new(
+                    &sim,
+                    policy.as_ref(),
+                    &sched_cfg,
+                    &plan,
+                    &no_replicas,
+                    &catalog,
+                );
+                let mut stream = RequestStream::new(arrivals, &w);
+                for _ in 0..60 {
+                    let (at, r) = stream.next_request();
+                    let at = SimTime::from_secs(at);
+                    engine.submit(at, r);
+                    engine.pump(at);
+                }
+                let report = engine.finish();
+                let case = format!("{switch:?}, intensity {intensity}");
+                assert!(!report.outcome.reports.is_empty(), "{case}: not audited");
+                assert!(report.outcome.is_clean(), "{case}: audit failed");
+                assert_eq!(report.records.len() + report.lost.len(), 60, "{case}");
+                assert!(report.outcome.metrics.mounts() > 0, "{case}: no exchange");
+                assert!(oracle::BAY_CHECKS.with(|c| c.get()) > checks, "{case}");
+                assert!(
+                    oracle::HIGH_VICTIMS.with(|c| c.get()) > high,
+                    "{case}: no victim past bay 63"
+                );
+            }
+        }
+    }
+
+    /// Requests submitted at exactly each drive's failure instant: the
+    /// dispatch they start must reap that drive, although the library's
+    /// next failure instant equals the clock.
+    #[test]
+    fn dispatch_at_a_failure_instant_reaps_the_drive() {
+        let (sim, w) = heavy_setup();
+        let spec = tapesim_faults::FaultSpec::moderate(11).scaled(3.0);
+        let plan = FaultPlan::generate(&spec, sim.placement().config());
+        let clock = plan.clock();
+        let mut instants: Vec<SimTime> = (0..sim.placement().config().total_drives())
+            .map(|drive| clock.drive_fail_at(drive))
+            .filter(|&at| at < SimTime::MAX)
+            .collect();
+        instants.sort();
+        instants.dedup();
+        assert!(instants.len() >= 2, "the plan fails too few drives");
+        let catalog: Vec<Vec<TapeJob>> = w
+            .requests()
+            .iter()
+            .map(|r| tape_jobs(sim.placement(), &r.objects))
+            .collect();
+        let arrivals = ArrivalSpec {
+            per_hour: 1.0,
+            seed: 0,
+        };
+        let cfg = SchedConfig::new(arrivals, instants.len()).with_audit(true);
+        let policy = crate::policy::PolicyKind::BatchByTape.build();
+        let no_replicas = BTreeMap::new();
+        let mut engine =
+            ShardEngine::new(&sim, policy.as_ref(), &cfg, &plan, &no_replicas, &catalog);
+        let before = oracle::REAPED_AT_INSTANT.with(|c| c.get());
+        for &at in &instants {
+            // Rank 0 spans every library, so each failing drive's library
+            // dispatches at the instant.
+            engine.submit(at, 0);
+            engine.pump(at);
+        }
+        let report = engine.finish();
+        assert!(oracle::REAPED_AT_INSTANT.with(|c| c.get()) > before);
+        assert_eq!(report.records.len() + report.lost.len(), instants.len());
+        assert!(report.outcome.is_clean());
     }
 
     /// On a real faulty run (drive failures, jams, fatal bad spots,

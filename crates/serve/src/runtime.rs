@@ -484,48 +484,6 @@ pub(crate) fn assemble(
         .copied()
         .collect();
 
-    // Expected fan-out per global id: how many shards accepted it.
-    let mut expected: BTreeMap<u64, u32> = BTreeMap::new();
-    for (_, done) in &dones {
-        for &id in &done.ids {
-            *expected.entry(id).or_insert(0) += 1;
-        }
-    }
-
-    // Join records (and losses) by global id.
-    let mut joined: BTreeMap<u64, Join> = BTreeMap::new();
-    for (_, done) in &dones {
-        for r in &done.report.records {
-            let Some(&id) = done.ids.get(r.request) else {
-                continue;
-            };
-            let entry = joined.entry(id).or_insert(Join {
-                arrival: r.arrival,
-                first_start: r.first_start,
-                finish: r.finish,
-                parts: 0,
-                lost: false,
-            });
-            entry.first_start = entry.first_start.min(r.first_start);
-            entry.finish = entry.finish.max(r.finish);
-            entry.parts += 1;
-        }
-        for &local in &done.report.lost {
-            if let Some(&id) = done.ids.get(local) {
-                joined
-                    .entry(id)
-                    .or_insert(Join {
-                        arrival: SimTime::ZERO,
-                        first_start: SimTime::ZERO,
-                        finish: SimTime::ZERO,
-                        parts: 0,
-                        lost: true,
-                    })
-                    .lost = true;
-            }
-        }
-    }
-
     let mut lost = 0u64;
     let mut shed = 0u64;
     let mut records: Vec<RequestRecord> = Vec::new();
@@ -539,6 +497,48 @@ pub(crate) fn assemble(
             ..*r
         }));
     } else {
+        // Expected fan-out per global id: how many shards accepted it.
+        let mut expected: BTreeMap<u64, u32> = BTreeMap::new();
+        for (_, done) in &dones {
+            for &id in &done.ids {
+                *expected.entry(id).or_insert(0) += 1;
+            }
+        }
+
+        // Join records (and losses) by global id.
+        let mut joined: BTreeMap<u64, Join> = BTreeMap::new();
+        for (_, done) in &dones {
+            for r in &done.report.records {
+                let Some(&id) = done.ids.get(r.request) else {
+                    continue;
+                };
+                let entry = joined.entry(id).or_insert(Join {
+                    arrival: r.arrival,
+                    first_start: r.first_start,
+                    finish: r.finish,
+                    parts: 0,
+                    lost: false,
+                });
+                entry.first_start = entry.first_start.min(r.first_start);
+                entry.finish = entry.finish.max(r.finish);
+                entry.parts += 1;
+            }
+            for &local in &done.report.lost {
+                if let Some(&id) = done.ids.get(local) {
+                    joined
+                        .entry(id)
+                        .or_insert(Join {
+                            arrival: SimTime::ZERO,
+                            first_start: SimTime::ZERO,
+                            finish: SimTime::ZERO,
+                            parts: 0,
+                            lost: true,
+                        })
+                        .lost = true;
+                }
+            }
+        }
+
         for (&id, join) in &joined {
             if join.lost {
                 lost += 1;

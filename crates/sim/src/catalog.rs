@@ -77,7 +77,8 @@ pub fn tape_jobs(placement: &Placement, objects: &[ObjectId]) -> Vec<TapeJob> {
 }
 
 /// Tape jobs by request rank, kept across calls: one slot per rank holds
-/// the object list it was grouped from next to its [`tape_jobs`].
+/// the object list it was grouped from next to its [`tape_jobs`] and
+/// their byte total.
 ///
 /// A lookup borrows the slot while its stored list equals the asked-for
 /// objects and regroups it otherwise, so the catalog stays exact when one
@@ -93,16 +94,19 @@ pub(crate) struct JobCatalog {
 struct Slot {
     objects: Vec<ObjectId>,
     jobs: Vec<TapeJob>,
+    /// Requested bytes over all of `jobs`.
+    bytes: Bytes,
 }
 
 impl JobCatalog {
-    /// The tape jobs of `objects`, drawn as request `rank`, on `placement`.
+    /// The tape jobs of `objects`, drawn as request `rank`, on
+    /// `placement`, and their byte total.
     pub(crate) fn jobs(
         &mut self,
         placement: &Placement,
         rank: usize,
         objects: &[ObjectId],
-    ) -> &[TapeJob] {
+    ) -> (&[TapeJob], Bytes) {
         if self.slots.len() <= rank {
             self.slots.resize_with(rank + 1, Slot::default);
         }
@@ -111,8 +115,9 @@ impl JobCatalog {
             slot.objects.clear();
             slot.objects.extend_from_slice(objects);
             slot.jobs = tape_jobs(placement, objects);
+            slot.bytes = slot.jobs.iter().map(TapeJob::bytes).sum();
         }
-        &slot.jobs
+        (&slot.jobs, slot.bytes)
     }
 }
 

@@ -16,6 +16,7 @@
 //! occupies robot and drive together, matching the paper's constant-time
 //! robot operation model. The rewind before it only occupies the drive.
 
+use crate::bays::BaySet;
 use crate::catalog::TapeJob;
 use crate::metrics::RequestMetrics;
 use crate::policy::SwitchPolicy;
@@ -69,7 +70,10 @@ pub struct EngineBuffers {
     /// index of the next one to dispatch.
     pending: Vec<Vec<usize>>,
     next: Vec<usize>,
-    busy: Vec<bool>,
+    /// Per library, the bays neither streaming nor switching.
+    idle: Vec<BaySet>,
+    /// Every bay of a library (`0..d`), what `idle` resets to.
+    all_bays: BaySet,
     /// Job index a drive is streaming or switching for, for trace events.
     current_job: Vec<Option<usize>>,
     // Per-drive accounting for this request.
@@ -94,7 +98,8 @@ impl EngineBuffers {
             robots: vec![Resource::new(cfg.library.robot.arms.max(1) as usize); n_libs],
             pending: vec![Vec::new(); n_libs],
             next: vec![0; n_libs],
-            busy: vec![false; n_drives],
+            idle: vec![BaySet::range(0, cfg.library.drives); n_libs],
+            all_bays: BaySet::range(0, cfg.library.drives),
             current_job: vec![None; n_drives],
             seek: vec![0.0; n_drives],
             transfer: vec![0.0; n_drives],
@@ -110,7 +115,7 @@ impl EngineBuffers {
         self.robots.iter_mut().for_each(Resource::reset);
         self.pending.iter_mut().for_each(Vec::clear);
         self.next.fill(0);
-        self.busy.fill(false);
+        self.idle.fill(self.all_bays);
         self.current_job.fill(None);
         self.seek.fill(0.0);
         self.transfer.fill(0.0);
@@ -137,6 +142,12 @@ struct RequestSim<'a> {
 }
 
 impl<'a> RequestSim<'a> {
+    /// Marks `drive` busy or idle in its library's idle bays.
+    fn set_busy(&mut self, drive: usize, busy: bool) {
+        let id = self.cfg.drive_at(drive);
+        self.buf.idle[id.library.idx()].set(id.bay, !busy);
+    }
+
     /// Starts streaming `job` on `drive` (tape already mounted) and
     /// schedules its completion.
     fn start_service(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
@@ -150,7 +161,7 @@ impl<'a> RequestSim<'a> {
         self.state.head[drive] = pos;
         self.buf.seek[drive] += seek_s;
         self.buf.transfer[drive] += xfer_s;
-        self.buf.busy[drive] = true;
+        self.set_busy(drive, true);
         self.buf.current_job[drive] = Some(job);
         let finish = now + SimTime::from_secs(seek_s + xfer_s);
         self.tracer.emit(
@@ -187,7 +198,7 @@ impl<'a> RequestSim<'a> {
             );
         }
         self.state.head[drive] = Bytes::ZERO;
-        self.buf.busy[drive] = true;
+        self.set_busy(drive, true);
         self.buf.current_job[drive] = Some(job);
 
         let rewind_done = now + SimTime::from_secs(rewind_s);
@@ -213,13 +224,12 @@ impl<'a> RequestSim<'a> {
             // Eligible: idle switch drives in this library. The mounted
             // tape of an idle drive is never still needed — needed mounted
             // tapes were set busy at t = 0 and stay busy until served.
-            let busy = &self.buf.busy;
             let Some(drive) = self.policy.pick_victim(
                 self.cfg,
                 self.placement,
                 LibraryId(lib as u16),
                 &self.state.mounted,
-                |idx| busy[idx],
+                self.buf.idle[lib],
             ) else {
                 return; // all eligible drives busy; retry on DriveDone
             };
@@ -247,7 +257,7 @@ impl World for RequestSim<'_> {
                 self.start_service(drive, job, now, sched);
             }
             Ev::DriveDone { drive } => {
-                self.buf.busy[drive] = false;
+                self.set_busy(drive, false);
                 self.buf.completion[drive] = now;
                 self.outstanding -= 1;
                 if let Some(job) = self.buf.current_job[drive].take() {
@@ -268,7 +278,7 @@ impl World for RequestSim<'_> {
 
 /// Serves one request against the placement, mutating `state` (mounts and
 /// head positions persist to the next request) and reusing `buf` as its
-/// working set. With `trace` set, the returned [`Tracer`] holds the
+/// working set. `work` is the request's tape jobs and their byte total. With `trace` set, the returned [`Tracer`] holds the
 /// request's event timeline (mounts, exchanges, streams, completions — the
 /// `tapesim serve --trace` view); `seek_policy` orders the extents on each
 /// tape ([`SeekPolicy::Greedy`] is the paper's sweep).
@@ -279,12 +289,11 @@ pub fn serve_request(
     policy: &SwitchPolicy,
     state: &mut MountState,
     buf: &mut EngineBuffers,
-    jobs: &[TapeJob],
+    (jobs, bytes): (&[TapeJob], Bytes),
     trace: bool,
     seek_policy: SeekPolicy,
 ) -> (RequestMetrics, Tracer) {
     let n_drives = cfg.total_drives();
-    let bytes: Bytes = jobs.iter().map(|j| j.bytes()).sum();
     let n_tapes = jobs.len() as u32;
     buf.reset();
     // The heap lives in `buf` but runs the world that borrows `buf`.
@@ -427,6 +436,11 @@ mod tests {
 
     const XFER_8GB: f64 = 100.0; // 8 GB at 80 MB/s
 
+    /// `jobs` with their byte total, as [`serve_request`] takes them.
+    fn work(jobs: &[TapeJob]) -> (&[TapeJob], Bytes) {
+        (jobs, jobs.iter().map(TapeJob::bytes).sum())
+    }
+
     #[test]
     fn all_mounted_pure_parallel_transfer() {
         let (cfg, p, _w) = setup();
@@ -439,7 +453,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -472,7 +486,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -498,7 +512,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -560,7 +574,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &tape_jobs(&p, &[ObjectId(0), ObjectId(2)]),
+            work(&tape_jobs(&p, &[ObjectId(0), ObjectId(2)])),
             false,
             SeekPolicy::Greedy,
         );
@@ -574,7 +588,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &tape_jobs(&p, &[ObjectId(1)]),
+            work(&tape_jobs(&p, &[ObjectId(1)])),
             false,
             SeekPolicy::Greedy,
         )
@@ -605,7 +619,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -637,7 +651,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -663,7 +677,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -689,7 +703,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &jobs,
+            work(&jobs),
             false,
             SeekPolicy::Greedy,
         )
@@ -710,7 +724,7 @@ mod tests {
             &policy,
             &mut state,
             &mut EngineBuffers::new(&cfg),
-            &[],
+            work(&[]),
             false,
             SeekPolicy::Greedy,
         )

@@ -27,6 +27,7 @@
 //! The entry point is [`Simulator`]; switch behaviour (which drives may
 //! swap tapes, which mounted tape to evict) is a [`SwitchPolicy`].
 
+pub mod bays;
 pub mod catalog;
 pub mod engine;
 pub mod metrics;
@@ -34,6 +35,7 @@ pub mod policy;
 pub mod seek_order;
 pub mod simulator;
 
+pub use bays::BaySet;
 pub use metrics::{RequestMetrics, RunMetrics};
 pub use policy::SwitchPolicy;
 pub use seek_order::SeekPolicy;

@@ -10,6 +10,7 @@
 //!   drive may switch, the startup mounts are each library's most probable
 //!   tapes, and the eviction victim is the least probable mounted tape.
 
+use crate::bays::BaySet;
 use serde::{Deserialize, Serialize};
 use tapesim_model::{DriveId, LibraryId, SystemConfig, TapeId};
 use tapesim_placement::{Placement, TapeRole};
@@ -38,11 +39,13 @@ impl SwitchPolicy {
         }
     }
 
-    /// Whether `drive` is allowed to swap cartridges at all.
-    pub fn is_switch_drive(&self, drive: DriveId, config: &SystemConfig) -> bool {
+    /// The bays of every library whose drives may swap cartridges: the
+    /// last `m` under the batch rule, all of them otherwise.
+    pub fn switch_bays(&self, config: &SystemConfig) -> BaySet {
+        let d = config.library.drives;
         match self {
-            SwitchPolicy::Batch { m } => drive.bay >= config.library.drives - m,
-            SwitchPolicy::LeastPopular => true,
+            SwitchPolicy::Batch { m } => BaySet::range(d.saturating_sub(*m), d),
+            SwitchPolicy::LeastPopular => BaySet::range(0, d),
         }
     }
 
@@ -110,27 +113,28 @@ impl SwitchPolicy {
         }
     }
 
-    /// The drive of library `lib` to fetch the next tape onto: among its
-    /// switch drives that `ineligible` does not rule out (busy, or in a
-    /// faulty run dead or blocked), the best victim by `victim_key` over
+    /// The drive of library `lib` to fetch the next tape onto: among the
+    /// `eligible` bays (idle, and in a faulty run neither dead nor
+    /// blocked) that are switch bays, the best victim by `victim_key` over
     /// `mounted` (dense by drive index), ties to the lower index. `None`
-    /// when no drive qualifies.
+    /// when no bay qualifies.
     pub fn pick_victim(
         &self,
         config: &SystemConfig,
         placement: &Placement,
         lib: LibraryId,
         mounted: &[Option<TapeId>],
-        ineligible: impl Fn(usize) -> bool,
+        eligible: BaySet,
     ) -> Option<usize> {
         let mut best: Option<(u8, f64, usize)> = None;
-        for bay in 0..config.library.drives {
-            let drive = DriveId::new(lib, bay);
-            let idx = config.drive_index(drive);
-            if ineligible(idx) || !self.is_switch_drive(drive, config) {
-                continue;
-            }
+        for bay in (eligible & self.switch_bays(config)).iter() {
+            let idx = config.drive_index(DriveId::new(lib, bay));
             let (kind, p) = Self::victim_key(mounted[idx], placement);
+            if kind == 0 {
+                // Bays come in ascending order and an empty drive beats
+                // every mounted one: the first empty bay is the best.
+                return Some(idx);
+            }
             let key = (kind, p, idx);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
@@ -192,8 +196,11 @@ mod tests {
             }
         }
         // Switchability is bay-based.
-        assert!(!policy.is_switch_drive(DriveId::new(LibraryId(0), 3), &cfg));
-        assert!(policy.is_switch_drive(DriveId::new(LibraryId(0), 4), &cfg));
+        assert_eq!(policy.switch_bays(&cfg), BaySet::range(4, 8));
+        assert_eq!(
+            SwitchPolicy::LeastPopular.switch_bays(&cfg),
+            BaySet::range(0, 8)
+        );
     }
 
     #[test]
@@ -261,8 +268,11 @@ mod tests {
         }
         mounted[11] = None;
         mounted[13] = None;
+        // Dense drive indices to skip → the eligible bays of library 1.
         let pick = |policy: &SwitchPolicy, mounted: &[Option<TapeId>], skip: &[usize]| {
-            policy.pick_victim(&cfg, &p, lib, mounted, |i| skip.contains(&i))
+            let mut eligible = BaySet::range(0, 8);
+            skip.iter().for_each(|&i| eligible.remove((i - 8) as u8));
+            policy.pick_victim(&cfg, &p, lib, mounted, eligible)
         };
         assert_eq!(pick(&policy, &mounted, &[]), Some(11));
         assert_eq!(pick(&policy, &mounted, &[11]), Some(13));
@@ -285,5 +295,131 @@ mod tests {
         assert_eq!(pick(&batch, &empty, &[]), Some(12));
         assert_eq!(pick(&batch, &empty, &[12, 13]), Some(14));
         assert_eq!(pick(&batch, &empty, &[12, 13, 14, 15]), None);
+    }
+
+    /// The per-bay scan `pick_victim` replaced: every bay of `lib`,
+    /// skipping ineligible ones and, by the §5.2 rule written out, the
+    /// pinned bays.
+    fn scan_victim(
+        policy: &SwitchPolicy,
+        cfg: &SystemConfig,
+        placement: &Placement,
+        lib: LibraryId,
+        mounted: &[Option<TapeId>],
+        eligible: BaySet,
+    ) -> Option<usize> {
+        let d = cfg.library.drives;
+        let mut best: Option<(u8, f64, usize)> = None;
+        for bay in 0..d {
+            let switchable = match policy {
+                SwitchPolicy::Batch { m } => bay >= d - m,
+                SwitchPolicy::LeastPopular => true,
+            };
+            if !eligible.contains(bay) || !switchable {
+                continue;
+            }
+            let idx = cfg.drive_index(DriveId::new(lib, bay));
+            let (kind, p) = SwitchPolicy::victim_key(mounted[idx], placement);
+            let key = (kind, p, idx);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, _, idx)| idx)
+    }
+
+    #[test]
+    fn bay_set_victims_match_the_bay_scan_on_a_200_drive_library() {
+        use tapesim_model::specs::{lto3_drive, lto3_tape, stk_l80_library};
+        use tapesim_model::LibrarySpec;
+        let cfg = SystemConfig::new(
+            2,
+            LibrarySpec {
+                drives: 200,
+                tapes: 300,
+                ..stk_l80_library(lto3_drive(), lto3_tape())
+            },
+        )
+        .unwrap();
+        let objects = (0..600u32)
+            .map(|i| ObjectRecord {
+                id: ObjectId(i),
+                size: Bytes::gb(1),
+            })
+            .collect();
+        let w = Workload::new(
+            objects,
+            vec![Request {
+                rank: 0,
+                probability: 1.0,
+                objects: vec![ObjectId(0)],
+            }],
+        );
+        // One object per tape; eleven probability levels, so many tapes
+        // tie and the lower index must win.
+        let mut b = PlacementBuilder::new(&cfg, &w);
+        for i in 0..600u32 {
+            let tape = TapeId::new(LibraryId((i / 300) as u16), (i % 300) as u16);
+            let prob = ((i * 37) % 11) as f64 / 100.0;
+            b.append(tape, ObjectId(i), Bytes::gb(1), prob).unwrap();
+        }
+        let p = b.build().unwrap();
+        let lib = LibraryId(1);
+        let policies = [
+            SwitchPolicy::LeastPopular,
+            SwitchPolicy::Batch { m: 1 },
+            SwitchPolicy::Batch { m: 150 },
+        ];
+        let mut beyond_first_word = 0;
+        for round in 0..40usize {
+            // Busy, dead and blocked bays thin the eligible set; every
+            // third round leaves empty drives among the rest.
+            let mut mounted = vec![None; cfg.total_drives()];
+            let mut eligible = BaySet::range(0, 200);
+            for bay in 0..200u8 {
+                let k = bay as usize + round * 7;
+                let idx = cfg.drive_index(DriveId::new(lib, bay));
+                let empty = round % 3 == 0 && k % 13 == 5;
+                mounted[idx] = (!empty).then(|| TapeId::new(lib, ((k * 11) % 300) as u16));
+                let busy = k % (2 + round % 5) == 0;
+                let dead = k % 17 == 1;
+                let blocked = k % 23 == round % 23;
+                if busy || dead || blocked {
+                    eligible.remove(bay);
+                }
+            }
+            for policy in &policies {
+                let got = policy.pick_victim(&cfg, &p, lib, &mounted, eligible);
+                let want = scan_victim(policy, &cfg, &p, lib, &mounted, eligible);
+                assert_eq!(got, want, "round {round}, {policy:?}");
+                beyond_first_word += usize::from(got.is_some_and(|idx| idx % 200 >= 64));
+            }
+        }
+        assert!(beyond_first_word > 0, "no victim past bay 63");
+        // Nothing eligible, or only pinned bays eligible under the batch
+        // rule: no victim.
+        let mounted = vec![None; cfg.total_drives()];
+        for policy in &policies {
+            assert_eq!(
+                policy.pick_victim(&cfg, &p, lib, &mounted, BaySet::EMPTY),
+                None
+            );
+        }
+        let pinned_only = BaySet::range(0, 50);
+        assert_eq!(
+            SwitchPolicy::Batch { m: 150 }.pick_victim(&cfg, &p, lib, &mounted, pinned_only),
+            None
+        );
+        // All empty: the lowest eligible switch bay.
+        assert_eq!(
+            SwitchPolicy::Batch { m: 150 }.pick_victim(
+                &cfg,
+                &p,
+                lib,
+                &mounted,
+                BaySet::range(0, 200)
+            ),
+            Some(200 + 50)
+        );
     }
 }

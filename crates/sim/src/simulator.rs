@@ -126,16 +126,16 @@ impl Simulator {
             &self.policy,
             &mut self.state,
             &mut self.buffers,
-            jobs,
+            (jobs, jobs.iter().map(TapeJob::bytes).sum()),
             trace,
             self.seek,
         )
     }
 
     /// Serves `objects`, drawn as request template `rank`, with its tape
-    /// jobs from the catalog: it groups a rank the first time the rank
-    /// is drawn and again only when the rank's object list differs from
-    /// the one it stored.
+    /// jobs and byte total from the catalog: it groups a rank the first
+    /// time the rank is drawn and again only when the rank's object list
+    /// differs from the one it stored.
     fn serve_drawn(
         &mut self,
         rank: usize,
@@ -234,13 +234,14 @@ impl Simulator {
         objects: &[ObjectId],
         trace: bool,
     ) -> (RequestMetrics, tapesim_des::Tracer) {
+        let jobs = tape_jobs(&self.placement, objects);
         serve_request(
             &self.config,
             &self.placement,
             &self.policy,
             &mut self.state,
             &mut EngineBuffers::new(&self.config),
-            &tape_jobs(&self.placement, objects),
+            (&jobs, jobs.iter().map(TapeJob::bytes).sum()),
             trace,
             self.seek,
         )

@@ -816,6 +816,11 @@ fn is_root(krate: &str, name: &str) -> bool {
         // `run_scheduled` prefix above.
         || (krate == "des" && name.starts_with("run_windowed"))
         || (krate == "sched" && name.starts_with("run_partitioned"))
+        // The engines' event handlers (`World::handle` in `sched` and
+        // `sim`): `des::Scheduler::run` calls them through the trait, an
+        // edge against the crate dependency order the graph cannot
+        // follow, so every dispatch path would otherwise go unseen.
+        || ((krate == "sched" || krate == "sim") && name == "handle")
         // The seek-policy dispatcher: every planner (greedy sweep,
         // exact LTSP DP, ratio-2 approx) hangs off this entry, so the
         // DP's state/replay machinery is lint-forced to stay index-free.
@@ -1544,6 +1549,34 @@ mod tests {
         assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
         assert!(findings[0].note.contains("run_windowed -> step"));
         assert!(findings[1].note.contains("run_partitioned"));
+    }
+
+    #[test]
+    fn l10_treats_engine_event_handlers_as_roots() {
+        // `World::handle` in sched and sim is reached only through the
+        // des trait object, so the handler itself is a root; a `handle`
+        // in any other crate is not.
+        let src = "impl World for Sim {\n\
+                   \x20   fn handle(&mut self, drive: usize) {\n\
+                   \x20       self.dispatch(drive)\n\
+                   \x20   }\n\
+                   }\n\
+                   impl Sim {\n\
+                   \x20   fn dispatch(&mut self, drive: usize) {\n\
+                   \x20       self.busy[drive] = true;\n\
+                   \x20   }\n\
+                   }\n";
+        for krate in ["sched", "sim"] {
+            let fx = Fixture::new();
+            fx.write(&format!("crates/{krate}/src/engine.rs"), src);
+            let findings = fx.scan(&Allowlist::default());
+            assert_eq!(rules_of(&findings), vec!["L10"], "{krate}");
+            assert_eq!(findings[0].line, 8);
+            assert!(findings[0].note.contains("handle -> dispatch"), "{krate}");
+        }
+        let other = Fixture::new();
+        other.write("crates/obs/src/engine.rs", src);
+        assert!(other.scan(&Allowlist::default()).is_empty());
     }
 
     #[test]
