@@ -843,6 +843,12 @@ fn sweep(windows: &mut [Window]) -> Vec<Window> {
 /// dense job table; ids beyond it go to the sparse map.
 const DENSE_SLACK: usize = 1 << 12;
 
+/// The dense job table grows by at least this many ids at a time. A
+/// fixed step rather than doubling: the table is filled as it grows, so
+/// every slot past the last id is resident memory, and doubling added
+/// ~2 MB to the peak of a 10,000-request `serve_run`.
+const JOB_TABLE_STEP: usize = 1 << 12;
+
 /// Job state bits.
 const SUBMITTED: u8 = 1;
 /// Completed, lost or failed over: every later completion, resolution
@@ -888,7 +894,7 @@ impl Jobs {
     ) -> R {
         let i = id as usize;
         if i >= self.state.len() && i < dense_limit {
-            self.grow_to(id);
+            self.grow_to(id, dense_limit);
         }
         match (self.state.get_mut(i), self.slots.get_mut(i)) {
             (Some(state), Some(slot)) => f(state, slot),
@@ -924,18 +930,23 @@ impl Jobs {
         })
     }
 
-    /// Extends the dense table through `id`, moving in every sparse id
-    /// it now covers.
-    fn grow_to(&mut self, id: u32) {
-        let len = id as usize + 1;
+    /// Extends the dense table through `id` (`id < dense_limit`) by at
+    /// least [`JOB_TABLE_STEP`] ids but never past `dense_limit`, so a run
+    /// of fresh ids resizes it once per step, not once per id. Every
+    /// sparse id it now covers moves in, so sparse ids stay above every
+    /// dense one.
+    fn grow_to(&mut self, id: u32, dense_limit: usize) {
+        let len = (id as usize + 1)
+            .max(self.state.len() + JOB_TABLE_STEP)
+            .min(dense_limit);
         self.state.resize(len, 0);
         self.slots.resize(len, NO_SLOT);
         if self.sparse.is_empty() {
             return;
         }
-        let beyond = match id.checked_add(1) {
-            Some(next) => self.sparse.split_off(&next),
-            None => BTreeMap::new(),
+        let beyond = match u32::try_from(len) {
+            Ok(next) => self.sparse.split_off(&next),
+            Err(_) => BTreeMap::new(),
         };
         for (k, (state, slot)) in std::mem::replace(&mut self.sparse, beyond) {
             let i = k as usize;

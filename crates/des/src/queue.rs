@@ -117,6 +117,13 @@ impl<E> EventQueue<E> {
         });
     }
 
+    /// The `(time, priority)` of the earliest event, without removing it.
+    pub fn peek_key(&self) -> Option<(SimTime, Priority)> {
+        self.heap
+            .peek()
+            .map(|e| (SimTime::from_order_key(e.time), e.priority))
+    }
+
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap

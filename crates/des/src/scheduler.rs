@@ -76,6 +76,19 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
+    /// The `(time, priority)` of the next event to fire, if any.
+    pub fn peek_key(&self) -> Option<(SimTime, Priority)> {
+        self.queue.peek_key()
+    }
+
+    /// Counts one event that the world handled without a queue trip: a
+    /// step that would have been queued to fire right after the event in
+    /// hand, folded into that event's handler instead. Keeps
+    /// [`Scheduler::events_processed`] equal to the unfolded run's.
+    pub fn count_inline(&mut self) {
+        self.events_processed += 1;
+    }
+
     /// Schedules an event at absolute time `at`.
     ///
     /// # Panics
@@ -226,6 +239,37 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::from_secs(5.0), ());
         s.run(&mut Bad);
+    }
+
+    #[test]
+    fn inline_steps_count_as_events_and_peek_sees_the_next_key() {
+        struct Folding {
+            peeked: Vec<Option<(SimTime, Priority)>>,
+        }
+        impl World for Folding {
+            type Event = u32;
+            fn handle(&mut self, _now: SimTime, _ev: u32, sched: &mut Scheduler<u32>) {
+                // Each event folds one follow-up step into its handler.
+                sched.count_inline();
+                self.peeked.push(sched.peek_key());
+            }
+        }
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::from_secs(1.0), 1);
+        s.schedule_at_with_priority(SimTime::from_secs(1.0), -1, 2);
+        s.schedule_at(SimTime::from_secs(2.0), 3);
+        assert_eq!(s.peek_key(), Some((SimTime::from_secs(1.0), -1)));
+        let mut w = Folding { peeked: Vec::new() };
+        s.run(&mut w);
+        assert_eq!(s.events_processed(), 6, "three popped, three folded");
+        assert_eq!(
+            w.peeked,
+            vec![
+                Some((SimTime::from_secs(1.0), 0)),
+                Some((SimTime::from_secs(2.0), 0)),
+                None
+            ]
+        );
     }
 
     #[test]

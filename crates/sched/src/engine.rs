@@ -231,6 +231,8 @@ struct JobState<'a> {
     /// Arrival jobs borrow the per-request catalog built once per run;
     /// only failover replacements (rare) own freshly grouped work.
     work: Cow<'a, TapeJob>,
+    /// `work`'s byte total, summed once at admission.
+    bytes: Bytes,
     /// The job's read exhausted its retry budget; on completion it must
     /// fail over or be declared lost instead of counting as served.
     fatal: bool,
@@ -372,10 +374,9 @@ enum Ev {
     Arrive(u32),
     /// A tape exchange completed; the drive now holds `tape`.
     SwitchDone { drive: u32, tape: TapeId },
-    /// One job of a batch finished streaming.
+    /// One job of a batch finished streaming; the drive's batch ends
+    /// with it if it is the drive's [`SchedSim::batch_last`] job.
     JobDone { drive: u32, job: u32 },
-    /// A drive finished its whole batch and is idle again.
-    BatchDone { drive: u32 },
     /// The gated request in service resolved its last job: the next
     /// waiting arrival passes the gate.
     Release,
@@ -423,6 +424,9 @@ struct SchedSim<'a> {
     /// the per-candidate linear `drive_of` scan.
     holder: Vec<Option<u32>>,
     busy: Vec<bool>,
+    /// Per drive: the last job of the batch it is streaming. That job's
+    /// `JobDone` also ends the batch (DESIGN §9, "The folded batch end").
+    batch_last: Vec<Option<u32>>,
     /// The drive side of the dispatch index: each library's drives as
     /// bay sets, kept beside `busy`, `dead` and `holder`.
     bays: Vec<LibraryBays>,
@@ -478,7 +482,7 @@ struct SchedSim<'a> {
     /// dispatches instead of allocating per victim scan.
     cands: Vec<TapeCandidate>,
     /// Seek-plan scratch for [`Self::start_batch`]: one buffer reused for
-    /// every job's service order.
+    /// every job whose extents are not already their own service order.
     plan_scratch: Vec<Extent>,
     /// Priority class of the event currently being handled (the
     /// [`ARRIVAL_PRIORITY`] of arrivals, 0 otherwise) — the class half of
@@ -591,11 +595,12 @@ impl SchedSim<'_> {
 
     /// Streams up to [`Self::effective_cap`] queued jobs of `tape` back to
     /// back on `drive` (already holding the tape), scheduling per-job
-    /// completions and the batch end. Media bad-spots under the read
-    /// extents burn retries — backoff plus one reposition-and-reread per
-    /// retry — against the per-job budget; exhausting it marks the job
-    /// fatal. The batch is truncated so no window outlives the drive's
-    /// failure instant; truncated jobs stay pending.
+    /// completions and recording the last job, whose `JobDone` ends the
+    /// batch. Media bad-spots under the read extents burn retries —
+    /// backoff plus one reposition-and-reread per retry — against the
+    /// per-job budget; exhausting it marks the job fatal. The batch is
+    /// truncated so no window outlives the drive's failure instant;
+    /// truncated jobs stay pending.
     fn start_batch(&mut self, drive: usize, tape: TapeId, now: SimTime, sched: &mut Scheduler<Ev>) {
         let spec = &self.cfg.library.drive;
         let capacity = self.cfg.library.tape.capacity;
@@ -604,6 +609,7 @@ impl SchedSim<'_> {
         let tape_idx = self.cfg.tape_index(tape);
         let mut t = now;
         let mut taken = 0usize;
+        let mut last = None;
         loop {
             if cap != 0 && taken >= cap {
                 break;
@@ -612,15 +618,17 @@ impl SchedSim<'_> {
                 break;
             };
             let head = self.head[drive];
-            // Reuses the member scratch across jobs.
-            let mut plan = std::mem::take(&mut self.plan_scratch);
-            seek_order::plan_with(self.seek, head, &self.jobs[job].work.extents, &mut plan);
+            let state = &self.jobs[job];
+            let plan = seek_order::plan_borrowed(
+                self.seek,
+                head,
+                &state.work.extents,
+                &mut self.plan_scratch,
+            );
             // The charge walks the same planned order as the read.
-            let (seek_s, xfer_s, pos) = spec.read_walk(head, &plan, capacity);
-            let read = self.clock.charge(tape_idx, &plan, spec, capacity);
-            let plan_len = plan.len();
-            plan.clear();
-            self.plan_scratch = plan;
+            let (seek_s, xfer_s, pos) = spec.read_walk(head, plan, capacity);
+            let read = self.clock.charge(tape_idx, plan, spec, capacity);
+            let (plan_len, bytes) = (plan.len(), state.bytes);
             // `x + 0.0` preserves the bits of `x`, so the zero-fault
             // window is identical to the fault-free formula.
             let finish = t + SimTime::from_secs(seek_s + xfer_s + read.penalty_secs);
@@ -629,9 +637,9 @@ impl SchedSim<'_> {
                 // of the queue) pending for a surviving drive.
                 break;
             }
-            let bytes = self.jobs[job].work.bytes();
             self.pending[tape_idx].pop_front(bytes);
             taken += 1;
+            last = Some(job as u32);
             self.head[drive] = pos;
             // All of the batch's windows are emitted at `now` (when the
             // batch was planned) so entry timestamps stay monotone; the
@@ -678,23 +686,37 @@ impl SchedSim<'_> {
             t = finish;
         }
         self.refresh_ready(tape_idx);
-        if taken == 0 {
+        if last.is_none() {
             return;
         }
+        self.batch_last[drive] = last;
         self.set_busy(drive, true);
         self.busy_time += t - now;
         let key = self.op_key(now, drive);
         if let Some(log) = self.busy_log.as_mut() {
             log.push((key, t - now));
         }
-        // Scheduled after the last JobDone at the same instant, so
-        // completions are recorded before the drive re-dispatches.
-        sched.schedule_at(
-            t,
-            Ev::BatchDone {
-                drive: drive as u32,
-            },
+    }
+
+    /// Ends `drive`'s batch inside its last job's `JobDone`, after that
+    /// job's own step: the drive goes idle and its library re-dispatches.
+    /// This is the step a queued batch-end event would have run next
+    /// (DESIGN §9, "The folded batch end"), so it counts as one event.
+    fn end_batch(&mut self, drive: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        // A queued batch end at `(now, 0)` fired before anything at `now`
+        // only if no arrival (the one class below 0) was queued at `now`.
+        #[cfg(test)]
+        assert!(
+            sched
+                .peek_key()
+                .is_none_or(|(at, prio)| at > now || prio >= 0),
+            "an event at {now} outranks the folded batch end"
         );
+        sched.count_inline();
+        self.batch_last[drive] = None;
+        self.set_busy(drive, false);
+        let lib = self.cfg.drive_at(drive).library.idx();
+        self.try_dispatch(lib, now, sched);
     }
 
     /// The earliest request time `>= at` at which an exchange of
@@ -836,7 +858,7 @@ impl SchedSim<'_> {
                 let mut bytes = Bytes::ZERO;
                 let mut oldest = SimTime::MAX;
                 for &job in queue.jobs.iter().take(cap) {
-                    bytes += self.jobs[job].work.bytes();
+                    bytes += self.jobs[job].bytes;
                     oldest = oldest.min(self.requests[self.jobs[job].request].arrival);
                 }
                 (cap, bytes, oldest)
@@ -1027,6 +1049,7 @@ impl SchedSim<'_> {
                 self.jobs.push(JobState {
                     request: req,
                     work: Cow::Owned(tj),
+                    bytes,
                     fatal: false,
                     retired: false,
                 });
@@ -1129,14 +1152,16 @@ impl SchedSim<'_> {
                     tape: tape.into(),
                 },
             );
+            let bytes = tj.bytes();
             self.jobs.push(JobState {
                 request: req,
                 work: Cow::Borrowed(tj),
+                bytes,
                 fatal: false,
                 retired: false,
             });
             let tape_idx = self.cfg.tape_index(tape);
-            self.pending[tape_idx].push_back(job, tj.bytes(), arrival);
+            self.pending[tape_idx].push_back(job, bytes, arrival);
             self.refresh_ready(tape_idx);
             self.outstanding_jobs += 1;
             self.libs_hit[tape.library.idx()] = true;
@@ -1223,32 +1248,33 @@ impl World for SchedSim<'_> {
                 }
             }
             Ev::JobDone { drive, job } => {
+                let ends_batch = self.batch_last[drive as usize] == Some(job);
                 let (drive, job) = (drive as usize, job as usize);
-                if self.jobs[job].fatal {
+                let fatal = self.jobs[job].fatal;
+                if fatal {
                     self.resolve_fatal(job, now, sched);
-                    return;
+                } else {
+                    self.audit.emit(
+                        now,
+                        TraceEvent::JobCompleted {
+                            job: job as u32,
+                            drive: self.cfg.drive_at(drive).into(),
+                        },
+                    );
+                    self.outstanding_jobs -= 1;
+                    let req = self.jobs[job].request;
+                    self.jobs.retire(job);
+                    self.tried.remove(&job);
+                    self.requests[req].outstanding -= 1;
+                    if self.requests[req].outstanding == 0 {
+                        self.close_request(req, now, sched);
+                    }
                 }
-                self.audit.emit(
-                    now,
-                    TraceEvent::JobCompleted {
-                        job: job as u32,
-                        drive: self.cfg.drive_at(drive).into(),
-                    },
-                );
-                self.outstanding_jobs -= 1;
-                let req = self.jobs[job].request;
-                self.jobs.retire(job);
-                self.tried.remove(&job);
-                self.requests[req].outstanding -= 1;
-                if self.requests[req].outstanding == 0 {
-                    self.close_request(req, now, sched);
+                if ends_batch {
+                    #[cfg(test)]
+                    oracle::note_batch_end(fatal);
+                    self.end_batch(drive, now, sched);
                 }
-            }
-            Ev::BatchDone { drive } => {
-                let drive = drive as usize;
-                self.set_busy(drive, false);
-                let lib = self.cfg.drive_at(drive).library.idx();
-                self.try_dispatch(lib, now, sched);
             }
             Ev::Release => self.release(now, sched),
         }
@@ -1267,9 +1293,9 @@ const ARRIVAL_PRIORITY: i32 = -1;
 
 /// Priority class of gate releases. Strictly above the default class, so
 /// a release stamped at `t` fires after every same-instant service event
-/// — the last job's `JobDone` and its drive's `BatchDone` included — and
-/// the next request finds the drives idle, as the §6 engine's request
-/// does at its local t = 0.
+/// — the last job's `JobDone`, which also ends its drive's batch,
+/// included — and the next request finds the drives idle, as the §6
+/// engine's request does at its local t = 0.
 const RELEASE_PRIORITY: i32 = 1;
 
 /// Everything one drained [`ShardEngine`] knows at shutdown: the run
@@ -1467,6 +1493,7 @@ impl<'a> ShardEngine<'a> {
             head,
             holder,
             busy: vec![false; n_drives],
+            batch_last: vec![None; n_drives],
             bays,
             robots: vec![Resource::new(system.library.robot.arms.max(1) as usize); n_libs],
             jobs: JobTable::default(),
@@ -1817,6 +1844,19 @@ mod oracle {
         pub(super) static HIGH_VICTIMS: Cell<u64> = const { Cell::new(0) };
         /// Dispatches checked at exactly a drive's failure instant.
         pub(super) static REAPED_AT_INSTANT: Cell<u64> = const { Cell::new(0) };
+        /// Batch ends folded into a `JobDone`.
+        pub(super) static BATCH_ENDS: Cell<u64> = const { Cell::new(0) };
+        /// Folded batch ends whose last job was fatal: it failed over or
+        /// was lost before the batch ended.
+        pub(super) static FATAL_BATCH_ENDS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts a folded batch end whose last job was `fatal` or not.
+    pub(super) fn note_batch_end(fatal: bool) {
+        BATCH_ENDS.with(|c| c.set(c.get() + 1));
+        if fatal {
+            FATAL_BATCH_ENDS.with(|c| c.set(c.get() + 1));
+        }
     }
 
     /// The reap's bay walk: after [`SchedSim::reap_failures`] no live
@@ -2873,28 +2913,35 @@ mod tests {
         engine.finish()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// The dispatch index never changes a candidate list: at every
-        /// exchange dispatch the indexed list equals the slot walk bit
-        /// for bit, for every policy and batch cap, on the heavy fixture
-        /// under drive failures, jams and fatal bad spots, with and
-        /// without a replica map.
-        #[test]
-        fn indexed_dispatch_matches_the_slot_walk(
-            kind in 0usize..3,
-            cap in 0usize..4,
-            replicas in proptest::prelude::any::<bool>(),
-            intensity in 0u32..4,
-            fault_seed in 0u64..1_000,
-            arrival_seed in 0u64..1_000,
-            per_hour in 10u32..60,
-        ) {
+    /// The dispatch index never changes a candidate list: at every
+    /// exchange dispatch the indexed list equals the slot walk bit for
+    /// bit, for every policy and batch cap, on the heavy fixture under
+    /// drive failures, jams and fatal bad spots, with and without a
+    /// replica map. 48 drawn cases, as a proptest grid would draw them.
+    ///
+    /// Every exchange goes through a checked dispatch: `mounts` counts
+    /// only in `begin_switch`, which runs only after `oracle::check`. A
+    /// case may check nothing (faults can kill every drive before an
+    /// exchange), so non-vacuity is asserted over the grid.
+    #[test]
+    fn indexed_dispatch_matches_the_slot_walk() {
+        use proptest::strategy::Strategy;
+        let grid = (
+            (0usize..3, 0usize..4, proptest::prelude::any::<bool>()),
+            (0u32..4, 0u64..1_000, 0u64..1_000, 10u32..60),
+        );
+        let mut grid_checks = 0;
+        for case in 0..48 {
+            let mut rng = proptest::test_runner::TestRng::for_case(file!(), line!(), case);
+            let ((kind, cap, replicas), (intensity, fault_seed, arrival_seed, per_hour)) =
+                grid.generate(&mut rng);
             let fixture = &oracle_fixtures()[replicas as usize];
             let spec = tapesim_faults::FaultSpec::moderate(fault_seed).scaled(intensity as f64);
             let plan = FaultPlan::generate(&spec, fixture.0.placement().config());
-            let arrivals = ArrivalSpec { per_hour: per_hour as f64, seed: arrival_seed };
+            let arrivals = ArrivalSpec {
+                per_hour: per_hour as f64,
+                seed: arrival_seed,
+            };
             let before = oracle::CHECKS.with(|c| c.get());
             let report = oracle_run(
                 fixture,
@@ -2904,9 +2951,16 @@ mod tests {
                 arrivals,
                 30,
             );
-            proptest::prop_assert!(oracle::CHECKS.with(|c| c.get()) > before, "no dispatch was checked");
-            proptest::prop_assert_eq!(report.records.len() + report.lost.len(), 30);
+            let checks = oracle::CHECKS.with(|c| c.get()) - before;
+            let mounts = report.outcome.metrics.mounts();
+            assert!(
+                checks >= mounts,
+                "case {case}: {checks} checked dispatches for {mounts} exchanges"
+            );
+            assert_eq!(report.records.len() + report.lost.len(), 30, "case {case}");
+            grid_checks += checks;
         }
+        assert!(grid_checks > 0, "no dispatch in the grid was checked");
     }
 
     /// The oracle grid reaches the aggregate's hard case: a failover
@@ -3181,6 +3235,121 @@ mod tests {
 
     /// `close()` stops admissions (rejected + counted) while everything
     /// already admitted still drains to completion.
+    /// The fields the folded batch end must leave as the queued one
+    /// left them, as bits: served, lost, failovers, retries, mounts,
+    /// events and the mean sojourn.
+    fn fold_fingerprint(out: &SchedOutcome) -> [u64; 7] {
+        let m = &out.metrics;
+        [
+            m.served(),
+            m.lost(),
+            m.failovers(),
+            m.retries(),
+            m.mounts(),
+            m.events(),
+            m.avg_sojourn().to_bits(),
+        ]
+    }
+
+    /// A batch whose last job is fatal fails that job over (or loses
+    /// it) first and then ends, inside the same `JobDone`. These three
+    /// fingerprints were taken on the engine that still queued a
+    /// separate batch-end event.
+    #[test]
+    fn a_fatal_last_job_fails_over_then_ends_its_batch() {
+        let (sim, replicated, alternates, plan) = replicated_setup(10.0);
+        let before = oracle::FATAL_BATCH_ENDS.with(|c| c.get());
+        let out = run_scheduled_faulty(
+            &sim,
+            &replicated,
+            &BatchByTape,
+            &SchedConfig::new(
+                ArrivalSpec {
+                    per_hour: 30.0,
+                    seed: 3,
+                },
+                25,
+            )
+            .with_max_batch(3)
+            .with_audit(true),
+            &plan,
+            &alternates,
+        );
+        assert!(out.is_clean(), "{:?}", out.reports.first());
+        assert!(out.metrics.failovers() > 0);
+        assert!(oracle::FATAL_BATCH_ENDS.with(|c| c.get()) > before);
+        assert_eq!(fold_fingerprint(&out), [0, 25, 14, 310, 55, 577, 0]);
+    }
+
+    /// With an instantaneous drive (no positioning or streaming time)
+    /// every job, the last of each batch included, finishes at its
+    /// batch's start: the folded end then runs at the instant the batch
+    /// was planned, often the instant of the arrival that planned it.
+    #[test]
+    fn zero_duration_last_jobs_end_their_batches_at_their_start() {
+        let (sim, w) = heavy_setup();
+        let mut cfg = *sim.placement().config();
+        cfg.library.drive.full_pass_time = 0.0;
+        cfg.library.drive.native_rate = tapesim_model::BytesPerSec(f64::INFINITY);
+        let p = ParallelBatchPlacement::with_m(4).place(&w, &cfg).unwrap();
+        let sim = Simulator::with_natural_policy(p, 4);
+        let before = oracle::BATCH_ENDS.with(|c| c.get());
+        let out = run_scheduled(
+            &sim,
+            &w,
+            &BatchByTape,
+            &SchedConfig::new(
+                ArrivalSpec {
+                    per_hour: 40.0,
+                    seed: 5,
+                },
+                40,
+            )
+            .with_audit(true),
+        );
+        assert!(out.is_clean(), "{}", out.reports[0]);
+        assert_eq!(
+            out.metrics.utilisation(),
+            0.0,
+            "every batch spans zero time"
+        );
+        assert!(out.metrics.mounts() > 0);
+        assert!(oracle::BATCH_ENDS.with(|c| c.get()) > before);
+        assert_eq!(
+            fold_fingerprint(&out),
+            [40, 0, 0, 0, 172, 1333, 0x4077_137b_34cd_a43c]
+        );
+    }
+
+    /// Under `max_batch` 1 every job ends its own batch, so each `JobDone`
+    /// counts twice: events = arrivals + exchanges + 2 × jobs.
+    #[test]
+    fn max_batch_one_ends_a_batch_at_every_job() {
+        let (sim, w) = heavy_setup();
+        let before = oracle::BATCH_ENDS.with(|c| c.get());
+        let out = run_scheduled(
+            &sim,
+            &w,
+            &BatchByTape,
+            &SchedConfig::new(
+                ArrivalSpec {
+                    per_hour: 40.0,
+                    seed: 5,
+                },
+                40,
+            )
+            .with_max_batch(1)
+            .with_audit(true),
+        );
+        assert!(out.is_clean(), "{}", out.reports[0]);
+        let jobs = oracle::BATCH_ENDS.with(|c| c.get()) - before;
+        assert_eq!(out.metrics.events(), 40 + out.metrics.mounts() + 2 * jobs);
+        assert_eq!(
+            fold_fingerprint(&out),
+            [40, 0, 0, 0, 38, 1408, 0x40ba_1fe6_c546_39c2]
+        );
+    }
+
     #[test]
     fn close_rejects_new_submissions_and_drains_in_flight() {
         let spec = ArrivalSpec {

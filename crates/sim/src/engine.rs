@@ -85,7 +85,8 @@ pub struct EngineBuffers {
     holder: Vec<Option<usize>>,
     sched: Scheduler<Ev>,
     /// Seek-plan scratch reused by [`RequestSim::start_service`] across
-    /// jobs instead of allocating per-job order vectors.
+    /// jobs instead of allocating per-job order vectors; filled only for
+    /// a job whose extents are not already their own plan.
     plan: Vec<Extent>,
 }
 
@@ -152,12 +153,15 @@ impl<'a> RequestSim<'a> {
     /// schedules its completion.
     fn start_service(&mut self, drive: usize, job: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let head = self.state.head[drive];
-        let plan = &mut self.buf.plan;
-        seek_order::plan_with(self.seek_policy, head, &self.jobs[job].extents, plan);
+        let plan = seek_order::plan_borrowed(
+            self.seek_policy,
+            head,
+            &self.jobs[job].extents,
+            &mut self.buf.plan,
+        );
         let hw = &self.cfg.library;
         let (seek_s, xfer_s, pos) = hw.drive.read_walk(head, plan, hw.tape.capacity);
         let plan_len = plan.len();
-        plan.clear();
         self.state.head[drive] = pos;
         self.buf.seek[drive] += seek_s;
         self.buf.transfer[drive] += xfer_s;

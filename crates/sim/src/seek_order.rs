@@ -120,6 +120,54 @@ pub fn plan_with(policy: SeekPolicy, head: Bytes, extents: &[Extent], out: &mut 
     }
 }
 
+/// Plans the service order under `policy` and hands it back as a slice:
+/// `extents` itself when it already is the planner's answer, otherwise
+/// `out`, filled by [`plan_with`]. The input is its own plan when it
+/// holds at most one extent (any policy), or when its offsets ascend and
+/// the head sits at or below the first one under [`SeekPolicy::Greedy`]
+/// or [`SeekPolicy::Approx`]: both then keep the plain ascending sweep,
+/// which a stable sort of ascending input leaves as it is. The exact DP
+/// sorts by `(offset, size)`, so it borrows only the trivial case.
+///
+/// Two extents under [`SeekPolicy::Greedy`] take the sweep's closed
+/// form: its five shapes reduce to the pair's two orders, and the first
+/// minimum keeps the ascending one unless the head is above the lower
+/// offset and the other order is strictly shorter. That answer is
+/// borrowed when it is the input order and written into `out` otherwise.
+#[inline]
+pub fn plan_borrowed<'a>(
+    policy: SeekPolicy,
+    head: Bytes,
+    extents: &'a [Extent],
+    out: &'a mut Vec<Extent>,
+) -> &'a [Extent] {
+    match *extents {
+        [] | [_] => return extents,
+        [a, b] if policy == SeekPolicy::Greedy => {
+            let descending = b.offset < a.offset;
+            let (lo, hi) = if descending { (b, a) } else { (a, b) };
+            let swap =
+                head > lo.offset && seek_distance(head, &[hi, lo]) < seek_distance(head, &[lo, hi]);
+            if swap == descending {
+                return extents;
+            }
+            out.clear();
+            out.extend([b, a]);
+            return out;
+        }
+        [first, ..]
+            if policy != SeekPolicy::ExactDp
+                && head <= first.offset
+                && extents.is_sorted_by_key(|e| e.offset) =>
+        {
+            return extents;
+        }
+        _ => {}
+    }
+    plan_with(policy, head, extents, out);
+    out
+}
+
 /// The allocating form of the greedy sweep: materialises every candidate
 /// order and keeps the cheapest (see module docs). The reference the
 /// scratch-backed [`plan_into`] is pinned against.
@@ -791,6 +839,84 @@ mod tests {
                 prop_assert_eq!(ids, want, "{:?} is not a permutation", policy);
             }
         }
+    }
+
+    proptest! {
+        /// The borrowed plan is `plan_with`'s order for every policy, on
+        /// sorted and unsorted input with equal offsets, zero-size
+        /// extents and heads at, below and between offsets; it is the
+        /// input itself exactly when the input is its own plan, whatever
+        /// the scratch held before.
+        #[test]
+        fn borrowed_plan_equals_plan_with(
+            raw in proptest::collection::vec((0u64..40, 0u64..4), 0..8),
+            sorted in any::<bool>(),
+            head_pick in 0usize..4,
+            at in 0usize..8,
+        ) {
+            let mut extents: Vec<Extent> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(offset, size))| ext(i as u32, offset, size))
+                .collect();
+            if sorted {
+                extents.sort_by_key(|e| e.offset);
+            }
+            let lowest = extents.iter().map(|e| e.offset).min().unwrap_or(Bytes::ZERO);
+            let head = match head_pick {
+                0 => Bytes::ZERO,
+                1 => lowest,
+                2 => extents.get(at % extents.len().max(1)).map_or(Bytes::ZERO, |e| e.offset),
+                _ => Bytes::gb(at as u64 * 5 + 1),
+            };
+            for policy in [SeekPolicy::Greedy, SeekPolicy::ExactDp, SeekPolicy::Approx] {
+                let mut want = Vec::new();
+                plan_with(policy, head, &extents, &mut want);
+                let mut scratch = vec![ext(99, 7, 1); 3];
+                let got = plan_borrowed(policy, head, &extents, &mut scratch);
+                prop_assert_eq!(got, &want[..], "{:?} from {:?}", policy, head);
+                let own = extents.len() <= 1
+                    || (policy != SeekPolicy::ExactDp
+                        && extents.is_sorted_by_key(|e| e.offset)
+                        && head <= lowest)
+                    || (policy == SeekPolicy::Greedy && extents.len() == 2 && want == extents);
+                prop_assert_eq!(
+                    std::ptr::eq(got, &extents[..]),
+                    own,
+                    "{:?}: borrowed {} extents from {:?}",
+                    policy,
+                    extents.len(),
+                    head
+                );
+            }
+        }
+    }
+
+    /// The greedy sweep's two-extent closed form, exhaustively over
+    /// small offsets, sizes (zero included, overlaps included) and heads:
+    /// it equals `plan_with`, and it borrows exactly when that answer is
+    /// the input order.
+    #[test]
+    fn two_extent_closed_form_matches_the_sweep() {
+        let mut swapped = 0;
+        for (a_off, a_size, b_off, b_size) in (0..7u64).flat_map(|ao| {
+            (0..4u64).flat_map(move |asz| {
+                (0..7u64).flat_map(move |bo| (0..4u64).map(move |bsz| (ao, asz, bo, bsz)))
+            })
+        }) {
+            let extents = [ext(0, a_off, a_size), ext(1, b_off, b_size)];
+            for head_gb in 0..9 {
+                let head = Bytes::gb(head_gb);
+                let mut want = Vec::new();
+                plan_with(SeekPolicy::Greedy, head, &extents, &mut want);
+                let mut scratch = Vec::new();
+                let got = plan_borrowed(SeekPolicy::Greedy, head, &extents, &mut scratch);
+                assert_eq!(got, &want[..], "head {head_gb} GB, {extents:?}");
+                assert_eq!(std::ptr::eq(got, &extents[..]), want == extents);
+                swapped += usize::from(want != extents);
+            }
+        }
+        assert!(swapped > 0);
     }
 
     #[test]
