@@ -3,9 +3,10 @@
 //! through the scheduling engine in every mode — FCFS behind its
 //! admission gate, the batching scheduler (with and without span time
 //! accounting, so the observability overhead is measured in the same
-//! run) and the batching scheduler under a fault plan — and records events/sec,
-//! allocation counts and wall time into `BENCH_perf.json` at the
-//! workspace root.
+//! run) and the batching scheduler under a fault plan, then the batching
+//! scheduler alone on 1-, 2-, 4- and 8-library systems — and records
+//! events/sec, allocation counts and wall time into `BENCH_perf.json` at
+//! the workspace root.
 //!
 //! Flags (after `--`):
 //!
@@ -25,10 +26,7 @@ use tapesim_faults::{FaultPlan, FaultSpec};
 use tapesim_model::specs::{paper_table1, paper_table1_with_libraries};
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
-use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
-    ParallelConfig, SchedConfig,
-};
+use tapesim_sched::{run_scheduled, run_scheduled_faulty, BatchByTape, Fcfs, SchedConfig};
 use tapesim_sim::Simulator;
 use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
 
@@ -101,15 +99,8 @@ struct Report {
     /// layer existed.
     #[serde(default)]
     obs_overhead_pct: f64,
-    /// Headline for the conservative-window engine: events/sec of the
-    /// fastest `sched_parallel_8lib_*` row over the single-threaded
-    /// `sched_mono_8lib` row, measured in this same run. On machines with
-    /// fewer hardware threads than partitions this is an honest (small or
-    /// sub-1.0) number — see `threads_available`.
-    #[serde(default)]
-    parallel_speedup: f64,
     /// `std::thread::available_parallelism()` on the measuring machine —
-    /// the context required to read `parallel_speedup`.
+    /// the context required to read the rows.
     #[serde(default)]
     threads_available: usize,
 }
@@ -196,9 +187,8 @@ fn median_ratio_pct(num: &[f64], den: &[f64]) -> f64 {
 /// round-robin* across engines: every round runs each engine once, so
 /// slow drift of the machine (frequency scaling, thermal state, noisy
 /// neighbours) biases every engine equally instead of penalising
-/// whichever one happened to run last. Cross-engine ratios — the
-/// observability overhead and the parallel speedup — are only
-/// trustworthy under this schedule.
+/// whichever one happened to run last. Cross-engine ratios such as the
+/// observability overhead are only trustworthy under this schedule.
 ///
 /// Each iteration rebuilds its simulator via `setup` *outside* the timed
 /// window, so the measurement covers the engine alone. The scenario is
@@ -390,95 +380,21 @@ fn main() {
         sched.allocs
     );
 
-    // ---- parallel section: the conservative time-window engine over
-    // 1/2/4/8-library systems × thread counts, each against the
-    // single-threaded monolithic gear on the same config. The merged
-    // outcome is bit-identical (pinned by the sched test walls); here we
-    // only cross-check served/events and measure throughput.
+    // The batching scheduler alone as the library count grows.
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Shared by reference so the per-thread-count `move` closures copy
-    // the borrow, not the workload.
-    let (w, cfg) = (&w, &cfg);
-    let mut parallel_rows: Vec<EngineRow> = Vec::new();
-    let mut mono_8lib_eps = 0.0;
-    let mut best_8lib_eps = 0.0;
+    let mut engines = vec![queued, sched, sched_obs, faults];
     for nlibs in [1u16, 2, 4, 8] {
-        let system_n = paper_table1_with_libraries(nlibs);
         let placement_n = ParallelBatchPlacement::with_m(4)
-            .place(w, &system_n)
+            .place(&w, &paper_table1_with_libraries(nlibs))
             .expect("placement");
-        let fresh = || Simulator::with_natural_policy(placement_n.clone(), 4);
-        let zero_plan = &FaultPlan::zero(&system_n);
-        let no_alternates = &BTreeMap::new();
         let mut probes = vec![Probe::new(format!("sched_mono_{nlibs}lib"), |sim| {
-            let out = run_scheduled(&sim, w, &BatchByTape, cfg);
+            let out = run_scheduled(&sim, &w, &BatchByTape, &cfg);
             (out.metrics.served(), out.metrics.events())
         })];
-        for threads in [1usize, 2, 4, 8] {
-            if threads > nlibs as usize {
-                break;
-            }
-            let par = ParallelConfig::on().with_threads(threads);
-            probes.push(Probe::new(
-                format!("sched_parallel_{nlibs}lib_{threads}t"),
-                move |mut sim| {
-                    let out = run_scheduled_faulty_parallel(
-                        &mut sim,
-                        w,
-                        &BatchByTape,
-                        cfg,
-                        zero_plan,
-                        no_alternates,
-                        &par,
-                    );
-                    (out.metrics.served(), out.metrics.events())
-                },
-            ));
-        }
-        let rows = measure_all(&mut probes, iterations, fresh);
-        let mono = &rows[0];
-        for row in &rows[1..] {
-            assert_eq!(
-                (row.served, row.events),
-                (mono.served, mono.events),
-                "{} diverged from the monolithic gear — the window merge \
-                 must be bit-identical",
-                row.engine
-            );
-        }
-        if nlibs == 8 {
-            mono_8lib_eps = mono.events_per_sec;
-            best_8lib_eps = rows[1..]
-                .iter()
-                .map(|r| r.events_per_sec)
-                .fold(0.0, f64::max);
-        }
-        parallel_rows.extend(rows);
+        engines.extend(measure_all(&mut probes, iterations, || {
+            Simulator::with_natural_policy(placement_n.clone(), 4)
+        }));
     }
-    let parallel_speedup = if mono_8lib_eps > 0.0 {
-        best_8lib_eps / mono_8lib_eps
-    } else {
-        0.0
-    };
-    println!(
-        "parallel speedup at 8 libraries (best threads / single-threaded, same run): \
-         {parallel_speedup:.2}x on {threads_available} hardware threads"
-    );
-    if threads_available >= 8 {
-        assert!(
-            parallel_speedup >= 10.0,
-            "8-library parallel run reached only {parallel_speedup:.2}x on \
-             {threads_available} hardware threads (target ≥10x)"
-        );
-    } else {
-        println!(
-            "parallel ≥10x gate skipped: {threads_available} hardware thread(s) \
-             cannot exercise an 8-partition run"
-        );
-    }
-
-    let mut engines = vec![queued, sched, sched_obs, faults];
-    engines.extend(parallel_rows);
     let report = Report {
         bench: "perf".to_string(),
         samples,
@@ -486,7 +402,6 @@ fn main() {
         iterations,
         engines,
         obs_overhead_pct,
-        parallel_speedup,
         threads_available,
     };
 

@@ -11,7 +11,8 @@
 //! * [`EventQueue`] — a stable priority queue of timestamped events, one
 //!   flat heap with each entry's ordering key inline,
 //! * [`Scheduler`] / [`World`] — the execution model: a world handles one
-//!   event at a time and may schedule further events,
+//!   event at a time and may schedule further events, on one sequential
+//!   event loop per run,
 //! * [`Resource`] — a calendar-based FCFS server (used for robot arms),
 //! * [`stats`] — lightweight online statistics used by simulations,
 //! * [`trace`] / [`audit`] — a typed event transcript ([`Tracer`]) and an
@@ -52,7 +53,6 @@
 //! ```
 
 pub mod audit;
-pub mod parallel;
 pub mod queue;
 pub mod resource;
 pub mod scheduler;
@@ -61,7 +61,6 @@ pub mod time;
 pub mod trace;
 
 pub use audit::{AuditReport, AuditStream, TraceAuditor, Violation, ViolationKind};
-pub use parallel::{run_windowed, window_barriers, WindowPartition, WindowTrace};
 pub use queue::EventQueue;
 pub use resource::Resource;
 pub use scheduler::{RunOutcome, Scheduler, World};

@@ -80,10 +80,10 @@ pub struct SchedConfig {
     /// [`TimeBudget`] to the outcome. Off by default; when off the
     /// only cost is one `None` check per emitted trace event.
     pub obs: bool,
-    /// The in-tape service-order planner. Per-tape-local (mount and
-    /// batch decisions are untouched), so parallel partition eligibility
-    /// is unchanged. [`SeekPolicy::Greedy`] — the default — is
-    /// bit-identical to runs recorded before seek policies existed.
+    /// The in-tape service-order planner. Per-tape-local: mount and
+    /// batch decisions are untouched. [`SeekPolicy::Greedy`] — the
+    /// default — is bit-identical to runs recorded before seek policies
+    /// existed.
     pub seek: SeekPolicy,
 }
 
@@ -143,8 +143,7 @@ fn topology_of(system: &SystemConfig) -> Topology {
 pub struct SchedOutcome {
     /// Per-request metrics with percentiles.
     pub metrics: SchedMetrics,
-    /// Audit reports: one for the whole run (one per library in a
-    /// partitioned run); empty when auditing is off.
+    /// Audit reports: one for the whole run; empty when auditing is off.
     pub reports: Vec<AuditReport>,
     /// Per-resource time budget (present iff [`SchedConfig::obs`] was
     /// set): the makespan of every drive and robot arm split into
@@ -220,6 +219,44 @@ pub fn run_scheduled_faulty(
         last = Some(at);
     }
     engine.finish().outcome
+}
+
+/// The settings of the retired partitioned gear, kept only so
+/// [`run_scheduled_faulty_parallel`]'s callers still compile. It holds
+/// nothing: every run goes through the one [`ShardEngine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParallelConfig;
+
+impl ParallelConfig {
+    /// The same run as [`ParallelConfig::on`]: there is one engine.
+    pub fn off() -> ParallelConfig {
+        ParallelConfig
+    }
+
+    /// The same run as [`ParallelConfig::off`].
+    pub fn on() -> ParallelConfig {
+        ParallelConfig
+    }
+
+    /// Returns `self`: the engine runs on the calling thread.
+    pub fn with_threads(self, _threads: usize) -> ParallelConfig {
+        self
+    }
+}
+
+/// [`run_scheduled_faulty`] under its old partitioned-gear name: the
+/// benchmark harness still calls it. It exists only until the next
+/// benchmark change drops that call, and then goes too.
+pub fn run_scheduled_faulty_parallel(
+    sim: &mut Simulator,
+    workload: &Workload,
+    policy: &dyn SchedPolicy,
+    cfg: &SchedConfig,
+    plan: &FaultPlan,
+    alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
+    _par: &ParallelConfig,
+) -> SchedOutcome {
+    run_scheduled_faulty(sim, workload, policy, cfg, plan, alternates)
 }
 
 /// One job in the shared admission queue.
@@ -338,31 +375,8 @@ struct ReqState {
     outstanding: usize,
     /// When its first byte started streaming.
     first_start: Option<SimTime>,
-    /// Merge key of the planning event that set `first_start`: the event
-    /// instant, its priority class and the library it planned in. The
-    /// parallel merge uses it to decide which partition's `first_start`
-    /// the monolithic engine would have kept (see `crate::parallel`).
-    first_plan: Option<OpKey>,
     /// At least one of its jobs was terminally lost.
     lost: bool,
-}
-
-/// Where in the monolithic event order an order-sensitive operation
-/// (busy-time delta, first-plan) happened: the event's timestamp, its
-/// priority class (`ARRIVAL_PRIORITY` for arrivals, 0 otherwise) and
-/// the library whose dispatch performed it. Within one `(time, class)`
-/// tie the monolithic engine visits libraries in ascending order, so
-/// comparing keys lexicographically reproduces its operation order
-/// across per-library partitions (the lockstep argument, DESIGN §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct OpKey {
-    /// Timestamp of the event performing the operation.
-    pub at: SimTime,
-    /// Priority class of that event (arrivals fire before same-time
-    /// service events).
-    pub class: i8,
-    /// Library whose dispatch performed the operation.
-    pub lib: u16,
 }
 
 /// An engine event. Indices are `u32` (job ids already are, in the
@@ -437,9 +451,9 @@ struct SchedSim<'a> {
     /// Arrival jobs have tried nothing and have no entry; an entry goes
     /// when its job retires.
     tried: BTreeMap<usize, Vec<TapeId>>,
-    /// Every request admitted so far, by local index. Not windowed like
-    /// `jobs`: [`ShardEngine::finish`] reads each one's `first_plan` for
-    /// the parallel merge's [`MergeOps::first_plans`].
+    /// Every request admitted so far, by local index. Only a request
+    /// with jobs outstanding is read again, so a closed one's entry is
+    /// dead weight that could be windowed away like `jobs`'.
     requests: Vec<ReqState>,
     /// Shared admission queue: per-tape FIFO of job indices, dense by
     /// [`SystemConfig::tape_index`]. An empty deque means "no queue".
@@ -484,14 +498,6 @@ struct SchedSim<'a> {
     /// Seek-plan scratch for [`Self::start_batch`]: one buffer reused for
     /// every job whose extents are not already their own service order.
     plan_scratch: Vec<Extent>,
-    /// Priority class of the event currently being handled (the
-    /// [`ARRIVAL_PRIORITY`] of arrivals, 0 otherwise) — the class half of
-    /// the [`OpKey`]s stamped on order-sensitive operations.
-    event_class: i8,
-    /// Order-sensitive busy-time deltas, keyed for the parallel merge.
-    /// `None` outside partitioned runs, so the single-engine paths pay
-    /// nothing.
-    busy_log: Option<Vec<(OpKey, SimTime)>>,
     /// The admission gate, present iff the policy is
     /// [`SchedPolicy::sequential`].
     gate: Option<Gate>,
@@ -554,16 +560,6 @@ impl SchedSim<'_> {
         self.bays[id.library.idx()].loaded.remove(id.bay);
         self.refresh_ready(tape_idx);
         Some(tape)
-    }
-
-    /// The merge key of an order-sensitive operation performed at `now`
-    /// by `drive`'s library, under the event class currently in flight.
-    fn op_key(&self, now: SimTime, drive: usize) -> OpKey {
-        OpKey {
-            at: now,
-            class: self.event_class,
-            lib: (drive / self.cfg.library.drives as usize) as u16,
-        }
     }
 
     /// Rewind + exchange seconds to bring a new tape onto `drive`, given
@@ -672,9 +668,6 @@ impl SchedSim<'_> {
                 self.retries += read.retries as u64;
             }
             let req = self.jobs[job].request;
-            if self.requests[req].first_start.is_none() {
-                self.requests[req].first_plan = Some(self.op_key(now, drive));
-            }
             self.requests[req].first_start.get_or_insert(t);
             sched.schedule_at(
                 finish,
@@ -692,10 +685,6 @@ impl SchedSim<'_> {
         self.batch_last[drive] = last;
         self.set_busy(drive, true);
         self.busy_time += t - now;
-        let key = self.op_key(now, drive);
-        if let Some(log) = self.busy_log.as_mut() {
-            log.push((key, t - now));
-        }
     }
 
     /// Ends `drive`'s batch inside its last job's `JobDone`, after that
@@ -1138,7 +1127,6 @@ impl SchedSim<'_> {
             arrival,
             outstanding: work.len(),
             first_start: None,
-            first_plan: None,
             lost: false,
         });
         self.libs_hit.fill(false);
@@ -1195,11 +1183,6 @@ impl World for SchedSim<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        self.event_class = match ev {
-            Ev::Arrive(_) => ARRIVAL_PRIORITY as i8,
-            Ev::Release => RELEASE_PRIORITY as i8,
-            _ => 0,
-        };
         match ev {
             Ev::Arrive(i) => {
                 let i = i as usize;
@@ -1320,25 +1303,6 @@ pub struct ShardReport {
     pub rejected: u64,
     /// The virtual instant the shard's event queue drained.
     pub end: SimTime,
-    /// Order-sensitive operation logs for the parallel merge. Present
-    /// only when [`ShardEngine::enable_merge_log`] was called; `None`
-    /// in every single-engine and serve path.
-    pub merge: Option<MergeOps>,
-}
-
-/// The order-sensitive operations a partition performed, each tagged
-/// with the [`OpKey`] placing it in the monolithic event order. The
-/// parallel merge k-way-merges these across partitions to reproduce the
-/// single engine's float fold order bit for bit (see `crate::parallel`).
-#[derive(Debug, Clone, Default)]
-pub struct MergeOps {
-    /// Busy-time deltas in partition event order (already sorted by key
-    /// within a partition).
-    pub busy: Vec<(OpKey, SimTime)>,
-    /// Per local submission index: the key of the planning event that
-    /// set the request's `first_start`. Requests served without planning
-    /// (empty local work) have no entry.
-    pub first_plans: Vec<(usize, OpKey)>,
 }
 
 /// A consistent cut of a [`ShardEngine`]'s input: everything needed to
@@ -1431,23 +1395,6 @@ impl<'a> ShardEngine<'a> {
         alternates: &'a BTreeMap<ObjectId, Vec<ObjectId>>,
         job_catalog: &'a [Vec<TapeJob>],
     ) -> ShardEngine<'a> {
-        ShardEngine::new_owned(sim, policy, cfg, plan, alternates, job_catalog, None)
-    }
-
-    /// [`ShardEngine::new`] for a single-library partition: the trace
-    /// prologue (carried-over mounts) covers only `owned`'s drives, so
-    /// the per-partition traces of a parallel run concatenate to exactly
-    /// the monolithic trace — same entry counts, same audit verdicts.
-    /// `None` keeps the full-fleet prologue.
-    pub(crate) fn new_owned(
-        sim: &'a Simulator,
-        policy: &'a dyn SchedPolicy,
-        cfg: &SchedConfig,
-        plan: &'a FaultPlan,
-        alternates: &'a BTreeMap<ObjectId, Vec<ObjectId>>,
-        job_catalog: &'a [Vec<TapeJob>],
-        owned: Option<usize>,
-    ) -> ShardEngine<'a> {
         let placement = sim.placement();
         let system = placement.config();
         let n_drives = system.total_drives();
@@ -1522,17 +1469,12 @@ impl<'a> ShardEngine<'a> {
             libs_hit: vec![false; n_libs],
             cands: Vec::new(),
             plan_scratch: Vec::new(),
-            event_class: 0,
-            busy_log: None,
             gate: policy.sequential().then(Gate::default),
         };
 
         // Trace prologue: carried-over mounts, so the transcript is
         // self-contained for the auditor.
         for drive in 0..n_drives {
-            if owned.is_some_and(|lib| drive / d != lib) {
-                continue;
-            }
             if let Some(tape) = world.mounted[drive] {
                 world.audit.emit(
                     SimTime::ZERO,
@@ -1640,14 +1582,6 @@ impl<'a> ShardEngine<'a> {
         self.closed
     }
 
-    /// Turns on the order-sensitive operation log consumed by the
-    /// parallel merge; [`ShardEngine::finish`] will then carry
-    /// [`MergeOps`] in its report. Call before the first submission —
-    /// deltas performed earlier are not recorded.
-    pub fn enable_merge_log(&mut self) {
-        self.world.busy_log.get_or_insert_with(Vec::new);
-    }
-
     /// Submissions accepted so far.
     pub fn submitted(&self) -> usize {
         self.world.arrivals.len()
@@ -1689,11 +1623,6 @@ impl<'a> ShardEngine<'a> {
     /// DES events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.sched.events_processed()
-    }
-
-    /// The engine's virtual clock (time of the last dispatched event).
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
     }
 
     /// Drains the event queue, surfaces unnoticed drive failures, sweeps
@@ -1795,14 +1724,6 @@ impl<'a> ShardEngine<'a> {
         }
 
         let submitted = world.arrivals.len();
-        let merge = world.busy_log.take().map(|busy| MergeOps {
-            busy,
-            first_plans: world
-                .requests
-                .iter()
-                .filter_map(|r| r.first_plan.map(|k| (r.index, k)))
-                .collect(),
-        });
         let (reports, budget) = world.audit.finish(end);
         ShardReport {
             outcome: SchedOutcome {
@@ -1815,7 +1736,6 @@ impl<'a> ShardEngine<'a> {
             submitted,
             rejected,
             end,
-            merge,
         }
     }
 }
@@ -3233,8 +3153,6 @@ mod tests {
         assert!(report.outcome.is_clean());
     }
 
-    /// `close()` stops admissions (rejected + counted) while everything
-    /// already admitted still drains to completion.
     /// The fields the folded batch end must leave as the queued one
     /// left them, as bits: served, lost, failovers, retries, mounts,
     /// events and the mean sojourn.
@@ -3350,6 +3268,49 @@ mod tests {
         );
     }
 
+    /// The forwarding entry point is [`run_scheduled_faulty`] under
+    /// either setting: every metric bit (per-request sojourns included)
+    /// and the audit reports of a faulty, audited two-library run.
+    #[test]
+    fn forwarded_parallel_entry_matches_the_engine() {
+        use tapesim_faults::FaultSpec;
+        use tapesim_model::specs::paper_table1_with_libraries;
+        let w = heavy_setup().1;
+        let p = ParallelBatchPlacement::with_m(4)
+            .place(&w, &paper_table1_with_libraries(2))
+            .unwrap();
+        let mut sim = Simulator::with_natural_policy(p, 4);
+        let plan = FaultPlan::generate(&FaultSpec::moderate(29), sim.placement().config());
+        let cfg = SchedConfig::new(
+            ArrivalSpec {
+                per_hour: 40.0,
+                seed: 7,
+            },
+            40,
+        )
+        .with_audit(true);
+        let alternates = BTreeMap::new();
+        let base = run_scheduled_faulty(&sim, &w, &SltfTape, &cfg, &plan, &alternates);
+        assert!(base.metrics.mounts() > 0 && base.metrics.retries() > 0);
+        assert!(base.is_clean() && !base.reports.is_empty());
+        for par in [ParallelConfig::off(), ParallelConfig::on().with_threads(2)] {
+            let out = run_scheduled_faulty_parallel(
+                &mut sim,
+                &w,
+                &SltfTape,
+                &cfg,
+                &plan,
+                &alternates,
+                &par,
+            );
+            // `{:?}` prints every float field round-trip exact.
+            assert_eq!(format!("{:?}", out.metrics), format!("{:?}", base.metrics));
+            assert_eq!(out.reports, base.reports);
+        }
+    }
+
+    /// `close()` stops admissions (rejected + counted) while everything
+    /// already admitted still drains to completion.
     #[test]
     fn close_rejects_new_submissions_and_drains_in_flight() {
         let spec = ArrivalSpec {

@@ -30,20 +30,21 @@
 //!   carry a `tapesim-obs` [`TimeBudget`] splitting the makespan of each
 //!   drive and robot arm into exclusive spans, at zero cost when off.
 //!
+//! Every scheduled path — [`run_scheduled`], the CLI commands and each
+//! `tapesim-serve` shard — runs the one engine, [`ShardEngine`].
+//!
 //! [`TraceAuditor`]: tapesim_des::audit::TraceAuditor
 
 pub mod engine;
 pub mod metrics;
-pub mod parallel;
 pub mod policy;
 mod tap;
 
 pub use engine::{
-    run_scheduled, run_scheduled_faulty, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
-    SchedOutcome, ShardEngine, ShardReport,
+    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, EngineCheckpoint,
+    ParallelConfig, SchedConfig, SchedOutcome, ShardEngine, ShardReport,
 };
 pub use metrics::{RequestRecord, SchedMetrics};
-pub use parallel::{run_scheduled_faulty_parallel, ParallelConfig};
 pub use policy::{BatchByTape, Fcfs, PolicyKind, SchedPolicy, SltfTape, TapeCandidate};
 pub use tapesim_obs::TimeBudget;
 pub use tapesim_sim::catalog::{tape_jobs, TapeJob};

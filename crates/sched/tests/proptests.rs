@@ -1,6 +1,6 @@
 //! Property tests for the scheduling subsystem.
 //!
-//! Seven families, per the subsystem's contract:
+//! Six families, per the subsystem's contract:
 //!
 //! 1. **Conservation** — no policy loses or double-serves a request, and
 //!    every audited trace is clean, across random seeds/rates.
@@ -23,11 +23,6 @@
 //!    `TimeBudget` closes to within 1e-6, never attributes a negative
 //!    span to any resource (idle in particular), and keeps every
 //!    per-library overlap ratio inside `[0, 1]`.
-//! 7. **Parallel equivalence** — across random (seed, rate, samples,
-//!    threads, window) the partitioned window engine reproduces the
-//!    monolithic gear bit for bit: metric floats, served/mount/event
-//!    counts, audit verdicts and summed trace-entry counts — fault-free
-//!    and under generated fault plans alike.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,8 +31,7 @@ use tapesim_model::specs::paper_table1;
 use tapesim_model::{Bytes, ObjectId};
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
-    ParallelConfig, PolicyKind, SchedConfig, SchedOutcome,
+    run_scheduled, run_scheduled_faulty, BatchByTape, Fcfs, PolicyKind, SchedConfig,
 };
 use tapesim_sim::Simulator;
 use tapesim_workload::{
@@ -110,55 +104,6 @@ fn faulty_setup(
         .place(&w, &cfg)
         .expect("placement");
     (Simulator::with_natural_policy(p, 4), w, alternates)
-}
-
-/// Bitwise outcome equality for the parallel-equivalence family: metric
-/// floats by `to_bits`, counters by `==`, audits by verdict and by the
-/// golden wall's view (trace counts summed across reports — the
-/// monolithic engine emits one report, the partitioned run one per
-/// library).
-fn assert_outcomes_identical(par: &SchedOutcome, mono: &SchedOutcome) {
-    let (p, m) = (&par.metrics, &mono.metrics);
-    prop_assert_eq!(p.served(), m.served());
-    prop_assert_eq!(p.mounts(), m.mounts());
-    prop_assert_eq!(p.events(), m.events());
-    prop_assert_eq!(p.lost(), m.lost());
-    prop_assert_eq!(p.retries(), m.retries());
-    prop_assert_eq!(p.failovers(), m.failovers());
-    prop_assert_eq!(p.degraded_served(), m.degraded_served());
-    prop_assert_eq!(p.avg_wait().to_bits(), m.avg_wait().to_bits());
-    prop_assert_eq!(p.avg_service().to_bits(), m.avg_service().to_bits());
-    prop_assert_eq!(p.avg_sojourn().to_bits(), m.avg_sojourn().to_bits());
-    prop_assert_eq!(p.utilisation().to_bits(), m.utilisation().to_bits());
-    prop_assert_eq!(p.availability().to_bits(), m.availability().to_bits());
-    prop_assert_eq!(
-        p.sojourn_percentile(0.95).to_bits(),
-        m.sojourn_percentile(0.95).to_bits()
-    );
-    let pv = p.sojourn_seconds();
-    let mv = m.sojourn_seconds();
-    prop_assert_eq!(pv.len(), mv.len());
-    for (a, b) in pv.iter().zip(mv.iter()) {
-        prop_assert_eq!(a.to_bits(), b.to_bits());
-    }
-    prop_assert_eq!(par.is_clean(), mono.is_clean());
-    let sum = |out: &SchedOutcome| {
-        out.reports.iter().fold([0usize; 7], |mut acc, r| {
-            for (slot, n) in acc.iter_mut().zip([
-                r.entries,
-                r.jobs,
-                r.transfers,
-                r.exchanges,
-                r.faults,
-                r.losses,
-                r.failovers,
-            ]) {
-                *slot += n;
-            }
-            acc
-        })
-    };
-    prop_assert_eq!(sum(par), sum(mono));
 }
 
 proptest! {
@@ -404,90 +349,6 @@ proptest! {
                     o.library
                 );
             }
-        }
-    }
-
-    /// Family 7 (fault-free): any (seed, rate, samples) × (threads,
-    /// window) point produces the monolithic bits through the
-    /// partitioned engine, for every policy including gated FCFS (which
-    /// must route around partitioning entirely).
-    #[test]
-    fn parallel_run_is_bit_identical_to_sequential(
-        seed in 0u64..1_000,
-        rate_tenths in 5u32..400,
-        samples in 5usize..25,
-        threads in 1usize..9,
-        window in 1usize..96,
-    ) {
-        let spec = ArrivalSpec {
-            per_hour: rate_tenths as f64 / 10.0,
-            seed,
-        };
-        let cfg = SchedConfig::new(spec, samples).with_audit(true);
-        let par_cfg = ParallelConfig::on()
-            .with_threads(threads)
-            .with_window(window);
-        for kind in PolicyKind::ALL {
-            let (mono_sim, w) = heavy_setup(17);
-            let mono = run_scheduled(&mono_sim, &w, kind.build().as_ref(), &cfg);
-            let (mut par_sim, _) = heavy_setup(17);
-            let plan = FaultPlan::zero(par_sim.placement().config());
-            let par = run_scheduled_faulty_parallel(
-                &mut par_sim,
-                &w,
-                kind.build().as_ref(),
-                &cfg,
-                &plan,
-                &BTreeMap::new(),
-                &par_cfg,
-            );
-            assert_outcomes_identical(&par, &mono);
-        }
-    }
-
-    /// Family 7 (faulty): the same equivalence under generated fault
-    /// plans — drive failures, robot jams and media bad-spots — with no
-    /// replica map (failover would make the run ineligible and fall back,
-    /// which the fallback tests already pin).
-    #[test]
-    fn parallel_faulty_run_is_bit_identical_to_sequential(
-        seed in 0u64..1_000,
-        fault_seed in 0u64..1_000,
-        intensity_tenths in 1u32..40,
-        samples in 5usize..20,
-        threads in 1usize..9,
-        window in 1usize..96,
-    ) {
-        let spec = ArrivalSpec { per_hour: 25.0, seed };
-        let fspec = FaultSpec::moderate(fault_seed)
-            .scaled(intensity_tenths as f64 / 10.0);
-        let cfg = SchedConfig::new(spec, samples).with_audit(true);
-        let par_cfg = ParallelConfig::on()
-            .with_threads(threads)
-            .with_window(window);
-        let alternates = BTreeMap::new();
-        for kind in PolicyKind::ALL {
-            let plan = FaultPlan::generate(&fspec, &paper_table1());
-            let (mono_sim, w) = heavy_setup(17);
-            let mono = run_scheduled_faulty(
-                &mono_sim,
-                &w,
-                kind.build().as_ref(),
-                &cfg,
-                &plan,
-                &alternates,
-            );
-            let (mut par_sim, _) = heavy_setup(17);
-            let par = run_scheduled_faulty_parallel(
-                &mut par_sim,
-                &w,
-                kind.build().as_ref(),
-                &cfg,
-                &plan,
-                &alternates,
-                &par_cfg,
-            );
-            assert_outcomes_identical(&par, &mono);
         }
     }
 }

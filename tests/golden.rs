@@ -7,10 +7,7 @@
 //! (`faults-smoke`) — with the trace auditor enabled. Each run's audit
 //! verdict and event-count fingerprint (entries, jobs, transfers,
 //! exchanges, faults, losses, failovers) is compared against a committed
-//! snapshot under `tests/golden/`. The `sched` and `faults-smoke` cells
-//! also run through the per-library partitioned gear
-//! (`run_scheduled_faulty_parallel`), which must reproduce the same
-//! fingerprints.
+//! snapshot under `tests/golden/`.
 //!
 //! These snapshots pin the *shape* of the trace, not floating-point
 //! metrics: a refactor that reorders events, drops an exchange, or emits
@@ -32,10 +29,7 @@ use std::path::PathBuf;
 use tapesim_experiments::figures::quick_settings;
 use tapesim_faults::{ChaosPlan, ChaosSpec, FaultPlan, FaultSpec};
 use tapesim_placement::Scheme;
-use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty, run_scheduled_faulty_parallel, BatchByTape, Fcfs,
-    ParallelConfig, SchedConfig,
-};
+use tapesim_sched::{run_scheduled, run_scheduled_faulty, BatchByTape, Fcfs, SchedConfig};
 use tapesim_serve::{supervisor_run, ServeConfig, SuperviseConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
 use tapesim_workload::ArrivalSpec;
@@ -67,14 +61,12 @@ struct Fingerprint {
 }
 
 /// Runs one (scheme, mode) cell with auditing on and fingerprints it.
-/// `partitioned` runs the batching cells (`sched`, `faults-smoke`) one
-/// partition per library on two threads instead of monolithically.
-fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
+fn fingerprint(scheme: Scheme, mode: &str) -> Fingerprint {
     let s = quick_settings();
     let system = s.system();
     let w = s.generate_workload();
     let placement = scheme.policy(s.m).place(&w, &system).expect("placement");
-    let mut sim = Simulator::with_natural_policy(placement, s.m);
+    let sim = Simulator::with_natural_policy(placement, s.m);
     let cfg = SchedConfig::new(
         ArrivalSpec {
             per_hour: 16.0,
@@ -86,19 +78,12 @@ fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
     if mode == "serve-chaos" {
         return serve_chaos_fingerprint(scheme, sim, &w, &system);
     }
-    let batch = |sim: &mut Simulator, plan: &FaultPlan| {
-        let alternates = BTreeMap::new();
-        if partitioned {
-            assert!(system.libraries > 1, "nothing to partition");
-            let par = ParallelConfig::on().with_threads(2);
-            run_scheduled_faulty_parallel(sim, &w, &BatchByTape, &cfg, plan, &alternates, &par)
-        } else {
-            run_scheduled_faulty(sim, &w, &BatchByTape, &cfg, plan, &alternates)
-        }
+    let batch = |plan: &FaultPlan| {
+        run_scheduled_faulty(&sim, &w, &BatchByTape, &cfg, plan, &BTreeMap::new())
     };
     let out = match mode {
         "queued" => run_scheduled(&sim, &w, &Fcfs, &cfg),
-        "sched" => batch(&mut sim, &FaultPlan::zero(&system)),
+        "sched" => batch(&FaultPlan::zero(&system)),
         // The exact-DP policy gets its own wall: same stream, optimal
         // in-tape order. Mount and exchange counts must match `sched`
         // (the policy is per-tape-local); only within-tape transfer
@@ -107,10 +92,7 @@ fn fingerprint(scheme: Scheme, mode: &str, partitioned: bool) -> Fingerprint {
             let cfg = cfg.with_seek(SeekPolicy::ExactDp);
             run_scheduled(&sim, &w, &BatchByTape, &cfg)
         }
-        "faults-smoke" => batch(
-            &mut sim,
-            &FaultPlan::generate(&FaultSpec::moderate(29), &system),
-        ),
+        "faults-smoke" => batch(&FaultPlan::generate(&FaultSpec::moderate(29), &system)),
         other => panic!("unknown golden mode {other:?}"),
     };
     let mut fp = Fingerprint {
@@ -233,11 +215,11 @@ fn golden_path(scheme: Scheme, mode: &str) -> PathBuf {
 
 /// Compares one cell against its snapshot; returns a description of the
 /// mismatch (or of a missing snapshot). `TAPESIM_BLESS=1` rewrites the
-/// snapshot from the monolithic run instead and never fails.
-fn check(scheme: Scheme, mode: &str, partitioned: bool) -> Option<String> {
-    let fp = fingerprint(scheme, mode, partitioned);
+/// snapshot instead and never fails.
+fn check(scheme: Scheme, mode: &str) -> Option<String> {
+    let fp = fingerprint(scheme, mode);
     let path = golden_path(scheme, mode);
-    if !partitioned && std::env::var_os("TAPESIM_BLESS").is_some() {
+    if std::env::var_os("TAPESIM_BLESS").is_some() {
         let json = serde_json::to_string_pretty(&fp).expect("serialize fingerprint");
         std::fs::write(&path, json + "\n").expect("write golden snapshot");
         return None;
@@ -264,37 +246,35 @@ fn check(scheme: Scheme, mode: &str, partitioned: bool) -> Option<String> {
     })
 }
 
-fn run_mode(mode: &str, partitioned: bool) {
+fn run_mode(mode: &str) {
     let diffs: Vec<String> = Scheme::ALL
         .iter()
-        .filter_map(|&scheme| check(scheme, mode, partitioned))
+        .filter_map(|&scheme| check(scheme, mode))
         .collect();
     assert!(diffs.is_empty(), "{}", diffs.join("\n"));
 }
 
 #[test]
 fn golden_queued_traces_match() {
-    run_mode("queued", false);
+    run_mode("queued");
 }
 
 #[test]
 fn golden_sched_traces_match() {
-    run_mode("sched", false);
-    run_mode("sched", true);
+    run_mode("sched");
 }
 
 #[test]
 fn golden_sched_exact_traces_match() {
-    run_mode("sched-exact", false);
+    run_mode("sched-exact");
 }
 
 #[test]
 fn golden_faulty_traces_match() {
-    run_mode("faults-smoke", false);
-    run_mode("faults-smoke", true);
+    run_mode("faults-smoke");
 }
 
 #[test]
 fn golden_supervised_chaos_traces_match() {
-    run_mode("serve-chaos", false);
+    run_mode("serve-chaos");
 }

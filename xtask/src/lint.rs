@@ -48,8 +48,7 @@
 //!   reachable (over the intra-workspace call graph, matched by name —
 //!   a deliberate over-approximation) from the engine entry points
 //!   (`run_scheduled*`, the serve crate's `serve_run` and
-//!   `supervisor_run`, the parallel gears' `run_windowed` and
-//!   `run_partitioned`, the sim crate's `plan_with` seek-policy
+//!   `supervisor_run`, the sim crate's `plan_with` seek-policy
 //!   dispatcher — the exact-DP and approx planners must be panic-free on
 //!   any input — and `Workload::try_new`, which validates every workload
 //!   file).
@@ -810,12 +809,6 @@ fn is_root(krate: &str, name: &str) -> bool {
     name.starts_with("run_scheduled")
         || (krate == "serve" && name.starts_with("serve_run"))
         || (krate == "serve" && name.starts_with("supervisor_run"))
-        // The parallel gears: the window runner (des) and the
-        // partitioned scheduler entry (sched).
-        // `run_scheduled_faulty_parallel` is already covered by the
-        // `run_scheduled` prefix above.
-        || (krate == "des" && name.starts_with("run_windowed"))
-        || (krate == "sched" && name.starts_with("run_partitioned"))
         // The engines' event handlers (`World::handle` in `sched` and
         // `sim`): `des::Scheduler::run` calls them through the trait, an
         // edge against the crate dependency order the graph cannot
@@ -1322,10 +1315,10 @@ mod tests {
 
     #[test]
     fn l7_fires_on_summing_partition_metrics_in_thread_completion_order() {
-        // The parallel-merge anti-pattern: partition busy-time deltas
-        // come off worker threads in completion order, and a float sum
-        // over that order changes bits run to run. The real merge
-        // replays the deltas by sorted OpKey instead.
+        // Per-worker float results come off their threads in
+        // completion order, and a float sum over that order changes
+        // bits run to run; a deterministic fold sorts them by a stable
+        // key first.
         let fx = Fixture::new();
         fx.write(
             "crates/sched/src/bad_merge.rs",
@@ -1521,34 +1514,6 @@ mod tests {
         let findings = fx2.scan(&Allowlist::default());
         assert_eq!(rules_of(&findings), vec!["L10"]);
         assert!(findings[0].note.contains("run_scheduled_fx -> helper"));
-    }
-
-    #[test]
-    fn l10_treats_parallel_entry_points_as_roots() {
-        // The window runner (des) and the partitioned scheduler entry
-        // (sched) are engine roots: panics reachable from them must be
-        // flagged even though nothing in the scanned set calls them.
-        let fx = Fixture::new();
-        fx.write(
-            "crates/des/src/windowed.rs",
-            "pub fn run_windowed(n: usize) -> usize {\n\
-             \x20   step(n)\n\
-             }\n\
-             fn step(n: usize) -> usize {\n\
-             \x20   if n > 3 { panic!(\"past the barrier\") }\n\
-             \x20   n\n\
-             }\n",
-        );
-        fx.write(
-            "crates/sched/src/partitioned.rs",
-            "pub fn run_partitioned(xs: &[u32], n: usize) -> u32 {\n\
-             \x20   xs[n]\n\
-             }\n",
-        );
-        let findings = fx.scan(&Allowlist::default());
-        assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
-        assert!(findings[0].note.contains("run_windowed -> step"));
-        assert!(findings[1].note.contains("run_partitioned"));
     }
 
     #[test]
